@@ -31,11 +31,10 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy"],
+    # The compiled hot-path tier builds its C kernels with the system C
+    # compiler at first use; without one it falls back to the vector engine.
     extras_require={
         "test": ["pytest"],
-        # Optional JIT backend for the compiled hot-path tier; without it the
-        # tier falls back to the system C compiler, then to the vector engine.
-        "compiled": ["numba"],
     },
     entry_points={
         "console_scripts": [

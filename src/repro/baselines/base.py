@@ -36,6 +36,9 @@ class LookupResult:
     match_counts: np.ndarray
     #: Work performed by the batch.
     stats: KernelStats
+    #: Batch engine that executed the lookup (``None`` for indexes without
+    #: batch engines).
+    engine: Optional[str] = None
 
     @property
     def hits(self) -> int:

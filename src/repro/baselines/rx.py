@@ -64,7 +64,7 @@ class RXIndex(GpuIndex):
         scaled_mapping: bool = True,
         bvh_leaf_size: int = 4,
         device: GpuDevice = RTX_4090,
-        engine: str = "vector",
+        engine: str = "compiled",
     ) -> None:
         super().__init__(device)
         if key_bits not in (32, 64):
@@ -158,7 +158,9 @@ class RXIndex(GpuIndex):
             stats = self._ray_lookup_stats(
                 "rx.point_lookup", num_lookups, ray_stats, work_sample, keys
             )
-            return LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats)
+            return LookupResult(
+                row_ids=row_agg, match_counts=match_counts, stats=stats, engine="vector"
+            )
 
         for position in range(num_lookups):
             origin = (
@@ -181,7 +183,9 @@ class RXIndex(GpuIndex):
         stats = self._ray_lookup_stats(
             "rx.point_lookup", num_lookups, ray_stats, work_sample, keys
         )
-        return LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats)
+        return LookupResult(
+            row_ids=row_agg, match_counts=match_counts, stats=stats, engine="scalar"
+        )
 
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
         lows = np.asarray(lows, dtype=self._key_dtype)

@@ -229,7 +229,7 @@ def sharded_factory(
     replication_factor: int = 1,
     read_policy: str = "round_robin",
     write_quorum: Optional[int] = None,
-    engine: str = "vector",
+    engine: str = "compiled",
     rebuild_threshold: float = 0.5,
     compact_threshold: float = 0.2,
     rebuild_mode: str = "double_buffered",

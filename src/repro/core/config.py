@@ -37,15 +37,15 @@ class BucketLayout(str, Enum):
     COLUMN = "column"
 
 
-#: Valid batch execution engines.  ``"vector"`` (the default) answers whole
-#: batches with structure-of-arrays numpy kernels and wavefront BVH traversal;
-#: ``"scalar"`` keeps the original one-key/one-ray-at-a-time reference paths;
-#: ``"compiled"`` routes the hot axis-ray traversal and point-lookup chain
-#: walks through fused compiled kernels (numba via the ``[compiled]`` extra,
-#: or a runtime-compiled C backend) over quantized cache-blocked node tables.
+#: Valid batch execution engines.  ``"compiled"`` (the default) answers each
+#: hot index path — point routing, cgRXu chain and range walks, axis-ray
+#: traversal — with one call into runtime-compiled C kernels over quantized
+#: cache-blocked node tables; ``"vector"`` answers whole batches with
+#: structure-of-arrays numpy kernels and wavefront BVH traversal;
+#: ``"scalar"`` keeps the original one-key/one-ray-at-a-time reference paths.
 #: All engines produce byte-identical results and identical instrumentation
-#: counters; when no compiled backend is available, ``"compiled"`` degrades
-#: to ``"vector"`` with a recorded telemetry gauge.
+#: counters; without a C compiler, ``"compiled"`` degrades to ``"vector"``
+#: with a ``RuntimeWarning`` and a recorded telemetry gauge.
 ENGINES = ("scalar", "vector", "compiled")
 
 
@@ -56,22 +56,26 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-def resolve_engine(engine: str) -> str:
+def resolve_engine(engine: str, pipeline=None) -> str:
     """Map a configured engine to the one that will actually execute.
 
-    ``"compiled"`` requires a kernel backend (numba or a C compiler); when
-    none is available the call degrades to ``"vector"`` — same results, same
-    counters — and records a ``compiled_engine_fallback`` telemetry gauge so
-    the degradation is observable instead of silent.
+    ``"compiled"`` requires the C kernel library and, when ``pipeline`` is
+    given, compiled tables usable for its tree; otherwise the call degrades
+    to ``"vector"`` — same results, same counters — and
+    :func:`repro.rtx.compiled.record_fallback` makes the degradation loud:
+    one ``RuntimeWarning`` per reason and process, plus a
+    ``compiled_engine_fallback`` telemetry gauge when profiling.
     """
     if engine != "compiled":
         return engine
     from repro.rtx import compiled
 
-    if compiled.available_backend() is not None:
-        return "compiled"
-    compiled.record_fallback("no_backend")
-    return "vector"
+    if compiled.available_backend() is None:
+        compiled.record_fallback(compiled.unavailable_reason())
+        return "vector"
+    if pipeline is not None and not pipeline.compiled_ready():
+        return "vector"
+    return "compiled"
 
 
 @dataclass
@@ -93,8 +97,10 @@ class CgRXConfig:
     bucket_layout: BucketLayout = BucketLayout.ROW
     #: Maximum number of triangles per BVH leaf.
     bvh_leaf_size: int = 4
-    #: Batch execution engine: ``"vector"`` (SoA/wavefront) or ``"scalar"``.
-    engine: str = "vector"
+    #: Batch execution engine: ``"compiled"`` (the default: C kernels,
+    #: falling back to ``"vector"`` without a C compiler), ``"vector"``
+    #: (SoA/wavefront numpy) or ``"scalar"`` (the reference).
+    engine: str = "compiled"
 
     def __post_init__(self) -> None:
         if self.bucket_size < 1:
@@ -138,8 +144,10 @@ class CgRXuConfig:
     representation: Representation = Representation.OPTIMIZED
     #: Maximum number of triangles per BVH leaf.
     bvh_leaf_size: int = 4
-    #: Batch execution engine: ``"vector"`` (SoA/wavefront) or ``"scalar"``.
-    engine: str = "vector"
+    #: Batch execution engine: ``"compiled"`` (the default: C kernels,
+    #: falling back to ``"vector"`` without a C compiler), ``"vector"``
+    #: (SoA/wavefront numpy) or ``"scalar"`` (the reference).
+    engine: str = "compiled"
     #: Escalate a post-compaction BVH refit into a full rebuild once the
     #: total node overlap area grew past this multiple of the freshly built
     #: tree's (the Figure-1c degradation signal, applied to cgRXu's own

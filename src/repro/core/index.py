@@ -9,7 +9,7 @@ memory-footprint reporting).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,27 +117,27 @@ class CgRXIndex(GpuIndex):
 
     def _locate_buckets(
         self, keys: np.ndarray
-    ) -> Tuple[np.ndarray, RayStats, List[int]]:
+    ) -> Tuple[np.ndarray, RayStats, Sequence[int], str]:
         """Run the raytracing stage for a batch of keys.
 
         Returns the bucketID per key (:data:`MISS` for out-of-range keys), the
-        aggregated ray statistics and a sample of per-lookup work used for the
-        divergence estimate.  The vector engine answers the batch with
-        wavefront launches; the compiled engine swaps the wavefront traversal
-        for the fused megakernel.  Counters and samples are identical across
-        all three.
+        aggregated ray statistics, a sample of per-lookup work used for the
+        divergence estimate and the engine that ran.  The vector engine
+        answers the batch with wavefront launches; the compiled engine runs
+        the optimized representation's whole ray sequence in one C call (the
+        naive one in one megakernel call per stage).  Counters and samples
+        are identical across all three.
         """
         stats = RayStats()
         sample_every = max(1, keys.shape[0] // _DIVERGENCE_SAMPLE)
-        engine = resolve_engine(self.config.engine)
+        engine = resolve_engine(self.config.engine, self.pipeline)
         if engine != "scalar":
             self.pipeline.batch_engine = engine
             try:
                 bucket_ids, ray_nodes = self.representation.locate_bucket_batch(keys, stats)
             finally:
                 self.pipeline.batch_engine = "vector"
-            work_sample = [int(nodes) for nodes in ray_nodes[::sample_every]]
-            return bucket_ids, stats, work_sample
+            return bucket_ids, stats, ray_nodes[::sample_every], engine
         bucket_ids = np.empty(keys.shape[0], dtype=np.int64)
         work_sample: List[int] = []
         previous_nodes = 0
@@ -146,13 +146,13 @@ class CgRXIndex(GpuIndex):
             if position % sample_every == 0:
                 work_sample.append(stats.nodes_visited - previous_nodes)
             previous_nodes = stats.nodes_visited
-        return bucket_ids, stats, work_sample
+        return bucket_ids, stats, work_sample, engine
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
         """Batched point lookups: raytracing stage followed by a bucket-scan kernel."""
         keys = np.asarray(keys, dtype=self.bucketed.keys.dtype)
         num_lookups = keys.shape[0]
-        bucket_ids, ray_stats, work_sample = self._locate_buckets(keys)
+        bucket_ids, ray_stats, work_sample, engine = self._locate_buckets(keys)
 
         sorted_keys = self.bucketed.keys
         left = np.searchsorted(sorted_keys, keys, side="left")
@@ -184,7 +184,9 @@ class CgRXIndex(GpuIndex):
             work_sample=work_sample,
             range_mode=False,
         )
-        return LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats)
+        return LookupResult(
+            row_ids=row_agg, match_counts=match_counts, stats=stats, engine=engine
+        )
 
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
         """Batched range lookups: locate the lower bound, then scan forward."""
@@ -193,7 +195,7 @@ class CgRXIndex(GpuIndex):
         if lows.shape != highs.shape:
             raise ValueError("lows and highs must have the same shape")
 
-        bucket_ids, ray_stats, work_sample = self._locate_buckets(lows)
+        bucket_ids, ray_stats, work_sample, _ = self._locate_buckets(lows)
         sorted_keys = self.bucketed.keys
         first = np.searchsorted(sorted_keys, lows, side="left")
         stop = np.searchsorted(sorted_keys, highs, side="right")
@@ -229,7 +231,7 @@ class CgRXIndex(GpuIndex):
         keys: np.ndarray,
         ray_stats: RayStats,
         entries_scanned: np.ndarray,
-        work_sample: List[int],
+        work_sample: Sequence[int],
         range_mode: bool,
     ) -> KernelStats:
         """Assemble the kernel record of a lookup batch."""
@@ -248,19 +250,22 @@ class CgRXIndex(GpuIndex):
         )
         stats.bytes_read += ray_bytes
 
-        # Bucket-search stage: a cooperative-group kernel per batch.
+        # Bucket-search stage: a cooperative-group kernel per batch.  The
+        # per-lookup cost depends only on the scanned entry count, so it is
+        # evaluated once per distinct count.
         search_bytes = 0
         search_ops = 0
         bucket_size = self.bucketed.bucket_size
-        for scanned in entries_scanned:
-            if scanned <= 0:
-                continue
+        scanned_values, scanned_counts = np.unique(
+            entries_scanned[entries_scanned > 0], return_counts=True
+        )
+        for scanned, count in zip(scanned_values.tolist(), scanned_counts.tolist()):
             if range_mode:
-                cost = self.search_model.range_scan(int(scanned))
+                cost = self.search_model.range_scan(scanned)
             else:
-                cost = self.search_model.point_search(bucket_size, int(scanned))
-            search_bytes += cost.bytes_read
-            search_ops += cost.compute_ops
+                cost = self.search_model.point_search(bucket_size, scanned)
+            search_bytes += cost.bytes_read * count
+            search_ops += cost.compute_ops * count
         stats.bytes_read += search_bytes
         stats.compute_ops += search_ops
 

@@ -178,6 +178,30 @@ class NodeStorage:
         self._max_keys[index] = np.uint64(max_key)
         self._next[index] = NO_NEXT
 
+    def fill_buckets(self, keys: np.ndarray, row_ids: np.ndarray, bucket_size: int) -> None:
+        """Bulk-fill nodes ``0..B-1`` with consecutive ``bucket_size`` slices
+        of sorted entries (the last slice may be shorter); each node's
+        ``maxKey`` is its last key.  Leaves the slabs byte-identical to one
+        :meth:`fill_node` call per bucket.
+        """
+        bucket_size = int(bucket_size)
+        if bucket_size > self.node_capacity:
+            raise ValueError("too many entries for one node")
+        count = int(keys.shape[0])
+        full = count // bucket_size
+        tail = count - full * bucket_size
+        num_buckets = full + int(tail > 0)
+        split = full * bucket_size
+        self._keys[:full, :bucket_size] = keys[:split].reshape(full, bucket_size)
+        self._row_ids[:full, :bucket_size] = row_ids[:split].reshape(full, bucket_size)
+        self._keys[full, :tail] = keys[split:]
+        self._row_ids[full, :tail] = row_ids[split:]
+        self._sizes[:full] = bucket_size
+        self._sizes[full:num_buckets] = tail
+        ends = np.minimum(np.arange(1, num_buckets + 1) * bucket_size, count) - 1
+        self._max_keys[:num_buckets] = keys[ends].astype(np.uint64)
+        self._next[:num_buckets] = NO_NEXT
+
     def insert_into_node(self, index: int, key: int, row_id: int) -> bool:
         """Insert ``key`` into a node keeping it sorted; False when the node is full."""
         size = int(self._sizes[index])

@@ -31,6 +31,11 @@ from repro.rtx.traversal import RayStats
 class OptimizedRepresentation(SceneRepresentation):
     """Moved/auxiliary representatives serve as implicit row and plane markers."""
 
+    def __init__(self, *args, **kwargs) -> None:
+        #: Compiled routing constants (built on first use).
+        self._route_params = None
+        super().__init__(*args, **kwargs)
+
     # ------------------------------------------------------------ construction
 
     def _build_scene(self) -> None:
@@ -203,16 +208,39 @@ class OptimizedRepresentation(SceneRepresentation):
             np.where(row, primitive_index - self.row_marker_offset + 1, primitive_index),
         )
 
-    def locate_bucket_batch(self, keys: np.ndarray, stats=None):
-        """Wavefront point routing: all keys advance stage by stage.
+    def _compiled_route_params(self):
+        if self._route_params is None:
+            from repro.rtx import compiled
 
-        Every key fires exactly the rays :meth:`locate_bucket` would fire, as
-        per-stage wavefront launches (all stage rays share an axis).  Returns
-        ``(bucket_ids, nodes_visited)`` with :data:`MISS` for out-of-range
-        keys and the per-key BVH node visits used for divergence sampling;
-        ``stats`` accumulates the identical ray totals.
+            self._route_params = compiled.route_params(
+                self.mapping,
+                self.min_representative,
+                self.max_representative,
+                self.multi_line,
+                self.multi_plane,
+                self.row_marker_offset,
+                self.plane_marker_offset,
+            )
+        return self._route_params
+
+    def locate_bucket_batch(self, keys: np.ndarray, stats=None):
+        """Batched point routing: every key fires exactly the rays
+        :meth:`locate_bucket` would fire.
+
+        Under the compiled batch engine the whole ray sequence runs in one C
+        call; otherwise (or when that call cannot run) all keys advance
+        stage by stage as per-stage wavefront launches (all stage rays share
+        an axis).  Returns ``(bucket_ids, nodes_visited)`` with :data:`MISS`
+        for out-of-range keys and the per-key BVH node visits used for
+        divergence sampling; ``stats`` accumulates the identical ray totals.
         """
         keys = np.asarray(keys)
+        if self.pipeline.batch_engine == "compiled":
+            routed = self.pipeline.route_optimized_batch(
+                self._compiled_route_params(), keys, stats
+            )
+            if routed is not None:
+                return routed
         num_keys = int(keys.shape[0])
         out = np.full(num_keys, MISS, dtype=np.int64)
         nodes = np.zeros(num_keys, dtype=np.int64)

@@ -128,11 +128,7 @@ class CgRXuIndex(GpuIndex):
             node_bytes=self.config.node_bytes,
             key_dtype=self._key_dtype,
         )
-        for bucket_id in range(self.num_buckets):
-            start, end = self.bucketed.bucket_bounds(bucket_id)
-            bucket_keys = self.bucketed.keys[start:end]
-            bucket_row_ids = self.bucketed.row_ids[start:end]
-            self.nodes.fill_node(bucket_id, bucket_keys, bucket_row_ids, int(bucket_keys[-1]))
+        self.nodes.fill_buckets(self.bucketed.keys, self.bucketed.row_ids, bucket_size)
         # The overflow bucket catches keys beyond the bulk-loaded key range.
         self.nodes.fill_node(
             self.overflow_bucket,
@@ -160,6 +156,9 @@ class CgRXuIndex(GpuIndex):
         self._compiled_chain = None
         #: Shard-local arena backing the compiled chain tables (lazy).
         self._compiled_arena = None
+        #: Largest row count a compiled range walk has needed: the next
+        #: walk's output buffer starts this large.
+        self._range_rows_hint = 0
 
         #: Storage-lifecycle version: bumped by every compaction pass and by
         #: building from a snapshot, so the serving layer can tell rebuilt
@@ -258,7 +257,7 @@ class CgRXuIndex(GpuIndex):
         ray_stats: RayStats,
         total_nodes: int,
         total_entries: int,
-        work_sample: List[int],
+        work_sample: Sequence[int],
     ) -> KernelStats:
         """Kernel record of a point-lookup batch (shared by both engines)."""
         num_lookups = int(keys.shape[0])
@@ -283,12 +282,12 @@ class CgRXuIndex(GpuIndex):
 
         The ``vector`` engine answers the whole batch with wavefront routing
         and a lockstep chain walk over the flattened chain tables; the
-        ``compiled`` engine swaps both stages for fused compiled kernels.
-        Results and counters are byte-identical to the scalar reference path
-        under every engine.
+        ``compiled`` engine makes one C call for each stage.  Results and
+        counters are byte-identical to the scalar reference path under every
+        engine; ``LookupResult.engine`` names the engine that ran.
         """
         keys = np.asarray(keys, dtype=self._key_dtype)
-        engine = resolve_engine(self.config.engine)
+        engine = resolve_engine(self.config.engine, self.pipeline)
         if engine == "scalar":
             return self._point_lookup_batch_scalar(keys)
         return self._point_lookup_batch_vector(keys, engine)
@@ -324,31 +323,36 @@ class CgRXuIndex(GpuIndex):
         prof = _profile.profiler()
         if prof is not None:
             prof.observe_chain_walk("scalar", total_nodes, num_lookups)
-        return LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats)
+        return LookupResult(
+            row_ids=row_agg, match_counts=match_counts, stats=stats, engine="scalar"
+        )
+
+    def _route_batch(self, keys: np.ndarray, ray_stats: RayStats, engine: str):
+        """Bucket ids (:data:`MISS` for out-of-range keys) and per-key ray
+        node visits of a batch, routed on ``engine``."""
+        self.pipeline.batch_engine = engine
+        try:
+            return self.representation.locate_bucket_batch(keys, ray_stats)
+        finally:
+            self.pipeline.batch_engine = "vector"
 
     def _point_lookup_batch_vector(self, keys: np.ndarray, engine: str = "vector") -> LookupResult:
         """Batch path: wavefront or compiled routing plus a batched chain walk."""
+        from repro.core import compiled as core_compiled
+
         num_lookups = int(keys.shape[0])
         ray_stats = RayStats()
-        self.pipeline.batch_engine = engine
-        try:
-            bucket_ids, ray_nodes = self.representation.locate_bucket_batch(keys, ray_stats)
-        finally:
-            self.pipeline.batch_engine = "vector"
-        buckets = np.where(bucket_ids == MISS, self.overflow_bucket, bucket_ids)
-
-        walk = None
+        bucket_ids, ray_nodes = self._route_batch(keys, ray_stats, engine)
         if engine == "compiled":
-            walk = self._collect_batch_compiled(buckets, keys)
-        if walk is None:
-            engine = "vector" if engine == "compiled" else engine
+            walk = core_compiled.chain_walk_batch(self._compiled_chain_tables(), bucket_ids, keys)
+        else:
+            buckets = np.where(bucket_ids == MISS, self.overflow_bucket, bucket_ids)
             walk = self._collect_batch(buckets, keys)
         row_sum, match_counts, chain_nodes, entries = walk
         row_agg = np.where(match_counts > 0, row_sum, -1).astype(np.int64)
 
         sample_every = max(1, num_lookups // _DIVERGENCE_SAMPLE)
-        per_key_work = ray_nodes + chain_nodes
-        work_sample = [int(work) for work in per_key_work[::sample_every]]
+        work_sample = (ray_nodes + chain_nodes)[::sample_every]
         stats = self._point_lookup_stats(
             keys,
             ray_stats,
@@ -360,7 +364,10 @@ class CgRXuIndex(GpuIndex):
         if prof is not None:
             prof.observe_chain_walk(engine, int(chain_nodes.sum()), num_lookups)
         return LookupResult(
-            row_ids=row_agg, match_counts=match_counts.astype(np.int64), stats=stats
+            row_ids=row_agg,
+            match_counts=match_counts.astype(np.int64),
+            stats=stats,
+            engine=engine,
         )
 
     # --------------------------------------------------- vectorized chain walk
@@ -434,34 +441,28 @@ class CgRXuIndex(GpuIndex):
         return row_sum, matches, nodes_visited, entries
 
     def _compiled_chain_tables(self):
-        """Arena-packed chain tables for the compiled walk (identity-cached).
+        """Arena-packed chain tables for the compiled walks (identity-cached).
 
         Keyed on the identity of the ``_chain_cache`` tuple: ``update_batch``
         invalidates it to ``None`` and ``_patch_chain_cache`` swaps in a new
         tuple, so an ``is`` check catches every mutation and repacks into the
-        shard-local arena in place.
+        shard-local arena in place (as does a reallocation of the node slabs
+        the tables are bound to).
         """
         from repro.core import compiled as core_compiled
         from repro.rtx.compiled import Arena
 
         order, starts = self._chain_table()
         cached = self._compiled_chain
-        if cached is not None and cached[0] is self._chain_cache:
+        if cached is not None and cached[0] is self._chain_cache and cached[1].bound_to(self.nodes):
             return cached[1]
         if self._compiled_arena is None:
             self._compiled_arena = Arena()
-        tables = core_compiled.CompiledChainTables(order, starts, self._compiled_arena)
+        tables = core_compiled.CompiledChainTables(
+            self.nodes, order, starts, self._compiled_arena
+        )
         self._compiled_chain = (self._chain_cache, tables)
         return tables
-
-    def _collect_batch_compiled(
-        self, buckets: np.ndarray, keys: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """Compiled chain walk; returns ``None`` when no backend is available."""
-        from repro.core import compiled as core_compiled
-
-        tables = self._compiled_chain_tables()
-        return core_compiled.chain_walk_batch(self.nodes, tables, buckets, keys)
 
     def _range_lookup_stats(
         self,
@@ -492,7 +493,7 @@ class CgRXuIndex(GpuIndex):
         highs = np.asarray(highs, dtype=self._key_dtype)
         if lows.shape != highs.shape:
             raise ValueError("lows and highs must have the same shape")
-        engine = resolve_engine(self.config.engine)
+        engine = resolve_engine(self.config.engine, self.pipeline)
         if engine == "scalar":
             return self._range_lookup_batch_scalar(lows, highs)
         return self._range_lookup_batch_vector(lows, highs, engine)
@@ -549,19 +550,30 @@ class CgRXuIndex(GpuIndex):
     def _range_lookup_batch_vector(
         self, lows: np.ndarray, highs: np.ndarray, engine: str = "vector"
     ) -> RangeLookupResult:
-        """Batch path: wavefront or compiled routing plus a lockstep forward walk.
+        """Batch path: lower-bound routing plus the forward walk.
 
-        The compiled tier accelerates the lower-bound routing rays only; the
-        forward range walk emits variable-length row slices and stays on the
-        lockstep vector path under every batch engine.
+        The ``compiled`` engine makes one C call for each (rows in one flat
+        array with per-query offsets); the ``vector`` engine routes with
+        wavefront launches and walks in lockstep.
         """
+        from repro.core import compiled as core_compiled
+
         num_queries = int(lows.shape[0])
         ray_stats = RayStats()
-        self.pipeline.batch_engine = engine
-        try:
-            bucket_ids, _ = self.representation.locate_bucket_batch(lows, ray_stats)
-        finally:
-            self.pipeline.batch_engine = "vector"
+        bucket_ids, _ = self._route_batch(lows, ray_stats, engine)
+        if engine == "compiled":
+            results, total_results, total_nodes, total_entries = core_compiled.range_walk_batch(
+                self._compiled_chain_tables(),
+                bucket_ids,
+                lows,
+                highs,
+                max(self._range_rows_hint, 8 * num_queries),
+            )
+            self._range_rows_hint = max(self._range_rows_hint, total_results)
+            stats = self._range_lookup_stats(
+                lows, ray_stats, total_nodes, total_entries, total_results
+            )
+            return RangeLookupResult(row_ids=results, stats=stats)
         buckets = np.where(bucket_ids == MISS, self.overflow_bucket, bucket_ids)
 
         order, starts = self._chain_table()

@@ -9,6 +9,9 @@ those execution patterns as numbers the cost model understands.
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+import numpy as np
 
 #: Threads per warp on all NVIDIA GPUs relevant to the paper.
 WARP_SIZE = 32
@@ -43,7 +46,7 @@ def cooperative_scan_steps(elements: int, group_size: int = COOPERATIVE_GROUP_SI
 DIVERGENCE_EXPOSURE = 0.35
 
 
-def divergence_factor(per_thread_work: "list[int] | tuple[int, ...]") -> float:
+def divergence_factor(per_thread_work: "Sequence[int] | np.ndarray") -> float:
     """Estimate the warp-divergence penalty of a batch.
 
     SIMT execution is paced by the slowest thread of each warp.  Given the
@@ -51,16 +54,19 @@ def divergence_factor(per_thread_work: "list[int] | tuple[int, ...]") -> float:
     between warp-maximum-paced cost and mean-paced cost; the returned factor
     exposes only :data:`DIVERGENCE_EXPOSURE` of it (latency hiding).
     """
-    work = [max(int(w), 0) for w in per_thread_work]
-    if not work:
+    work = np.maximum(np.asarray(per_thread_work, dtype=np.int64).reshape(-1), 0)
+    if not work.size:
         return 1.0
-    total = sum(work)
+    total = int(work.sum())
     if total == 0:
         return 1.0
-    paced = 0
-    for start in range(0, len(work), WARP_SIZE):
-        chunk = work[start : start + WARP_SIZE]
-        paced += max(chunk) * len(chunk)
+    # Warp maxima over zero-padded warps; the last warp may be partial.
+    warps = -(-work.size // WARP_SIZE)
+    padded = np.zeros(warps * WARP_SIZE, dtype=np.int64)
+    padded[: work.size] = work
+    lanes = np.full(warps, WARP_SIZE, dtype=np.int64)
+    lanes[-1] = work.size - (warps - 1) * WARP_SIZE
+    paced = int((padded.reshape(warps, WARP_SIZE).max(axis=1) * lanes).sum())
     raw = max(1.0, paced / total)
     return 1.0 + (raw - 1.0) * DIVERGENCE_EXPOSURE
 

@@ -132,17 +132,13 @@ class Bvh:
 
     def depth(self) -> int:
         """Maximum depth of the tree (root has depth 1); 0 for an empty tree."""
-        if self.num_nodes == 0:
-            return 0
-        max_depth = 0
-        stack: List[Tuple[int, int]] = [(0, 1)]
-        while stack:
-            index, depth = stack.pop()
-            max_depth = max(max_depth, depth)
-            if self.node_count[index] == 0:
-                stack.append((int(self.node_left[index]), depth + 1))
-                stack.append((int(self.node_right[index]), depth + 1))
-        return max_depth
+        depth = 0
+        level = np.zeros(1 if self.num_nodes else 0, dtype=np.int64)
+        while level.size:
+            depth += 1
+            inner = level[self.node_count[level] == 0]
+            level = np.concatenate([self.node_left[inner], self.node_right[inner]])
+        return depth
 
     def memory_footprint_bytes(self) -> int:
         """Simulated device footprint of the acceleration structure."""
@@ -185,7 +181,34 @@ class Bvh:
 
 
 def build_bvh(scene: TriangleScene, config: Optional[BvhBuildConfig] = None) -> Bvh:
-    """Build a BVH over ``scene`` (the software stand-in for ``optixAccelBuild``)."""
+    """Build a BVH over ``scene`` (the software stand-in for ``optixAccelBuild``).
+
+    The ``median`` split runs in the compiled tier's C builder when a kernel
+    backend is available; its arrays equal this module's Python builder's,
+    which stays the reference and the no-compiler path.
+    """
+    config = config or BvhBuildConfig()
+    if config.method == "median" and scene.num_triangles:
+        from repro.rtx import compiled
+
+        arrays = compiled.build_bvh_median(
+            scene.vertices, scene.centroids(), config.max_leaf_size
+        )
+        if arrays is not None:
+            return Bvh(scene, *arrays, config=config)
+    return build_bvh_python(scene, config)
+
+
+def build_bvh_python(scene: TriangleScene, config: Optional[BvhBuildConfig] = None) -> Bvh:
+    """The reference builder: a work stack of ``(node, start, end)`` ranges.
+
+    A split allocates both children at once (left, then right) and pushes
+    the right child last, so the right subtree is expanded, and its nodes
+    numbered, first.  The ``median`` split stably sorts on the first axis of
+    maximum centroid extent; a range whose centroids all coincide becomes a
+    leaf.  :func:`repro.rtx.compiled.build_bvh_median` must match this
+    exactly.
+    """
     config = config or BvhBuildConfig()
     num_triangles = scene.num_triangles
     minima, maxima = scene.triangle_aabbs()

@@ -1,13 +1,21 @@
-"""Compiled hot-path tier: fused traversal megakernel over quantized tables.
+"""Compiled hot-path tier: C kernels over arena-packed, pre-bound tables.
 
 The vector engine (:mod:`repro.rtx.wavefront`) advances every ray of a batch
-in lockstep, paying ~25 numpy dispatches per BVH level plus float64-promoted
-copies of every node table.  This module removes both costs for the
-axis-aligned closest-hit path — the one the indexes fire millions of times:
+in lockstep, paying ~25 numpy dispatches per BVH level, and runs a point
+lookup's ray sequence as up to six separately dispatched stages.  This
+module replaces those hot paths with C kernels that make **one call per
+batch**:
 
-* **Megakernel.**  One compiled loop per ray runs traversal-pop, slab test,
+* **Traversal megakernel.**  One loop per ray runs traversal-pop, slab test,
   leaf intersection and stack-push back to back (no per-step numpy dispatch,
   no masked re-gathers).
+* **Fused point routing.**  :func:`locate_optimized_batch` runs the whole
+  ray sequence of ``OptimizedRepresentation.locate_bucket`` per key inside
+  one C call: key slicing, the row ray, the next-row and leftmost-in-row
+  rays, the next-plane ray with its first row and leftmost representative,
+  the float32 hit-point grid snap and the primitive remap.
+* **BVH build.**  :func:`build_bvh_median` is the ``median``-split builder of
+  :func:`repro.rtx.bvh.build_bvh` in C, with identical output arrays.
 * **Quantized cache-blocked node tables.**  Per node, a 12-byte record of
   uint16 AABB bounds quantized against a per-tree frame, rounded *outward* so
   a quantized reject implies the exact reject.  The kernel tests the 12-byte
@@ -16,24 +24,18 @@ axis-aligned closest-hit path — the one the indexes fire millions of times:
   cheap test passes — traversal may *consider* a superset of nodes at the
   prefilter but visits, counters and hit results stay bit-identical to the
   scalar path.
-* **Shard-local arenas.**  All tables live in one reusable byte buffer that
-  is rebuilt in place across build/refit epochs instead of reallocated.
+* **Shard-local arenas, bound once.**  All node tables live in one reusable
+  byte buffer rebuilt in place across build/refit epochs; the scene's
+  centroids, primitive indices and flip flags are aliased, not copied.  The
+  table pointers are gathered into one C struct when an epoch is packed, so
+  a kernel call converts only its per-batch arrays.
 
-Three interchangeable backends provide the kernels, resolved lazily:
-
-``numba``
-    ``@njit`` versions of the reference kernels (installed via the
-    ``[compiled]`` extra).
-``cc``
-    The same kernels as C, compiled at first use with the system C compiler
-    into a cached shared library and bound through :mod:`ctypes`.  No Python
-    dependency beyond the standard library.
-``python``
-    The un-jitted reference kernels (selectable only through
-    ``REPRO_COMPILED_BACKEND`` — slow, used to test kernel logic).
-
-When no backend is available, callers degrade to the vector engine and a
-telemetry gauge records the fallback (see
+The kernels are C compiled at first use with the system C compiler into a
+cached shared library and bound through :mod:`ctypes` (no Python dependency
+beyond the standard library).  ``REPRO_COMPILED_BACKEND`` selects ``cc`` (the
+default) or ``none``.  Without a usable library, callers degrade to the
+vector engine and :func:`record_fallback` issues one ``RuntimeWarning`` per
+reason and records a telemetry gauge (see
 :func:`repro.core.config.resolve_engine`).
 
 Bit-parity contract
@@ -42,28 +44,31 @@ Bit-parity contract
 The megakernel follows the scalar ``_trace_axis`` stack discipline exactly
 (root first, far child pushed before near, visit counted at pop *before* any
 test), performs every accepted comparison in IEEE double precision with the
-same operand expressions, and applies the same first-minimum tie-break.  Hit
-records, per-ray node-visit counts and :class:`~repro.rtx.traversal.RayStats`
-totals are therefore identical to the scalar oracle — pinned by the test
-suite together with a conservativeness property test for the quantized
-bounds.
+same operand expressions, and applies the same first-minimum tie-break.  The
+library is built with ``-ffp-contract=off`` so every operation rounds on its
+own, as numpy's do.  Hit records, per-ray node-visit counts and
+:class:`~repro.rtx.traversal.RayStats` totals are therefore identical to the
+scalar oracle — pinned by the test suite together with a conservativeness
+property test for the quantized bounds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
+import warnings
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.obs import profile as _profile
-from repro.rtx.bvh import Bvh
-from repro.rtx.wavefront import AxisClosestBatch, SoaBvh, _PERP_AXES
+from repro.rtx.traversal import TraversalEngine
+from repro.rtx.wavefront import AxisClosestBatch
 
 #: Fixed traversal stack capacity of the compiled kernels.  Trees deeper than
 #: this fall back to the vector engine (never hit in practice: the stack need
@@ -74,431 +79,659 @@ MAX_STACK = 512
 #: the outward fixup never runs out of headroom at the top of the range.
 _QUANT_STEPS = 65534
 
+#: Compiler flags of the kernel library.  ``-ffp-contract=off`` forbids fused
+#: multiply-adds, so C arithmetic rounds one operation at a time like numpy.
+_CC_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
 # --------------------------------------------------------------------------
 # Backend resolution
 # --------------------------------------------------------------------------
 
-#: Resolved backend name (``"numba"`` / ``"cc"`` / ``"python"``) or ``None``
-#: when the compiled tier is unavailable.  ``"unresolved"`` until first probe.
+#: Resolved backend name (``"cc"``) or ``None`` when the compiled tier is
+#: unavailable.  ``"unresolved"`` until first probe.
 _BACKEND: Optional[str] = "unresolved"
-_KERNELS: Optional[Tuple] = None
+_LIBRARY: Optional[ctypes.CDLL] = None
+#: Why the last probe found no backend (``"no_backend"`` or
+#: ``"library_load_failed"``).
+_UNAVAILABLE_REASON = "no_backend"
+#: Fallback reasons already warned about in this process.
+_WARNED: set = set()
 
 #: Reason recorded by the most recent :func:`record_fallback` call (tests and
-#: diagnostics; the telemetry gauge is the observable surface).
+#: diagnostics; the warning and the telemetry gauge are the observable
+#: surface).
 last_fallback_reason: Optional[str] = None
 
 
 def reset_backend_cache() -> None:
-    """Forget the resolved backend so the next probe re-reads the environment."""
-    global _BACKEND, _KERNELS
+    """Forget the resolved backend (and the warned fallback reasons) so the
+    next probe re-reads the environment."""
+    global _BACKEND, _LIBRARY
     _BACKEND = "unresolved"
-    _KERNELS = None
+    _LIBRARY = None
+    _WARNED.clear()
 
 
 def available_backend() -> Optional[str]:
     """The active kernel backend, resolving (and caching) it on first call.
 
-    Honours ``REPRO_COMPILED_BACKEND`` (``numba`` / ``cc`` / ``python`` /
-    ``none``); otherwise prefers numba, then the system C compiler.
+    ``REPRO_COMPILED_BACKEND=none`` disables the tier; otherwise the C
+    kernels are compiled with the system compiler (``$CC``, ``cc``, ``gcc``
+    or ``clang``).
     """
-    global _BACKEND, _KERNELS
+    global _BACKEND, _LIBRARY, _UNAVAILABLE_REASON
     if _BACKEND != "unresolved":
         return _BACKEND
-
-    forced = os.environ.get("REPRO_COMPILED_BACKEND", "").strip().lower()
-    if forced == "none":
-        _BACKEND = None
-        return None
-    candidates = [forced] if forced in ("numba", "cc", "python") else ["numba", "cc"]
-
-    for name in candidates:
-        kernels = _load_backend(name)
-        if kernels is not None:
-            _BACKEND = name
-            _KERNELS = kernels
-            return name
     _BACKEND = None
-    return None
-
-
-def backend_kernels() -> Optional[Tuple]:
-    """``(axis_kernel, chain_kernel)`` for the active backend, or ``None``."""
-    if available_backend() is None:
+    if os.environ.get("REPRO_COMPILED_BACKEND", "").strip().lower() == "none":
+        _UNAVAILABLE_REASON = "no_backend"
         return None
-    return _KERNELS
+    compiler = _compiler()
+    if compiler is None:
+        _UNAVAILABLE_REASON = "no_backend"
+        return None
+    library = _load_cc_library(compiler)
+    if library is None:
+        _UNAVAILABLE_REASON = "library_load_failed"
+        return None
+    _bind(library)
+    _LIBRARY = library
+    _BACKEND = "cc"
+    return _BACKEND
+
+
+def library() -> Optional[ctypes.CDLL]:
+    """The bound kernel library, or ``None`` when the tier is unavailable."""
+    if _BACKEND == "unresolved":
+        available_backend()
+    return _LIBRARY
+
+
+def unavailable_reason() -> str:
+    """Why :func:`available_backend` found no backend."""
+    return _UNAVAILABLE_REASON
 
 
 def record_fallback(reason: str) -> None:
-    """Note a compiled→vector degradation on the telemetry surface."""
+    """Note a compiled→vector degradation: warn once per reason, and record
+    it on the telemetry surface when a profiler is installed."""
     global last_fallback_reason
     last_fallback_reason = reason
+    if reason not in _WARNED:
+        _WARNED.add(reason)
+        warnings.warn(
+            f"compiled engine unavailable ({reason}); running the vector engine instead",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     prof = _profile.profiler()
     if prof is not None:
         prof.observe_compiled_fallback(reason)
 
 
-def _load_backend(name: str) -> Optional[Tuple]:
-    if name == "python":
-        return (_axis_kernel_py, _chain_kernel_py)
-    if name == "numba":
-        try:
-            import numba
-        except ImportError:
-            return None
-        # Serial by design: rays are independent, so ``parallel=True`` would
-        # also be deterministic, but serial keeps the first-call compile cheap
-        # and the profiling counters trivially comparable.
-        jit = numba.njit(cache=False, fastmath=False)
-        return (jit(_axis_kernel_py), jit(_chain_kernel_py))
-    if name == "cc":
-        library = _load_cc_library()
-        if library is None:
-            return None
-        return (_make_cc_axis(library), _make_cc_chain(library))
-    return None
-
-
 # --------------------------------------------------------------------------
-# Reference kernels (numba source + pure-Python backend)
-# --------------------------------------------------------------------------
-
-
-def _axis_kernel_py(
-    axis,
-    perp_a,
-    perp_b,
-    origin_axis,
-    coord_a,
-    coord_b,
-    best_t,
-    tolerance,
-    qbounds,
-    frame_min,
-    frame_scale,
-    node_min,
-    node_max,
-    node_left,
-    node_right,
-    node_first,
-    node_count,
-    order,
-    centroids,
-    hit,
-    best_tri,
-    nodes_visited,
-    tri_tests,
-):
-    """Fused axis-aligned closest-hit traversal (reference implementation).
-
-    Mirrors ``TraversalEngine._trace_axis`` statement for statement; the
-    quantized prefilter in front of each exact test only rejects nodes the
-    exact test would reject (bounds are dequantized outward), so counters and
-    results are unchanged.
-    """
-    num_rays = origin_axis.shape[0]
-    fa = frame_min[perp_a]
-    sa = frame_scale[perp_a]
-    fb = frame_min[perp_b]
-    sb = frame_scale[perp_b]
-    fx = frame_min[axis]
-    sx = frame_scale[axis]
-    stack = np.empty(MAX_STACK, dtype=np.int32)
-    for r in range(num_rays):
-        o = origin_axis[r]
-        ca = coord_a[r]
-        cb = coord_b[r]
-        bt = best_t[r]
-        pointer = 0
-        stack[pointer] = 0
-        pointer += 1
-        visits = np.int64(0)
-        tests = np.int64(0)
-        tri_best = np.int64(0)
-        has = False
-        while pointer > 0:
-            pointer -= 1
-            n = stack[pointer]
-            visits += 1
-            q = qbounds[n]
-            if ca < fa + q[perp_a] * sa - tolerance or ca > fa + q[3 + perp_a] * sa + tolerance:
-                continue
-            if cb < fb + q[perp_b] * sb - tolerance or cb > fb + q[3 + perp_b] * sb + tolerance:
-                continue
-            if fx + q[3 + axis] * sx < o or fx + q[axis] * sx > o + bt:
-                continue
-            mn = node_min[n]
-            mx = node_max[n]
-            if ca < mn[perp_a] - tolerance or ca > mx[perp_a] + tolerance:
-                continue
-            if cb < mn[perp_b] - tolerance or cb > mx[perp_b] + tolerance:
-                continue
-            if mx[axis] < o or mn[axis] > o + bt:
-                continue
-            count = node_count[n]
-            if count > 0:
-                first = node_first[n]
-                tests += count
-                for slot in range(first, first + count):
-                    tri = order[slot]
-                    centre = centroids[tri]
-                    if abs(centre[perp_a] - ca) > tolerance:
-                        continue
-                    if abs(centre[perp_b] - cb) > tolerance:
-                        continue
-                    t = centre[axis] - o
-                    if t < 0.0 or t > bt:
-                        continue
-                    if not has or t < bt:
-                        has = True
-                        bt = t
-                        tri_best = np.int64(tri)
-            else:
-                left = node_left[n]
-                right = node_right[n]
-                if node_min[left, axis] <= node_min[right, axis]:
-                    stack[pointer] = right
-                    stack[pointer + 1] = left
-                else:
-                    stack[pointer] = left
-                    stack[pointer + 1] = right
-                pointer += 2
-        hit[r] = 1 if has else 0
-        best_t[r] = bt
-        best_tri[r] = tri_best
-        nodes_visited[r] = visits
-        tri_tests[r] = tests
-
-
-def _chain_kernel_py(
-    target64,
-    start_pos,
-    order_len,
-    order,
-    capacity,
-    key_is_64,
-    keys64,
-    keys32,
-    row_ids,
-    sizes,
-    max_keys,
-    next_node,
-    row_sum,
-    matches,
-    nodes_visited,
-    entries,
-):
-    """Fused node-chain point-lookup walk (reference implementation).
-
-    Mirrors ``CgRXuIndex._collect`` over the flattened ``(order, starts)``
-    tables: the cross-bucket continuation is the same ``position += 1`` step.
-    ``keys64`` / ``keys32`` alias the same node-key slab; ``key_is_64``
-    selects which typed view the comparisons use.
-    """
-    num_keys = target64.shape[0]
-    for k in range(num_keys):
-        target = target64[k]
-        target32 = np.uint32(target)
-        pos = start_pos[k]
-        visits = np.int64(0)
-        touched = np.int64(0)
-        matched = np.int64(0)
-        rsum = np.int64(0)
-        while pos < order_len:
-            node = order[pos]
-            visits += 1
-            size = sizes[node]
-            if max_keys[node] < target and next_node[node] != -1:
-                pos += 1
-                continue
-            left = np.int64(0)
-            right = np.int64(0)
-            if key_is_64:
-                for i in range(size):
-                    value = keys64[node, i]
-                    if value < target:
-                        left += 1
-                    if value <= target:
-                        right += 1
-            else:
-                for i in range(size):
-                    value32 = keys32[node, i]
-                    if value32 < target32:
-                        left += 1
-                    if value32 <= target32:
-                        right += 1
-            span = right - left
-            touched += span if span > 1 else 1
-            if span > 0:
-                for i in range(left, right):
-                    rsum += row_ids[node, i]
-                matched += span
-            if right < size:
-                break
-            pos += 1
-        row_sum[k] = rsum
-        matches[k] = matched
-        nodes_visited[k] = visits
-        entries[k] = touched
-
-
-# --------------------------------------------------------------------------
-# C backend
+# C kernels
 # --------------------------------------------------------------------------
 
 _CC_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #define MAX_STACK 512
 
-void trace_axis_closest(
-    int32_t axis, int32_t perp_a, int32_t perp_b,
-    int64_t num_rays,
-    const double* origin_axis, const double* coord_a, const double* coord_b,
-    double* best_t,
-    double tolerance,
-    const uint16_t* qbounds,
-    const double* frame_min, const double* frame_scale,
-    const float* node_min, const float* node_max,
-    const int32_t* node_left, const int32_t* node_right,
-    const int32_t* node_first, const int32_t* node_count,
-    const int32_t* order,
-    const double* centroids,
-    uint8_t* hit, int64_t* best_tri,
-    int64_t* nodes_visited, int64_t* tri_tests)
+/* Arena-packed node tables plus the scene arrays they index; filled once per
+   packing epoch by CompiledBvhTables. */
+typedef struct {
+    const uint16_t* qbounds;
+    const float* node_min;
+    const float* node_max;
+    const int32_t* node_left;
+    const int32_t* node_right;
+    const int32_t* node_first;
+    const int32_t* node_count;
+    const int32_t* order;
+    const double* centroids;
+    const int64_t* primitive_indices;
+    const uint8_t* flipped;
+    double frame_min[3];
+    double frame_scale[3];
+    double tolerance;
+} BvhTables;
+
+/* Constants of OptimizedRepresentation.locate_bucket (see RouteParams). */
+typedef struct {
+    uint64_t min_rep, max_rep;
+    int64_t x_max, y_max;
+    int64_t row_marker_offset, plane_marker_offset;
+    double y_scale, z_scale;
+    int32_t x_bits, y_bits, z_bits;
+    int32_t multi_line, multi_plane;
+} RouteParams;
+
+/* Flattened cgRXu node chains plus the NodeStorage slabs (ChainTables). */
+typedef struct {
+    const int64_t* order;
+    const int64_t* starts;
+    const void* keys;
+    const uint32_t* row_ids;
+    const int32_t* sizes;
+    const uint64_t* max_keys;
+    const int64_t* next_node;
+    int64_t order_len;
+    int64_t overflow_bucket;
+    int32_t capacity;
+    int32_t key_is_64;
+} ChainTables;
+
+typedef struct { int64_t rays, nodes, triangle_tests, hits; } RayTotals;
+
+static const int PERP_A[3] = {1, 0, 0};
+static const int PERP_B[3] = {2, 2, 1};
+
+static inline uint64_t key_at(const void* keys, int is_64, int64_t i)
 {
-    const double fa = frame_min[perp_a], sa = frame_scale[perp_a];
-    const double fb = frame_min[perp_b], sb = frame_scale[perp_b];
-    const double fx = frame_min[axis],  sx = frame_scale[axis];
-    for (int64_t r = 0; r < num_rays; r++) {
-        int32_t stack[MAX_STACK];
-        int32_t sp = 0;
-        stack[sp++] = 0;
-        const double o = origin_axis[r];
-        const double ca = coord_a[r];
-        const double cb = coord_b[r];
-        double bt = best_t[r];
-        int64_t visits = 0, tests = 0, tri_best = 0;
-        int has = 0;
-        while (sp > 0) {
-            const int32_t n = stack[--sp];
-            visits++;
-            const uint16_t* q = qbounds + 6 * (int64_t)n;
-            /* Quantized bounds are rounded outward: a reject here implies the
-               exact float32 test below rejects, so counters are unchanged. */
-            if (ca < fa + (double)q[perp_a] * sa - tolerance ||
-                ca > fa + (double)q[3 + perp_a] * sa + tolerance)
-                continue;
-            if (cb < fb + (double)q[perp_b] * sb - tolerance ||
-                cb > fb + (double)q[3 + perp_b] * sb + tolerance)
-                continue;
-            if (fx + (double)q[3 + axis] * sx < o ||
-                fx + (double)q[axis] * sx > o + bt)
-                continue;
-            const float* mn = node_min + 3 * (int64_t)n;
-            const float* mx = node_max + 3 * (int64_t)n;
-            if (ca < (double)mn[perp_a] - tolerance || ca > (double)mx[perp_a] + tolerance)
-                continue;
-            if (cb < (double)mn[perp_b] - tolerance || cb > (double)mx[perp_b] + tolerance)
-                continue;
-            if ((double)mx[axis] < o || (double)mn[axis] > o + bt)
-                continue;
-            const int32_t count = node_count[n];
-            if (count > 0) {
-                const int32_t first = node_first[n];
-                tests += count;
-                for (int32_t s = first; s < first + count; s++) {
-                    const int64_t tri = (int64_t)order[s];
-                    const double* c = centroids + 3 * tri;
-                    if (fabs(c[perp_a] - ca) > tolerance) continue;
-                    if (fabs(c[perp_b] - cb) > tolerance) continue;
-                    const double t = c[axis] - o;
-                    if (t < 0.0 || t > bt) continue;
-                    if (!has || t < bt) { has = 1; bt = t; tri_best = tri; }
-                }
-            } else {
-                const int32_t left = node_left[n];
-                const int32_t right = node_right[n];
-                if ((double)node_min[3 * (int64_t)left + axis] <=
-                    (double)node_min[3 * (int64_t)right + axis]) {
-                    stack[sp++] = right;
-                    stack[sp++] = left;
-                } else {
-                    stack[sp++] = left;
-                    stack[sp++] = right;
-                }
-            }
-        }
-        hit[r] = (uint8_t)has;
-        best_t[r] = bt;
-        best_tri[r] = tri_best;
-        nodes_visited[r] = visits;
-        tri_tests[r] = tests;
-    }
+    return is_64 ? ((const uint64_t*)keys)[i] : (uint64_t)((const uint32_t*)keys)[i];
 }
 
-void chain_walk(
-    int64_t num_keys,
-    const uint64_t* target64,
-    const int64_t* start_pos,
-    int64_t order_len,
-    const int64_t* order,
-    int32_t capacity,
-    int32_t key_is_64,
-    const void* keys_slab,
-    const uint32_t* row_ids,
-    const int32_t* sizes,
-    const uint64_t* max_keys,
-    const int64_t* next_node,
-    int64_t* row_sum, int64_t* matches,
-    int64_t* nodes_visited, int64_t* entries)
+/* Closest hit of one +axis ray: TraversalEngine._trace_axis statement for
+   statement.  Returns 1 on a hit; *best_t is updated in place. */
+static int trace_ray(const BvhTables* T, int axis, double o, double ca, double cb,
+                     double* best_t, int64_t* best_tri, int64_t* visits_out,
+                     int64_t* tests_out)
 {
-    const uint64_t* keys64 = (const uint64_t*)keys_slab;
-    const uint32_t* keys32 = (const uint32_t*)keys_slab;
-    for (int64_t k = 0; k < num_keys; k++) {
-        const uint64_t target = target64[k];
-        const uint32_t target32 = (uint32_t)target;
-        int64_t pos = start_pos[k];
-        int64_t visits = 0, touched = 0, matched = 0, rsum = 0;
-        while (pos < order_len) {
-            const int64_t node = order[pos];
-            visits++;
-            const int32_t size = sizes[node];
-            if (max_keys[node] < target && next_node[node] != -1) { pos++; continue; }
-            int64_t left = 0, right = 0;
-            const int64_t base = node * (int64_t)capacity;
-            if (key_is_64) {
-                const uint64_t* node_keys = keys64 + base;
-                for (int32_t i = 0; i < size; i++) {
-                    const uint64_t value = node_keys[i];
-                    left += value < target;
-                    right += value <= target;
-                }
+    const int perp_a = PERP_A[axis], perp_b = PERP_B[axis];
+    const double tolerance = T->tolerance;
+    const double fa = T->frame_min[perp_a], sa = T->frame_scale[perp_a];
+    const double fb = T->frame_min[perp_b], sb = T->frame_scale[perp_b];
+    const double fx = T->frame_min[axis], sx = T->frame_scale[axis];
+    int32_t stack[MAX_STACK];
+    int32_t sp = 0;
+    stack[sp++] = 0;
+    double bt = *best_t;
+    int64_t visits = 0, tests = 0, tri_best = 0;
+    int has = 0;
+    while (sp > 0) {
+        const int32_t n = stack[--sp];
+        visits++;
+        const uint16_t* q = T->qbounds + 6 * (int64_t)n;
+        /* Quantized bounds are rounded outward: a reject here implies the
+           exact float32 test below rejects, so counters are unchanged. */
+        if (ca < fa + (double)q[perp_a] * sa - tolerance ||
+            ca > fa + (double)q[3 + perp_a] * sa + tolerance)
+            continue;
+        if (cb < fb + (double)q[perp_b] * sb - tolerance ||
+            cb > fb + (double)q[3 + perp_b] * sb + tolerance)
+            continue;
+        if (fx + (double)q[3 + axis] * sx < o || fx + (double)q[axis] * sx > o + bt)
+            continue;
+        const float* mn = T->node_min + 3 * (int64_t)n;
+        const float* mx = T->node_max + 3 * (int64_t)n;
+        if (ca < (double)mn[perp_a] - tolerance || ca > (double)mx[perp_a] + tolerance)
+            continue;
+        if (cb < (double)mn[perp_b] - tolerance || cb > (double)mx[perp_b] + tolerance)
+            continue;
+        if ((double)mx[axis] < o || (double)mn[axis] > o + bt)
+            continue;
+        const int32_t count = T->node_count[n];
+        if (count > 0) {
+            const int32_t first = T->node_first[n];
+            tests += count;
+            for (int32_t s = first; s < first + count; s++) {
+                const int64_t tri = (int64_t)T->order[s];
+                const double* c = T->centroids + 3 * tri;
+                if (fabs(c[perp_a] - ca) > tolerance) continue;
+                if (fabs(c[perp_b] - cb) > tolerance) continue;
+                const double t = c[axis] - o;
+                if (t < 0.0 || t > bt) continue;
+                if (!has || t < bt) { has = 1; bt = t; tri_best = tri; }
+            }
+        } else {
+            const int32_t left = T->node_left[n];
+            const int32_t right = T->node_right[n];
+            if ((double)T->node_min[3 * (int64_t)left + axis] <=
+                (double)T->node_min[3 * (int64_t)right + axis]) {
+                stack[sp++] = right;
+                stack[sp++] = left;
             } else {
-                const uint32_t* node_keys = keys32 + base;
-                for (int32_t i = 0; i < size; i++) {
-                    const uint32_t value = node_keys[i];
-                    left += value < target32;
-                    right += value <= target32;
-                }
+                stack[sp++] = left;
+                stack[sp++] = right;
+            }
+        }
+    }
+    *best_t = bt;
+    *best_tri = tri_best;
+    *visits_out = visits;
+    *tests_out = tests;
+    return has;
+}
+
+/* Closest hits of a batch of +axis rays.  origins is (R, 3); t enters as
+   tmax and leaves as the hit distance; ints is (2, R): best triangle, node
+   visits.  totals: rays, nodes, triangle tests, hits. */
+void trace_axis_closest(const BvhTables* T, int32_t axis, int64_t num_rays,
+                        const double* origins, double* t, uint8_t* hit,
+                        int64_t* ints, int64_t* totals)
+{
+    const int perp_a = PERP_A[axis], perp_b = PERP_B[axis];
+    int64_t nodes = 0, tests_total = 0, hits = 0;
+    for (int64_t r = 0; r < num_rays; r++) {
+        const double* origin = origins + 3 * r;
+        int64_t visits, tests;
+        const int has = trace_ray(T, axis, origin[axis], origin[perp_a], origin[perp_b],
+                                  &t[r], &ints[r], &visits, &tests);
+        hit[r] = (uint8_t)has;
+        ints[num_rays + r] = visits;
+        nodes += visits;
+        tests_total += tests;
+        hits += has;
+    }
+    totals[0] = num_rays;
+    totals[1] = nodes;
+    totals[2] = tests_total;
+    totals[3] = hits;
+}
+
+/* One ray of the routing sequence from a scene-space origin. */
+static int cast(const BvhTables* T, int axis, double x, double y, double z,
+                int64_t* tri, int64_t* key_nodes, RayTotals* c)
+{
+    const double origin[3] = {x, y, z};
+    double bt = INFINITY;
+    int64_t visits, tests;
+    const int has = trace_ray(T, axis, origin[axis], origin[PERP_A[axis]],
+                              origin[PERP_B[axis]], &bt, tri, &visits, &tests);
+    c->rays++;
+    c->nodes += visits;
+    c->triangle_tests += tests;
+    c->hits += has;
+    *key_nodes += visits;
+    return has;
+}
+
+/* SceneCaster.hit_grid_*: the float32 hit point, divided back to the grid
+   and rounded half to even. */
+static inline int64_t snap(double centre, double scale)
+{
+    return (int64_t)rint((double)(float)centre / scale);
+}
+
+static inline int64_t remap(const BvhTables* T, const RouteParams* P, int64_t tri)
+{
+    const int64_t prim = T->primitive_indices[tri];
+    if (prim >= P->plane_marker_offset && P->multi_plane)
+        return prim - P->plane_marker_offset + 1;
+    if (prim >= P->row_marker_offset)
+        return prim - P->row_marker_offset + 1;
+    return prim;
+}
+
+/* OptimizedRepresentation.locate_bucket for one in-range key. */
+static int64_t route(const BvhTables* T, const RouteParams* P, int64_t kx, int64_t ky,
+                     int64_t kz, int64_t* kn, RayTotals* c)
+{
+    int64_t tri;
+    /* Ray 1: along +x in the key's own row. */
+    if (cast(T, 0, (double)kx - 0.5, (double)ky * P->y_scale, (double)kz * P->z_scale,
+             &tri, kn, c))
+        return remap(T, P, tri);
+    /* Ray 2 (+ ray 3 on a front face): the next populated row. */
+    if (P->multi_line &&
+        cast(T, 1, (double)P->x_max, ((double)(ky + 1) - 0.5) * P->y_scale,
+             (double)kz * P->z_scale, &tri, kn, c)) {
+        if (T->flipped[tri]) return remap(T, P, tri);
+        const int64_t row_y = snap(T->centroids[3 * tri + 1], P->y_scale);
+        if (cast(T, 0, 0.0 - 0.5, (double)row_y * P->y_scale, (double)kz * P->z_scale,
+                 &tri, kn, c))
+            return remap(T, P, tri);
+        return -1;
+    }
+    /* Rays 3-5: the next populated plane, its first row, and that row's
+       leftmost representative. */
+    if (P->multi_plane &&
+        cast(T, 2, (double)P->x_max, (double)P->y_max * P->y_scale,
+             ((double)(kz + 1) - 0.5) * P->z_scale, &tri, kn, c)) {
+        const int64_t plane_z = snap(T->centroids[3 * tri + 2], P->z_scale);
+        if (cast(T, 1, (double)P->x_max, (0.0 - 0.5) * P->y_scale,
+                 (double)plane_z * P->z_scale, &tri, kn, c)) {
+            if (T->flipped[tri]) return remap(T, P, tri);
+            const int64_t row_y = snap(T->centroids[3 * tri + 1], P->y_scale);
+            if (cast(T, 0, 0.0 - 0.5, (double)row_y * P->y_scale,
+                     (double)plane_z * P->z_scale, &tri, kn, c))
+                return remap(T, P, tri);
+        }
+    }
+    return -1;
+}
+
+/* Bucket ids (-1 = MISS) and per-key node visits for a key batch: out is
+   (2, num_keys).  totals: rays, nodes, triangle tests, hits. */
+void locate_optimized(const BvhTables* T, const RouteParams* P, int64_t num_keys,
+                      const uint64_t* keys, int64_t* out, int64_t* totals)
+{
+    const uint64_t x_mask = ((uint64_t)1 << P->x_bits) - 1;
+    const uint64_t y_mask = ((uint64_t)1 << P->y_bits) - 1;
+    const uint64_t z_mask = ((uint64_t)1 << P->z_bits) - 1;
+    RayTotals c = {0, 0, 0, 0};
+    for (int64_t k = 0; k < num_keys; k++) {
+        const uint64_t key = keys[k];
+        int64_t kn = 0, bucket;
+        if (key > P->max_rep) {
+            bucket = -1;
+        } else if (key < P->min_rep) {
+            bucket = 0;
+        } else {
+            const int64_t kx = (int64_t)(key & x_mask);
+            const int64_t ky = P->y_bits ? (int64_t)((key >> P->x_bits) & y_mask) : 0;
+            const int64_t kz =
+                P->z_bits ? (int64_t)((key >> (P->x_bits + P->y_bits)) & z_mask) : 0;
+            bucket = route(T, P, kx, ky, kz, &kn, &c);
+        }
+        out[k] = bucket;
+        out[num_keys + k] = kn;
+    }
+    totals[0] = c.rays;
+    totals[1] = c.nodes;
+    totals[2] = c.triangle_tests;
+    totals[3] = c.hits;
+}
+
+/* cgRXu point-lookup chain walk (CgRXuIndex._collect): out is (4, num_keys):
+   rowID sum, matches, nodes visited, entries touched. */
+void chain_walk(const ChainTables* C, int64_t num_keys, const void* targets,
+                const int64_t* buckets, int64_t* out)
+{
+    for (int64_t k = 0; k < num_keys; k++) {
+        const uint64_t target = key_at(targets, C->key_is_64, k);
+        const int64_t bucket = buckets[k] < 0 ? C->overflow_bucket : buckets[k];
+        int64_t pos = C->starts[bucket];
+        int64_t visits = 0, touched = 0, matched = 0, rsum = 0;
+        while (pos < C->order_len) {
+            const int64_t node = C->order[pos];
+            visits++;
+            const int32_t size = C->sizes[node];
+            if (C->max_keys[node] < target && C->next_node[node] != -1) { pos++; continue; }
+            const int64_t base = node * (int64_t)C->capacity;
+            int64_t left = 0, right = 0;
+            for (int32_t i = 0; i < size; i++) {
+                const uint64_t value = key_at(C->keys, C->key_is_64, base + i);
+                left += value < target;
+                right += value <= target;
             }
             const int64_t span = right - left;
             touched += span > 1 ? span : 1;
             if (span > 0) {
-                const uint32_t* node_rows = row_ids + base;
-                for (int64_t i = left; i < right; i++) rsum += (int64_t)node_rows[i];
+                for (int64_t i = left; i < right; i++) rsum += (int64_t)C->row_ids[base + i];
                 matched += span;
             }
             if (right < (int64_t)size) break;
             pos++;
         }
-        row_sum[k] = rsum;
-        matches[k] = matched;
-        nodes_visited[k] = visits;
-        entries[k] = touched;
+        out[k] = rsum;
+        out[num_keys + k] = matched;
+        out[2 * num_keys + k] = visits;
+        out[3 * num_keys + k] = touched;
     }
 }
+
+/* cgRXu forward range walk (CgRXuIndex._range_lookup_batch_scalar): rows of
+   every query in walk order into one flat array, offsets (num_queries + 1)
+   per query.  Writes at most `capacity` rows and returns the number needed.
+   totals: nodes visited, entries touched. */
+int64_t range_walk(const ChainTables* C, int64_t num_queries, const void* lows,
+                   const void* highs, const int64_t* buckets, uint32_t* rows,
+                   int64_t capacity, int64_t* offsets, int64_t* totals)
+{
+    int64_t written = 0, nodes = 0, entries = 0;
+    offsets[0] = 0;
+    for (int64_t q = 0; q < num_queries; q++) {
+        const uint64_t low = key_at(lows, C->key_is_64, q);
+        const uint64_t high = key_at(highs, C->key_is_64, q);
+        const int64_t bucket = buckets[q] < 0 ? C->overflow_bucket : buckets[q];
+        for (int64_t pos = C->starts[bucket]; pos < C->order_len; pos++) {
+            const int64_t node = C->order[pos];
+            nodes++;
+            const int32_t size = C->sizes[node];
+            if (size == 0) continue;
+            const int64_t base = node * (int64_t)C->capacity;
+            int64_t left = 0, right = 0;
+            for (int32_t i = 0; i < size; i++) {
+                const uint64_t value = key_at(C->keys, C->key_is_64, base + i);
+                left += value < low;
+                right += value <= high;
+            }
+            entries += right - left > 1 ? right - left : 1;
+            for (int64_t i = left; i < right; i++) {
+                if (written < capacity) rows[written] = C->row_ids[base + i];
+                written++;
+            }
+            if (right < (int64_t)size) break;
+        }
+        offsets[q + 1] = written;
+    }
+    totals[0] = nodes;
+    totals[1] = entries;
+    return written;
+}
+
+/* Stable merge sort of idx[0, n) by key[0, n); ties keep their input order
+   (numpy's argsort(kind="stable")). */
+static void merge_sort(double* key, int64_t* idx, double* tk, int64_t* ti, int64_t n)
+{
+    if (n <= 16) {
+        for (int64_t i = 1; i < n; i++) {
+            const double k = key[i];
+            const int64_t v = idx[i];
+            int64_t j = i;
+            while (j > 0 && key[j - 1] > k) { key[j] = key[j - 1]; idx[j] = idx[j - 1]; j--; }
+            key[j] = k;
+            idx[j] = v;
+        }
+        return;
+    }
+    const int64_t h = n / 2;
+    merge_sort(key, idx, tk, ti, h);
+    merge_sort(key + h, idx + h, tk, ti, n - h);
+    if (!(key[h] < key[h - 1])) return;
+    memcpy(tk, key, (size_t)h * sizeof(double));
+    memcpy(ti, idx, (size_t)h * sizeof(int64_t));
+    int64_t i = 0, j = h, k = 0;
+    while (i < h && j < n) {
+        if (key[j] < tk[i]) { key[k] = key[j]; idx[k++] = idx[j++]; }
+        else { key[k] = tk[i]; idx[k++] = ti[i++]; }
+    }
+    while (i < h) { key[k] = tk[i]; idx[k++] = ti[i++]; }
+}
+
+/* build_bvh's "median" split (repro.rtx.bvh).  Node arrays hold 2n - 1
+   entries; returns the number of nodes, or -1 when out of memory. */
+int64_t build_bvh_median(int64_t n, const float* vertices, const double* centroids,
+                         int64_t max_leaf, float* node_min, float* node_max,
+                         int64_t* node_left, int64_t* node_right, int64_t* node_first,
+                         int64_t* node_count, int64_t* order)
+{
+    float* tri_min = malloc((size_t)n * 3 * sizeof(float));
+    float* tri_max = malloc((size_t)n * 3 * sizeof(float));
+    double* keys = malloc((size_t)n * sizeof(double));
+    double* tk = malloc((size_t)n * sizeof(double));
+    int64_t* ti = malloc((size_t)n * sizeof(int64_t));
+    int64_t* stack = malloc((size_t)(n + 1) * 3 * sizeof(int64_t));
+    int64_t num_nodes = -1, sp = 0;
+    if (!tri_min || !tri_max || !keys || !tk || !ti || !stack) goto done;
+
+    for (int64_t t = 0; t < n; t++) {
+        const float* v = vertices + 9 * t;
+        for (int d = 0; d < 3; d++) {
+            float lo = v[d], hi = v[d];
+            for (int k = 1; k < 3; k++) {
+                if (v[3 * k + d] < lo) lo = v[3 * k + d];
+                if (v[3 * k + d] > hi) hi = v[3 * k + d];
+            }
+            tri_min[3 * t + d] = lo;
+            tri_max[3 * t + d] = hi;
+        }
+        order[t] = t;
+    }
+
+    num_nodes = 1;
+    node_left[0] = node_right[0] = -1;
+    node_first[0] = node_count[0] = 0;
+    stack[0] = 0; stack[1] = 0; stack[2] = n;
+    sp = 1;
+    while (sp > 0) {
+        sp--;
+        const int64_t node = stack[3 * sp], start = stack[3 * sp + 1], end = stack[3 * sp + 2];
+        const int64_t count = end - start;
+        float* mn = node_min + 3 * node;
+        float* mx = node_max + 3 * node;
+        double cmin[3], cmax[3];
+        for (int d = 0; d < 3; d++) {
+            const int64_t t = order[start];
+            mn[d] = tri_min[3 * t + d];
+            mx[d] = tri_max[3 * t + d];
+            cmin[d] = cmax[d] = centroids[3 * t + d];
+        }
+        for (int64_t s = start + 1; s < end; s++) {
+            const int64_t t = order[s];
+            for (int d = 0; d < 3; d++) {
+                if (tri_min[3 * t + d] < mn[d]) mn[d] = tri_min[3 * t + d];
+                if (tri_max[3 * t + d] > mx[d]) mx[d] = tri_max[3 * t + d];
+                const double c = centroids[3 * t + d];
+                if (c < cmin[d]) cmin[d] = c;
+                if (c > cmax[d]) cmax[d] = c;
+            }
+        }
+        node_first[node] = 0;
+        node_count[node] = 0;
+        if (count <= max_leaf) {
+            node_first[node] = start;
+            node_count[node] = count;
+            continue;
+        }
+        const double extent[3] = {cmax[0] - cmin[0], cmax[1] - cmin[1], cmax[2] - cmin[2]};
+        int axis = 0;
+        if (extent[1] > extent[axis]) axis = 1;
+        if (extent[2] > extent[axis]) axis = 2;
+        if (extent[axis] <= 0.0) {
+            /* All centroids coincide: make a leaf. */
+            node_first[node] = start;
+            node_count[node] = count;
+            continue;
+        }
+        for (int64_t s = 0; s < count; s++) keys[s] = centroids[3 * order[start + s] + axis];
+        merge_sort(keys, order + start, tk, ti, count);
+        const int64_t mid = start + count / 2;
+        const int64_t left = num_nodes++, right = num_nodes++;
+        node_left[node] = left;
+        node_right[node] = right;
+        node_left[left] = node_right[left] = node_left[right] = node_right[right] = -1;
+        stack[3 * sp] = left; stack[3 * sp + 1] = start; stack[3 * sp + 2] = mid;
+        sp++;
+        stack[3 * sp] = right; stack[3 * sp + 1] = mid; stack[3 * sp + 2] = end;
+        sp++;
+    }
+done:
+    free(tri_min); free(tri_max); free(keys); free(tk); free(ti); free(stack);
+    return num_nodes;
+}
 """
+
+
+class BvhTablesStruct(ctypes.Structure):
+    """Mirror of the C ``BvhTables`` struct."""
+
+    _fields_ = [
+        ("qbounds", ctypes.c_void_p),
+        ("node_min", ctypes.c_void_p),
+        ("node_max", ctypes.c_void_p),
+        ("node_left", ctypes.c_void_p),
+        ("node_right", ctypes.c_void_p),
+        ("node_first", ctypes.c_void_p),
+        ("node_count", ctypes.c_void_p),
+        ("order", ctypes.c_void_p),
+        ("centroids", ctypes.c_void_p),
+        ("primitive_indices", ctypes.c_void_p),
+        ("flipped", ctypes.c_void_p),
+        ("frame_min", ctypes.c_double * 3),
+        ("frame_scale", ctypes.c_double * 3),
+        ("tolerance", ctypes.c_double),
+    ]
+
+
+class RouteParams(ctypes.Structure):
+    """Mirror of the C ``RouteParams`` struct: the constants of one
+    representation's point routing (see :func:`locate_optimized_batch`)."""
+
+    _fields_ = [
+        ("min_rep", ctypes.c_uint64),
+        ("max_rep", ctypes.c_uint64),
+        ("x_max", ctypes.c_int64),
+        ("y_max", ctypes.c_int64),
+        ("row_marker_offset", ctypes.c_int64),
+        ("plane_marker_offset", ctypes.c_int64),
+        ("y_scale", ctypes.c_double),
+        ("z_scale", ctypes.c_double),
+        ("x_bits", ctypes.c_int32),
+        ("y_bits", ctypes.c_int32),
+        ("z_bits", ctypes.c_int32),
+        ("multi_line", ctypes.c_int32),
+        ("multi_plane", ctypes.c_int32),
+    ]
+
+
+class ChainTablesStruct(ctypes.Structure):
+    """Mirror of the C ``ChainTables`` struct."""
+
+    _fields_ = [
+        ("order", ctypes.c_void_p),
+        ("starts", ctypes.c_void_p),
+        ("keys", ctypes.c_void_p),
+        ("row_ids", ctypes.c_void_p),
+        ("sizes", ctypes.c_void_p),
+        ("max_keys", ctypes.c_void_p),
+        ("next_node", ctypes.c_void_p),
+        ("order_len", ctypes.c_int64),
+        ("overflow_bucket", ctypes.c_int64),
+        ("capacity", ctypes.c_int32),
+        ("key_is_64", ctypes.c_int32),
+    ]
+
+
+def _bind(lib: ctypes.CDLL) -> None:
+    """Declare the kernels' signatures (pointers travel as ``c_void_p``)."""
+    p, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
+    signatures = {
+        "trace_axis_closest": ([p, i32, i64, p, p, p, p, p], None),
+        "locate_optimized": ([p, p, i64, p, p, p], None),
+        "chain_walk": ([p, i64, p, p, p], None),
+        "range_walk": ([p, i64, p, p, p, p, i64, p, p], i64),
+        "build_bvh_median": ([i64, p, p, i64, p, p, p, p, p, p, p], i64),
+    }
+    for name, (argtypes, restype) in signatures.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = restype
+
+
+def address(array: np.ndarray) -> int:
+    """Data address of a C-contiguous array (the kernels index it raw)."""
+    if not array.flags.c_contiguous:
+        raise ValueError("kernel arrays must be C-contiguous")
+    return array.ctypes.data
+
+
+def check_shapes(*pairs) -> None:
+    """Raise unless every ``(array, shape)`` pair matches: the kernels trust
+    the lengths they are given."""
+    for array, shape in pairs:
+        if array.shape != shape:
+            raise ValueError(f"kernel array of shape {array.shape}, expected {shape}")
+
+
+# --------------------------------------------------------------------------
+# Building and caching the library
+# --------------------------------------------------------------------------
 
 
 def _cc_cache_dir() -> str:
@@ -510,144 +743,89 @@ def _cc_cache_dir() -> str:
     )
 
 
-def _load_cc_library() -> Optional[ctypes.CDLL]:
-    """Compile (once, cached by source digest) and load the C kernels."""
-    compiler = (
-        os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
-    )
-    if compiler is None:
-        return None
-    digest = hashlib.sha256(_CC_SOURCE.encode()).hexdigest()[:16]
-    directory = _cc_cache_dir()
-    library_path = os.path.join(directory, f"kernels-{digest}.so")
-    if not os.path.exists(library_path):
-        try:
-            os.makedirs(directory, exist_ok=True)
-            source_path = os.path.join(directory, f"kernels-{digest}.c")
-            with open(source_path, "w") as handle:
-                handle.write(_CC_SOURCE)
-            scratch = library_path + f".tmp{os.getpid()}"
-            subprocess.run(
-                [compiler, "-O3", "-fPIC", "-shared", "-o", scratch, source_path, "-lm"],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            os.replace(scratch, library_path)
-        except (OSError, subprocess.SubprocessError):
-            return None
+def _compiler() -> Optional[str]:
+    """Absolute path of the C compiler (``$CC`` first); symlinks are kept,
+    so two paths to one compiler count as two compilers."""
+    configured = os.environ.get("CC")
+    for name in [configured] if configured else ["cc", "gcc", "clang"]:
+        found = shutil.which(name)
+        if found:
+            return os.path.abspath(found)
+    return None
+
+
+def _cc_library_path(compiler: str) -> str:
+    """Cache path of the library, keyed on the source, the compiler's path
+    and ``--version`` output, and the flags."""
     try:
-        return ctypes.CDLL(library_path)
-    except OSError:
-        return None
+        version = subprocess.run(
+            [compiler, "--version"], capture_output=True, timeout=30
+        ).stdout
+    except (OSError, subprocess.SubprocessError):
+        version = b""
+    digest = hashlib.sha256()
+    for part in (_CC_SOURCE.encode(), compiler.encode(), version, " ".join(_CC_FLAGS).encode()):
+        digest.update(part)
+        digest.update(b"\0")
+    return os.path.join(_cc_cache_dir(), f"kernels-{digest.hexdigest()[:16]}.so")
 
 
-def _pointer(array: np.ndarray) -> ctypes.c_void_p:
-    return ctypes.c_void_p(array.ctypes.data)
+def _compile(compiler: str, library_path: str) -> bool:
+    """Compile the kernels into ``library_path``.
 
-
-def _make_cc_axis(library: ctypes.CDLL):
-    fn = library.trace_axis_closest
-    fn.restype = None
-
-    def axis_kernel(
-        axis,
-        perp_a,
-        perp_b,
-        origin_axis,
-        coord_a,
-        coord_b,
-        best_t,
-        tolerance,
-        qbounds,
-        frame_min,
-        frame_scale,
-        node_min,
-        node_max,
-        node_left,
-        node_right,
-        node_first,
-        node_count,
-        order,
-        centroids,
-        hit,
-        best_tri,
-        nodes_visited,
-        tri_tests,
-    ):
-        fn(
-            ctypes.c_int32(axis),
-            ctypes.c_int32(perp_a),
-            ctypes.c_int32(perp_b),
-            ctypes.c_int64(origin_axis.shape[0]),
-            _pointer(origin_axis),
-            _pointer(coord_a),
-            _pointer(coord_b),
-            _pointer(best_t),
-            ctypes.c_double(tolerance),
-            _pointer(qbounds),
-            _pointer(frame_min),
-            _pointer(frame_scale),
-            _pointer(node_min),
-            _pointer(node_max),
-            _pointer(node_left),
-            _pointer(node_right),
-            _pointer(node_first),
-            _pointer(node_count),
-            _pointer(order),
-            _pointer(centroids),
-            _pointer(hit),
-            _pointer(best_tri),
-            _pointer(nodes_visited),
-            _pointer(tri_tests),
+    Source and library are written under per-process temporary names and
+    moved into place with ``os.replace``, so concurrent builders never read
+    a half-written file.
+    """
+    directory = os.path.dirname(library_path)
+    stem = library_path[: -len(".so")]
+    scratch = []
+    try:
+        os.makedirs(directory, exist_ok=True)
+        handle, source_tmp = tempfile.mkstemp(
+            dir=directory, prefix=os.path.basename(stem) + ".", suffix=".c"
         )
-
-    return axis_kernel
-
-
-def _make_cc_chain(library: ctypes.CDLL):
-    fn = library.chain_walk
-    fn.restype = None
-
-    def chain_kernel(
-        target64,
-        start_pos,
-        order_len,
-        order,
-        capacity,
-        key_is_64,
-        keys64,
-        keys32,
-        row_ids,
-        sizes,
-        max_keys,
-        next_node,
-        row_sum,
-        matches,
-        nodes_visited,
-        entries,
-    ):
-        keys_slab = keys64 if key_is_64 else keys32
-        fn(
-            ctypes.c_int64(target64.shape[0]),
-            _pointer(target64),
-            _pointer(start_pos),
-            ctypes.c_int64(order_len),
-            _pointer(order),
-            ctypes.c_int32(capacity),
-            ctypes.c_int32(1 if key_is_64 else 0),
-            _pointer(keys_slab),
-            _pointer(row_ids),
-            _pointer(sizes),
-            _pointer(max_keys),
-            _pointer(next_node),
-            _pointer(row_sum),
-            _pointer(matches),
-            _pointer(nodes_visited),
-            _pointer(entries),
+        scratch.append(source_tmp)
+        with os.fdopen(handle, "w") as source:
+            source.write(_CC_SOURCE)
+        library_tmp = source_tmp[: -len(".c")] + ".so"
+        scratch.append(library_tmp)
+        subprocess.run(
+            [compiler, *_CC_FLAGS, "-o", library_tmp, source_tmp, "-lm"],
+            check=True,
+            capture_output=True,
+            timeout=120,
         )
+        os.replace(source_tmp, stem + ".c")
+        os.replace(library_tmp, library_path)
+        return True
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        for path in scratch:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
 
-    return chain_kernel
+
+def _load_cc_library(compiler: str) -> Optional[ctypes.CDLL]:
+    """Load the cached kernel library, compiling it when missing.
+
+    A cached library that fails to load (e.g. truncated by a crashed
+    builder) is deleted and rebuilt once before giving up.
+    """
+    library_path = _cc_library_path(compiler)
+    for attempt in range(2):
+        if not os.path.exists(library_path) and not _compile(compiler, library_path):
+            return None
+        try:
+            return ctypes.CDLL(library_path)
+        except OSError:
+            if attempt == 0:
+                try:
+                    os.remove(library_path)
+                except OSError:
+                    return None
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -762,16 +940,19 @@ def _quantize_outward(
 
 
 class CompiledBvhTables:
-    """Arena-packed SoA node tables consumed by the traversal megakernel.
+    """Arena-packed SoA node tables consumed by the compiled kernels.
 
     Layout per node: a 12-byte quantized record (``uint16[6]``: lo.xyz,
     hi.xyz) scanned first, the exact ``float32`` bounds touched only on
-    prefilter pass, and ``int32`` topology.  Centroids stay ``float64`` —
-    the scalar oracle compares exact double centres, so narrowing them would
-    break parity.
+    prefilter pass, and ``int32`` topology.  The scene's ``float64``
+    centroids (the scalar oracle compares exact double centres), primitive
+    indices and flip flags are aliased, not copied.  All pointers are bound
+    into one :class:`BvhTablesStruct` here, once per packing epoch.
     """
 
-    def __init__(self, bvh: Bvh, arena: Arena) -> None:
+    def __init__(
+        self, bvh, arena: Arena, tolerance: float = TraversalEngine.AXIS_HIT_TOLERANCE
+    ) -> None:
         self.arena = arena
         self.stack_depth = (bvh.depth() + 3) if bvh.num_nodes else 0
         self.usable = 0 < bvh.num_nodes and self.stack_depth <= MAX_STACK
@@ -786,7 +967,6 @@ class CompiledBvhTables:
             + 2 * align(num_nodes * 3 * 4)  # node_min / node_max
             + 4 * align(num_nodes * 4)  # left / right / first / count
             + align(num_slots * 4)  # primitive order
-            + align(bvh.scene.centres.shape[0] * 3 * 8)  # centroids
         )
         arena.begin(total)
 
@@ -811,10 +991,37 @@ class CompiledBvhTables:
         np.copyto(self.node_count, bvh.node_count)
         self.order = arena.alloc(num_slots, np.int32)
         np.copyto(self.order, bvh.primitive_order)
-        self.centroids = arena.alloc((bvh.scene.centres.shape[0], 3), np.float64)
-        np.copyto(self.centroids, bvh.scene.centres)
 
-    def verify_conservative(self, bvh: Bvh) -> bool:
+        scene = bvh.scene
+        self.centroids = np.ascontiguousarray(scene.centres, dtype=np.float64)
+        self.primitive_indices = np.ascontiguousarray(scene.primitive_indices, dtype=np.int64)
+        self.flipped = np.ascontiguousarray(scene.flipped, dtype=bool)
+
+        self.struct = BvhTablesStruct(
+            *(
+                address(array)
+                for array in (
+                    self.qbounds,
+                    self.node_min,
+                    self.node_max,
+                    self.node_left,
+                    self.node_right,
+                    self.node_first,
+                    self.node_count,
+                    self.order,
+                    self.centroids,
+                    self.primitive_indices,
+                    self.flipped,
+                )
+            ),
+            (ctypes.c_double * 3)(*self.frame_min),
+            (ctypes.c_double * 3)(*self.frame_scale),
+            float(tolerance),
+        )
+        #: Address of :attr:`struct`, passed to every kernel call.
+        self.ref = ctypes.addressof(self.struct)
+
+    def verify_conservative(self, bvh) -> bool:
         """Check the outward-rounding invariant (used by the property test)."""
         lo = self.frame_min + self.qbounds[:, :3].astype(np.float64) * self.frame_scale
         hi = self.frame_min + self.qbounds[:, 3:].astype(np.float64) * self.frame_scale
@@ -824,79 +1031,47 @@ class CompiledBvhTables:
         )
 
 
+def _add_ray_totals(stats, totals: np.ndarray) -> None:
+    rays, nodes, tests, hits = (int(value) for value in totals)
+    stats.rays_cast += rays
+    stats.nodes_visited += nodes
+    stats.aabb_tests += nodes
+    stats.triangle_tests += tests
+    stats.hits += hits
+    stats.misses += rays - hits
+
+
 # --------------------------------------------------------------------------
-# Megakernel entry
+# Kernel entries
 # --------------------------------------------------------------------------
 
 
 def trace_axis_closest_batch(
-    soa: SoaBvh,
     tables: CompiledBvhTables,
     axis: int,
     origins: np.ndarray,
     tmax: np.ndarray,
-    tolerance: float,
     stats,
-) -> Optional[AxisClosestBatch]:
+):
     """Closest hits of a +``axis`` ray batch through the compiled megakernel.
 
-    Returns ``None`` (caller falls back to the vector engine) when no backend
-    is available or the tables are unusable.  Results, per-ray node visits
+    Requires the kernel library and usable ``tables`` (callers check both,
+    see ``TraversalEngine._compiled_ready``).  Results, per-ray node visits
     and ``stats`` totals are bit-identical to the scalar oracle.
     """
-    kernels = backend_kernels()
-    if kernels is None or not tables.usable:
-        return None
-    axis_kernel = kernels[0]
-
-    origins = np.asarray(origins, dtype=np.float64)
+    origins = np.ascontiguousarray(origins, dtype=np.float64)
     num_rays = int(origins.shape[0])
-    perp_a, perp_b = _PERP_AXES[axis]
-    origin_axis = np.ascontiguousarray(origins[:, axis])
-    coord_a = np.ascontiguousarray(origins[:, perp_a])
-    coord_b = np.ascontiguousarray(origins[:, perp_b])
-    best_t = np.ascontiguousarray(tmax, dtype=np.float64).copy()
-
-    hit = np.zeros(num_rays, dtype=np.uint8)
-    best_tri = np.zeros(num_rays, dtype=np.int64)
-    nodes_visited = np.zeros(num_rays, dtype=np.int64)
-    tri_tests = np.zeros(num_rays, dtype=np.int64)
-
-    axis_kernel(
-        axis,
-        perp_a,
-        perp_b,
-        origin_axis,
-        coord_a,
-        coord_b,
-        best_t,
-        float(tolerance),
-        tables.qbounds,
-        tables.frame_min,
-        tables.frame_scale,
-        tables.node_min,
-        tables.node_max,
-        tables.node_left,
-        tables.node_right,
-        tables.node_first,
-        tables.node_count,
-        tables.order,
-        tables.centroids,
-        hit,
-        best_tri,
-        nodes_visited,
-        tri_tests,
+    best_t = np.array(tmax, dtype=np.float64)
+    check_shapes((origins, (num_rays, 3)), (best_t, (num_rays,)))
+    hit = np.empty(num_rays, dtype=bool)
+    ints = np.empty((2, num_rays), dtype=np.int64)
+    totals = np.empty(4, dtype=np.int64)
+    _LIBRARY.trace_axis_closest(
+        tables.ref, axis, num_rays, address(origins), address(best_t), address(hit),
+        address(ints), address(totals),
     )
-
-    has_best = hit.astype(bool)
-    stats.rays_cast += num_rays
-    total_nodes = int(nodes_visited.sum())
-    stats.nodes_visited += total_nodes
-    stats.aabb_tests += total_nodes
-    stats.triangle_tests += int(tri_tests.sum())
-    hits = int(has_best.sum())
-    stats.hits += hits
-    stats.misses += num_rays - hits
+    best_tri, nodes_visited = ints
+    _add_ray_totals(stats, totals)
 
     # Same occupancy/node-visit series the wavefront kernels feed: a
     # megakernel "iteration" is the deepest per-ray visit count (the lockstep
@@ -904,16 +1079,112 @@ def trace_axis_closest_batch(
     prof = _profile.profiler()
     if prof is not None:
         iterations = int(nodes_visited.max()) if num_rays else 0
-        prof.observe_wavefront("compiled_axis_closest", iterations, num_rays, total_nodes)
+        prof.observe_wavefront("compiled_axis_closest", iterations, num_rays, int(totals[1]))
 
     point = np.zeros((num_rays, 3), dtype=np.float32)
-    if hits:
-        point[has_best] = soa.centroids[best_tri[has_best]].astype(np.float32)
+    if totals[3]:
+        point[hit] = tables.centroids[best_tri[hit]].astype(np.float32)
     return AxisClosestBatch(
-        hit=has_best,
+        hit=hit,
         t=best_t,
-        primitive_index=np.where(has_best, soa.primitive_indices[best_tri], -1).astype(np.int64),
-        front_face=np.where(has_best, ~soa.flipped[best_tri], True),
+        primitive_index=np.where(hit, tables.primitive_indices[best_tri], -1).astype(np.int64),
+        front_face=np.where(hit, ~tables.flipped[best_tri], True),
         point=point,
         nodes_visited=nodes_visited,
+    )
+
+
+def route_params(
+    mapping,
+    min_rep: int,
+    max_rep: int,
+    multi_line: bool,
+    multi_plane: bool,
+    row_marker_offset: int,
+    plane_marker_offset: int,
+) -> RouteParams:
+    """The :class:`RouteParams` of an optimized representation."""
+    return RouteParams(
+        min_rep=int(min_rep),
+        max_rep=int(max_rep),
+        x_max=int(mapping.x_max),
+        y_max=int(mapping.y_max),
+        row_marker_offset=int(row_marker_offset),
+        plane_marker_offset=int(plane_marker_offset),
+        y_scale=float(mapping.y_scale),
+        z_scale=float(mapping.z_scale),
+        x_bits=int(mapping.x_bits),
+        y_bits=int(mapping.y_bits),
+        z_bits=int(mapping.z_bits),
+        multi_line=int(bool(multi_line)),
+        multi_plane=int(bool(multi_plane)),
+    )
+
+
+def locate_optimized_batch(
+    tables: CompiledBvhTables, params: RouteParams, keys: np.ndarray, stats
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The optimized representation's whole point-routing ray sequence in
+    one C call.
+
+    Requires the kernel library and usable ``tables``.  Returns
+    ``(bucket_ids, nodes_visited)`` exactly as
+    ``OptimizedRepresentation.locate_bucket_batch`` does; ``stats``
+    accumulates the exact ray totals.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    num_keys = int(keys.shape[0])
+    check_shapes((keys, (num_keys,)))
+    out = np.empty((2, num_keys), dtype=np.int64)
+    totals = np.empty(4, dtype=np.int64)
+    _LIBRARY.locate_optimized(
+        tables.ref, ctypes.addressof(params), num_keys, address(keys), address(out),
+        address(totals),
+    )
+    _add_ray_totals(stats, totals)
+    prof = _profile.profiler()
+    if prof is not None:
+        iterations = int(out[1].max()) if num_keys else 0
+        prof.observe_wavefront("compiled_locate", iterations, num_keys, int(totals[1]))
+    return out[0], out[1]
+
+
+def build_bvh_median(
+    vertices: np.ndarray, centroids: np.ndarray, max_leaf_size: int
+) -> Optional[Tuple[np.ndarray, ...]]:
+    """``build_bvh``'s median-split arrays from the C builder.
+
+    Returns ``(node_min, node_max, node_left, node_right, node_first,
+    node_count, primitive_order)`` equal to the Python builder's, or
+    ``None`` when the kernels are unavailable.
+    """
+    lib = library()
+    num_triangles = int(vertices.shape[0])
+    if lib is None or num_triangles == 0:
+        return None
+    vertices = np.ascontiguousarray(vertices, dtype=np.float32)
+    centroids = np.ascontiguousarray(centroids, dtype=np.float64)
+    check_shapes((vertices, (num_triangles, 3, 3)), (centroids, (num_triangles, 3)))
+    capacity = 2 * num_triangles - 1
+    node_min = np.empty((capacity, 3), dtype=np.float32)
+    node_max = np.empty((capacity, 3), dtype=np.float32)
+    topology = np.empty((4, capacity), dtype=np.int64)
+    order = np.empty(num_triangles, dtype=np.int64)
+    num_nodes = lib.build_bvh_median(
+        num_triangles,
+        address(vertices),
+        address(centroids),
+        int(max_leaf_size),
+        address(node_min),
+        address(node_max),
+        *(address(row) for row in topology),
+        address(order),
+    )
+    if num_nodes < 0:
+        raise MemoryError("the C BVH builder ran out of memory")
+    return (
+        node_min[:num_nodes].copy(),
+        node_max[:num_nodes].copy(),
+        *(row[:num_nodes].copy() for row in topology),
+        order,
     )

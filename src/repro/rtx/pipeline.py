@@ -189,6 +189,23 @@ class RaytracingPipeline:
         self.lifetime_stats.merge(local)
         return result
 
+    def compiled_ready(self) -> bool:
+        """Whether the compiled kernels can serve the current tree (records
+        the fallback reason when they cannot)."""
+        return self._require_engine()._compiled_ready()
+
+    def route_optimized_batch(self, params, keys: np.ndarray, stats: Optional[RayStats] = None):
+        """An optimized representation's whole point routing in one compiled
+        call (see :meth:`TraversalEngine.route_optimized_batch`); ``None``
+        when the compiled tier cannot serve it."""
+        engine = self._require_engine()
+        local = RayStats()
+        result = engine.route_optimized_batch(params, keys, local)
+        if stats is not None:
+            stats.merge(local)
+        self.lifetime_stats.merge(local)
+        return result
+
     def cast_axis_all_batch(
         self,
         axis: int,

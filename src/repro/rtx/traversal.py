@@ -149,6 +149,37 @@ class TraversalEngine:
             self._compiled_tables = compiled.CompiledBvhTables(self._bvh, self._compiled_arena)
         return self._compiled_tables
 
+    def _compiled_ready(self) -> bool:
+        """Whether the compiled kernels can serve this engine's tree; records
+        the fallback reason when they cannot."""
+        from repro.rtx import compiled
+
+        if compiled.library() is None:
+            compiled.record_fallback(compiled.unavailable_reason())
+            return False
+        if not self.compiled_tables().usable:
+            compiled.record_fallback("tables_unusable")
+            return False
+        return True
+
+    def route_optimized_batch(self, params, keys: np.ndarray, stats: RayStats):
+        """The optimized representation's point routing in one compiled call.
+
+        Returns ``(bucket_ids, nodes_visited)`` (see
+        :func:`repro.rtx.compiled.locate_optimized_batch`), or ``None`` when
+        the compiled tier cannot serve the batch; ``stats`` and the engine's
+        own counters accumulate the exact ray totals.
+        """
+        if not self._compiled_ready():
+            return None
+        from repro.rtx import compiled
+
+        delta = RayStats()
+        result = compiled.locate_optimized_batch(self._compiled_tables, params, keys, delta)
+        stats.merge(delta)
+        self.stats.merge(delta)
+        return result
+
     def compiled_buffers_bytes(self) -> int:
         """Arena bytes held by the compiled tier (0 until the first compiled batch)."""
         if self._compiled_arena is None:
@@ -468,9 +499,10 @@ class TraversalEngine:
         """Shared batch entry: trace a whole axis-ray batch through one kernel.
 
         ``engine="compiled"`` routes closest-hit batches through the fused
-        megakernel of :mod:`repro.rtx.compiled`; all-hits batches (and any
-        batch the compiled tier cannot serve) take the wavefront path.  Both
-        kernels produce identical hits and counters.
+        megakernel of :mod:`repro.rtx.compiled` (which reads the compiled
+        tables and the scene, never the wavefront ``SoaBvh``); all-hits
+        batches (and any batch the compiled tier cannot serve) take the
+        wavefront path.  Both kernels produce identical hits and counters.
         """
         from repro.rtx import wavefront
 
@@ -486,20 +518,13 @@ class TraversalEngine:
             and not collect_all
             and origins.shape[0]
             and self._bvh.num_nodes
+            and self._compiled_ready()
         ):
             from repro.rtx import compiled
 
             result = compiled.trace_axis_closest_batch(
-                self.soa(),
-                self.compiled_tables(),
-                axis,
-                origins,
-                tmax,
-                self.AXIS_HIT_TOLERANCE,
-                delta,
+                self._compiled_tables, axis, origins, tmax, delta
             )
-            if result is None:
-                compiled.record_fallback("tables_unusable")
         if result is None:
             result = wavefront.trace_axis_batch(
                 self.soa(), axis, origins, tmax, self.AXIS_HIT_TOLERANCE, collect_all, delta

@@ -88,11 +88,12 @@ class ServeConfig:
     write_quorum: Optional[int] = None
     #: Apply-log records retained per shard for replica catch-up.
     log_capacity: int = 64
-    #: Scatter/gather execution engine of the shard router: ``"vector"``
-    #: (batched span computation), ``"compiled"`` (vector routing plus the
-    #: compiled hot path inside every shard) or ``"scalar"``; answers are
-    #: identical under all three.
-    engine: str = "vector"
+    #: Scatter/gather execution engine of the shard router: ``"compiled"``
+    #: (the default; the router's span computation is the vector one, the
+    #: compiled hot path runs inside the shards), ``"vector"`` (batched span
+    #: computation) or ``"scalar"``; answers are identical under all three.
+    #: The shards' own engine comes from their index configuration.
+    engine: str = "compiled"
     #: Arm the request tracer: every served request, batch execution,
     #: replica read/failover and maintenance window records a span on the
     #: simulated clock (exportable as Chrome trace-event JSON).  Tracing is
@@ -927,6 +928,7 @@ class ShardedIndex(GpuIndex):
                     else None
                 )
                 shard.index.begin_read(exec_start, deadline_abs)
+            executed_engine = None
             if shard.index is None:
                 row_agg = np.full(batch.size, -1, dtype=np.int64)
                 counts = np.zeros(batch.size, dtype=np.int64)
@@ -953,11 +955,13 @@ class ShardedIndex(GpuIndex):
                 counts = result.match_counts
                 exec_ms = shard.index.lookup_time_ms(result)
                 batch_span.duration_ms = exec_ms
+                executed_engine = result.engine
             else:
                 result = shard.index.point_lookup_batch(batch_keys)
                 row_agg = result.row_ids
                 counts = result.match_counts
                 exec_ms = shard.index.lookup_time_ms(result)
+                executed_engine = result.engine
             unavailable = bool(
                 getattr(shard.index, "last_read_unavailable", False)
             )
@@ -1020,6 +1024,10 @@ class ShardedIndex(GpuIndex):
                 )
             metrics.record_shard_batch(batch.shard_id, batch.size, exec_ms)
             metrics.bump(f"batches_{batch.reason}")
+            if executed_engine is not None:
+                # Which batch engine actually ran (a compiled request may
+                # have degraded to vector).
+                metrics.bump(f"engine_batches_{executed_engine}")
             if self.cache is not None and not (unavailable or stale):
                 # Unavailable (miss-shaped) and stale answers never enter the
                 # result cache: they would poison later fresh reads.

@@ -37,16 +37,21 @@ CONTRACT_FACTORIES = {
     "hash_table": hash_table_factory(),
     "rtscan": rtscan_factory(),
     # Engine-parametrized index types: the same contract must hold for the
-    # vector (default) and the scalar reference execution engine.
-    "rx[vector]": rx_factory(),
+    # vector and the scalar reference execution engine (the compiled
+    # default is covered by the suites that use the factories' defaults).
+    "rx[vector]": rx_factory(engine="vector"),
     "rx[scalar]": rx_factory(engine="scalar"),
-    "cgrxu[vector]": cgrxu_factory(128),
+    "cgrxu[vector]": cgrxu_factory(128, engine="vector"),
     "cgrxu[scalar]": cgrxu_factory(128, engine="scalar"),
     "sharded_range_sa": sharded_factory(
         inner=sorted_array_factory(), num_shards=4, partitioner="range", cache_capacity=128
     ),
     "sharded_hash_cgrx[vector]": sharded_factory(
-        inner=cgrx_factory(32), num_shards=3, partitioner="hash", cache_capacity=0
+        inner=cgrx_factory(32, engine="vector"),
+        num_shards=3,
+        partitioner="hash",
+        cache_capacity=0,
+        engine="vector",
     ),
     "sharded_hash_cgrx[scalar]": sharded_factory(
         inner=cgrx_factory(32, engine="scalar"),

@@ -147,3 +147,32 @@ class TestBucketSearchModel:
     def test_entry_bytes(self):
         model = BucketSearchModel(key_bytes=8, rowid_bytes=4)
         assert model.entry_bytes == 12
+
+
+@pytest.mark.parametrize("range_mode", [False, True])
+def test_cgrx_search_cost_totals_match_the_per_lookup_loop(range_mode):
+    """The bucket-search stage totals equal summing the model per lookup."""
+    from repro.core.index import CgRXIndex
+    from repro.gpu.kernels import KernelStats
+    from repro.rtx.traversal import RayStats
+
+    rng = np.random.default_rng(7)
+    index = CgRXIndex(np.unique(rng.integers(0, 1 << 40, 3000, dtype=np.uint64)))
+    scanned = rng.integers(-2, 80, size=500)
+    stats = index._lookup_stats(
+        "probe", index.bucketed.keys[:500], RayStats(), scanned, [1], range_mode
+    )
+    reference = KernelStats()
+    for count in scanned:
+        if count <= 0:
+            continue
+        cost = (
+            index.search_model.range_scan(int(count))
+            if range_mode
+            else index.search_model.point_search(index.bucketed.bucket_size, int(count))
+        )
+        reference.bytes_read += cost.bytes_read
+        reference.compute_ops += cost.compute_ops
+    keys_bytes = 500 * index.config.key_bytes
+    assert stats.bytes_read == reference.bytes_read + keys_bytes
+    assert stats.compute_ops == reference.compute_ops

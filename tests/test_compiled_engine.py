@@ -1,22 +1,27 @@
 """Parity and behaviour suite for the compiled hot-path tier.
 
 The scalar paths remain the reference oracle.  Everything here drives the
-same workloads through ``engine="compiled"`` and asserts **byte-identical
-results and identical instrumentation counters**, exactly like the vector
-suite — plus the compiled-tier-specific contracts: quantized AABBs rounded
-conservatively outward, shard-local arenas rebuilt in place, graceful
-degradation to the vector engine when no backend exists, and the
-``RayBatch`` pre-stacked fast path of the wavefront tracer.
+same workloads through ``engine="compiled"`` (the default) and asserts
+**byte-identical results and identical instrumentation counters**, exactly
+like the vector suite — plus the compiled-tier-specific contracts: the C BVH
+builder's arrays equal the Python builder's, fused point routing and the C
+range walk match the scalar procedures key for key, each hot index path is
+one C call per batch, quantized AABBs are rounded conservatively outward,
+shard-local arenas are rebuilt in place, the kernel build is safe under
+concurrency and corruption, and a fallback to the vector engine is loud.
 
-Backend handling: the suite runs against whatever backend the environment
-resolves (numba when installed, otherwise the system C compiler).  Tests
-that need a *specific* backend pin it with ``REPRO_COMPILED_BACKEND`` and
-reset the module cache around themselves; numba-only tests importorskip.
+Backend handling: tests that need the C kernels skip when the environment
+has none (e.g. ``REPRO_COMPILED_BACKEND=none``); tests that need a specific
+backend pin it with ``REPRO_COMPILED_BACKEND`` and reset the module cache
+around themselves.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,13 +30,14 @@ from repro.core.config import CgRXConfig, CgRXuConfig, resolve_engine
 from repro.core.index import CgRXIndex
 from repro.core.updatable import CgRXuIndex
 from repro.rtx import compiled
-from repro.rtx.bvh import BvhBuildConfig, build_bvh
+from repro.rtx.bvh import BvhBuildConfig, build_bvh, build_bvh_python
 from repro.rtx.geometry import Ray
 from repro.rtx.scene import TriangleScene, VertexBuffer
 from repro.rtx.traversal import RayStats, TraversalEngine
 from repro.rtx.wavefront import RayBatch
 from repro.workloads.keygen import generate_keys
 from repro.workloads.lookups import hit_miss_lookups, range_lookups
+from repro.workloads.requests import zipf_request_stream
 from repro.workloads.updates import update_waves
 
 
@@ -70,8 +76,33 @@ def pinned_backend(monkeypatch):
 
 requires_backend = pytest.mark.skipif(
     compiled.available_backend() is None,
-    reason="no compiled backend (numba or a C compiler) available",
+    reason="no compiled backend (a C compiler) available",
 )
+
+
+class CountingLibrary:
+    """Wraps the kernel library and counts calls per C entry point."""
+
+    def __init__(self, library) -> None:
+        self._library = library
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        kernel = getattr(self._library, name)
+
+        def call(*args):
+            self.calls[name] += 1
+            return kernel(*args)
+
+        return call
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count the C kernel calls made through the bound library."""
+    counting = CountingLibrary(compiled.library())
+    monkeypatch.setattr(compiled, "_LIBRARY", counting)
+    return counting.calls
 
 
 # --------------------------------------------------------------------------
@@ -131,40 +162,381 @@ def test_megakernel_empty_scene_falls_back_cleanly():
     assert stats.misses == 3 and stats.rays_cast == 3
 
 
-def test_python_backend_kernels_match_scalar(pinned_backend, rng):
-    """The un-jitted reference kernels themselves implement the oracle logic."""
-    pin = pinned_backend
-    pin("python")
-    assert compiled.available_backend() == "python"
-    points = [tuple(point) for point in rng.integers(0, 20, size=(60, 3))]
-    scalar_engine, batch_engine = build_engines(points, leaf_size=3)
-    origins = rng.integers(0, 20, size=(32, 3)).astype(np.float64)
-    origins[:, 1] -= 0.5
-    tmax = np.full(32, np.inf)
+# --------------------------------------------------------------------------
+# C BVH builder vs the Python reference builder
+# --------------------------------------------------------------------------
+
+
+def scene_of(points, flipped=None):
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    buffer = VertexBuffer()
+    buffer.write_key_triangles(
+        np.arange(points.shape[0]), points[:, 0], points[:, 1], points[:, 2], flipped=flipped
+    )
+    return TriangleScene.from_vertex_buffer(buffer)
+
+
+def assert_bvh_equal(left, right) -> None:
+    for name in (
+        "node_min",
+        "node_max",
+        "node_left",
+        "node_right",
+        "node_first",
+        "node_count",
+        "primitive_order",
+    ):
+        a, b = getattr(left, name), getattr(right, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@requires_backend
+@pytest.mark.parametrize("seed", range(6))
+def test_c_bvh_builder_matches_python_builder(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        count = int(rng.integers(1, 160))
+        # Small grids make coincident centroids and tied split-axis values
+        # common; scaled rows mimic the key mapping.
+        points = rng.integers(0, int(rng.integers(1, 12)), size=(count, 3)).astype(np.float64)
+        points[:, 1] *= float(rng.choice([1.0, 32768.0]))
+        scene = scene_of(points, rng.random(count) < 0.3)
+        config = BvhBuildConfig(max_leaf_size=int(rng.integers(1, 6)))
+        assert_bvh_equal(build_bvh(scene, config), build_bvh_python(scene, config))
+
+
+@requires_backend
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_c_bvh_builder_tiny_and_coincident_scenes(count):
+    for points in (
+        np.zeros((count, 3)),
+        np.arange(count * 3, dtype=np.float64).reshape(count, 3),
+        np.repeat([[7.0, 0.0, 3.0]], count, axis=0) + np.arange(count)[:, None] * [0, 0, 0],
+    ):
+        scene = scene_of(points)
+        for leaf in (1, 2, 4):
+            config = BvhBuildConfig(max_leaf_size=leaf)
+            built = build_bvh(scene, config)
+            assert_bvh_equal(built, build_bvh_python(scene, config))
+            built.validate()
+
+
+def test_python_builder_is_used_without_backend(pinned_backend):
+    pinned_backend("none")
+    scene = scene_of(np.arange(30, dtype=np.float64).reshape(10, 3))
+    assert_bvh_equal(build_bvh(scene), build_bvh_python(scene))
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 1000])
+def test_vectorized_bulk_fill_matches_per_node_fill(count):
+    from repro.core.nodes import NodeStorage
+
+    rng = np.random.default_rng(count)
+    keys = np.sort(rng.integers(0, 1 << 40, size=count, dtype=np.uint64))
+    rows = rng.integers(0, 1 << 31, size=count, dtype=np.uint32)
+    bucket_size = 4
+    num_buckets = -(-count // bucket_size)
+    storages = [NodeStorage(num_buckets + 1, 9, 128) for _ in range(2)]
+    storages[0].fill_buckets(keys, rows, bucket_size)
+    for bucket in range(num_buckets):
+        part = slice(bucket * bucket_size, min((bucket + 1) * bucket_size, count))
+        storages[1].fill_node(bucket, keys[part], rows[part], int(keys[part][-1]))
+    for name in ("keys_matrix", "row_ids_matrix", "sizes_array", "max_keys_array", "next_array"):
+        assert getattr(storages[0], name).tobytes() == getattr(storages[1], name).tobytes(), name
+
+
+@requires_backend
+def test_compiled_paths_keep_one_copy_of_the_scene_tables():
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=88)
+    lookups = hit_miss_lookups(keyset, 128, miss_fraction=0.2, seed=89)
+    lows, highs = range_lookups(keyset, count=16, expected_hits=10, seed=90)
+    for index in (
+        CgRXIndex(keyset.keys, keyset.row_ids),
+        CgRXIndex(keyset.keys, keyset.row_ids, CgRXConfig(representation="naive")),
+        CgRXuIndex(keyset.keys, keyset.row_ids),
+    ):
+        index.point_lookup_batch(lookups)
+        index.range_lookup_batch(lows, highs)
+        engine = index.pipeline._engine
+        # No wavefront SoaBvh next to the arena, and the arena aliases the
+        # scene's centroids instead of copying them.
+        assert engine._soa is None
+        assert engine.compiled_tables().centroids is index.pipeline.bvh.scene.centres
+
+
+# --------------------------------------------------------------------------
+# Fused point routing vs the scalar locate_bucket
+# --------------------------------------------------------------------------
+
+
+def routing_keys(kind: str, key_bits: int, rng) -> np.ndarray:
+    """Sorted distinct keys shaped to give one line, one plane or many planes."""
+    x = rng.integers(0, 1 << 23, size=600, dtype=np.uint64)
+    if kind == "single_line":
+        keys = (np.uint64(3) << np.uint64(23)) | x
+    elif kind == "multi_line":
+        rows = rng.integers(0, 40, size=600, dtype=np.uint64) * np.uint64(7)
+        keys = (rows << np.uint64(23)) | x
+    else:
+        keys = rng.integers(0, (1 << key_bits) - 1, size=600, dtype=np.uint64)
+    if key_bits == 32:
+        keys = keys & np.uint64(0xFFFFFFFF)
+    return np.unique(keys)
+
+
+def probe_keys(index, rng) -> np.ndarray:
+    """Keys below, between, on and above the representatives, including
+    keys in the next row and the next plane of each representative (they
+    reach the row- and plane-marker rays)."""
+    dtype = index.bucketed.keys.dtype
+    top = np.uint64(np.iinfo(dtype).max)
+    mapping = index.mapping
+    reps = index.bucketed.representatives().astype(np.uint64)
+    shifts = [mapping.x_bits, mapping.x_bits + mapping.y_bits]
+    neighbours = [
+        np.minimum(reps + np.uint64(1 << shift), top)
+        for shift in shifts
+        if shift < 8 * dtype.itemsize
+    ]
+    probes = [
+        reps,
+        *neighbours,
+        np.minimum(reps + np.uint64(1), top),
+        np.where(reps > 0, reps - np.uint64(1), reps),
+        index.bucketed.keys.astype(np.uint64)[:: max(1, len(index.bucketed) // 64)],
+        np.array([0, top, min(int(reps[-1]) + 1, int(top)), int(reps[0]) // 2], dtype=np.uint64),
+        rng.integers(0, int(top), size=200, dtype=np.uint64, endpoint=True),
+    ]
+    return np.concatenate(probes).astype(dtype)
+
+
+ROUTING_SCENES = ("single_line", "multi_line", "multi_plane")
+
+
+@requires_backend
+@pytest.mark.parametrize("kind", ROUTING_SCENES)
+@pytest.mark.parametrize("key_bits", [32, 64])
+@pytest.mark.parametrize("scaled", [True, False])
+def test_fused_routing_matches_scalar_locate_bucket(kind, key_bits, scaled, count_calls):
+    rng = np.random.default_rng([ROUTING_SCENES.index(kind), key_bits, int(scaled)])
+    keys = routing_keys(kind, key_bits, rng)
+    index = CgRXIndex(
+        keys,
+        config=CgRXConfig(
+            key_bits=key_bits, scaled_mapping=scaled, bucket_size=3, engine="compiled"
+        ),
+    )
+    representation = index.representation
+    if kind == "single_line":
+        assert not representation.multi_line
+    elif kind == "multi_line" and key_bits == 64:
+        assert representation.multi_line and not representation.multi_plane
+    elif kind == "multi_plane" and key_bits == 64:
+        assert representation.multi_plane
+    probes = probe_keys(index, rng)
 
     scalar_stats = RayStats()
-    hits = []
-    for origin in origins:
+    scalar_buckets = []
+    scalar_nodes = []
+    for key in probes:
         local = RayStats()
-        hits.append(scalar_engine.trace_axis_closest(1, tuple(origin), stats=local))
+        scalar_buckets.append(representation.locate_bucket(int(key), local))
+        scalar_nodes.append(local.nodes_visited)
         scalar_stats.merge(local)
-    batch_stats = RayStats()
-    batch = batch_engine.trace_axis_closest_batch(
-        1, origins, tmax, stats=batch_stats, engine="compiled"
+
+    fused_stats = RayStats()
+    count_calls.clear()
+    index.pipeline.batch_engine = "compiled"
+    try:
+        buckets, nodes = representation.locate_bucket_batch(probes, fused_stats)
+    finally:
+        index.pipeline.batch_engine = "vector"
+    assert count_calls == {"locate_optimized": 1}
+    assert buckets.tolist() == scalar_buckets
+    assert nodes.tolist() == scalar_nodes
+    assert_stats_identical(scalar_stats, fused_stats)
+
+
+# --------------------------------------------------------------------------
+# C range walk vs the scalar range walk
+# --------------------------------------------------------------------------
+
+
+def apply_wave(index, wave) -> None:
+    index.update_batch(
+        insert_keys=wave.insert_keys if wave.insert_keys.size else None,
+        insert_row_ids=wave.insert_row_ids if wave.insert_keys.size else None,
+        delete_keys=wave.delete_keys if wave.delete_keys.size else None,
     )
-    assert dataclasses.asdict(scalar_stats) == dataclasses.asdict(batch_stats)
-    for position, record in enumerate(hits):
-        assert bool(record) == bool(batch.hit[position])
-        if record:
-            assert record.t == batch.t[position]
 
 
-def test_numba_backend_resolves_when_installed(pinned_backend):
-    pytest.importorskip("numba")
-    pinned_backend("numba")
-    assert compiled.available_backend() == "numba"
-    kernels = compiled.backend_kernels()
-    assert kernels is not None and len(kernels) == 2
+@requires_backend
+@pytest.mark.parametrize("key_bits", [32, 64])
+def test_c_range_walk_matches_scalar_through_updates_and_compaction(key_bits):
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=key_bits, seed=91)
+    indexes = {
+        engine: CgRXuIndex(
+            keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=key_bits, engine=engine)
+        )
+        for engine in ("scalar", "compiled")
+    }
+    rng = np.random.default_rng(92)
+
+    def check(label: str) -> None:
+        live = np.sort(indexes["scalar"].export_entries()[0])
+        # Narrow ranges inside one bucket, wide ones crossing many buckets
+        # and the overflow bucket, inverted and out-of-range bounds.
+        starts = rng.integers(0, live.shape[0], size=120)
+        widths = rng.choice([0, 1, 5, 40, 400], size=120)
+        lows = live[starts]
+        highs = live[np.minimum(starts + widths, live.shape[0] - 1)]
+        lows = np.concatenate([lows, [live[-1], live[10]], [0]]).astype(live.dtype)
+        highs = np.concatenate(
+            [highs, [np.iinfo(live.dtype).max, live[5]], [live[0]]]
+        ).astype(live.dtype)
+        scalar = indexes["scalar"].range_lookup_batch(lows, highs)
+        fast = indexes["compiled"].range_lookup_batch(lows, highs)
+        assert_range_identical(scalar, fast), label
+
+    check("fresh")
+    for number, wave in enumerate(
+        update_waves(keyset, num_insert_waves=2, num_delete_waves=3, growth_factor=1.6, seed=93)
+    ):
+        for index in indexes.values():
+            apply_wave(index, wave)
+        check(f"wave {number}")
+    # Drain a contiguous run of keys so whole nodes are left empty.
+    drained = np.sort(indexes["scalar"].export_entries()[0])[100:160]
+    for index in indexes.values():
+        index.update_batch(delete_keys=drained)
+    order, _ = indexes["compiled"]._chain_table()
+    assert (indexes["compiled"].nodes.sizes_array[order] == 0).any()
+    check("drained")
+    for index in indexes.values():
+        index.compact_buckets(range(0, index.overflow_bucket + 1, 2))
+    check("compacted")
+
+
+@requires_backend
+def test_c_range_walk_matches_scalar_across_shards():
+    from repro.bench.harness import cgrxu_factory, sharded_factory
+
+    keyset = generate_keys(4096, uniformity=0.6, key_bits=64, seed=94)
+    deployments = {
+        engine: sharded_factory(
+            inner=cgrxu_factory(128, engine=engine), num_shards=4, partitioner="range"
+        )(keyset)
+        for engine in ("scalar", "compiled")
+    }
+    lows, highs = range_lookups(keyset, count=64, expected_hits=300, seed=95)
+    assert_range_identical(
+        deployments["scalar"].range_lookup_batch(lows, highs),
+        deployments["compiled"].range_lookup_batch(lows, highs),
+    )
+
+
+@requires_backend
+def test_c_range_walk_regrows_a_small_buffer():
+    from repro.core import compiled as core_compiled
+
+    keyset = generate_keys(1024, uniformity=0.5, key_bits=32, seed=96)
+    index = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32))
+    lows, highs = range_lookups(keyset, count=16, expected_hits=50, seed=97)
+    reference = index.range_lookup_batch(lows, highs)
+    bucket_ids, _ = index._route_batch(lows, RayStats(), "compiled")
+    rows, total, _, _ = core_compiled.range_walk_batch(
+        index._compiled_chain_tables(), bucket_ids, lows, highs, capacity=3
+    )
+    assert total == reference.total_matches
+    assert [r.tobytes() for r in rows] == [r.tobytes() for r in reference.row_ids]
+
+
+# --------------------------------------------------------------------------
+# One C call per batch
+# --------------------------------------------------------------------------
+
+
+@requires_backend
+def test_one_c_call_per_hot_path_batch(count_calls):
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=98)
+    lookups = hit_miss_lookups(keyset, 64, miss_fraction=0.3, out_of_range_fraction=0.3, seed=99)
+    lows, highs = range_lookups(keyset, count=32, expected_hits=20, seed=100)
+    cgrx = CgRXIndex(keyset.keys, keyset.row_ids)
+    cgrxu = CgRXuIndex(keyset.keys, keyset.row_ids)
+    cgrxu.range_lookup_batch(lows, highs)  # sizes the range walk's buffer
+    count_calls.clear()
+
+    cgrx.point_lookup_batch(lookups)
+    assert count_calls == {"locate_optimized": 1}
+    count_calls.clear()
+    cgrxu.point_lookup_batch(lookups)
+    assert count_calls == {"locate_optimized": 1, "chain_walk": 1}
+    count_calls.clear()
+    cgrxu.range_lookup_batch(lows, highs)
+    assert count_calls == {"locate_optimized": 1, "range_walk": 1}
+
+
+# --------------------------------------------------------------------------
+# Kernel build: concurrency, compiler identity, corruption
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def empty_cache(tmp_path, monkeypatch, pinned_backend):
+    """A fresh kernel cache directory, with the backend resolved anew."""
+    if compiled._compiler() is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setenv("REPRO_CC_CACHE_DIR", str(tmp_path))
+    pinned_backend("cc")
+    return tmp_path
+
+
+def test_truncated_cached_library_is_rebuilt(empty_cache):
+    path = compiled._cc_library_path(compiled._compiler())
+    with open(path, "wb") as handle:
+        handle.write(b"\x7fELF\x02\x01\x01")  # a truncated shared object
+    assert compiled.available_backend() == "cc"
+    assert os.path.getsize(path) > 1024
+
+
+def test_cache_key_includes_the_compiler_path(empty_cache, monkeypatch):
+    monkeypatch.delenv("CC", raising=False)
+    real = compiled._compiler()
+    alias = empty_cache / "alias-cc"
+    alias.symlink_to(real)
+    monkeypatch.setenv("CC", str(alias))
+    assert compiled._compiler() == str(alias)
+    assert compiled._cc_library_path(str(alias)) != compiled._cc_library_path(real)
+    assert compiled.available_backend() == "cc"
+
+
+def _resolve_backend_into(cache_dir, results) -> None:
+    os.environ["REPRO_CC_CACHE_DIR"] = cache_dir
+    from repro.rtx import compiled as child_compiled
+
+    results.put(child_compiled.available_backend())
+
+
+def test_concurrent_first_builds_all_get_the_backend(empty_cache):
+    context = multiprocessing.get_context("spawn")
+    results = context.Queue()
+    workers = [
+        context.Process(target=_resolve_backend_into, args=(str(empty_cache), results))
+        for _ in range(4)
+    ]
+    for worker in workers:
+        worker.start()
+    try:
+        resolved = [results.get(timeout=240) for _ in workers]
+    finally:
+        for worker in workers:
+            worker.join(timeout=60)
+            if worker.is_alive():
+                worker.terminate()
+    assert resolved == ["cc"] * 4
+    leftovers = sorted(path.name for path in empty_cache.iterdir())
+    assert all(name.count(".") == 1 for name in leftovers), leftovers
 
 
 # --------------------------------------------------------------------------
@@ -388,6 +760,47 @@ def test_degradation_records_telemetry(pinned_backend):
     assert gauges == {'compiled_engine_fallback{reason="no_backend"}': 1.0}
     counters = profile.registry.labeled_values("compiled_engine_fallbacks_total")
     assert counters == {'compiled_engine_fallbacks_total{reason="no_backend"}': 1}
+
+
+def serve_zipf(keyset, engine="compiled"):
+    from repro.bench.harness import cgrxu_factory
+    from repro.serve import ServeConfig, ShardedIndex
+
+    served = ShardedIndex(
+        keyset.keys,
+        keyset.row_ids,
+        factory=cgrxu_factory(engine=engine),
+        config=ServeConfig(num_shards=2, key_bits=keyset.key_bits),
+    )
+    stream = zipf_request_stream(keyset, 600, zipf_coefficient=1.1, miss_fraction=0.05, seed=5)
+    metrics = served.serve_stream(stream, record_answers=True)
+    return served.last_answers, metrics.snapshot()
+
+
+def without_engine_counts(snapshot) -> dict:
+    return {key: value for key, value in snapshot.items() if not key.startswith("engine_batches_")}
+
+
+@requires_backend
+def test_served_fallback_warns_once_and_counts_the_engine_that_ran(pinned_backend):
+    keyset = generate_keys(4096, uniformity=0.5, key_bits=32, seed=101)
+    answers, snapshot = serve_zipf(keyset)
+    assert snapshot["engine_batches_compiled"] == snapshot["batches"] > 0
+    assert "engine_batches_vector" not in snapshot
+
+    pinned_backend("none")
+    with pytest.warns(RuntimeWarning) as caught:
+        fallback_answers, fallback_snapshot = serve_zipf(keyset)
+    warned = [w for w in caught if "compiled engine unavailable (no_backend)" in str(w.message)]
+    assert len(warned) == 1
+    assert fallback_snapshot["engine_batches_vector"] == fallback_snapshot["batches"]
+    assert "engine_batches_compiled" not in fallback_snapshot
+    for compiled_part, fallback_part in zip(answers, fallback_answers):
+        assert compiled_part.tobytes() == fallback_part.tobytes()
+    assert repr(without_engine_counts(snapshot)) == repr(without_engine_counts(fallback_snapshot))
+
+    _, scalar_snapshot = serve_zipf(keyset, engine="scalar")
+    assert scalar_snapshot["engine_batches_scalar"] == scalar_snapshot["batches"]
 
 
 def test_engine_validation_accepts_compiled():

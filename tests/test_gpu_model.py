@@ -18,6 +18,7 @@ from repro.gpu.kernels import KernelStats, combine
 from repro.gpu.memory import GIB, MemoryFootprint, array_bytes
 from repro.gpu.simt import (
     COOPERATIVE_GROUP_SIZE,
+    DIVERGENCE_EXPOSURE,
     WARP_SIZE,
     cooperative_scan_steps,
     divergence_factor,
@@ -150,6 +151,24 @@ class TestSimt:
     def test_divergence_factor_empty_and_zero(self):
         assert divergence_factor([]) == 1.0
         assert divergence_factor([0, 0, 0]) == 1.0
+
+    def test_divergence_factor_matches_the_warp_loop(self):
+        def reference(per_thread_work):
+            work = [max(int(w), 0) for w in per_thread_work]
+            total = sum(work)
+            if not work or total == 0:
+                return 1.0
+            paced = 0
+            for start in range(0, len(work), WARP_SIZE):
+                chunk = work[start : start + WARP_SIZE]
+                paced += max(chunk) * len(chunk)
+            return 1.0 + (max(1.0, paced / total) - 1.0) * DIVERGENCE_EXPOSURE
+
+        rng = np.random.default_rng(3)
+        for size in (1, 5, 31, 32, 33, 100, 4096):
+            work = rng.integers(-3, 200, size=size)
+            assert divergence_factor(work) == reference(work)
+            assert divergence_factor(work.tolist()) == reference(work)
 
     def test_occupancy_saturates_at_one(self):
         assert occupancy(1 << 20, 1 << 15) == 1.0
