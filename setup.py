@@ -32,7 +32,7 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy"],
     # The compiled hot-path tier builds its C kernels with the system C
-    # compiler at first use; without one it falls back to the vector engine.
+    # compiler at first use; without one it falls back to the scalar engine.
     extras_require={
         "test": ["pytest"],
     },

@@ -22,7 +22,7 @@ from repro.baselines.base import (
     RangeLookupResult,
     UpdateResult,
 )
-from repro.core.config import validate_engine
+from repro.core.config import resolve_engine, validate_engine
 from repro.core.key_mapping import KeyMapping
 from repro.gpu.accel import accel_build_stats, accel_refit_stats, triangle_generation_stats
 from repro.gpu.cost_model import RT_NODE_RESIDUAL_BYTES, RT_TRIANGLE_RESIDUAL_BYTES
@@ -41,7 +41,7 @@ _DIVERGENCE_SAMPLE = 4096
 
 #: Safety cap on the number of per-row rays a single range lookup may fire in
 #: the simulation; ranges spanning more rows fall back to an analytic cost
-#: estimate (documented in DESIGN.md).
+#: estimate (see ``range_lookup_batch``).
 _MAX_RANGE_ROWS = 4096
 
 
@@ -129,11 +129,11 @@ class RXIndex(GpuIndex):
         ys = self.mapping.y_of(keys).astype(np.int64)
         zs = self.mapping.z_of(keys).astype(np.int64)
 
-        if self.engine != "scalar":
-            # One wavefront launch for the whole batch: per-ray hits and node
-            # visits come back as arrays, identical to the scalar loop.  RX
-            # lookups fire all-hits rays, which the compiled megakernel does
-            # not cover; ``engine="compiled"`` therefore runs this same path.
+        engine = resolve_engine(self.engine, self.pipeline)
+        if engine == "compiled":
+            # One all-hits megakernel call for the whole batch: per-ray hits
+            # and node visits come back as arrays, identical to the scalar
+            # loop.
             origins = np.stack(
                 [
                     xs.astype(np.float64) - 0.5,
@@ -159,7 +159,7 @@ class RXIndex(GpuIndex):
                 "rx.point_lookup", num_lookups, ray_stats, work_sample, keys
             )
             return LookupResult(
-                row_ids=row_agg, match_counts=match_counts, stats=stats, engine="vector"
+                row_ids=row_agg, match_counts=match_counts, stats=stats, engine=engine
             )
 
         for position in range(num_lookups):

@@ -1288,7 +1288,7 @@ def lifecycle(
 
 
 # --------------------------------------------------------------------------
-# Hotpath: wall-clock scalar vs vector vs compiled (the perf trajectory)
+# Hotpath: wall-clock scalar vs compiled (the perf trajectory)
 # --------------------------------------------------------------------------
 
 
@@ -1306,22 +1306,24 @@ def hotpath(
     quick: bool = False,
     seed: int = 67,
 ) -> ExperimentResult:
-    """Hotpath experiment: *real* wall-clock engine speedups.
+    """Hotpath experiment: *real* wall-clock speedups of the compiled engine.
 
     Unlike every other experiment (which reports simulated GPU time), this one
     measures how long the reproduction itself takes to answer batches — the
     repo's wall-clock perf trajectory.  One cgRXu index is built per workload
-    and queried under all three engines (best of ``repeats``); every row
-    carries an ``identical`` flag proving the batch engines returned
-    byte-identical answers *and* identical instrumentation counters.
+    and queried under the scalar reference and the compiled engine (best of
+    ``repeats``); every row carries an ``identical`` flag proving the compiled
+    engine returned byte-identical answers *and* identical instrumentation
+    counters.
 
-    Panels a–c compare the engines on a fixed index; panel ``d_scaling`` is
-    the scaling study: per-key point-lookup cost at ``scaling_sizes`` keys
-    (1M and 10M by default).  The scalar reference is sampled on a bounded
-    ``scalar_sample``-key batch there (a full scalar pass over 10M-key
-    batches would dominate the run without adding information); vector and
-    compiled answer the full ``scaling_batch`` and must agree byte-for-byte
-    with each other *and* with the scalar oracle on the sampled batch.
+    Panels a–c compare the engines on a fixed workload; updates mutate, so
+    every ``c_update`` repeat runs on a fresh index, alternating the engines.
+    Panel ``d_scaling`` is the scaling study: per-key point-lookup cost at
+    ``scaling_sizes`` keys (1M and 10M by default).  The scalar reference is
+    sampled on a bounded ``scalar_sample``-key batch there (a full scalar
+    pass over 10M-key batches would dominate the run without adding
+    information); compiled answers the full ``scaling_batch`` and must agree
+    byte-for-byte with the scalar oracle on the sampled batch.
 
     ``quick=True`` shrinks the workload for CI smoke runs.
     """
@@ -1340,7 +1342,7 @@ def hotpath(
 
     result = ExperimentResult(
         name="hotpath",
-        description="Wall-clock speedup of the vector and compiled batch engines over the scalar reference",
+        description="Wall-clock speedup of the compiled batch engine over the scalar reference",
         parameters={
             "num_keys": num_keys,
             "batch_sizes": list(batch_sizes),
@@ -1379,111 +1381,74 @@ def hotpath(
             and stats_identical(a.stats, b.stats)
         )
 
+    def add_row(panel: str, batch_size: int, scalar_s: float, compiled_s: float, identical):
+        result.add(
+            panel=panel,
+            batch_size=batch_size,
+            scalar_ms=scalar_s * 1e3,
+            compiled_ms=compiled_s * 1e3,
+            compiled_speedup=scalar_s / compiled_s,
+            identical=bool(identical),
+        )
+
     # (a) Point lookups across batch sizes.
     for batch_size in batch_sizes:
         lookups = uniform_lookups(keyset, batch_size, seed=seed + batch_size)
         scalar_s, scalar_result = timed(
             index, "scalar", lambda: index.point_lookup_batch(lookups)
         )
-        vector_s, vector_result = timed(
-            index, "vector", lambda: index.point_lookup_batch(lookups)
-        )
         compiled_s, compiled_result = timed(
             index, "compiled", lambda: index.point_lookup_batch(lookups)
         )
-        result.add(
-            panel="a_point",
-            batch_size=batch_size,
-            scalar_ms=scalar_s * 1e3,
-            vector_ms=vector_s * 1e3,
-            compiled_ms=compiled_s * 1e3,
-            speedup=scalar_s / vector_s,
-            compiled_speedup=scalar_s / compiled_s,
-            compiled_vs_vector=vector_s / compiled_s,
-            identical=bool(
-                point_identical(scalar_result, vector_result)
-                and point_identical(scalar_result, compiled_result)
-            ),
+        add_row(
+            "a_point", batch_size, scalar_s, compiled_s,
+            point_identical(scalar_result, compiled_result),
         )
 
     # (b) Range lookups.
     lows, highs = range_lookups(keyset, count=num_ranges, expected_hits=range_hits, seed=seed + 1)
     scalar_s, scalar_range = timed(index, "scalar", lambda: index.range_lookup_batch(lows, highs))
-    vector_s, vector_range = timed(index, "vector", lambda: index.range_lookup_batch(lows, highs))
     compiled_s, compiled_range = timed(index, "compiled", lambda: index.range_lookup_batch(lows, highs))
-
-    def range_identical(a, b) -> bool:
-        return bool(
-            all(
-                left.tobytes() == right.tobytes()
-                for left, right in zip(a.row_ids, b.row_ids)
-            )
-            and stats_identical(a.stats, b.stats)
+    add_row(
+        "b_range", num_ranges, scalar_s, compiled_s,
+        all(
+            left.tobytes() == right.tobytes()
+            for left, right in zip(scalar_range.row_ids, compiled_range.row_ids)
         )
-
-    result.add(
-        panel="b_range",
-        batch_size=num_ranges,
-        scalar_ms=scalar_s * 1e3,
-        vector_ms=vector_s * 1e3,
-        compiled_ms=compiled_s * 1e3,
-        speedup=scalar_s / vector_s,
-        compiled_speedup=scalar_s / compiled_s,
-        compiled_vs_vector=vector_s / compiled_s,
-        identical=bool(
-            range_identical(scalar_range, vector_range)
-            and range_identical(scalar_range, compiled_range)
-        ),
+        and stats_identical(scalar_range.stats, compiled_range.stats),
     )
 
-    # (c) Update batch: fresh indexes (updates mutate), one per engine.
+    # (c) Update batch: best of ``repeats``, each repeat on a fresh index
+    # (updates mutate), the two engines alternating.
     rng = np.random.default_rng(seed + 2)
     insert_keys = rng.choice(keyset.keys, size=update_size).astype(keyset.keys.dtype)
     delete_keys = rng.choice(
         keyset.keys, size=update_size // 2, replace=False
     ).astype(keyset.keys.dtype)
+    best = {"scalar": float("inf"), "compiled": float("inf")}
     updates = {}
-    for engine in ("scalar", "vector", "compiled"):
-        fresh = CgRXuIndex(
-            keyset.keys,
-            keyset.row_ids,
-            CgRXuConfig(key_bits=key_bits, engine=engine),
-        )
-        start = time.perf_counter()
-        outcome = fresh.update_batch(insert_keys=insert_keys, delete_keys=delete_keys)
-        updates[engine] = (time.perf_counter() - start, outcome, fresh)
-    scalar_s, scalar_update, scalar_index = updates["scalar"]
-    vector_s, vector_update, vector_index = updates["vector"]
-    compiled_s, compiled_update, compiled_index = updates["compiled"]
-    entries = {
-        engine: updates[engine][2].export_entries()
-        for engine in ("scalar", "vector", "compiled")
-    }
-
-    def update_identical(a, b, a_entries, b_entries) -> bool:
-        return bool(
-            a.inserted == b.inserted
-            and a.deleted == b.deleted
-            and stats_identical(a.stats, b.stats)
-            and a_entries[0].tobytes() == b_entries[0].tobytes()
-            and a_entries[1].tobytes() == b_entries[1].tobytes()
-        )
-
-    result.add(
-        panel="c_update",
-        batch_size=update_size + update_size // 2,
-        scalar_ms=scalar_s * 1e3,
-        vector_ms=vector_s * 1e3,
-        compiled_ms=compiled_s * 1e3,
-        speedup=scalar_s / vector_s,
-        compiled_speedup=scalar_s / compiled_s,
-        compiled_vs_vector=vector_s / compiled_s,
-        identical=bool(
-            update_identical(scalar_update, vector_update, entries["scalar"], entries["vector"])
-            and update_identical(
-                scalar_update, compiled_update, entries["scalar"], entries["compiled"]
+    for _ in range(repeats):
+        for engine in best:
+            fresh = CgRXuIndex(
+                keyset.keys,
+                keyset.row_ids,
+                CgRXuConfig(key_bits=key_bits, engine=engine),
             )
-        ),
+            start = time.perf_counter()
+            outcome = fresh.update_batch(insert_keys=insert_keys, delete_keys=delete_keys)
+            best[engine] = min(best[engine], time.perf_counter() - start)
+            updates[engine] = (outcome, fresh.export_entries())
+    (scalar_update, scalar_entries), (compiled_update, compiled_entries) = (
+        updates["scalar"],
+        updates["compiled"],
+    )
+    add_row(
+        "c_update", update_size + update_size // 2, best["scalar"], best["compiled"],
+        scalar_update.inserted == compiled_update.inserted
+        and scalar_update.deleted == compiled_update.deleted
+        and stats_identical(scalar_update.stats, compiled_update.stats)
+        and scalar_entries[0].tobytes() == compiled_entries[0].tobytes()
+        and scalar_entries[1].tobytes() == compiled_entries[1].tobytes(),
     )
 
     # (d) Scaling study: per-key point-lookup cost at 1M/10M keys.
@@ -1498,31 +1463,21 @@ def hotpath(
         scalar_s, scalar_result = timed(
             scale_index, "scalar", lambda: scale_index.point_lookup_batch(sample)
         )
-        vector_sample_s, vector_sample = timed(
-            scale_index, "vector", lambda: scale_index.point_lookup_batch(sample)
-        )
-        compiled_sample_s, compiled_sample = timed(
-            scale_index, "compiled", lambda: scale_index.point_lookup_batch(sample)
-        )
-        vector_s, vector_result = timed(
-            scale_index, "vector", lambda: scale_index.point_lookup_batch(lookups)
-        )
-        compiled_s, compiled_result = timed(
+        compiled_s, _ = timed(
             scale_index, "compiled", lambda: scale_index.point_lookup_batch(lookups)
         )
+        scalar_ns = scalar_s / max(1, sample.shape[0]) * 1e9
+        compiled_ns = compiled_s / max(1, lookups.shape[0]) * 1e9
         result.add(
             panel="d_scaling",
             num_keys=size,
             batch_size=scaling_batch,
-            scalar_ns_per_key=scalar_s / max(1, sample.shape[0]) * 1e9,
-            vector_ns_per_key=vector_s / max(1, lookups.shape[0]) * 1e9,
-            compiled_ns_per_key=compiled_s / max(1, lookups.shape[0]) * 1e9,
-            compiled_vs_vector=vector_s / compiled_s,
+            scalar_ns_per_key=scalar_ns,
+            compiled_ns_per_key=compiled_ns,
+            compiled_speedup=scalar_ns / compiled_ns,
             arena_mib=scale_index.compiled_buffers_bytes() / float(1 << 20),
-            identical=bool(
-                point_identical(scalar_result, vector_sample)
-                and point_identical(scalar_result, compiled_sample)
-                and point_identical(vector_result, compiled_result)
+            identical=point_identical(
+                scalar_result, scale_index.point_lookup_batch(sample)
             ),
         )
     return result
@@ -2624,21 +2579,31 @@ def list_experiments() -> List[str]:
     return lines
 
 
+def check_experiment_names(names: Iterable[str]) -> None:
+    """Raise ``KeyError`` naming every unknown experiment and the valid ones."""
+    unknown = [name for name in names if name not in ALL_EXPERIMENTS]
+    if unknown:
+        raise KeyError(
+            f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
+            f"available: {', '.join(sorted(ALL_EXPERIMENTS))}"
+        )
+
+
 def run_all(
     names: Optional[Iterable[str]] = None, quick: bool = False
 ) -> List[ExperimentResult]:
     """Run all (or the selected) experiments and return their results.
 
-    ``quick=True`` is forwarded to every experiment that supports a ``quick``
-    parameter (currently ``hotpath`` and ``lifecycle``); the others ignore it.
+    Every name is validated before anything runs.  ``quick=True`` is
+    forwarded to every experiment that supports a ``quick`` parameter
+    (currently ``hotpath`` and ``lifecycle``); the others ignore it.
     """
     import inspect
 
     selected = list(names) if names is not None else list(ALL_EXPERIMENTS)
+    check_experiment_names(selected)
     results = []
     for name in selected:
-        if name not in ALL_EXPERIMENTS:
-            raise KeyError(f"unknown experiment {name!r}; available: {sorted(ALL_EXPERIMENTS)}")
         function = ALL_EXPERIMENTS[name]
         kwargs = {}
         if quick and "quick" in inspect.signature(function).parameters:
@@ -2656,7 +2621,8 @@ def main() -> None:
     ``=`` so experiment names are never mistaken for an output path.
     ``--quick`` shrinks the workloads of experiments that support it (used by
     the CI perf-smoke job).  ``--list`` prints every experiment name with a
-    one-line description and exits.
+    one-line description and exits.  An unknown experiment name prints the
+    valid names to stderr and exits with status 2 before anything runs.
     """
     import sys
 
@@ -2676,8 +2642,12 @@ def main() -> None:
             return
         else:
             arguments.append(argument)
-    names = arguments or None
-    for result in run_all(names, quick=quick):
+    try:
+        check_experiment_names(arguments)
+    except KeyError as error:
+        print(f"repro-bench: {error.args[0]}", file=sys.stderr)
+        sys.exit(2)
+    for result in run_all(arguments or None, quick=quick):
         result.print()
         print()
         if json_dir is not None:

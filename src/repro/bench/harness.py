@@ -229,7 +229,6 @@ def sharded_factory(
     replication_factor: int = 1,
     read_policy: str = "round_robin",
     write_quorum: Optional[int] = None,
-    engine: str = "compiled",
     rebuild_threshold: float = 0.5,
     compact_threshold: float = 0.2,
     rebuild_mode: str = "double_buffered",
@@ -241,11 +240,11 @@ def sharded_factory(
     omitted); the remaining arguments configure the serving layer, so bench
     experiments can compare served deployments against bare indexes.  With
     ``replication_factor > 1`` every shard becomes a replica group with
-    load-balanced reads and quorum-acknowledged writes.  ``engine`` selects
-    the router's scatter/gather engine; pass ``engine=...`` to the *inner*
-    factory (e.g. ``cgrxu_factory(128, engine="scalar")``) to select the
-    per-shard index engine.  ``rebuild_threshold``/``compact_threshold``/
-    ``rebuild_mode`` configure the tiered maintenance lifecycle (incremental
+    load-balanced reads and quorum-acknowledged writes.  The shards' batch
+    engine comes from the *inner* factory (e.g.
+    ``cgrxu_factory(128, engine="scalar")``).
+    ``rebuild_threshold``/``compact_threshold``/``rebuild_mode`` configure
+    the tiered maintenance lifecycle (incremental
     compaction below the rebuild threshold, double-buffered or
     stop-the-world rebuild swaps above it).
     """
@@ -261,7 +260,6 @@ def sharded_factory(
             replication_factor=replication_factor,
             read_policy=read_policy,
             write_quorum=write_quorum,
-            engine=engine,
             rebuild_threshold=rebuild_threshold,
             compact_threshold=compact_threshold,
             rebuild_mode=rebuild_mode,

@@ -9,7 +9,7 @@ fast axis path and snaps hit positions back onto the grid.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,22 +50,6 @@ class SceneCaster:
         )
         return self._pipeline.cast_axis_closest(0, origin, tmax, stats)
 
-    def x_cast_all(
-        self,
-        from_x: float,
-        grid_y: float,
-        grid_z: float,
-        tmax: float = float("inf"),
-        stats: Optional[RayStats] = None,
-    ) -> List[HitRecord]:
-        """All hits of a +x ray (used by RX-style range lookups)."""
-        origin = (
-            float(from_x) - RAY_START_OFFSET,
-            float(grid_y) * self._mapping.y_scale,
-            float(grid_z) * self._mapping.z_scale,
-        )
-        return self._pipeline.cast_axis_all(0, origin, tmax, stats)
-
     def y_cast(
         self,
         grid_x: float,
@@ -104,9 +88,9 @@ class SceneCaster:
         """Grid plane of a hit."""
         return self._mapping.scene_z_to_grid(hit.z)
 
-    # -------------------------------------------------------- wavefront batches
+    # --------------------------------------------------------- compiled batches
     #
-    # The batch variants fire one wavefront launch for a whole array of grid
+    # The batch variants fire one megakernel call for a whole array of grid
     # positions; origins are computed with the same float operations as the
     # scalar methods, so hits and ray counters are identical per ray.
 
@@ -128,17 +112,6 @@ class SceneCaster:
             np.asarray(grid_z, dtype=np.float64) * self._mapping.z_scale,
         )
         return self._pipeline.cast_axis_closest_batch(0, origins, tmax, stats)
-
-    def x_cast_all_batch(
-        self, from_x, grid_y, grid_z, tmax=None, stats: Optional[RayStats] = None
-    ):
-        """Batched :meth:`x_cast_all`: every hit of one +x ray per position."""
-        origins = self._origins(
-            np.asarray(from_x, dtype=np.float64) - RAY_START_OFFSET,
-            np.asarray(grid_y, dtype=np.float64) * self._mapping.y_scale,
-            np.asarray(grid_z, dtype=np.float64) * self._mapping.z_scale,
-        )
-        return self._pipeline.cast_axis_all_batch(0, origins, tmax, stats)
 
     def y_cast_batch(self, grid_x, from_y, grid_z, stats: Optional[RayStats] = None):
         """Batched :meth:`y_cast`."""

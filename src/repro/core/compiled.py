@@ -1,11 +1,8 @@
 """Compiled node-chain kernels for cgRXu point and range lookups.
 
-The vector engine's batched chain walks (``CgRXuIndex._collect_batch`` and
-the lockstep range walk) advance all still-searching keys one node per
-iteration — ~15 numpy dispatches per level over gathered ``(key, slot)``
-matrices.  The compiled tier runs each whole walk per key in one fused C
-loop over the :class:`~repro.core.nodes.NodeStorage` slabs, using the kernel
-library of :mod:`repro.rtx.compiled`.
+The compiled tier runs each whole chain walk of a batch — one per key or
+range — in one fused C loop over the :class:`~repro.core.nodes.NodeStorage`
+slabs, using the kernel library of :mod:`repro.rtx.compiled`.
 
 Zero-copy by construction: the kernels read the live ``NodeStorage`` slab
 arrays directly (keys matrix, rowIDs, sizes, maxKeys, next pointers); only
@@ -19,7 +16,7 @@ Both walks mirror the scalar reference exactly — the point walk
 entries-touched accounting, cross-bucket duplicate-group continuation) and
 the range walk ``CgRXuIndex._range_lookup_batch_scalar`` (empty nodes
 skipped, stop at the first key above ``high``, rows in walk order) — so
-results and kernel counters stay byte-identical to both reference engines.
+results and kernel counters stay byte-identical to the scalar engine.
 """
 
 from __future__ import annotations
@@ -82,7 +79,7 @@ def chain_walk_batch(
 
     ``bucket_ids`` are the routed buckets (:data:`~repro.core.representation.MISS`
     walks the overflow bucket).  Returns per-key ``(row_sum, matches,
-    nodes_visited, entries)`` exactly as ``CgRXuIndex._collect_batch`` would.
+    nodes_visited, entries)`` exactly as ``CgRXuIndex._collect`` would.
     Requires the kernel library (callers resolve the engine first).
     """
     keys = np.ascontiguousarray(keys, dtype=tables.key_dtype)

@@ -38,15 +38,14 @@ class BucketLayout(str, Enum):
 
 
 #: Valid batch execution engines.  ``"compiled"`` (the default) answers each
-#: hot index path — point routing, cgRXu chain and range walks, axis-ray
-#: traversal — with one call into runtime-compiled C kernels over quantized
-#: cache-blocked node tables; ``"vector"`` answers whole batches with
-#: structure-of-arrays numpy kernels and wavefront BVH traversal;
-#: ``"scalar"`` keeps the original one-key/one-ray-at-a-time reference paths.
-#: All engines produce byte-identical results and identical instrumentation
-#: counters; without a C compiler, ``"compiled"`` degrades to ``"vector"``
-#: with a ``RuntimeWarning`` and a recorded telemetry gauge.
-ENGINES = ("scalar", "vector", "compiled")
+#: hot index path — point routing, cgRXu chain and range walks, closest-hit
+#: and all-hits axis-ray traversal — with one call into runtime-compiled C
+#: kernels over quantized cache-blocked node tables; ``"scalar"`` keeps the
+#: original one-key/one-ray-at-a-time reference paths.  Both produce
+#: byte-identical results and identical instrumentation counters; without a
+#: C compiler, ``"compiled"`` degrades to ``"scalar"`` with a
+#: ``RuntimeWarning`` and a recorded telemetry gauge.
+ENGINES = ("scalar", "compiled")
 
 
 def validate_engine(engine: str) -> str:
@@ -61,7 +60,7 @@ def resolve_engine(engine: str, pipeline=None) -> str:
 
     ``"compiled"`` requires the C kernel library and, when ``pipeline`` is
     given, compiled tables usable for its tree; otherwise the call degrades
-    to ``"vector"`` — same results, same counters — and
+    to ``"scalar"`` — same results, same counters — and
     :func:`repro.rtx.compiled.record_fallback` makes the degradation loud:
     one ``RuntimeWarning`` per reason and process, plus a
     ``compiled_engine_fallback`` telemetry gauge when profiling.
@@ -72,9 +71,9 @@ def resolve_engine(engine: str, pipeline=None) -> str:
 
     if compiled.available_backend() is None:
         compiled.record_fallback(compiled.unavailable_reason())
-        return "vector"
+        return "scalar"
     if pipeline is not None and not pipeline.compiled_ready():
-        return "vector"
+        return "scalar"
     return "compiled"
 
 
@@ -98,8 +97,8 @@ class CgRXConfig:
     #: Maximum number of triangles per BVH leaf.
     bvh_leaf_size: int = 4
     #: Batch execution engine: ``"compiled"`` (the default: C kernels,
-    #: falling back to ``"vector"`` without a C compiler), ``"vector"``
-    #: (SoA/wavefront numpy) or ``"scalar"`` (the reference).
+    #: falling back to ``"scalar"`` without a C compiler) or ``"scalar"``
+    #: (the reference).
     engine: str = "compiled"
 
     def __post_init__(self) -> None:
@@ -145,8 +144,8 @@ class CgRXuConfig:
     #: Maximum number of triangles per BVH leaf.
     bvh_leaf_size: int = 4
     #: Batch execution engine: ``"compiled"`` (the default: C kernels,
-    #: falling back to ``"vector"`` without a C compiler), ``"vector"``
-    #: (SoA/wavefront numpy) or ``"scalar"`` (the reference).
+    #: falling back to ``"scalar"`` without a C compiler) or ``"scalar"``
+    #: (the reference).
     engine: str = "compiled"
     #: Escalate a post-compaction BVH refit into a full rebuild once the
     #: total node overlap area grew past this multiple of the freshly built

@@ -122,21 +122,16 @@ class CgRXIndex(GpuIndex):
 
         Returns the bucketID per key (:data:`MISS` for out-of-range keys), the
         aggregated ray statistics, a sample of per-lookup work used for the
-        divergence estimate and the engine that ran.  The vector engine
-        answers the batch with wavefront launches; the compiled engine runs
-        the optimized representation's whole ray sequence in one C call (the
-        naive one in one megakernel call per stage).  Counters and samples
-        are identical across all three.
+        divergence estimate and the engine that ran.  The compiled engine
+        runs the optimized representation's whole ray sequence in one C call
+        (the naive one in one megakernel call per stage); counters and
+        samples are identical to the scalar loop.
         """
         stats = RayStats()
         sample_every = max(1, keys.shape[0] // _DIVERGENCE_SAMPLE)
         engine = resolve_engine(self.config.engine, self.pipeline)
-        if engine != "scalar":
-            self.pipeline.batch_engine = engine
-            try:
-                bucket_ids, ray_nodes = self.representation.locate_bucket_batch(keys, stats)
-            finally:
-                self.pipeline.batch_engine = "vector"
+        if engine == "compiled":
+            bucket_ids, ray_nodes = self.representation.locate_bucket_batch(keys, stats)
             return bucket_ids, stats, ray_nodes[::sample_every], engine
         bucket_ids = np.empty(keys.shape[0], dtype=np.int64)
         work_sample: List[int] = []

@@ -144,10 +144,10 @@ class NaiveRepresentation(SceneRepresentation):
     # ---------------------------------------------------------- batched lookups
 
     def locate_bucket_batch(self, keys: np.ndarray, stats=None):
-        """Wavefront version of Algorithm 2: stage-synchronous batched rays.
+        """Batched Algorithm 2: stage-synchronous batched rays.
 
         Fires exactly the rays :meth:`locate_bucket` would fire per key, one
-        wavefront launch per stage.  Returns ``(bucket_ids, nodes_visited)``;
+        megakernel call per stage.  Returns ``(bucket_ids, nodes_visited)``;
         ``stats`` accumulates identical ray totals.
         """
         keys = np.asarray(keys)

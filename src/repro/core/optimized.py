@@ -198,16 +198,6 @@ class OptimizedRepresentation(SceneRepresentation):
 
     # ---------------------------------------------------------- batched lookups
 
-    def _remap_batch(self, primitive_index: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`remap_primitive_index`."""
-        plane = (primitive_index >= self.plane_marker_offset) & self.multi_plane
-        row = primitive_index >= self.row_marker_offset
-        return np.where(
-            plane,
-            primitive_index - self.plane_marker_offset + 1,
-            np.where(row, primitive_index - self.row_marker_offset + 1, primitive_index),
-        )
-
     def _compiled_route_params(self):
         if self._route_params is None:
             from repro.rtx import compiled
@@ -225,118 +215,13 @@ class OptimizedRepresentation(SceneRepresentation):
 
     def locate_bucket_batch(self, keys: np.ndarray, stats=None):
         """Batched point routing: every key fires exactly the rays
-        :meth:`locate_bucket` would fire.
+        :meth:`locate_bucket` would fire, the whole sequence in one C call.
 
-        Under the compiled batch engine the whole ray sequence runs in one C
-        call; otherwise (or when that call cannot run) all keys advance
-        stage by stage as per-stage wavefront launches (all stage rays share
-        an axis).  Returns ``(bucket_ids, nodes_visited)`` with :data:`MISS`
-        for out-of-range keys and the per-key BVH node visits used for
-        divergence sampling; ``stats`` accumulates the identical ray totals.
+        Returns ``(bucket_ids, nodes_visited)`` with :data:`MISS` for
+        out-of-range keys and the per-key BVH node visits used for divergence
+        sampling; ``stats`` accumulates the identical ray totals.  Requires
+        the compiled tier (callers resolve the engine first).
         """
-        keys = np.asarray(keys)
-        if self.pipeline.batch_engine == "compiled":
-            routed = self.pipeline.route_optimized_batch(
-                self._compiled_route_params(), keys, stats
-            )
-            if routed is not None:
-                return routed
-        num_keys = int(keys.shape[0])
-        out = np.full(num_keys, MISS, dtype=np.int64)
-        nodes = np.zeros(num_keys, dtype=np.int64)
-        if num_keys == 0:
-            return out, nodes
-
-        mapping = self.mapping
-        caster = self.caster
-        keys64 = keys.astype(np.uint64)
-        below = keys64 < np.uint64(self.min_representative)
-        in_range = keys64 <= np.uint64(self.max_representative)
-        out[below] = 0
-
-        kx = mapping.x_of(keys64).astype(np.int64)
-        ky = mapping.y_of(keys64).astype(np.int64)
-        kz = mapping.z_of(keys64).astype(np.int64)
-        x_max = mapping.x_max
-        y_max = mapping.y_max
-
-        # Ray 1: along +x in each key's own row.
-        todo = np.nonzero(in_range & ~below)[0]
-        if todo.size == 0:
-            return out, nodes
-        same_row = caster.x_cast_batch(kx[todo], ky[todo], kz[todo], stats=stats)
-        nodes[todo] += same_row.nodes_visited
-        resolved = same_row.hit
-        out[todo[resolved]] = self._remap_batch(same_row.primitive_index[resolved])
-        pending = todo[~resolved]
-
-        # Ray 2 (+ ray 3 for front-face hits): next populated row via the
-        # x = xmax column.
-        if self.multi_line and pending.size:
-            next_row = caster.y_cast_batch(
-                np.full(pending.size, x_max, dtype=np.int64),
-                ky[pending] + 1,
-                kz[pending],
-                stats=stats,
-            )
-            nodes[pending] += next_row.nodes_visited
-            hit = next_row.hit
-            back = hit & ~next_row.front_face
-            out[pending[back]] = self._remap_batch(next_row.primitive_index[back])
-            front = np.nonzero(hit & next_row.front_face)[0]
-            if front.size:
-                front_keys = pending[front]
-                row_y = caster.hit_grid_y_batch(next_row.point)[front]
-                leftmost = caster.x_cast_batch(
-                    np.zeros(front.size, dtype=np.int64),
-                    row_y,
-                    kz[front_keys],
-                    stats=stats,
-                )
-                nodes[front_keys] += leftmost.nodes_visited
-                found = leftmost.hit
-                out[front_keys[found]] = self._remap_batch(
-                    leftmost.primitive_index[found]
-                )
-            pending = pending[~hit]
-
-        # Rays 3-5: next populated plane, then its first row, then the
-        # leftmost representative of that row.
-        if self.multi_plane and pending.size:
-            next_plane = caster.z_cast_batch(
-                np.full(pending.size, x_max, dtype=np.int64),
-                np.full(pending.size, y_max, dtype=np.int64),
-                kz[pending] + 1,
-                stats=stats,
-            )
-            nodes[pending] += next_plane.nodes_visited
-            planed = np.nonzero(next_plane.hit)[0]
-            if planed.size:
-                plane_keys = pending[planed]
-                plane_z = caster.hit_grid_z_batch(next_plane.point)[planed]
-                next_row = caster.y_cast_batch(
-                    np.full(planed.size, x_max, dtype=np.int64),
-                    np.zeros(planed.size, dtype=np.int64),
-                    plane_z,
-                    stats=stats,
-                )
-                nodes[plane_keys] += next_row.nodes_visited
-                hit = next_row.hit
-                back = hit & ~next_row.front_face
-                out[plane_keys[back]] = self._remap_batch(next_row.primitive_index[back])
-                front = np.nonzero(hit & next_row.front_face)[0]
-                if front.size:
-                    front_keys = plane_keys[front]
-                    row_y = caster.hit_grid_y_batch(next_row.point)[front]
-                    leftmost = caster.x_cast_batch(
-                        np.zeros(front.size, dtype=np.int64),
-                        row_y,
-                        plane_z[front],
-                        stats=stats,
-                    )
-                    nodes[front_keys] += leftmost.nodes_visited
-                    found = leftmost.hit
-                    out[front_keys[found]] = self._remap_batch(
-                        leftmost.primitive_index[found]
-                    )
-        return out, nodes
+        return self.pipeline.route_optimized_batch(
+            self._compiled_route_params(), np.asarray(keys), stats
+        )

@@ -61,25 +61,11 @@ class SceneRepresentation(ABC):
         key.  ``stats`` accumulates the ray-traversal work of the lookup.
         """
 
+    @abstractmethod
     def locate_bucket_batch(self, keys, stats: Optional[RayStats] = None):
-        """Batched :meth:`locate_bucket`: ``(bucket_ids, nodes_visited)`` arrays.
-
-        Subclasses override this with wavefront launches; the fallback loops
-        the scalar procedure, so results and counters are identical by
-        construction either way.
-        """
-        import numpy as np
-
-        keys = np.asarray(keys)
-        bucket_ids = np.empty(keys.shape[0], dtype=np.int64)
-        nodes = np.zeros(keys.shape[0], dtype=np.int64)
-        for position, key in enumerate(keys):
-            local = RayStats()
-            bucket_ids[position] = self.locate_bucket(int(key), local)
-            nodes[position] = local.nodes_visited
-            if stats is not None:
-                stats.merge(local)
-        return bucket_ids, nodes
+        """Batched :meth:`locate_bucket` on the compiled kernels:
+        ``(bucket_ids, nodes_visited)`` arrays with results and counters
+        identical to the per-key procedure."""
 
     # ------------------------------------------------------------ maintenance
 

@@ -280,17 +280,14 @@ class CgRXuIndex(GpuIndex):
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
         """Batched point lookups: raytracing stage plus node-chain traversal.
 
-        The ``vector`` engine answers the whole batch with wavefront routing
-        and a lockstep chain walk over the flattened chain tables; the
-        ``compiled`` engine makes one C call for each stage.  Results and
-        counters are byte-identical to the scalar reference path under every
-        engine; ``LookupResult.engine`` names the engine that ran.
+        The ``compiled`` engine makes one C call for each stage; results and
+        counters are byte-identical to the scalar reference path, and
+        ``LookupResult.engine`` names the engine that ran.
         """
         keys = np.asarray(keys, dtype=self._key_dtype)
-        engine = resolve_engine(self.config.engine, self.pipeline)
-        if engine == "scalar":
+        if resolve_engine(self.config.engine, self.pipeline) == "scalar":
             return self._point_lookup_batch_scalar(keys)
-        return self._point_lookup_batch_vector(keys, engine)
+        return self._point_lookup_batch_compiled(keys)
 
     def _point_lookup_batch_scalar(self, keys: np.ndarray) -> LookupResult:
         """Reference path: one key and one ray at a time."""
@@ -327,28 +324,16 @@ class CgRXuIndex(GpuIndex):
             row_ids=row_agg, match_counts=match_counts, stats=stats, engine="scalar"
         )
 
-    def _route_batch(self, keys: np.ndarray, ray_stats: RayStats, engine: str):
-        """Bucket ids (:data:`MISS` for out-of-range keys) and per-key ray
-        node visits of a batch, routed on ``engine``."""
-        self.pipeline.batch_engine = engine
-        try:
-            return self.representation.locate_bucket_batch(keys, ray_stats)
-        finally:
-            self.pipeline.batch_engine = "vector"
-
-    def _point_lookup_batch_vector(self, keys: np.ndarray, engine: str = "vector") -> LookupResult:
-        """Batch path: wavefront or compiled routing plus a batched chain walk."""
+    def _point_lookup_batch_compiled(self, keys: np.ndarray) -> LookupResult:
+        """Batch path: fused routing plus the C chain walk."""
         from repro.core import compiled as core_compiled
 
         num_lookups = int(keys.shape[0])
         ray_stats = RayStats()
-        bucket_ids, ray_nodes = self._route_batch(keys, ray_stats, engine)
-        if engine == "compiled":
-            walk = core_compiled.chain_walk_batch(self._compiled_chain_tables(), bucket_ids, keys)
-        else:
-            buckets = np.where(bucket_ids == MISS, self.overflow_bucket, bucket_ids)
-            walk = self._collect_batch(buckets, keys)
-        row_sum, match_counts, chain_nodes, entries = walk
+        bucket_ids, ray_nodes = self.representation.locate_bucket_batch(keys, ray_stats)
+        row_sum, match_counts, chain_nodes, entries = core_compiled.chain_walk_batch(
+            self._compiled_chain_tables(), bucket_ids, keys
+        )
         row_agg = np.where(match_counts > 0, row_sum, -1).astype(np.int64)
 
         sample_every = max(1, num_lookups // _DIVERGENCE_SAMPLE)
@@ -362,15 +347,15 @@ class CgRXuIndex(GpuIndex):
         )
         prof = _profile.profiler()
         if prof is not None:
-            prof.observe_chain_walk(engine, int(chain_nodes.sum()), num_lookups)
+            prof.observe_chain_walk("compiled", int(chain_nodes.sum()), num_lookups)
         return LookupResult(
             row_ids=row_agg,
             match_counts=match_counts.astype(np.int64),
             stats=stats,
-            engine=engine,
+            engine="compiled",
         )
 
-    # --------------------------------------------------- vectorized chain walk
+    # ------------------------------------------------------- chain tables
 
     def _chain_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """Flattened chain tables ``(order, starts)``, cached until an update.
@@ -383,62 +368,6 @@ class CgRXuIndex(GpuIndex):
         if self._chain_cache is None:
             self._chain_cache = self.nodes.flatten_chains(self.overflow_bucket + 1)
         return self._chain_cache
-
-    def _collect_batch(
-        self, buckets: np.ndarray, keys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Lockstep :meth:`_collect` for a whole batch.
-
-        All still-searching keys advance one node per iteration; the per-node
-        binary searches become masked comparisons over gathered ``(key, slot)``
-        matrices.  Returns per-key ``(row_sum, matches, nodes, entries)``.
-        """
-        order, starts = self._chain_table()
-        nodes = self.nodes
-        keys_matrix = nodes.keys_matrix
-        row_ids_matrix = nodes.row_ids_matrix
-        sizes = nodes.sizes_array
-        max_keys = nodes.max_keys_array
-        next_nodes = nodes.next_array
-        lanes = np.arange(nodes.node_capacity)
-
-        num_keys = int(keys.shape[0])
-        row_sum = np.zeros(num_keys, dtype=np.int64)
-        matches = np.zeros(num_keys, dtype=np.int64)
-        nodes_visited = np.zeros(num_keys, dtype=np.int64)
-        entries = np.zeros(num_keys, dtype=np.int64)
-
-        keys64 = keys.astype(np.uint64)
-        position = starts[buckets].copy()
-        end = int(order.shape[0])
-        active = np.nonzero(position < end)[0]
-        while active.size:
-            node = order[position[active]]
-            nodes_visited[active] += 1
-            node_sizes = sizes[node].astype(np.int64)
-            skip = (max_keys[node] < keys64[active]) & (next_nodes[node] != NO_NEXT)
-            search = np.nonzero(~skip)[0]
-            done = np.zeros(active.size, dtype=bool)
-            if search.size:
-                search_keys = active[search]
-                search_nodes = node[search]
-                search_sizes = node_sizes[search]
-                node_keys = keys_matrix[search_nodes]
-                occupied = lanes[None, :] < search_sizes[:, None]
-                target = keys[search_keys][:, None]
-                left = ((node_keys < target) & occupied).sum(axis=1)
-                right = ((node_keys <= target) & occupied).sum(axis=1)
-                entries[search_keys] += np.maximum(1, right - left)
-                matched = occupied & (node_keys == target)
-                matches[search_keys] += matched.sum(axis=1)
-                row_sum[search_keys] += np.where(
-                    matched, row_ids_matrix[search_nodes].astype(np.int64), 0
-                ).sum(axis=1)
-                done[search] = right < search_sizes
-            position[active] += 1
-            keep = ~done & (position[active] < end)
-            active = active[keep]
-        return row_sum, matches, nodes_visited, entries
 
     def _compiled_chain_tables(self):
         """Arena-packed chain tables for the compiled walks (identity-cached).
@@ -493,10 +422,9 @@ class CgRXuIndex(GpuIndex):
         highs = np.asarray(highs, dtype=self._key_dtype)
         if lows.shape != highs.shape:
             raise ValueError("lows and highs must have the same shape")
-        engine = resolve_engine(self.config.engine, self.pipeline)
-        if engine == "scalar":
+        if resolve_engine(self.config.engine, self.pipeline) == "scalar":
             return self._range_lookup_batch_scalar(lows, highs)
-        return self._range_lookup_batch_vector(lows, highs, engine)
+        return self._range_lookup_batch_compiled(lows, highs)
 
     def _range_lookup_batch_scalar(
         self, lows: np.ndarray, highs: np.ndarray
@@ -547,132 +475,28 @@ class CgRXuIndex(GpuIndex):
         )
         return RangeLookupResult(row_ids=results, stats=stats)
 
-    def _range_lookup_batch_vector(
-        self, lows: np.ndarray, highs: np.ndarray, engine: str = "vector"
+    def _range_lookup_batch_compiled(
+        self, lows: np.ndarray, highs: np.ndarray
     ) -> RangeLookupResult:
-        """Batch path: lower-bound routing plus the forward walk.
-
-        The ``compiled`` engine makes one C call for each (rows in one flat
-        array with per-query offsets); the ``vector`` engine routes with
-        wavefront launches and walks in lockstep.
-        """
+        """Batch path: fused lower-bound routing plus the C forward walk
+        (rows in one flat array with per-query offsets)."""
         from repro.core import compiled as core_compiled
 
         num_queries = int(lows.shape[0])
         ray_stats = RayStats()
-        bucket_ids, _ = self._route_batch(lows, ray_stats, engine)
-        if engine == "compiled":
-            results, total_results, total_nodes, total_entries = core_compiled.range_walk_batch(
-                self._compiled_chain_tables(),
-                bucket_ids,
-                lows,
-                highs,
-                max(self._range_rows_hint, 8 * num_queries),
-            )
-            self._range_rows_hint = max(self._range_rows_hint, total_results)
-            stats = self._range_lookup_stats(
-                lows, ray_stats, total_nodes, total_entries, total_results
-            )
-            return RangeLookupResult(row_ids=results, stats=stats)
-        buckets = np.where(bucket_ids == MISS, self.overflow_bucket, bucket_ids)
-
-        order, starts = self._chain_table()
-        nodes = self.nodes
-        keys_matrix = nodes.keys_matrix
-        sizes = nodes.sizes_array
-        lanes = np.arange(nodes.node_capacity)
-
-        total_nodes = 0
-        total_entries = 0
-        segment_query: List[np.ndarray] = []
-        segment_node: List[np.ndarray] = []
-        segment_left: List[np.ndarray] = []
-        segment_right: List[np.ndarray] = []
-
-        position = starts[buckets].copy()
-        end = int(order.shape[0])
-        active = np.nonzero(position < end)[0] if num_queries else np.empty(0, np.int64)
-        while active.size:
-            node = order[position[active]]
-            total_nodes += int(active.size)
-            node_sizes = sizes[node].astype(np.int64)
-            nonempty = np.nonzero(node_sizes > 0)[0]
-            done = np.zeros(active.size, dtype=bool)
-            if nonempty.size:
-                query = active[nonempty]
-                query_nodes = node[nonempty]
-                query_sizes = node_sizes[nonempty]
-                node_keys = keys_matrix[query_nodes]
-                occupied = lanes[None, :] < query_sizes[:, None]
-                left = ((node_keys < lows[query][:, None]) & occupied).sum(axis=1)
-                right = ((node_keys <= highs[query][:, None]) & occupied).sum(axis=1)
-                total_entries += int(np.maximum(1, right - left).sum())
-                has_rows = left < right
-                if has_rows.any():
-                    segment_query.append(query[has_rows])
-                    segment_node.append(query_nodes[has_rows])
-                    segment_left.append(left[has_rows])
-                    segment_right.append(right[has_rows])
-                done[nonempty] = right < query_sizes
-            position[active] += 1
-            keep = ~done & (position[active] < end)
-            active = active[keep]
-
-        results = self._assemble_range_results(
-            num_queries, segment_query, segment_node, segment_left, segment_right
-        )
-        stats = self._range_lookup_stats(
+        bucket_ids, _ = self.representation.locate_bucket_batch(lows, ray_stats)
+        results, total_results, total_nodes, total_entries = core_compiled.range_walk_batch(
+            self._compiled_chain_tables(),
+            bucket_ids,
             lows,
-            ray_stats,
-            total_nodes,
-            total_entries,
-            sum(r.shape[0] for r in results),
+            highs,
+            max(self._range_rows_hint, 8 * num_queries),
+        )
+        self._range_rows_hint = max(self._range_rows_hint, total_results)
+        stats = self._range_lookup_stats(
+            lows, ray_stats, total_nodes, total_entries, total_results
         )
         return RangeLookupResult(row_ids=results, stats=stats)
-
-    def _assemble_range_results(
-        self,
-        num_queries: int,
-        segment_query: List[np.ndarray],
-        segment_node: List[np.ndarray],
-        segment_left: List[np.ndarray],
-        segment_right: List[np.ndarray],
-    ) -> List[np.ndarray]:
-        """Gather the collected per-node slices into per-query result arrays.
-
-        Segments were recorded in lockstep-walk order, so a stable sort by
-        query id reproduces the scalar walk order per query; one flattened
-        gather then materialises every slice without per-entry Python work.
-        """
-        empty = np.empty(0, dtype=np.uint32)
-        if not segment_query:
-            return [empty for _ in range(num_queries)]
-        query = np.concatenate(segment_query)
-        node = np.concatenate(segment_node)
-        left = np.concatenate(segment_left)
-        right = np.concatenate(segment_right)
-        order = np.argsort(query, kind="stable")
-        query, node, left, right = query[order], node[order], left[order], right[order]
-
-        lengths = right - left
-        total = int(lengths.sum())
-        slice_starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        capacity = self.nodes.node_capacity
-        flat_base = node * capacity + left
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(slice_starts, lengths)
-        values = self.nodes.row_ids_matrix.reshape(-1)[
-            np.repeat(flat_base, lengths) + offsets
-        ]
-
-        per_query = np.zeros(num_queries + 1, dtype=np.int64)
-        np.add.at(per_query, query + 1, lengths)
-        bounds = np.cumsum(per_query)
-        return [
-            values[bounds[index] : bounds[index + 1]].copy()
-            if bounds[index + 1] > bounds[index]
-            else empty
-            for index in range(num_queries)
-        ]
 
     # ---------------------------------------------------------------- updates
 
@@ -726,10 +550,11 @@ class CgRXuIndex(GpuIndex):
         # Two binary searches on the sorted batch identify each thread's slice.
         slice_ops = 2 * max(1, int(np.log2(max(insert_keys.shape[0], 2))))
 
-        if self.config.engine in ("vector", "compiled"):
+        if self.config.engine == "compiled":
             # Vectorized partitioning: both binary-search sweeps over the
             # sorted batch run as single searchsorted calls, and only buckets
-            # that actually received work are visited below.
+            # that actually received work are visited below.  The per-bucket
+            # loop is the scalar engine's reference.
             deletes_lo, deletes_hi = self._batch_ranges(delete_keys, lowers, uppers)
             inserts_lo_all, inserts_hi_all = self._batch_ranges(insert_keys, lowers, uppers)
             apply_stats.compute_ops += num_buckets * slice_ops

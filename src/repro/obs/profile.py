@@ -1,6 +1,6 @@
 """Process-wide profiling hooks for the device kernels and node chains.
 
-Hot kernels (`rtx.wavefront`, `core.updatable`) cannot take a registry
+Hot kernels (`rtx.compiled`, `core.updatable`) cannot take a registry
 parameter without disturbing their call signatures and the bit-parity
 contract between engines, so profiling uses a module-level hook: call sites
 fetch the active :class:`Profiler` with :func:`profiler` and skip all work
@@ -10,7 +10,7 @@ requirement of the observability layer.
 
 Everything observed feeds labeled instruments in a
 :class:`~repro.obs.telemetry.TelemetryRegistry`, so kernel-side counters
-(wavefront iterations, active-ray occupancy, chain-walk lengths, compaction
+(traversal iterations, active-ray occupancy, chain-walk lengths, compaction
 work) land in the same exposition/time-series surface as the serving
 metrics.
 """
@@ -48,11 +48,12 @@ class Profiler:
     def __init__(self, registry: TelemetryRegistry) -> None:
         self.registry = registry
 
-    # -- rtx.wavefront -----------------------------------------------------
+    # -- rtx.compiled ------------------------------------------------------
     def observe_wavefront(
         self, kernel: str, iterations: int, num_rays: int, lane_steps: int
     ) -> None:
-        """One wavefront kernel launch.
+        """One traversal kernel launch, seen as a lockstep wavefront (the
+        ``rtx_wavefront_*`` series keep their names).
 
         ``lane_steps`` is the sum of front sizes over all iterations (== node
         visits: each active ray advances one BVH node per iteration), so mean
@@ -87,7 +88,7 @@ class Profiler:
 
     # -- rtx.compiled / core.compiled ---------------------------------------
     def observe_compiled_fallback(self, reason: str) -> None:
-        """A ``"compiled"`` engine request degraded to the vector engine."""
+        """A ``"compiled"`` engine request degraded to the scalar engine."""
         registry = self.registry
         registry.gauge("compiled_engine_fallback", reason=reason).set(1.0)
         registry.counter("compiled_engine_fallbacks_total", reason=reason).inc()

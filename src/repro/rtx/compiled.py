@@ -1,14 +1,14 @@
 """Compiled hot-path tier: C kernels over arena-packed, pre-bound tables.
 
-The vector engine (:mod:`repro.rtx.wavefront`) advances every ray of a batch
-in lockstep, paying ~25 numpy dispatches per BVH level, and runs a point
-lookup's ray sequence as up to six separately dispatched stages.  This
-module replaces those hot paths with C kernels that make **one call per
-batch**:
+Every batched index path makes **one C call per batch** here; the scalar
+paths in :mod:`repro.rtx.traversal` and :mod:`repro.core` stay the
+reference oracle:
 
 * **Traversal megakernel.**  One loop per ray runs traversal-pop, slab test,
-  leaf intersection and stack-push back to back (no per-step numpy dispatch,
-  no masked re-gathers).
+  leaf intersection and stack-push back to back.  Closest-hit batches
+  (:func:`trace_axis_closest_batch`) tighten the ray's ``t`` on every hit;
+  all-hits batches (:func:`trace_axis_all_batch`, RX point lookups) run the
+  same loop in collect mode, appending every hit to a caller buffer.
 * **Fused point routing.**  :func:`locate_optimized_batch` runs the whole
   ray sequence of ``OptimizedRepresentation.locate_bucket`` per key inside
   one C call: key slicing, the row ray, the next-row and leftmost-in-row
@@ -34,7 +34,7 @@ The kernels are C compiled at first use with the system C compiler into a
 cached shared library and bound through :mod:`ctypes` (no Python dependency
 beyond the standard library).  ``REPRO_COMPILED_BACKEND`` selects ``cc`` (the
 default) or ``none``.  Without a usable library, callers degrade to the
-vector engine and :func:`record_fallback` issues one ``RuntimeWarning`` per
+scalar engine and :func:`record_fallback` issues one ``RuntimeWarning`` per
 reason and records a telemetry gauge (see
 :func:`repro.core.config.resolve_engine`).
 
@@ -62,16 +62,16 @@ import shutil
 import subprocess
 import tempfile
 import warnings
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.obs import profile as _profile
 from repro.rtx.traversal import TraversalEngine
-from repro.rtx.wavefront import AxisClosestBatch
 
 #: Fixed traversal stack capacity of the compiled kernels.  Trees deeper than
-#: this fall back to the vector engine (never hit in practice: the stack need
+#: this fall back to the scalar engine (never hit in practice: the stack need
 #: is ``depth + 3`` and the builder produces balanced trees).
 MAX_STACK = 512
 
@@ -153,14 +153,14 @@ def unavailable_reason() -> str:
 
 
 def record_fallback(reason: str) -> None:
-    """Note a compiled→vector degradation: warn once per reason, and record
+    """Note a compiled→scalar degradation: warn once per reason, and record
     it on the telemetry surface when a profiler is installed."""
     global last_fallback_reason
     last_fallback_reason = reason
     if reason not in _WARNED:
         _WARNED.add(reason)
         warnings.warn(
-            f"compiled engine unavailable ({reason}); running the vector engine instead",
+            f"compiled engine unavailable ({reason}); running the scalar engine instead",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -227,6 +227,16 @@ typedef struct {
 
 typedef struct { int64_t rays, nodes, triangle_tests, hits; } RayTotals;
 
+/* Collect-mode output of trace_ray: every hit as (ray, t, triangle) in
+   traversal order.  At most `capacity` hits are written; `count` counts
+   them all, so the caller can regrow and retry. */
+typedef struct {
+    int64_t ray, count, capacity;
+    int64_t* rays;
+    double* ts;
+    int64_t* triangles;
+} HitBuffer;
+
 static const int PERP_A[3] = {1, 0, 0};
 static const int PERP_B[3] = {2, 2, 1};
 
@@ -235,11 +245,13 @@ static inline uint64_t key_at(const void* keys, int is_64, int64_t i)
     return is_64 ? ((const uint64_t*)keys)[i] : (uint64_t)((const uint32_t*)keys)[i];
 }
 
-/* Closest hit of one +axis ray: TraversalEngine._trace_axis statement for
-   statement.  Returns 1 on a hit; *best_t is updated in place. */
+/* One +axis ray: TraversalEngine._trace_axis statement for statement.
+   Returns 1 when the ray hit anything.  Closest-hit mode (collect == NULL)
+   tightens *best_t on every closer hit; collect mode never tightens it and
+   appends every hit to the buffer instead. */
 static int trace_ray(const BvhTables* T, int axis, double o, double ca, double cb,
                      double* best_t, int64_t* best_tri, int64_t* visits_out,
-                     int64_t* tests_out)
+                     int64_t* tests_out, HitBuffer* collect)
 {
     const int perp_a = PERP_A[axis], perp_b = PERP_B[axis];
     const double tolerance = T->tolerance;
@@ -285,7 +297,15 @@ static int trace_ray(const BvhTables* T, int axis, double o, double ca, double c
                 if (fabs(c[perp_b] - cb) > tolerance) continue;
                 const double t = c[axis] - o;
                 if (t < 0.0 || t > bt) continue;
-                if (!has || t < bt) { has = 1; bt = t; tri_best = tri; }
+                if (collect) {
+                    const int64_t i = collect->count++;
+                    if (i < collect->capacity) {
+                        collect->rays[i] = collect->ray;
+                        collect->ts[i] = t;
+                        collect->triangles[i] = tri;
+                    }
+                    has = 1;
+                } else if (!has || t < bt) { has = 1; bt = t; tri_best = tri; }
             }
         } else {
             const int32_t left = T->node_left[n];
@@ -320,7 +340,7 @@ void trace_axis_closest(const BvhTables* T, int32_t axis, int64_t num_rays,
         const double* origin = origins + 3 * r;
         int64_t visits, tests;
         const int has = trace_ray(T, axis, origin[axis], origin[perp_a], origin[perp_b],
-                                  &t[r], &ints[r], &visits, &tests);
+                                  &t[r], &ints[r], &visits, &tests, NULL);
         hit[r] = (uint8_t)has;
         ints[num_rays + r] = visits;
         nodes += visits;
@@ -333,6 +353,36 @@ void trace_axis_closest(const BvhTables* T, int32_t axis, int64_t num_rays,
     totals[3] = hits;
 }
 
+/* All hits of a batch of +axis rays, ray by ray in traversal order, into
+   the (capacity)-long hit_rays / hit_t / hit_tri arrays; visits gets the
+   per-ray node visits.  Returns the number of hits found (more than
+   capacity means the hit arrays were too short).  totals: rays, nodes,
+   triangle tests, rays with a hit. */
+int64_t trace_axis_all(const BvhTables* T, int32_t axis, int64_t num_rays,
+                       const double* origins, const double* tmax, int64_t* visits,
+                       int64_t capacity, int64_t* hit_rays, double* hit_t,
+                       int64_t* hit_tri, int64_t* totals)
+{
+    const int perp_a = PERP_A[axis], perp_b = PERP_B[axis];
+    HitBuffer collect = {0, 0, capacity, hit_rays, hit_t, hit_tri};
+    int64_t nodes = 0, tests_total = 0, hits = 0;
+    for (int64_t r = 0; r < num_rays; r++) {
+        const double* origin = origins + 3 * r;
+        double limit = tmax[r];
+        int64_t tri, tests;
+        collect.ray = r;
+        hits += trace_ray(T, axis, origin[axis], origin[perp_a], origin[perp_b], &limit,
+                          &tri, &visits[r], &tests, &collect);
+        nodes += visits[r];
+        tests_total += tests;
+    }
+    totals[0] = num_rays;
+    totals[1] = nodes;
+    totals[2] = tests_total;
+    totals[3] = hits;
+    return collect.count;
+}
+
 /* One ray of the routing sequence from a scene-space origin. */
 static int cast(const BvhTables* T, int axis, double x, double y, double z,
                 int64_t* tri, int64_t* key_nodes, RayTotals* c)
@@ -341,7 +391,7 @@ static int cast(const BvhTables* T, int axis, double x, double y, double z,
     double bt = INFINITY;
     int64_t visits, tests;
     const int has = trace_ray(T, axis, origin[axis], origin[PERP_A[axis]],
-                              origin[PERP_B[axis]], &bt, tri, &visits, &tests);
+                              origin[PERP_B[axis]], &bt, tri, &visits, &tests, NULL);
     c->rays++;
     c->nodes += visits;
     c->triangle_tests += tests;
@@ -703,6 +753,7 @@ def _bind(lib: ctypes.CDLL) -> None:
     p, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
     signatures = {
         "trace_axis_closest": ([p, i32, i64, p, p, p, p, p], None),
+        "trace_axis_all": ([p, i32, i64, p, p, p, i64, p, p, p, p], i64),
         "locate_optimized": ([p, p, i64, p, p, p], None),
         "chain_walk": ([p, i64, p, p, p], None),
         "range_walk": ([p, i64, p, p, p, p, i64, p, p], i64),
@@ -1046,6 +1097,75 @@ def _add_ray_totals(stats, totals: np.ndarray) -> None:
 # --------------------------------------------------------------------------
 
 
+@dataclass
+class AxisClosestBatch:
+    """Closest-hit results of a batch of axis-aligned rays."""
+
+    #: Per-ray hit flag.
+    hit: np.ndarray
+    #: Per-ray hit distance (meaningless where ``hit`` is False).
+    t: np.ndarray
+    #: Per-ray primitive index (-1 for misses).
+    primitive_index: np.ndarray
+    #: Per-ray front-face flag.
+    front_face: np.ndarray
+    #: Per-ray hit point (the triangle centre, float32 like the scalar path;
+    #: zeros where the ray missed).
+    point: np.ndarray
+    #: Per-ray BVH nodes visited (for divergence sampling).
+    nodes_visited: np.ndarray
+
+    @classmethod
+    def empty(cls, num_rays: int) -> "AxisClosestBatch":
+        """``num_rays`` misses that visited no node."""
+        return cls(
+            hit=np.zeros(num_rays, dtype=bool),
+            t=np.full(num_rays, np.inf, dtype=np.float64),
+            primitive_index=np.full(num_rays, -1, dtype=np.int64),
+            front_face=np.ones(num_rays, dtype=bool),
+            point=np.zeros((num_rays, 3), dtype=np.float32),
+            nodes_visited=np.zeros(num_rays, dtype=np.int64),
+        )
+
+
+@dataclass
+class AxisAllBatch:
+    """All-hits results of a batch of axis-aligned rays (flattened, ragged).
+
+    Hits are grouped by ray and sorted by distance within each ray — the same
+    order the scalar ``trace_axis_all`` returns, including the stable
+    tie-break on traversal order.
+    """
+
+    #: Ray id of every hit (grouped, ascending).
+    ray: np.ndarray
+    #: Hit distances aligned with ``ray``.
+    t: np.ndarray
+    #: Primitive indices aligned with ``ray``.
+    primitive_index: np.ndarray
+    #: Front-face flags aligned with ``ray``.
+    front_face: np.ndarray
+    #: Hit points aligned with ``ray`` (float32 triangle centres).
+    point: np.ndarray
+    #: Number of hits per ray.
+    hit_counts: np.ndarray
+    #: Per-ray BVH nodes visited.
+    nodes_visited: np.ndarray
+
+    @classmethod
+    def empty(cls, num_rays: int) -> "AxisAllBatch":
+        """``num_rays`` misses that visited no node."""
+        return cls(
+            ray=np.empty(0, dtype=np.int64),
+            t=np.empty(0, dtype=np.float64),
+            primitive_index=np.empty(0, dtype=np.int64),
+            front_face=np.empty(0, dtype=bool),
+            point=np.zeros((0, 3), dtype=np.float32),
+            hit_counts=np.zeros(num_rays, dtype=np.int64),
+            nodes_visited=np.zeros(num_rays, dtype=np.int64),
+        )
+
+
 def trace_axis_closest_batch(
     tables: CompiledBvhTables,
     axis: int,
@@ -1072,14 +1192,7 @@ def trace_axis_closest_batch(
     )
     best_tri, nodes_visited = ints
     _add_ray_totals(stats, totals)
-
-    # Same occupancy/node-visit series the wavefront kernels feed: a
-    # megakernel "iteration" is the deepest per-ray visit count (the lockstep
-    # step count the vector engine would have needed).
-    prof = _profile.profiler()
-    if prof is not None:
-        iterations = int(nodes_visited.max()) if num_rays else 0
-        prof.observe_wavefront("compiled_axis_closest", iterations, num_rays, int(totals[1]))
+    _observe_traversal("compiled_axis_closest", nodes_visited, totals)
 
     point = np.zeros((num_rays, 3), dtype=np.float32)
     if totals[3]:
@@ -1092,6 +1205,70 @@ def trace_axis_closest_batch(
         point=point,
         nodes_visited=nodes_visited,
     )
+
+
+def trace_axis_all_batch(
+    tables: CompiledBvhTables,
+    axis: int,
+    origins: np.ndarray,
+    tmax: np.ndarray,
+    stats,
+) -> AxisAllBatch:
+    """All hits of a +``axis`` ray batch: the megakernel in collect mode.
+
+    Requires the kernel library and usable ``tables``.  The C call appends
+    hits ray by ray in traversal order into arrays sized for one hit per ray
+    (the shape of RX point lookups); a batch that finds more is rerun once
+    into exactly sized arrays, and only the final call's totals reach
+    ``stats``.  A stable sort by ``(ray, t)`` then gives the scalar
+    ``trace_axis_all`` order per ray.
+    """
+    origins = np.ascontiguousarray(origins, dtype=np.float64)
+    num_rays = int(origins.shape[0])
+    tmax = np.ascontiguousarray(tmax, dtype=np.float64)
+    check_shapes((origins, (num_rays, 3)), (tmax, (num_rays,)))
+    nodes_visited = np.empty(num_rays, dtype=np.int64)
+    totals = np.empty(4, dtype=np.int64)
+    size = max(num_rays, 1)
+    for _ in range(2):
+        ray_ids = np.empty(size, dtype=np.int64)
+        ts = np.empty(size, dtype=np.float64)
+        triangles = np.empty(size, dtype=np.int64)
+        found = _LIBRARY.trace_axis_all(
+            tables.ref, axis, num_rays, address(origins), address(tmax),
+            address(nodes_visited), size, address(ray_ids), address(ts),
+            address(triangles), address(totals),
+        )
+        if found <= size:
+            break
+        size = found
+    _add_ray_totals(stats, totals)
+    _observe_traversal("compiled_axis_all", nodes_visited, totals)
+
+    # Stable sort by (ray, t): equal-t hits keep traversal order, the same
+    # tie-break Python's stable list sort gives the scalar path.
+    order = np.lexsort((ts[:found], ray_ids[:found]))
+    ray_ids, ts, triangles = ray_ids[order], ts[order], triangles[order]
+    return AxisAllBatch(
+        ray=ray_ids,
+        t=ts,
+        primitive_index=tables.primitive_indices[triangles],
+        front_face=~tables.flipped[triangles],
+        point=tables.centroids[triangles].astype(np.float32),
+        hit_counts=np.bincount(ray_ids, minlength=num_rays).astype(np.int64),
+        nodes_visited=nodes_visited,
+    )
+
+
+def _observe_traversal(kernel: str, nodes_visited: np.ndarray, totals: np.ndarray) -> None:
+    """Feed the profiler's traversal series (kept under the historical
+    ``rtx_wavefront_*`` metric names): one "iteration" is the deepest
+    per-ray visit count, the lockstep step count of the batch."""
+    prof = _profile.profiler()
+    if prof is not None:
+        num_rays = int(nodes_visited.shape[0])
+        iterations = int(nodes_visited.max()) if num_rays else 0
+        prof.observe_wavefront(kernel, iterations, num_rays, int(totals[1]))
 
 
 def route_params(
@@ -1142,10 +1319,7 @@ def locate_optimized_batch(
         address(totals),
     )
     _add_ray_totals(stats, totals)
-    prof = _profile.profiler()
-    if prof is not None:
-        iterations = int(out[1].max()) if num_keys else 0
-        prof.observe_wavefront("compiled_locate", iterations, num_keys, int(totals[1]))
+    _observe_traversal("compiled_locate", out[1], totals)
     return out[0], out[1]
 
 

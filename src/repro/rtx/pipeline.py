@@ -50,10 +50,6 @@ class RaytracingPipeline:
         self.build_flags = build_flags
         self._bvh: Optional[Bvh] = None
         self._engine: Optional[TraversalEngine] = None
-        #: Engine used by the batched axis-ray casts: ``"vector"`` (wavefront)
-        #: or ``"compiled"`` (fused megakernel).  Indexes set this around a
-        #: batch instead of threading a parameter through every staging layer.
-        self.batch_engine = "vector"
         #: Shard-local arena backing the compiled tier's node tables; owned
         #: here (not by the per-build traversal engine) so acceleration-
         #: structure rebuilds and refits repack it in place across epochs.
@@ -174,16 +170,14 @@ class RaytracingPipeline:
         tmax: Optional[np.ndarray] = None,
         stats: Optional[RayStats] = None,
     ):
-        """Fire a batch of axis-aligned rays through the wavefront fast path.
+        """Fire a batch of axis-aligned rays through the compiled megakernel.
 
-        Returns a :class:`~repro.rtx.wavefront.AxisClosestBatch`; counters and
+        Returns a :class:`~repro.rtx.compiled.AxisClosestBatch`; counters and
         hits are identical to calling :meth:`cast_axis_closest` per ray.
         """
         engine = self._require_engine()
         local = RayStats()
-        result = engine.trace_axis_closest_batch(
-            axis, origins, tmax, local, engine=self.batch_engine
-        )
+        result = engine.trace_axis_closest_batch(axis, origins, tmax, local)
         if stats is not None:
             stats.merge(local)
         self.lifetime_stats.merge(local)
@@ -196,8 +190,7 @@ class RaytracingPipeline:
 
     def route_optimized_batch(self, params, keys: np.ndarray, stats: Optional[RayStats] = None):
         """An optimized representation's whole point routing in one compiled
-        call (see :meth:`TraversalEngine.route_optimized_batch`); ``None``
-        when the compiled tier cannot serve it."""
+        call (see :meth:`TraversalEngine.route_optimized_batch`)."""
         engine = self._require_engine()
         local = RayStats()
         result = engine.route_optimized_batch(params, keys, local)
@@ -213,7 +206,8 @@ class RaytracingPipeline:
         tmax: Optional[np.ndarray] = None,
         stats: Optional[RayStats] = None,
     ):
-        """Fire a batch of axis-aligned rays and collect every hit per ray."""
+        """Fire a batch of axis-aligned rays and collect every hit per ray
+        (a :class:`~repro.rtx.compiled.AxisAllBatch`)."""
         engine = self._require_engine()
         local = RayStats()
         result = engine.trace_axis_all_batch(axis, origins, tmax, local)
@@ -222,25 +216,11 @@ class RaytracingPipeline:
         self.lifetime_stats.merge(local)
         return result
 
-    def launch_closest(self, rays: Sequence[Ray], engine: str = "scalar") -> LaunchResult:
-        """Fire a batch of rays (one simulated thread each) and collect closest hits.
-
-        ``engine="vector"`` routes the batch through the wavefront traversal;
-        hits and counters are identical either way.
-        """
+    def launch_closest(self, rays: Sequence[Ray]) -> LaunchResult:
+        """Fire a batch of rays (one simulated thread each) and collect closest hits."""
         result = LaunchResult()
-        # The compiled tier covers axis-aligned closest-hit batches only;
-        # general-direction launches execute on the wavefront path under it.
-        if engine in ("vector", "compiled"):
-            traversal = self._require_engine()
-            local = RayStats()
-            result.hits = traversal.trace_closest_batch(rays, local)
-            result.stats.merge(local)
-            self.lifetime_stats.merge(local)
-            return result
         for ray in rays:
-            record = self.cast_closest(ray, result.stats)
-            result.hits.append(record)
+            result.hits.append(self.cast_closest(ray, result.stats))
         return result
 
     def _require_engine(self) -> TraversalEngine:

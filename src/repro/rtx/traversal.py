@@ -111,7 +111,7 @@ class TraversalEngine:
         #: Aggregate statistics over all rays traced by this engine.
         self.stats = RayStats()
         self._fast_tables: Optional[tuple] = None
-        self._soa = None
+        self._node_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Shard-local arena for the compiled tier's quantized node tables;
         #: owned by the pipeline so rebuilds/refits repack it in place.
         self._compiled_arena = compiled_arena
@@ -121,18 +121,15 @@ class TraversalEngine:
     def bvh(self) -> Bvh:
         return self._bvh
 
-    def soa(self):
-        """Contiguous SoA views of the BVH, built once per engine.
-
-        Shared by the scalar slab tests (which previously promoted float32
-        node rows to doubles on every visit) and by the wavefront batch
-        kernels in :mod:`repro.rtx.wavefront`.
-        """
-        if self._soa is None:
-            from repro.rtx.wavefront import SoaBvh
-
-            self._soa = SoaBvh(self._bvh)
-        return self._soa
+    def node_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The BVH node bounds promoted to float64, built once per engine so
+        the general-ray slab tests do not promote a node row per visit."""
+        if self._node_bounds is None:
+            self._node_bounds = (
+                self._bvh.node_min.astype(np.float64),
+                self._bvh.node_max.astype(np.float64),
+            )
+        return self._node_bounds
 
     def compiled_tables(self):
         """Quantized cache-blocked node tables for the compiled megakernel.
@@ -166,16 +163,14 @@ class TraversalEngine:
         """The optimized representation's point routing in one compiled call.
 
         Returns ``(bucket_ids, nodes_visited)`` (see
-        :func:`repro.rtx.compiled.locate_optimized_batch`), or ``None`` when
-        the compiled tier cannot serve the batch; ``stats`` and the engine's
-        own counters accumulate the exact ray totals.
+        :func:`repro.rtx.compiled.locate_optimized_batch`); ``stats`` and
+        the engine's own counters accumulate the exact ray totals.  Requires
+        the compiled tier (callers resolve the engine first).
         """
-        if not self._compiled_ready():
-            return None
         from repro.rtx import compiled
 
         delta = RayStats()
-        result = compiled.locate_optimized_batch(self._compiled_tables, params, keys, delta)
+        result = compiled.locate_optimized_batch(self.compiled_tables(), params, keys, delta)
         stats.merge(delta)
         self.stats.merge(delta)
         return result
@@ -206,7 +201,7 @@ class TraversalEngine:
             self.stats.merge(stats)
             return record
 
-        soa = self.soa()
+        node_min, node_max = self.node_bounds()
         origin, inv_dir, parallel = self._prepare_ray(ray)
         best_t = ray.tmax
         stack: List[int] = [0]
@@ -220,8 +215,8 @@ class TraversalEngine:
                 parallel,
                 ray.tmin,
                 best_t,
-                soa.node_min[index],
-                soa.node_max[index],
+                node_min[index],
+                node_max[index],
             ):
                 continue
             count = int(bvh.node_count[index])
@@ -274,7 +269,7 @@ class TraversalEngine:
             self.stats.merge(stats)
             return hits
 
-        soa = self.soa()
+        node_min, node_max = self.node_bounds()
         origin, inv_dir, parallel = self._prepare_ray(ray)
         stack: List[int] = [0]
         while stack:
@@ -287,8 +282,8 @@ class TraversalEngine:
                 parallel,
                 ray.tmin,
                 ray.tmax,
-                soa.node_min[index],
-                soa.node_max[index],
+                node_min[index],
+                node_max[index],
             ):
                 continue
             count = int(bvh.node_count[index])
@@ -493,42 +488,34 @@ class TraversalEngine:
         local = stats if stats is not None else RayStats()
         return self._trace_axis(axis, origin, tmax, collect_all=True, stats=local)
 
-    # ------------------------------------------------------- wavefront batches
+    # --------------------------------------------------------- compiled batches
 
-    def _trace_axis_batch(self, axis, origins, tmax, collect_all, stats, engine="vector"):
-        """Shared batch entry: trace a whole axis-ray batch through one kernel.
+    def _trace_axis_batch(self, axis, origins, tmax, collect_all, stats):
+        """Shared batch entry: a whole axis-ray batch in one compiled call.
 
-        ``engine="compiled"`` routes closest-hit batches through the fused
-        megakernel of :mod:`repro.rtx.compiled` (which reads the compiled
-        tables and the scene, never the wavefront ``SoaBvh``); all-hits
-        batches (and any batch the compiled tier cannot serve) take the
-        wavefront path.  Both kernels produce identical hits and counters.
+        An empty batch or an empty tree is answered here (every ray a miss);
+        anything else requires the compiled tier, which callers resolve
+        first (see :func:`repro.core.config.resolve_engine`).
         """
-        from repro.rtx import wavefront
+        from repro.rtx import compiled
 
         origins = np.asarray(origins, dtype=np.float64)
+        num_rays = int(origins.shape[0])
         if tmax is None:
-            tmax = np.full(origins.shape[0], np.inf, dtype=np.float64)
-        else:
-            tmax = np.asarray(tmax, dtype=np.float64)
+            tmax = np.full(num_rays, np.inf, dtype=np.float64)
         delta = RayStats()
-        result = None
-        if (
-            engine == "compiled"
-            and not collect_all
-            and origins.shape[0]
-            and self._bvh.num_nodes
-            and self._compiled_ready()
-        ):
-            from repro.rtx import compiled
-
-            result = compiled.trace_axis_closest_batch(
-                self._compiled_tables, axis, origins, tmax, delta
+        if num_rays == 0 or self._bvh.num_nodes == 0:
+            delta.rays_cast += num_rays
+            delta.misses += num_rays
+            result_type = compiled.AxisAllBatch if collect_all else compiled.AxisClosestBatch
+            result = result_type.empty(num_rays)
+        else:
+            kernel = (
+                compiled.trace_axis_all_batch
+                if collect_all
+                else compiled.trace_axis_closest_batch
             )
-        if result is None:
-            result = wavefront.trace_axis_batch(
-                self.soa(), axis, origins, tmax, self.AXIS_HIT_TOLERANCE, collect_all, delta
-            )
+            result = kernel(self.compiled_tables(), axis, origins, tmax, delta)
         if stats is not None:
             stats.merge(delta)
         self.stats.merge(delta)
@@ -540,15 +527,14 @@ class TraversalEngine:
         origins: np.ndarray,
         tmax: Optional[np.ndarray] = None,
         stats: Optional[RayStats] = None,
-        engine: str = "vector",
     ):
-        """Closest hits of a batch of +``axis`` rays (wavefront or compiled).
+        """Closest hits of a batch of +``axis`` rays (compiled megakernel).
 
-        Returns a :class:`~repro.rtx.wavefront.AxisClosestBatch`; hit records,
+        Returns a :class:`~repro.rtx.compiled.AxisClosestBatch`; hit records,
         per-ray node visits and ``stats`` totals are identical to calling
-        :meth:`trace_axis_closest` per ray, whichever engine executes.
+        :meth:`trace_axis_closest` per ray.
         """
-        return self._trace_axis_batch(axis, origins, tmax, False, stats, engine)
+        return self._trace_axis_batch(axis, origins, tmax, False, stats)
 
     def trace_axis_all_batch(
         self,
@@ -556,37 +542,13 @@ class TraversalEngine:
         origins: np.ndarray,
         tmax: Optional[np.ndarray] = None,
         stats: Optional[RayStats] = None,
-        engine: str = "vector",
     ):
-        """All hits of a batch of +``axis`` rays (wavefront lockstep).
+        """All hits of a batch of +``axis`` rays (megakernel in collect mode).
 
-        Returns a :class:`~repro.rtx.wavefront.AxisAllBatch` with hits grouped
-        by ray and sorted by distance, matching :meth:`trace_axis_all`.  The
-        compiled tier covers only closest-hit batches, so all-hits batches
-        stay on the wavefront kernels under every engine.
+        Returns a :class:`~repro.rtx.compiled.AxisAllBatch` with hits grouped
+        by ray and sorted by distance, matching :meth:`trace_axis_all`.
         """
-        return self._trace_axis_batch(axis, origins, tmax, True, stats, engine)
-
-    def trace_closest_batch(
-        self,
-        rays: Sequence[Ray],
-        stats: Optional[RayStats] = None,
-    ) -> List[HitRecord]:
-        """Closest hits of a batch of arbitrary rays via the wavefront path.
-
-        The slab tests run vectorized over the active ray front; results and
-        counters match :meth:`trace_closest` applied per ray.
-        """
-        from repro.rtx import wavefront
-
-        delta = RayStats()
-        records = wavefront.trace_closest_batch(
-            self.soa(), self._vertices, self._primitive_indices, rays, delta
-        )
-        if stats is not None:
-            stats.merge(delta)
-        self.stats.merge(delta)
-        return records
+        return self._trace_axis_batch(axis, origins, tmax, True, stats)
 
 
 #: For each ray axis, the two perpendicular axes checked by the fast path.

@@ -47,6 +47,17 @@ def negative_key_mask(keys: np.ndarray) -> "np.ndarray | None":
     return None
 
 
+def empty_range_mask(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Ranges that touch no shard: inverted (``high < low``) or entirely
+    negative (``high < 0``), exactly as :meth:`Partitioner.shards_for_range`
+    decides per query."""
+    empty = routing_keys(highs) < routing_keys(lows)
+    negative = negative_key_mask(highs)
+    if negative is not None:
+        empty |= negative
+    return empty
+
+
 class Partitioner(ABC):
     """Maps keys (and key ranges) of an index deployment onto shards."""
 
@@ -158,19 +169,17 @@ class RangePartitioner(Partitioner):
     def shard_span_batch(
         self, lows: np.ndarray, highs: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
-        lows = np.asarray(lows)
-        highs = np.asarray(highs)
-        empty = negative_key_mask(highs)
         first = np.searchsorted(
             self.boundaries, routing_keys(lows), side="right"
         ).astype(np.int64)
         last = np.searchsorted(
             self.boundaries, routing_keys(highs), side="right"
         ).astype(np.int64)
-        if empty is not None:
-            # Entirely-negative ranges touch no shard: empty span (first > last).
-            first[empty] = 1
-            last[empty] = 0
+        # Inverted and entirely-negative ranges touch no shard: an empty
+        # span (first > last).
+        empty = empty_range_mask(lows, highs)
+        first[empty] = 1
+        last[empty] = 0
         return first, last
 
     def routing_compute_ops(self, num_keys: int) -> int:
@@ -226,10 +235,9 @@ class HashPartitioner(Partitioner):
         num = np.asarray(lows).shape[0]
         first = np.zeros(num, dtype=np.int64)
         last = np.full(num, self.num_shards - 1, dtype=np.int64)
-        empty = negative_key_mask(np.asarray(highs))
-        if empty is not None:
-            first[empty] = 1
-            last[empty] = 0
+        empty = empty_range_mask(lows, highs)
+        first[empty] = 1
+        last[empty] = 0
         return first, last
 
 

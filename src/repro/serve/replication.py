@@ -811,8 +811,8 @@ class ReplicaGroup:
                     parent=read_span,
                     shard=self.shard_id,
                     replica=replica.replica_id,
-                    engine=getattr(replica.index, "engine", None)
-                    or getattr(getattr(replica.index, "config", None), "engine", None),
+                    # The engine that actually ran (range results carry none).
+                    engine=getattr(result, "engine", None),
                 )
             return result
 
@@ -1158,7 +1158,6 @@ class ReplicatedShardRouter(ShardRouter):
         partitioner: str = "range",
         key_bits: int = 64,
         device: GpuDevice = RTX_4090,
-        engine: str = "vector",
         replication: Optional[ReplicationConfig] = None,
         clock: Optional[SimulatedClock] = None,
     ) -> None:
@@ -1173,7 +1172,6 @@ class ReplicatedShardRouter(ShardRouter):
             partitioner=partitioner,
             key_bits=key_bits,
             device=device,
-            engine=engine,
         )
 
     def _build_shard(self, shard) -> List[KernelStats]:

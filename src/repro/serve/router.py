@@ -28,7 +28,6 @@ from repro.baselines.base import (
     cancel_opposing_updates,
     delete_one_per_key,
 )
-from repro.core.config import validate_engine
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats, combine
 from repro.obs.trace import NULL_TRACER
@@ -138,13 +137,9 @@ class ShardRouter:
         partitioner: str = "range",
         key_bits: int = 64,
         device: GpuDevice = RTX_4090,
-        engine: str = "vector",
     ) -> None:
         if key_bits not in (32, 64):
             raise ValueError("key_bits must be 32 or 64")
-        #: Scatter/gather execution engine (``"vector"`` scatters range
-        #: batches with one vectorized span computation; answers identical).
-        self.engine = validate_engine(engine)
         self.key_bits = key_bits
         self.key_bytes = key_bits // 8
         self._key_dtype = np.uint32 if key_bits == 32 else np.uint64
@@ -640,7 +635,6 @@ class ShardRouter:
                 category="router",
                 lane="router",
                 batch_size=num,
-                engine=self.engine,
                 partitioner=self.partitioner.kind,
             )
         try:
@@ -707,24 +701,16 @@ class ShardRouter:
         self.last_calls = []
         self.last_unavailable_shards = []
 
-        # Scatter: shard -> positions of the queries that touch it.  The
-        # vector engine computes every query's shard span in two vectorized
-        # searchsorted sweeps instead of a per-query Python loop.  Routing
-        # sees the *raw* endpoints so entirely-negative ranges get an empty
-        # shard span instead of a clamped one.
-        per_shard: Dict[int, "List[int] | np.ndarray"] = {}
-        # Span dispatch is plain searchsorted math; "compiled" behaves as
-        # "vector" here and accelerates inside the shards instead.
-        if self.engine != "scalar" and num:
-            first, last = self.partitioner.shard_span_batch(lows_raw, highs_raw)
-            for shard_id in range(self.num_shards):
-                member = np.nonzero((first <= shard_id) & (shard_id <= last))[0]
-                if member.size:
-                    per_shard[shard_id] = member
-        else:
-            for position in range(num):
-                for shard_id in self.partitioner.shards_for_range(int(lows_raw[position]), int(highs_raw[position])):
-                    per_shard.setdefault(int(shard_id), []).append(position)
+        # Scatter: shard -> positions of the queries that touch it, from
+        # every query's shard span in two vectorized searchsorted sweeps.
+        # Routing sees the *raw* endpoints so entirely-negative ranges get an
+        # empty shard span instead of a clamped one.
+        per_shard: Dict[int, np.ndarray] = {}
+        first, last = self.partitioner.shard_span_batch(lows_raw, highs_raw)
+        for shard_id in range(self.num_shards):
+            member = np.nonzero((first <= shard_id) & (shard_id <= last))[0]
+            if member.size:
+                per_shard[shard_id] = member
 
         tracer = self.tracer
         scatter_span = None
@@ -736,7 +722,6 @@ class ShardRouter:
                 category="router",
                 lane="router",
                 batch_size=num,
-                engine=self.engine,
                 partitioner=self.partitioner.kind,
                 kind="range",
             )

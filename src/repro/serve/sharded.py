@@ -88,12 +88,6 @@ class ServeConfig:
     write_quorum: Optional[int] = None
     #: Apply-log records retained per shard for replica catch-up.
     log_capacity: int = 64
-    #: Scatter/gather execution engine of the shard router: ``"compiled"``
-    #: (the default; the router's span computation is the vector one, the
-    #: compiled hot path runs inside the shards), ``"vector"`` (batched span
-    #: computation) or ``"scalar"``; answers are identical under all three.
-    #: The shards' own engine comes from their index configuration.
-    engine: str = "compiled"
     #: Arm the request tracer: every served request, batch execution,
     #: replica read/failover and maintenance window records a span on the
     #: simulated clock (exportable as Chrome trace-event JSON).  Tracing is
@@ -228,7 +222,6 @@ class ShardedIndex(GpuIndex):
                 partitioner=self.config.partitioner,
                 key_bits=self.config.key_bits,
                 device=device,
-                engine=self.config.engine,
                 replication=self.config.replication(),
                 clock=self.clock,
             )
@@ -241,7 +234,6 @@ class ShardedIndex(GpuIndex):
                 partitioner=self.config.partitioner,
                 key_bits=self.config.key_bits,
                 device=device,
-                engine=self.config.engine,
             )
         #: Tail-tolerance machinery shared by every replica group (``None``
         #: when :attr:`ServeConfig.reliability` is unset): retry budgets,
@@ -936,6 +928,7 @@ class ShardedIndex(GpuIndex):
             elif tracer.enabled:
                 # The batch span is the propagation context: replica reads
                 # and engine kernels recorded below it become its children.
+                # Its engine is the one that ran, known once the call returns.
                 batch_span = tracer.push_span(
                     "batch.execute",
                     exec_start,
@@ -944,7 +937,7 @@ class ShardedIndex(GpuIndex):
                     shard=batch.shard_id,
                     batch_size=batch.size,
                     reason=batch.reason,
-                    engine=self.config.engine,
+                    engine=None,
                     epoch=getattr(shard.index, "epoch", None),
                 )
                 try:
@@ -956,6 +949,7 @@ class ShardedIndex(GpuIndex):
                 exec_ms = shard.index.lookup_time_ms(result)
                 batch_span.duration_ms = exec_ms
                 executed_engine = result.engine
+                batch_span.attributes["engine"] = executed_engine
             else:
                 result = shard.index.point_lookup_batch(batch_keys)
                 row_agg = result.row_ids
@@ -1020,13 +1014,19 @@ class ShardedIndex(GpuIndex):
                     metrics.record_client(int(client_ids[batch.request_ids[position]]))
             if tracer.enabled:
                 self._trace_batch_requests(
-                    tracer, batch, exec_start, completion_ms, device_ms, overhead_ms
+                    tracer,
+                    batch,
+                    exec_start,
+                    completion_ms,
+                    device_ms,
+                    overhead_ms,
+                    executed_engine,
                 )
             metrics.record_shard_batch(batch.shard_id, batch.size, exec_ms)
             metrics.bump(f"batches_{batch.reason}")
             if executed_engine is not None:
                 # Which batch engine actually ran (a compiled request may
-                # have degraded to vector).
+                # have degraded to scalar).
                 metrics.bump(f"engine_batches_{executed_engine}")
             if self.cache is not None and not (unavailable or stale):
                 # Unavailable (miss-shaped) and stale answers never enter the
@@ -1060,9 +1060,10 @@ class ShardedIndex(GpuIndex):
         )
 
     def _trace_batch_requests(
-        self, tracer, batch, exec_start, completion_ms, device_ms, overhead_ms
+        self, tracer, batch, exec_start, completion_ms, device_ms, overhead_ms, engine
     ) -> None:
-        """Emit the per-request stage spans of one completed batch.
+        """Emit the per-request stage spans of one completed batch, tagged
+        with the ``engine`` that executed it.
 
         Stage attribute dicts are built once per batch and shared across its
         requests (spans never mutate attributes after emission), and spans go
@@ -1074,7 +1075,6 @@ class ShardedIndex(GpuIndex):
         pending = self._request_trace_ids
         shard_id = batch.shard_id
         size = batch.size
-        engine = self.config.engine
         dispatch_ms = batch.dispatch_ms
         request_ids = batch.request_ids.tolist()
         arrivals = batch.arrival_ms.tolist()

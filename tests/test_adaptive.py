@@ -101,6 +101,28 @@ def test_shard_span_batch_negative_and_empty(keyset, kind):
     assert first.shape == (0,) and last.shape == (0,)
 
 
+@pytest.mark.parametrize("kind", ["range", "hash"])
+def test_shard_span_batch_matches_per_query_spans(keyset, kind):
+    """The router scatters every range batch by ``shard_span_batch``: its
+    spans equal the per-query ``shards_for_range``, negative, inverted and
+    empty ranges included."""
+    if kind == "range":
+        partitioner = RangePartitioner(keyset.keys, num_shards=4)
+    else:
+        partitioner = HashPartitioner(num_shards=4)
+    rng = np.random.default_rng(57)
+    sorted_keys = np.sort(keyset.keys).astype(np.int64)
+    lows = rng.choice(sorted_keys, size=96)
+    highs = lows + rng.integers(-(1 << 40), 1 << 60, size=96)
+    lows = np.concatenate([lows, [-100, -50, -1, 0, 5, 0], sorted_keys[[3, 800]]])
+    highs = np.concatenate([highs, [-10, 7, -1, 0, 4, -3], sorted_keys[[3, 500]]])
+    first, last = partitioner.shard_span_batch(lows, highs)
+    for position in range(lows.shape[0]):
+        expected = partitioner.shards_for_range(int(lows[position]), int(highs[position]))
+        spanned = np.arange(first[position], last[position] + 1)
+        assert spanned.tolist() == expected.tolist(), (lows[position], highs[position])
+
+
 def test_router_negative_point_keys_are_deterministic_misses(keyset):
     index = ShardedIndex(
         keyset.keys, config=ServeConfig(num_shards=4, cache_capacity=0)

@@ -37,28 +37,25 @@ CONTRACT_FACTORIES = {
     "hash_table": hash_table_factory(),
     "rtscan": rtscan_factory(),
     # Engine-parametrized index types: the same contract must hold for the
-    # vector and the scalar reference execution engine (the compiled
-    # default is covered by the suites that use the factories' defaults).
-    "rx[vector]": rx_factory(engine="vector"),
+    # compiled and the scalar reference execution engine.
+    "rx[compiled]": rx_factory(engine="compiled"),
     "rx[scalar]": rx_factory(engine="scalar"),
-    "cgrxu[vector]": cgrxu_factory(128, engine="vector"),
+    "cgrxu[compiled]": cgrxu_factory(128, engine="compiled"),
     "cgrxu[scalar]": cgrxu_factory(128, engine="scalar"),
     "sharded_range_sa": sharded_factory(
         inner=sorted_array_factory(), num_shards=4, partitioner="range", cache_capacity=128
     ),
-    "sharded_hash_cgrx[vector]": sharded_factory(
-        inner=cgrx_factory(32, engine="vector"),
+    "sharded_hash_cgrx[compiled]": sharded_factory(
+        inner=cgrx_factory(32, engine="compiled"),
         num_shards=3,
         partitioner="hash",
         cache_capacity=0,
-        engine="vector",
     ),
     "sharded_hash_cgrx[scalar]": sharded_factory(
         inner=cgrx_factory(32, engine="scalar"),
         num_shards=3,
         partitioner="hash",
         cache_capacity=0,
-        engine="scalar",
     ),
 }
 

@@ -2,13 +2,14 @@
 
 The scalar paths remain the reference oracle.  Everything here drives the
 same workloads through ``engine="compiled"`` (the default) and asserts
-**byte-identical results and identical instrumentation counters**, exactly
-like the vector suite — plus the compiled-tier-specific contracts: the C BVH
-builder's arrays equal the Python builder's, fused point routing and the C
-range walk match the scalar procedures key for key, each hot index path is
-one C call per batch, quantized AABBs are rounded conservatively outward,
-shard-local arenas are rebuilt in place, the kernel build is safe under
-concurrency and corruption, and a fallback to the vector engine is loud.
+**byte-identical results and identical instrumentation counters** — plus the
+compiled-tier-specific contracts: the C BVH builder's arrays equal the
+Python builder's, the closest-hit and all-hits megakernels, fused point
+routing and the C range walk match the scalar procedures ray for ray and key
+for key, each hot index path is one C call per batch, quantized AABBs are
+rounded conservatively outward, shard-local arenas are rebuilt in place, the
+kernel build is safe under concurrency and corruption, and a fallback to the
+scalar engine is loud.
 
 Backend handling: tests that need the C kernels skip when the environment
 has none (e.g. ``REPRO_COMPILED_BACKEND=none``); tests that need a specific
@@ -26,15 +27,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.baselines.rx import RXIndex
 from repro.core.config import CgRXConfig, CgRXuConfig, resolve_engine
 from repro.core.index import CgRXIndex
 from repro.core.updatable import CgRXuIndex
 from repro.rtx import compiled
 from repro.rtx.bvh import BvhBuildConfig, build_bvh, build_bvh_python
-from repro.rtx.geometry import Ray
 from repro.rtx.scene import TriangleScene, VertexBuffer
 from repro.rtx.traversal import RayStats, TraversalEngine
-from repro.rtx.wavefront import RayBatch
 from repro.workloads.keygen import generate_keys
 from repro.workloads.lookups import hit_miss_lookups, range_lookups
 from repro.workloads.requests import zipf_request_stream
@@ -139,9 +139,7 @@ def test_megakernel_axis_closest_matches_scalar(axis, rng):
         hits.append(scalar_engine.trace_axis_closest(axis, tuple(origin), float(limit), stats=local))
         scalar_stats.merge(local)
     batch_stats = RayStats()
-    batch = batch_engine.trace_axis_closest_batch(
-        axis, origins, tmax, stats=batch_stats, engine="compiled"
-    )
+    batch = batch_engine.trace_axis_closest_batch(axis, origins, tmax, stats=batch_stats)
 
     assert dataclasses.asdict(scalar_stats) == dataclasses.asdict(batch_stats)
     for position, record in enumerate(hits):
@@ -153,13 +151,100 @@ def test_megakernel_axis_closest_matches_scalar(axis, rng):
             assert np.array_equal(record.point, batch.point[position])
 
 
+def scalar_all_hits(engine, axis, origins, tmax):
+    """Per-ray scalar ``trace_axis_all`` hits and their merged counters."""
+    stats = RayStats()
+    hits = []
+    for origin, limit in zip(origins, tmax):
+        local = RayStats()
+        hits.append(engine.trace_axis_all(axis, tuple(origin), float(limit), stats=local))
+        stats.merge(local)
+    return hits, stats
+
+
+def assert_all_hits_identical(scalar_hits, batch) -> None:
+    offset = 0
+    for position, hits in enumerate(scalar_hits):
+        count = int(batch.hit_counts[position])
+        assert len(hits) == count
+        for index, record in enumerate(hits):
+            assert batch.ray[offset + index] == position
+            assert record.primitive_index == batch.primitive_index[offset + index]
+            assert record.t == batch.t[offset + index]
+            assert record.front_face == bool(batch.front_face[offset + index])
+            assert np.array_equal(record.point, batch.point[offset + index])
+        offset += count
+    assert offset == batch.ray.shape[0]
+
+
 @requires_backend
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_megakernel_axis_all_matches_scalar(axis, rng):
+    # A dense 12^3 grid with repeated points: rays collect several hits, many
+    # at equal distance (ties keep traversal order), and finite tmax limits
+    # cut some of them off.
+    points = [tuple(point) for point in rng.integers(0, 12, size=(160, 3))]
+    points += points[:40]
+    flips = list(rng.random(len(points)) < 0.3)
+    scalar_engine, batch_engine = build_engines(points, flips)
+    origins = rng.integers(0, 12, size=(96, 3)).astype(np.float64)
+    origins[:, axis] -= 0.5
+    tmax = np.where(rng.random(96) < 0.5, np.inf, rng.integers(0, 8, 96) + 0.5)
+
+    scalar_hits, scalar_stats = scalar_all_hits(scalar_engine, axis, origins, tmax)
+    batch_stats = RayStats()
+    batch = batch_engine.trace_axis_all_batch(axis, origins, tmax, stats=batch_stats)
+
+    assert any(len(hits) > 1 for hits in scalar_hits)
+    assert_stats_identical(scalar_stats, batch_stats)
+    assert_stats_identical(scalar_engine.stats, batch_engine.stats)
+    assert_all_hits_identical(scalar_hits, batch)
+
+
+@requires_backend
+def test_c_axis_all_regrows_a_small_buffer(rng, count_calls):
+    points = [tuple(point) for point in rng.integers(0, 6, size=(120, 3))]
+    scalar_engine, batch_engine = build_engines(points)
+    origins = rng.integers(0, 6, size=(32, 3)).astype(np.float64)
+    origins[:, 0] -= 0.5
+    tmax = np.full(32, np.inf)
+    scalar_hits, scalar_stats = scalar_all_hits(scalar_engine, 0, origins, tmax)
+    # Rows of a dense grid: more hits than rays, so the buffer sized for
+    # one hit per ray is too short.
+    assert sum(len(hits) for hits in scalar_hits) > len(origins)
+
+    batch_stats = RayStats()
+    count_calls.clear()
+    batch = batch_engine.trace_axis_all_batch(0, origins, tmax, stats=batch_stats)
+    # One retry into an exactly sized buffer; counters counted once.
+    assert count_calls == {"trace_axis_all": 2}
+    assert_stats_identical(scalar_stats, batch_stats)
+    assert_all_hits_identical(scalar_hits, batch)
+
+
 def test_megakernel_empty_scene_falls_back_cleanly():
     engine = TraversalEngine(build_bvh(TriangleScene.from_triangles([])))
     stats = RayStats()
-    batch = engine.trace_axis_closest_batch(0, np.zeros((3, 3)), stats=stats, engine="compiled")
+    batch = engine.trace_axis_closest_batch(0, np.zeros((3, 3)), stats=stats)
     assert not batch.hit.any()
     assert stats.misses == 3 and stats.rays_cast == 3
+
+
+def test_axis_all_batch_empty_scene_and_empty_batch():
+    # Both are answered without the C kernels, so no backend is needed.
+    empty_scene = TraversalEngine(build_bvh(TriangleScene.from_triangles([])))
+    stats = RayStats()
+    every = empty_scene.trace_axis_all_batch(2, np.zeros((4, 3)), stats=stats)
+    assert every.hit_counts.tolist() == [0, 0, 0, 0] and every.ray.shape == (0,)
+    assert stats.misses == 4 and stats.rays_cast == 4
+    assert empty_scene.stats.misses == 4
+
+    _, engine = build_engines([(1, 1, 1), (2, 2, 2)])
+    stats = RayStats()
+    empty = engine.trace_axis_all_batch(1, np.zeros((0, 3)), stats=stats)
+    assert empty.hit_counts.shape == (0,) and empty.ray.shape == (0,)
+    assert engine.trace_axis_closest_batch(1, np.zeros((0, 3)), stats=stats).hit.shape == (0,)
+    assert stats.rays_cast == 0 and engine.stats.rays_cast == 0
 
 
 # --------------------------------------------------------------------------
@@ -259,9 +344,9 @@ def test_compiled_paths_keep_one_copy_of_the_scene_tables():
         index.point_lookup_batch(lookups)
         index.range_lookup_batch(lows, highs)
         engine = index.pipeline._engine
-        # No wavefront SoaBvh next to the arena, and the arena aliases the
-        # scene's centroids instead of copying them.
-        assert engine._soa is None
+        # No float64 copy of the node bounds next to the arena, and the arena
+        # aliases the scene's centroids instead of copying them.
+        assert engine._node_bounds is None
         assert engine.compiled_tables().centroids is index.pipeline.bvh.scene.centres
 
 
@@ -347,11 +432,7 @@ def test_fused_routing_matches_scalar_locate_bucket(kind, key_bits, scaled, coun
 
     fused_stats = RayStats()
     count_calls.clear()
-    index.pipeline.batch_engine = "compiled"
-    try:
-        buckets, nodes = representation.locate_bucket_batch(probes, fused_stats)
-    finally:
-        index.pipeline.batch_engine = "vector"
+    buckets, nodes = representation.locate_bucket_batch(probes, fused_stats)
     assert count_calls == {"locate_optimized": 1}
     assert buckets.tolist() == scalar_buckets
     assert nodes.tolist() == scalar_nodes
@@ -444,7 +525,7 @@ def test_c_range_walk_regrows_a_small_buffer():
     index = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32))
     lows, highs = range_lookups(keyset, count=16, expected_hits=50, seed=97)
     reference = index.range_lookup_batch(lows, highs)
-    bucket_ids, _ = index._route_batch(lows, RayStats(), "compiled")
+    bucket_ids, _ = index.representation.locate_bucket_batch(lows, RayStats())
     rows, total, _, _ = core_compiled.range_walk_batch(
         index._compiled_chain_tables(), bucket_ids, lows, highs, capacity=3
     )
@@ -464,11 +545,15 @@ def test_one_c_call_per_hot_path_batch(count_calls):
     lows, highs = range_lookups(keyset, count=32, expected_hits=20, seed=100)
     cgrx = CgRXIndex(keyset.keys, keyset.row_ids)
     cgrxu = CgRXuIndex(keyset.keys, keyset.row_ids)
+    rx = RXIndex(keyset.keys, keyset.row_ids)
     cgrxu.range_lookup_batch(lows, highs)  # sizes the range walk's buffer
     count_calls.clear()
 
     cgrx.point_lookup_batch(lookups)
     assert count_calls == {"locate_optimized": 1}
+    count_calls.clear()
+    assert rx.point_lookup_batch(lookups).engine == "compiled"
+    assert count_calls == {"trace_axis_all": 1}
     count_calls.clear()
     cgrxu.point_lookup_batch(lookups)
     assert count_calls == {"locate_optimized": 1, "chain_walk": 1}
@@ -717,6 +802,31 @@ def test_cgrx_compiled_identical(key_bits):
 
 
 # --------------------------------------------------------------------------
+# RX: all-hits point lookups on the collect-mode megakernel
+# --------------------------------------------------------------------------
+
+
+@requires_backend
+@pytest.mark.parametrize("key_bits", [32, 64])
+def test_rx_compiled_identical(key_bits):
+    keyset = generate_keys(2048, uniformity=0.6, key_bits=key_bits, seed=55)
+    # Duplicate keys give rays several hits each (and force the all-hits
+    # buffer to regrow); misses and out-of-range keys give rays none.
+    keys = np.concatenate([keyset.keys, keyset.keys[:300], keyset.keys[:50]])
+    row_ids = np.arange(keys.shape[0], dtype=np.uint32)
+    lookups = hit_miss_lookups(
+        keyset, 512, miss_fraction=0.3, out_of_range_fraction=0.5, seed=56
+    )
+    scalar = RXIndex(keys, row_ids, key_bits=key_bits, engine="scalar")
+    comp = RXIndex(keys, row_ids, key_bits=key_bits, engine="compiled")
+    scalar_result = scalar.point_lookup_batch(lookups)
+    comp_result = comp.point_lookup_batch(lookups)
+    assert comp_result.engine == "compiled" and scalar_result.engine == "scalar"
+    assert comp_result.match_counts.max() > 1 and (comp_result.match_counts == 0).any()
+    assert_point_identical(scalar_result, comp_result)
+
+
+# --------------------------------------------------------------------------
 # Degradation and configuration plumbing
 # --------------------------------------------------------------------------
 
@@ -724,26 +834,27 @@ def test_cgrx_compiled_identical(key_bits):
 def test_resolve_engine_degrades_without_backend(pinned_backend):
     pinned_backend("none")
     assert compiled.available_backend() is None
-    assert resolve_engine("compiled") == "vector"
+    assert resolve_engine("compiled") == "scalar"
     assert compiled.last_fallback_reason == "no_backend"
-    assert resolve_engine("vector") == "vector"
     assert resolve_engine("scalar") == "scalar"
 
 
-def test_degraded_compiled_index_matches_vector(pinned_backend):
-    """No backend at all: engine="compiled" silently serves the vector path."""
+def test_degraded_compiled_index_matches_scalar(pinned_backend):
+    """No backend at all: engine="compiled" serves the scalar path."""
     pinned_backend("none")
     keyset = generate_keys(1024, uniformity=0.5, key_bits=32, seed=71)
     lookups = hit_miss_lookups(keyset, 256, miss_fraction=0.3, seed=72)
-    vector = CgRXuIndex(
-        keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32, engine="vector")
+    scalar = CgRXuIndex(
+        keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32, engine="scalar")
     )
     degraded = CgRXuIndex(
         keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32, engine="compiled")
     )
-    assert_point_identical(
-        vector.point_lookup_batch(lookups), degraded.point_lookup_batch(lookups)
-    )
+    result = degraded.point_lookup_batch(lookups)
+    assert result.engine == "scalar"
+    assert_point_identical(scalar.point_lookup_batch(lookups), result)
+    rx = RXIndex(keyset.keys, keyset.row_ids, key_bits=32)
+    assert rx.point_lookup_batch(lookups).engine == "scalar"
     assert degraded.compiled_buffers_bytes() == 0
 
 
@@ -753,7 +864,7 @@ def test_degradation_records_telemetry(pinned_backend):
     pinned_backend("none")
     profile = enable_profiling()
     try:
-        assert resolve_engine("compiled") == "vector"
+        assert resolve_engine("compiled") == "scalar"
     finally:
         disable_profiling()
     gauges = profile.registry.labeled_values("compiled_engine_fallback")
@@ -786,14 +897,15 @@ def test_served_fallback_warns_once_and_counts_the_engine_that_ran(pinned_backen
     keyset = generate_keys(4096, uniformity=0.5, key_bits=32, seed=101)
     answers, snapshot = serve_zipf(keyset)
     assert snapshot["engine_batches_compiled"] == snapshot["batches"] > 0
-    assert "engine_batches_vector" not in snapshot
+    assert "engine_batches_scalar" not in snapshot
 
     pinned_backend("none")
     with pytest.warns(RuntimeWarning) as caught:
         fallback_answers, fallback_snapshot = serve_zipf(keyset)
     warned = [w for w in caught if "compiled engine unavailable (no_backend)" in str(w.message)]
     assert len(warned) == 1
-    assert fallback_snapshot["engine_batches_vector"] == fallback_snapshot["batches"]
+    assert "running the scalar engine instead" in str(warned[0].message)
+    assert fallback_snapshot["engine_batches_scalar"] == fallback_snapshot["batches"]
     assert "engine_batches_compiled" not in fallback_snapshot
     for compiled_part, fallback_part in zip(answers, fallback_answers):
         assert compiled_part.tobytes() == fallback_part.tobytes()
@@ -806,9 +918,7 @@ def test_served_fallback_warns_once_and_counts_the_engine_that_ran(pinned_backen
 def test_engine_validation_accepts_compiled():
     assert CgRXConfig(engine="compiled").engine == "compiled"
     assert CgRXuConfig(engine="compiled").engine == "compiled"
-    from repro.serve import ServeConfig
-
-    assert ServeConfig(engine="compiled").engine == "compiled"
+    assert RXIndex(np.arange(8, dtype=np.uint32), key_bits=32).engine == "compiled"
     with pytest.raises(ValueError):
         CgRXuConfig(engine="jit")
 
@@ -823,7 +933,7 @@ def test_compiled_arena_reported_in_serve_footprint():
         keyset.keys,
         keyset.row_ids,
         factory=cgrxu_factory(engine="compiled"),
-        config=ServeConfig(num_shards=2, key_bits=32, engine="compiled"),
+        config=ServeConfig(num_shards=2, key_bits=32),
     )
     lookups = hit_miss_lookups(keyset, 256, miss_fraction=0.2, seed=82)
     served.point_lookup_batch(lookups)
@@ -837,43 +947,3 @@ def test_compiled_arena_reported_in_serve_footprint():
     snapshot = served.maintenance.snapshot()
     assert snapshot["compiled_arena_bytes"] == sum(arena_entries.values())
 
-
-# --------------------------------------------------------------------------
-# RayBatch fast path of the wavefront tracer
-# --------------------------------------------------------------------------
-
-
-def test_ray_batch_matches_ray_objects(rng):
-    points = [tuple(point) for point in rng.integers(0, 15, size=(90, 3))]
-    object_engine, batch_engine = build_engines(points, leaf_size=3)
-    rays = []
-    for _ in range(48):
-        origin = rng.uniform(-1.0, 16.0, 3)
-        direction = rng.normal(size=3)
-        limit = float(np.inf if rng.random() < 0.7 else rng.uniform(0.0, 25.0))
-        rays.append(Ray(origin=origin, direction=direction, tmax=limit))
-    batch = RayBatch.from_rays(rays)
-    assert batch.num_rays == len(rays) == len(batch)
-
-    object_stats = RayStats()
-    object_hits = object_engine.trace_closest_batch(rays, object_stats)
-    batch_stats = RayStats()
-    batch_hits = batch_engine.trace_closest_batch(batch, batch_stats)
-
-    assert dataclasses.asdict(object_stats) == dataclasses.asdict(batch_stats)
-    for object_record, batch_record in zip(object_hits, batch_hits):
-        assert bool(object_record) == bool(batch_record)
-        if object_record:
-            assert object_record.primitive_index == batch_record.primitive_index
-            assert object_record.t == batch_record.t
-            assert object_record.front_face == batch_record.front_face
-
-
-def test_ray_batch_roundtrip_and_empty():
-    empty = RayBatch.from_rays([])
-    assert empty.num_rays == 0 and list(empty) == []
-    rays = [Ray(origin=(1.0, 2.0, 3.0), direction=(0.0, 1.0, 0.0), tmax=5.0)]
-    batch = RayBatch.from_rays(rays)
-    restored = batch.ray(0)
-    assert np.array_equal(restored.origin, np.asarray(rays[0].origin, dtype=np.float64))
-    assert restored.tmax == 5.0

@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import BucketLayout, CgRXConfig, CgRXuConfig, Representation, SearchStrategy
+import numpy as np
+
+from repro.baselines.rx import RXIndex
+from repro.core.config import (
+    ENGINES,
+    BucketLayout,
+    CgRXConfig,
+    CgRXuConfig,
+    Representation,
+    SearchStrategy,
+)
 
 
 class TestCgRXConfig:
@@ -81,3 +91,15 @@ class TestCgRXuConfig:
     def test_invalid_key_bits_rejected(self):
         with pytest.raises(ValueError):
             CgRXuConfig(key_bits=128)
+
+
+def test_engine_validation():
+    assert ENGINES == ("scalar", "compiled")
+    with pytest.raises(ValueError):
+        CgRXuConfig(engine="simd")
+    with pytest.raises(ValueError):
+        CgRXConfig(engine="")
+    with pytest.raises(ValueError):
+        CgRXConfig(engine="vector")
+    with pytest.raises(ValueError):
+        RXIndex(np.arange(8, dtype=np.uint32), key_bits=32, engine="warp")

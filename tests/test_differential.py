@@ -67,22 +67,19 @@ FACTORIES = {
     "SA": sorted_array_factory,
     "B+": btree_factory,
     "HT": hash_table_factory,
-    "RX": rx_factory,  # default engine (compiled; all-hits rays run on vector)
+    "RX": rx_factory,  # default engine (compiled)
     "RX[scalar]": lambda: rx_factory(engine="scalar"),
     "RTScan": rtscan_factory,
     "FullScan": fullscan_factory,
     "cgRX": lambda: cgrx_factory(32),  # default engine (compiled)
     "cgRX[scalar]": lambda: cgrx_factory(32, engine="scalar"),
-    # Compiled tier: degrades to vector when no backend is available, and the
+    # Compiled tier: degrades to scalar when no backend is available, and the
     # degraded answers are part of the same parity contract — safe to fuzz
     # unconditionally.
     "cgRX[compiled]": lambda: cgrx_factory(32, engine="compiled"),
-    # The vector engine is no longer the default: fuzz it explicitly.
-    "cgRX[vector]": lambda: cgrx_factory(32, engine="vector"),
     "cgRXu": lambda: cgrxu_factory(128),  # default engine (compiled)
     "cgRXu[scalar]": lambda: cgrxu_factory(128, engine="scalar"),
     "cgRXu[compiled]": lambda: cgrxu_factory(128, engine="compiled"),
-    "cgRXu[vector]": lambda: cgrxu_factory(128, engine="vector"),
 }
 
 CONFIGS = list(FACTORIES) + ["sharded", "replicated", "durable"]

@@ -520,3 +520,22 @@ def test_experiment_listing_names_every_experiment():
         name, _, summary = line.partition("  ")
         assert name.strip() in ALL_EXPERIMENTS
         assert summary.strip()
+
+
+def test_unknown_experiment_is_rejected_before_anything_runs(monkeypatch, capsys):
+    import sys
+
+    from repro.bench import experiments
+
+    ran = []
+    monkeypatch.setitem(experiments.ALL_EXPERIMENTS, "table_1", lambda: ran.append(1))
+    with pytest.raises(KeyError, match="nosuch"):
+        experiments.run_all(["table_1", "nosuch"])
+    assert ran == []
+    monkeypatch.setattr(sys, "argv", ["repro-bench", "table_1", "nosuch"])
+    with pytest.raises(SystemExit) as exited:
+        experiments.main()
+    assert exited.value.code == 2
+    error = capsys.readouterr().err
+    assert "'nosuch'" in error and "table_1" in error
+    assert ran == []

@@ -4,8 +4,9 @@ Covers the storage-lifecycle refactor end to end:
 
 * ``CgRXuIndex.compact_buckets`` — per-bucket chain compaction must reclaim
   nodes, preserve every entry, leave lookup answers *and* instrumentation
-  counters bit-identical between the scalar and vector engines, and patch
+  counters bit-identical between the scalar and compiled engines, and patch
   (not invalidate) the cached chain tables;
+* the cached entry count and ``export_entries`` against the chains;
 * representative re-anchoring + BVH refit after deletes, with overlap-area
   escalation to a full BVH rebuild;
 * ``snapshot()`` / ``build_from_snapshot()`` — the off-path replacement-build
@@ -33,6 +34,7 @@ from repro.serve.metrics import MetricsRegistry
 from repro.serve.sharded import ServeConfig, ShardedIndex
 from repro.workloads.keygen import KeySet, generate_keys
 from repro.workloads.lookups import hit_miss_lookups
+from repro.workloads.updates import update_waves
 
 
 def _grown_index(engine: str, key_bits: int = 32, seed: int = 9):
@@ -59,10 +61,37 @@ def _probe(keyset, inserts, deletes):
     return np.concatenate([keyset.keys, inserts, deletes]).astype(keyset.key_dtype)
 
 
+# ------------------------------------------------------------------ entries
+
+
+def test_cgrxu_cached_length_matches_chain_walk():
+    keyset = generate_keys(1024, uniformity=0.7, key_bits=32, seed=41)
+    index = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32))
+    assert len(index) == index._count_entries() == 1024
+    for wave in update_waves(
+        keyset, num_insert_waves=2, num_delete_waves=2, growth_factor=1.5, seed=42
+    ):
+        index.update_batch(
+            insert_keys=wave.insert_keys if wave.insert_keys.size else None,
+            insert_row_ids=wave.insert_row_ids if wave.insert_keys.size else None,
+            delete_keys=wave.delete_keys if wave.delete_keys.size else None,
+        )
+        assert len(index) == index._count_entries()
+
+
+def test_cgrxu_export_entries_sorted_and_complete():
+    keyset = generate_keys(2048, uniformity=0.4, key_bits=32, seed=43)
+    index = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32))
+    keys, row_ids = index.export_entries()
+    assert keys.shape[0] == row_ids.shape[0] == 2048
+    assert np.all(np.diff(keys.astype(np.uint64)) >= 0)
+    assert np.array_equal(np.sort(keys), np.sort(keyset.keys))
+
+
 # ---------------------------------------------------------------- compaction
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("engine", ["scalar", "compiled"])
 def test_compact_buckets_preserves_answers_and_entries(engine):
     index, keyset, inserts, deletes = _grown_index(engine)
     probe = _probe(keyset, inserts, deletes)
@@ -86,36 +115,36 @@ def test_compact_buckets_preserves_answers_and_entries(engine):
 
 
 def test_compact_buckets_engine_parity_bit_identical():
-    """Scalar and vector engines stay bit-identical *through* compaction."""
+    """Scalar and compiled engines stay bit-identical *through* compaction."""
     indexes = {}
-    for engine in ("scalar", "vector"):
+    for engine in ("scalar", "compiled"):
         index, keyset, inserts, deletes = _grown_index(engine)
         lengths = index.bucket_chain_lengths()
         index.compact_buckets(np.argsort(lengths)[::-1][:128])
         indexes[engine] = (index, _probe(keyset, inserts, deletes))
 
     scalar_index, probe = indexes["scalar"]
-    vector_index, _ = indexes["vector"]
+    compiled_index, _ = indexes["compiled"]
     scalar = scalar_index.point_lookup_batch(probe)
-    vector = vector_index.point_lookup_batch(probe)
-    assert scalar.row_ids.tobytes() == vector.row_ids.tobytes()
-    assert scalar.match_counts.tobytes() == vector.match_counts.tobytes()
-    assert dataclasses.asdict(scalar.stats) == dataclasses.asdict(vector.stats)
+    fast = compiled_index.point_lookup_batch(probe)
+    assert scalar.row_ids.tobytes() == fast.row_ids.tobytes()
+    assert scalar.match_counts.tobytes() == fast.match_counts.tobytes()
+    assert dataclasses.asdict(scalar.stats) == dataclasses.asdict(fast.stats)
 
     lows = probe[:256]
     highs = (lows.astype(np.uint64) + 500).clip(max=(1 << 32) - 1).astype(lows.dtype)
     scalar_range = scalar_index.range_lookup_batch(lows, highs)
-    vector_range = vector_index.range_lookup_batch(lows, highs)
+    compiled_range = compiled_index.range_lookup_batch(lows, highs)
     assert all(
         a.tobytes() == b.tobytes()
-        for a, b in zip(scalar_range.row_ids, vector_range.row_ids)
+        for a, b in zip(scalar_range.row_ids, compiled_range.row_ids)
     )
     assert dataclasses.asdict(scalar_range.stats) == dataclasses.asdict(
-        vector_range.stats
+        compiled_range.stats
     )
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("engine", ["scalar", "compiled"])
 def test_compacted_answers_match_ground_truth(engine):
     index, keyset, inserts, deletes = _grown_index(engine)
     index.compact_buckets(np.arange(index.overflow_bucket + 1))
@@ -128,7 +157,7 @@ def test_compacted_answers_match_ground_truth(engine):
 
 
 def test_compaction_patches_chain_cache_per_bucket():
-    index, *_ = _grown_index("vector")
+    index, *_ = _grown_index("compiled")
     order_before, _ = index._chain_table()  # warm the cache
     lengths = index.bucket_chain_lengths()
     touched = np.argsort(lengths)[::-1][:64]
@@ -141,7 +170,7 @@ def test_compaction_patches_chain_cache_per_bucket():
 
 
 def test_released_nodes_are_reused_before_fresh_allocations():
-    index, keyset, *_ = _grown_index("vector")
+    index, keyset, *_ = _grown_index("compiled")
     nodes = index.nodes
     index.compact_buckets(np.arange(index.overflow_bucket + 1))
     assert nodes._free_nodes, "full compaction should reclaim at least one node"
@@ -154,7 +183,7 @@ def test_released_nodes_are_reused_before_fresh_allocations():
 
 
 def test_compaction_reanchors_and_refits_after_deletes():
-    index, keyset, inserts, deletes = _grown_index("vector")
+    index, keyset, inserts, deletes = _grown_index("compiled")
     refits_before = index.pipeline.refit_count
     index.compact_buckets(np.arange(index.overflow_bucket + 1))
     assert index.lifecycle["reanchored_representatives"] > 0
@@ -170,7 +199,7 @@ def test_compaction_reanchors_and_refits_after_deletes():
 
 
 def test_overlap_escalation_rebuilds_the_bvh():
-    index, *_ = _grown_index("vector")
+    index, *_ = _grown_index("compiled")
     builds_before = index.pipeline.build_count
     # Shrink the quality baseline so the first refit escalates past the ratio.
     index._built_overlap_area = index._built_overlap_area / 1e6
@@ -185,7 +214,7 @@ def test_overlap_escalation_rebuilds_the_bvh():
 
 
 def test_epoch_advances_with_compaction_and_snapshot_builds():
-    index, keyset, inserts, deletes = _grown_index("vector")
+    index, keyset, inserts, deletes = _grown_index("compiled")
     assert index.epoch == 0
     index.compact_buckets([0, 1, 2])
     assert index.epoch == 1
@@ -205,7 +234,7 @@ def test_epoch_advances_with_compaction_and_snapshot_builds():
 
 
 def test_snapshot_is_isolated_from_later_updates():
-    index, keyset, *_ = _grown_index("vector")
+    index, keyset, *_ = _grown_index("compiled")
     snapshot = index.snapshot()
     entries = snapshot.num_entries
     index.update_batch(delete_keys=keyset.keys[:64])
