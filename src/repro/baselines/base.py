@@ -95,6 +95,8 @@ class GpuIndex(ABC):
     supports_64bit: ClassVar[bool] = True
     supports_updates: ClassVar[bool] = False
     supports_bulk_load: ClassVar[bool] = True
+    #: Whether :meth:`export_entries` works (not in Table I).
+    supports_export: ClassVar[bool] = False
     #: Qualitative memory class from Table I (``"low"``, ``"med"``, ``"high"``).
     memory_class: ClassVar[str] = "med"
 
@@ -156,8 +158,11 @@ class GpuIndex(ABC):
 
         Used by the serving layer to snapshot a natively-updated shard so a
         later rebuild reproduces the live index exactly (including the
-        tie-order of duplicate keys).  Optional: index types that do not
-        support it fall back to the router's independently tracked arrays.
+        tie-order of duplicate keys).  The snapshot is taken lazily: after a
+        write the router only records the index, and exports when the shard's
+        arrays are next read.  Optional, declared by :attr:`supports_export`:
+        index types without it raise :class:`UnsupportedOperation`, and the
+        router maintains its own arrays for them after every write.
         """
         raise UnsupportedOperation(f"{self.name} does not support entry export")
 

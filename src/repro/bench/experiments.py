@@ -1317,7 +1317,9 @@ def hotpath(
     counters.
 
     Panels a–c compare the engines on a fixed workload; updates mutate, so
-    every ``c_update`` repeat runs on a fresh index, alternating the engines.
+    every ``c_update`` repeat runs on a fresh index, alternating the engines,
+    and its ``identical`` flag also compares the node slabs and allocator
+    state (stale slots and free-list order included).
     Panel ``d_scaling`` is the scaling study: per-key point-lookup cost at
     ``scaling_sizes`` keys (1M and 10M by default).  The scalar reference is
     sampled on a bounded ``scalar_sample``-key batch there (a full scalar
@@ -1437,16 +1439,19 @@ def hotpath(
             start = time.perf_counter()
             outcome = fresh.update_batch(insert_keys=insert_keys, delete_keys=delete_keys)
             best[engine] = min(best[engine], time.perf_counter() - start)
-            updates[engine] = (outcome, fresh.export_entries())
-    (scalar_update, scalar_entries), (compiled_update, compiled_entries) = (
+            updates[engine] = (outcome, fresh)
+    (scalar_update, scalar_index), (compiled_update, compiled_index) = (
         updates["scalar"],
         updates["compiled"],
     )
+    scalar_entries = scalar_index.export_entries()
+    compiled_entries = compiled_index.export_entries()
     add_row(
         "c_update", update_size + update_size // 2, best["scalar"], best["compiled"],
         scalar_update.inserted == compiled_update.inserted
         and scalar_update.deleted == compiled_update.deleted
         and stats_identical(scalar_update.stats, compiled_update.stats)
+        and not scalar_index.nodes.state_differences(compiled_index.nodes)
         and scalar_entries[0].tobytes() == compiled_entries[0].tobytes()
         and scalar_entries[1].tobytes() == compiled_entries[1].tobytes(),
     )

@@ -49,6 +49,7 @@ class CgRXIndex(GpuIndex):
     supports_64bit = True
     supports_updates = False
     supports_bulk_load = True
+    supports_export = True
     memory_class = "low"
 
     def __init__(

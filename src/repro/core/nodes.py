@@ -375,6 +375,28 @@ class NodeStorage:
             )
         return np.concatenate(keys), np.concatenate(row_ids)
 
+    def state_differences(self, other: "NodeStorage") -> List[str]:
+        """Names of the slabs and allocator fields that differ from
+        ``other``'s, byte for byte (empty when the two are identical).
+
+        Covers every node slot, stale ones included, the free list in order
+        and the linked-region size, so engine parity checks can pin the
+        whole node state rather than only the entries it exports.
+        """
+        differing = []
+        for name in ("_keys", "_row_ids", "_sizes", "_max_keys", "_next"):
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if (
+                mine.dtype != theirs.dtype
+                or mine.shape != theirs.shape
+                or mine.tobytes() != theirs.tobytes()
+            ):
+                differing.append(name)
+        for name in ("_free_nodes", "_linked_used"):
+            if getattr(self, name) != getattr(other, name):
+                differing.append(name)
+        return differing
+
     # ----------------------------------------------------------------- memory
 
     def memory_footprint(self) -> MemoryFootprint:

@@ -76,6 +76,7 @@ class CgRXuIndex(GpuIndex):
     supports_64bit = True
     supports_updates = True
     supports_bulk_load = True
+    supports_export = True
     memory_class = "low"
 
     def __init__(
@@ -148,7 +149,9 @@ class CgRXuIndex(GpuIndex):
         #: Cached entry count, kept incrementally up to date by the update
         #: path so ``__len__`` never re-walks the chains.
         self._num_entries = len(self.bucketed)
-        #: Cached flattened chain tables, invalidated by updates.
+        #: Cached flattened chain tables: patched for the buckets whose chains
+        #: a compiled update split or a compaction re-packed, dropped by the
+        #: scalar update path.
         self._chain_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Arena-packed copy of the chain tables for the compiled walk, keyed
         #: by the identity of ``_chain_cache`` so invalidations and patches
@@ -358,7 +361,7 @@ class CgRXuIndex(GpuIndex):
     # ------------------------------------------------------- chain tables
 
     def _chain_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Flattened chain tables ``(order, starts)``, cached until an update.
+        """Flattened chain tables ``(order, starts)``, cached across updates.
 
         ``order`` lists every node in bucket-major chain order; a batched walk
         that starts at bucket ``b`` simply advances through
@@ -372,11 +375,13 @@ class CgRXuIndex(GpuIndex):
     def _compiled_chain_tables(self):
         """Arena-packed chain tables for the compiled walks (identity-cached).
 
-        Keyed on the identity of the ``_chain_cache`` tuple: ``update_batch``
-        invalidates it to ``None`` and ``_patch_chain_cache`` swaps in a new
-        tuple, so an ``is`` check catches every mutation and repacks into the
-        shard-local arena in place (as does a reallocation of the node slabs
-        the tables are bound to).
+        Keyed on the identity of the ``_chain_cache`` tuple: the scalar update
+        path invalidates it to ``None`` and ``_patch_chain_cache`` swaps in a
+        new tuple, so an ``is`` check catches every change of chain structure
+        and repacks into the shard-local arena in place (as does a
+        reallocation of the node slabs the tables are bound to).  Edits that
+        keep the structure — deletes and split-free inserts — need no repack:
+        the packed tables read the live slabs.
         """
         from repro.core import compiled as core_compiled
         from repro.rtx.compiled import Arena
@@ -510,7 +515,9 @@ class CgRXuIndex(GpuIndex):
 
         Deletions are processed before insertions (freeing space may avoid
         splits), and keys appearing in both halves of the batch cancel out, as
-        described in Section IV.
+        described in Section IV.  The ``compiled`` engine applies the whole
+        batch in one C call; node slabs, counters and results are
+        byte-identical to the scalar reference's key-by-key apply.
         """
         stats = KernelStats(name="cgrxu.update", launches=0)
 
@@ -536,57 +543,45 @@ class CgRXuIndex(GpuIndex):
         insert_keys, insert_row_ids, delete_keys = cancel_opposing_updates(
             insert_keys, insert_row_ids, delete_keys
         )
-
         uppers = self._bucket_uppers
         lowers = np.concatenate([[np.uint64(0)], uppers[:-1] + np.uint64(1)])
-
-        inserted = 0
-        deleted = 0
-        per_bucket_work: List[int] = []
         apply_stats = KernelStats(
             name="cgrxu.apply", threads=self.overflow_bucket + 1, launches=1
         )
-        num_buckets = self.overflow_bucket + 1
         # Two binary searches on the sorted batch identify each thread's slice.
         slice_ops = 2 * max(1, int(np.log2(max(insert_keys.shape[0], 2))))
+        apply_stats.compute_ops += (self.overflow_bucket + 1) * slice_ops
 
-        if self.config.engine == "compiled":
-            # Vectorized partitioning: both binary-search sweeps over the
-            # sorted batch run as single searchsorted calls, and only buckets
-            # that actually received work are visited below.  The per-bucket
-            # loop is the scalar engine's reference.
-            deletes_lo, deletes_hi = self._batch_ranges(delete_keys, lowers, uppers)
-            inserts_lo_all, inserts_hi_all = self._batch_ranges(insert_keys, lowers, uppers)
-            apply_stats.compute_ops += num_buckets * slice_ops
-            touched = np.nonzero(
-                (deletes_hi > deletes_lo) | (inserts_hi_all > inserts_lo_all)
-            )[0]
-            bucket_slices = [
-                (
-                    int(bucket),
-                    int(deletes_lo[bucket]),
-                    int(deletes_hi[bucket]),
-                    int(inserts_lo_all[bucket]),
-                    int(inserts_hi_all[bucket]),
-                )
-                for bucket in touched
-            ]
+        if resolve_engine(self.config.engine, self.pipeline) == "scalar":
+            inserted, deleted, visited, ops, per_bucket_work = self._apply_scalar(
+                insert_keys, insert_row_ids, delete_keys, lowers, uppers
+            )
         else:
-            bucket_slices = []
-            for bucket in range(num_buckets):
-                low = int(lowers[bucket])
-                high = int(uppers[bucket])
-                d_lo, d_hi = self._batch_range(delete_keys, low, high)
-                i_lo, i_hi = self._batch_range(insert_keys, low, high)
-                apply_stats.compute_ops += slice_ops
-                bucket_slices.append((bucket, d_lo, d_hi, i_lo, i_hi))
+            inserted, deleted, visited, ops, per_bucket_work = self._apply_compiled(
+                insert_keys, insert_row_ids, delete_keys, lowers, uppers
+            )
+        apply_stats.bytes_read += visited * self.config.node_bytes
+        apply_stats.bytes_written += ops * (self.config.node_bytes // 2)
+        apply_stats.divergence = divergence_factor(per_bucket_work)
+        stats.merge(apply_stats)
+        return UpdateResult(inserted=inserted, deleted=deleted, stats=stats, rebuilt=False)
 
+    def _apply_scalar(self, insert_keys, insert_row_ids, delete_keys, lowers, uppers):
+        """Reference apply: one thread per bucket, one key at a time.
+
+        Returns ``(inserted, deleted, nodes visited, ops, per-bucket work)``.
+        """
         # Invalidate before mutating and keep the entry count per-operation:
         # even if the apply is interrupted mid-batch, later reads see the
         # live chains and a correct count.
         self._chain_cache = None
-
-        for bucket, delete_lo, delete_hi, inserts_lo, inserts_hi in bucket_slices:
+        inserted = deleted = visited_total = ops = 0
+        per_bucket_work: List[int] = []
+        for bucket in range(self.overflow_bucket + 1):
+            low = int(lowers[bucket])
+            high = int(uppers[bucket])
+            delete_lo, delete_hi = self._batch_range(delete_keys, low, high)
+            inserts_lo, inserts_hi = self._batch_range(insert_keys, low, high)
             work = 0
 
             for key in delete_keys[delete_lo:delete_hi]:
@@ -594,25 +589,58 @@ class CgRXuIndex(GpuIndex):
                 deleted += int(removed)
                 self._num_entries -= int(removed)
                 work += visited
-                apply_stats.bytes_read += visited * self.config.node_bytes
-                apply_stats.bytes_written += self.config.node_bytes // 2
 
             for offset in range(inserts_lo, inserts_hi):
-                visited = self._insert_one(
+                work += self._insert_one(
                     bucket, int(insert_keys[offset]), int(insert_row_ids[offset])
                 )
                 inserted += 1
                 self._num_entries += 1
-                work += visited
-                apply_stats.bytes_read += visited * self.config.node_bytes
-                apply_stats.bytes_written += self.config.node_bytes // 2
 
+            ops += (delete_hi - delete_lo) + (inserts_hi - inserts_lo)
+            visited_total += work
             if work:
                 per_bucket_work.append(work)
+        return inserted, deleted, visited_total, ops, per_bucket_work
 
-        apply_stats.divergence = divergence_factor(per_bucket_work)
-        stats.merge(apply_stats)
-        return UpdateResult(inserted=inserted, deleted=deleted, stats=stats, rebuilt=False)
+    def _apply_compiled(self, insert_keys, insert_row_ids, delete_keys, lowers, uppers):
+        """One C call over the touched buckets (plus one per slab growth).
+
+        Deletes and split-free inserts leave every chain's node sequence
+        as it is, so the cached chain tables stay valid; only the chains of
+        buckets that split are re-walked into them.  The cache is set aside
+        while the kernel runs, so an interrupted apply leaves no stale
+        tables behind.  Same return value as :meth:`_apply_scalar`.
+        """
+        from repro.core import compiled as core_compiled
+
+        deletes_lo, deletes_hi = self._batch_ranges(delete_keys, lowers, uppers)
+        inserts_lo, inserts_hi = self._batch_ranges(insert_keys, lowers, uppers)
+        touched = np.nonzero((deletes_hi > deletes_lo) | (inserts_hi > inserts_lo))[0]
+        slices = np.stack(
+            [
+                touched,
+                deletes_lo[touched],
+                deletes_hi[touched],
+                inserts_lo[touched],
+                inserts_hi[touched],
+            ],
+            axis=1,
+        )
+        totals = np.zeros(4, dtype=np.int64)
+        cache, self._chain_cache = self._chain_cache, None
+        try:
+            work, split = core_compiled.apply_updates_batch(
+                self.nodes, self.overflow_bucket, slices,
+                delete_keys, insert_keys, insert_row_ids, totals,
+            )
+        finally:
+            self._num_entries += int(totals[0] - totals[1])
+        self._chain_cache = cache
+        if split.any():
+            self._patch_chain_cache(touched[split])
+        inserted, deleted, visited, ops = (int(value) for value in totals)
+        return inserted, deleted, visited, ops, work[work > 0]
 
     def _batch_range(self, sorted_keys: np.ndarray, low: int, high: int) -> Tuple[int, int]:
         """Index range of a sorted batch falling into a bucket's ``[low, high]`` range.
@@ -801,12 +829,12 @@ class CgRXuIndex(GpuIndex):
         return stats
 
     def _patch_chain_cache(self, bucket_ids: np.ndarray) -> None:
-        """Splice the compacted buckets' new chains into the cached tables.
+        """Splice the new chains of ``bucket_ids`` into the cached tables.
 
-        Only the touched buckets' chains are re-walked; every other chain's
+        Only those buckets' chains are re-walked; every other chain's
         segment is copied wholesale from the existing ``(order, starts)``
-        tables, so compaction re-chases the pointers of the buckets it
-        touched rather than of every chain in the index.
+        tables, so a compaction or a splitting update re-chases the pointers
+        of the buckets it changed rather than of every chain in the index.
         """
         if self._chain_cache is None:
             return

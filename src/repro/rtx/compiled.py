@@ -16,6 +16,10 @@ reference oracle:
   the float32 hit-point grid snap and the primitive remap.
 * **BVH build.**  :func:`build_bvh_median` is the ``median``-split builder of
   :func:`repro.rtx.bvh.build_bvh` in C, with identical output arrays.
+* **cgRXu node chains.**  The point and range chain walks and the update
+  apply (deletes, inserts, node splits and linked-node allocation) run over
+  the live ``NodeStorage`` slabs; their Python entries are in
+  :mod:`repro.core.compiled`.
 * **Quantized cache-blocked node tables.**  Per node, a 12-byte record of
   uint16 AABB bounds quantized against a per-tree frame, rounded *outward* so
   a quantized reject implies the exact reject.  The kernel tests the 12-byte
@@ -224,6 +228,25 @@ typedef struct {
     int32_t capacity;
     int32_t key_is_64;
 } ChainTables;
+
+/* The mutable NodeStorage slabs plus its linked-node allocator (NodeSlabs):
+   apply_updates pops free_nodes[0, free_count) from the end and bumps
+   linked_used in place; total_nodes is the height of the slabs. */
+typedef struct {
+    void* keys;
+    uint32_t* row_ids;
+    int32_t* sizes;
+    uint64_t* max_keys;
+    int64_t* next_node;
+    const int64_t* free_nodes;
+    int64_t free_count;
+    int64_t linked_used;
+    int64_t total_nodes;
+    int64_t num_representative;
+    int64_t overflow_bucket;
+    int32_t capacity;
+    int32_t key_is_64;
+} NodeSlabs;
 
 typedef struct { int64_t rays, nodes, triangle_tests, hits; } RayTotals;
 
@@ -565,6 +588,155 @@ int64_t range_walk(const ChainTables* C, int64_t num_queries, const void* lows,
     return written;
 }
 
+/* searchsorted over a node's occupied (sorted) slots: *left counts the keys
+   below target, *right those at most target. */
+static inline void node_bounds(const NodeSlabs* S, int64_t node, uint64_t target,
+                               int64_t* left, int64_t* right)
+{
+    const int64_t base = node * (int64_t)S->capacity;
+    int64_t l = 0, r = 0;
+    for (int32_t i = 0; i < S->sizes[node]; i++) {
+        const uint64_t value = key_at(S->keys, S->key_is_64, base + i);
+        l += value < target;
+        r += value <= target;
+    }
+    *left = l;
+    *right = r;
+}
+
+/* Copy `count` key and rowID slots from slot `src` to slot `dst` of the
+   slabs (overlapping ranges allowed, like numpy slice assignment). */
+static inline void move_slots(const NodeSlabs* S, int64_t dst, int64_t src, int64_t count)
+{
+    if (count <= 0) return;
+    const size_t width = S->key_is_64 ? 8 : 4;
+    memmove((char*)S->keys + dst * width, (char*)S->keys + src * width, (size_t)count * width);
+    memmove(S->row_ids + dst, S->row_ids + src, (size_t)count * sizeof(uint32_t));
+}
+
+/* CgRXuIndex._delete_one: removes the first occurrence of target (the
+   NodeStorage.delete_from_node shift; the vacated slot keeps its stale
+   value) and returns 1, or 0 on a miss.  Like the point walk, a chain that
+   ends without a larger key continues into the next bucket. */
+static int delete_one(NodeSlabs* S, int64_t bucket, uint64_t target, int64_t* visited)
+{
+    for (int64_t current = bucket; current <= S->overflow_bucket; current++) {
+        for (int64_t node = current; node != -1; node = S->next_node[node]) {
+            (*visited)++;
+            const int64_t size = S->sizes[node];
+            if (S->max_keys[node] < target && S->next_node[node] != -1) continue;
+            int64_t left, right;
+            node_bounds(S, node, target, &left, &right);
+            if (left < right) {
+                const int64_t base = node * (int64_t)S->capacity;
+                move_slots(S, base + left, base + left + 1, size - left - 1);
+                S->sizes[node] = (int32_t)(size - 1);
+                return 1;
+            }
+            if (right < size) return 0;
+        }
+    }
+    return 0;
+}
+
+/* CgRXuIndex._insert_one: the key goes into the first chain node whose
+   maxKey covers it (else the last), at its searchsorted-left position.  A
+   full node first splits (NodeStorage.split_node: the upper half moves to a
+   linked node taken from the end of the free list, else the next unused
+   one).  Returns the nodes visited and sets *split, or -1 with nothing
+   changed when a split finds the linked region exhausted. */
+static int64_t insert_one(NodeSlabs* S, int64_t bucket, uint64_t key, uint32_t row, int* split)
+{
+    const int64_t capacity = S->capacity;
+    int64_t visited = 0, target = bucket;
+    for (int64_t node = bucket; node != -1; node = S->next_node[node]) {
+        visited++;
+        target = node;
+        if (S->max_keys[node] >= key) break;
+    }
+    if (S->sizes[target] >= capacity) {
+        int64_t fresh;
+        if (S->free_count > 0) {
+            fresh = S->free_nodes[--S->free_count];
+        } else if (S->num_representative + S->linked_used < S->total_nodes) {
+            fresh = S->num_representative + S->linked_used++;
+        } else {
+            return -1;
+        }
+        const int64_t size = S->sizes[target], half = size / 2;
+        move_slots(S, fresh * capacity, target * capacity + half, size - half);
+        S->sizes[fresh] = (int32_t)(size - half);
+        S->max_keys[fresh] = S->max_keys[target];
+        S->sizes[target] = (int32_t)half;
+        S->max_keys[target] = key_at(S->keys, S->key_is_64, target * capacity + half - 1);
+        S->next_node[fresh] = S->next_node[target];
+        S->next_node[target] = fresh;
+        visited++;
+        if (key > S->max_keys[target]) target = fresh;
+        *split = 1;
+    }
+    const int64_t base = target * capacity, size = S->sizes[target];
+    int64_t position, right;
+    node_bounds(S, target, key, &position, &right);
+    move_slots(S, base + position + 1, base + position, size - position);
+    if (S->key_is_64) ((uint64_t*)S->keys)[base + position] = key;
+    else ((uint32_t*)S->keys)[base + position] = (uint32_t)key;
+    S->row_ids[base + position] = row;
+    S->sizes[target] = (int32_t)(size + 1);
+    return visited;
+}
+
+/* cgRXu update apply (CgRXuIndex.update_batch's per-bucket loop): per
+   touched bucket, its deletes and then its inserts.  slices is
+   (num_touched, 5): bucket, then delete and insert [lo, hi) offsets into the
+   sorted batches.  Starts at touched position cursor[0]; cursor[1] >= 0
+   resumes that bucket at this insert offset, its deletes already done.
+   Adds each bucket's nodes visited to work[t], sets split[t] when its chain
+   split, and adds inserted, deleted, nodes visited and ops to totals.
+   Returns 0 when done, or 1 with cursor at an insert whose split needs a
+   linked node the slabs lack: nothing of that insert has run or counted. */
+int64_t apply_updates(NodeSlabs* S, int64_t num_touched, const int64_t* slices,
+                      const void* delete_keys, const void* insert_keys,
+                      const uint32_t* insert_rows, int64_t* cursor, int64_t* work,
+                      uint8_t* split, int64_t* totals)
+{
+    const int64_t start = cursor[0], resume = cursor[1];
+    for (int64_t t = start; t < num_touched; t++) {
+        const int64_t* slice = slices + 5 * t;
+        const int64_t bucket = slice[0];
+        int64_t first_insert = slice[3];
+        if (t == start && resume >= 0) {
+            first_insert = resume;
+        } else {
+            for (int64_t d = slice[1]; d < slice[2]; d++) {
+                int64_t visited = 0;
+                totals[1] += delete_one(S, bucket, key_at(delete_keys, S->key_is_64, d), &visited);
+                totals[2] += visited;
+                totals[3]++;
+                work[t] += visited;
+            }
+        }
+        for (int64_t i = first_insert; i < slice[4]; i++) {
+            int did_split = 0;
+            const int64_t visited = insert_one(
+                S, bucket, key_at(insert_keys, S->key_is_64, i), insert_rows[i], &did_split);
+            if (visited < 0) {
+                cursor[0] = t;
+                cursor[1] = i;
+                return 1;
+            }
+            if (did_split) split[t] = 1;
+            totals[0]++;
+            totals[2] += visited;
+            totals[3]++;
+            work[t] += visited;
+        }
+    }
+    cursor[0] = num_touched;
+    cursor[1] = -1;
+    return 0;
+}
+
 /* Stable merge sort of idx[0, n) by key[0, n); ties keep their input order
    (numpy's argsort(kind="stable")). */
 static void merge_sort(double* key, int64_t* idx, double* tk, int64_t* ti, int64_t n)
@@ -748,6 +920,26 @@ class ChainTablesStruct(ctypes.Structure):
     ]
 
 
+class NodeSlabsStruct(ctypes.Structure):
+    """Mirror of the C ``NodeSlabs`` struct."""
+
+    _fields_ = [
+        ("keys", ctypes.c_void_p),
+        ("row_ids", ctypes.c_void_p),
+        ("sizes", ctypes.c_void_p),
+        ("max_keys", ctypes.c_void_p),
+        ("next_node", ctypes.c_void_p),
+        ("free_nodes", ctypes.c_void_p),
+        ("free_count", ctypes.c_int64),
+        ("linked_used", ctypes.c_int64),
+        ("total_nodes", ctypes.c_int64),
+        ("num_representative", ctypes.c_int64),
+        ("overflow_bucket", ctypes.c_int64),
+        ("capacity", ctypes.c_int32),
+        ("key_is_64", ctypes.c_int32),
+    ]
+
+
 def _bind(lib: ctypes.CDLL) -> None:
     """Declare the kernels' signatures (pointers travel as ``c_void_p``)."""
     p, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
@@ -757,6 +949,7 @@ def _bind(lib: ctypes.CDLL) -> None:
         "locate_optimized": ([p, p, i64, p, p, p], None),
         "chain_walk": ([p, i64, p, p, p], None),
         "range_walk": ([p, i64, p, p, p, p, i64, p, p], i64),
+        "apply_updates": ([p, i64, p, p, p, p, p, p, p, p], i64),
         "build_bvh_median": ([i64, p, p, i64, p, p, p, p, p, p, p], i64),
     }
     for name, (argtypes, restype) in signatures.items():

@@ -47,7 +47,6 @@ from repro.baselines.base import (
     GpuIndex,
     LookupResult,
     RangeLookupResult,
-    UnsupportedOperation,
     UpdateResult,
     cancel_opposing_updates,
 )
@@ -56,7 +55,12 @@ from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats, combine
 from repro.gpu.memory import MemoryFootprint
 from repro.obs.trace import NULL_TRACER
-from repro.serve.router import ShardFactory, ShardRouter, apply_update_to_entries
+from repro.serve.router import (
+    LazyEntries,
+    ShardFactory,
+    ShardRouter,
+    apply_update_to_entries,
+)
 from repro.workloads.keygen import KeySet
 
 # Replica health states.
@@ -173,12 +177,13 @@ class Replica:
         return self.state == HEALTHY and self.index is not None
 
 
-class ReplicaGroup:
+class ReplicaGroup(LazyEntries):
     """A shard's replica set behind the ``GpuIndex`` call surface.
 
     The group owns the shard's authoritative ``(keys, row_ids)`` arrays (kept
     in live-index tie-order via ``export_entries`` after native updates, the
-    same discipline the shard router uses) plus the apply log.  Invariant:
+    same discipline the shard router uses; a lazily re-exported copy, see
+    :class:`~repro.serve.router.LazyEntries`) plus the apply log.  Invariant:
     every replica in the ``HEALTHY`` state has applied every logged update,
     so *any* available replica answers reads identically — which is what
     makes read balancing and failover answer-preserving.
@@ -187,6 +192,8 @@ class ReplicaGroup:
     #: The group handles update routing internally (per-replica native
     #: updates or rebuilds), so the router never rebuild-falls-back on it.
     supports_updates = True
+    #: The group always has its entries at hand (its own arrays).
+    supports_export = True
 
     def __init__(
         self,
@@ -209,8 +216,10 @@ class ReplicaGroup:
         self.cost_model = CostModel(device)
 
         #: Authoritative entries, sorted by key (live-index tie-order).
-        self.keys = np.asarray(keys, dtype=self._key_dtype).copy()
-        self.row_ids = np.asarray(row_ids, dtype=np.uint32).copy()
+        self.set_entries(
+            np.asarray(keys, dtype=self._key_dtype).copy(),
+            np.asarray(row_ids, dtype=np.uint32).copy(),
+        )
 
         #: Apply log: the most recent ``log_capacity`` update batches.
         self.log: List[LogRecord] = []
@@ -270,7 +279,7 @@ class ReplicaGroup:
 
     def _build_replica(self, replica: Replica) -> List[KernelStats]:
         """(Re)build one replica's index from the authoritative snapshot."""
-        if self.keys.size == 0:
+        if self.num_entries == 0:
             replica.index = None
             replica.builds += 1
             return []
@@ -315,10 +324,6 @@ class ReplicaGroup:
         self.replicas.remove(replica)
         self._bump("leaves")
         return replica
-
-    @property
-    def num_entries(self) -> int:
-        return int(self.keys.shape[0])
 
     # ----------------------------------------------------------- health / I/O
 
@@ -424,7 +429,7 @@ class ReplicaGroup:
             return combine(f"serve.resync_s{self.shard_id}r{replica.replica_id}", parts)
         replica.state = RECOVERING
 
-        if self.store is not None and replica.index is None and self.keys.size:
+        if self.store is not None and replica.index is None and self.num_entries:
             # Durable restore: a process-killed replica rebuilds from the
             # latest checkpoint plus the WAL tail instead of copying a live
             # peer.  If the durable state trails the group LSN (it should
@@ -838,7 +843,7 @@ class ReplicaGroup:
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
         keys = np.asarray(keys, dtype=self._key_dtype)
-        if self.keys.size == 0:
+        if self.num_entries == 0:
             self.last_overhead_ms = 0.0
             self.last_slow_factor = 1.0
             self.last_read_ms = None
@@ -867,7 +872,7 @@ class ReplicaGroup:
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
         lows = np.asarray(lows, dtype=self._key_dtype)
         highs = np.asarray(highs, dtype=self._key_dtype)
-        if self.keys.size == 0:
+        if self.num_entries == 0:
             self.last_overhead_ms = 0.0
             self.last_slow_factor = 1.0
             self.last_read_ms = None
@@ -967,9 +972,7 @@ class ReplicaGroup:
         if not native:
             # Rebuild-fallback replicas (or a fully-down group) need the
             # post-update authoritative snapshot maintained here.
-            self.keys, self.row_ids, removed = apply_update_to_entries(
-                self.keys, self.row_ids, insert_keys, insert_row_ids, delete_keys
-            )
+            removed = self.apply_update(insert_keys, insert_row_ids, delete_keys)
 
         first_result = None
         for replica in up:
@@ -989,18 +992,15 @@ class ReplicaGroup:
             replica.applied_lsn = self.lsn
             acked += 1
 
-        if native:
-            # Snapshot a natively-updated replica as the authoritative state
-            # so a later rebuild/resync reproduces the live tie-order of
-            # duplicates — and the sorted-array maintenance would then be
-            # redundant work (mirrors the router's update path).
+        if native and up[0].index.supports_export:
+            # A natively-updated replica's entries become the authoritative
+            # state (re-exported when next read), so a later rebuild/resync
+            # reproduces the live tie-order of duplicates (mirrors the
+            # router's update path).
+            self.defer_export(up[0].index)
             removed = first_result.deleted
-            try:
-                self.keys, self.row_ids = up[0].index.export_entries()
-            except UnsupportedOperation:
-                self.keys, self.row_ids, removed = apply_update_to_entries(
-                    self.keys, self.row_ids, insert_keys, insert_row_ids, delete_keys
-                )
+        elif native:
+            removed = self.apply_update(insert_keys, insert_row_ids, delete_keys)
 
         self._bump("writes")
         self._bump("write_acks", acked)
@@ -1054,8 +1054,10 @@ class ReplicaGroup:
         log is cleared: a replica that was down across a reload can no longer
         replay, so its next resync takes the snapshot path.
         """
-        self.keys = np.asarray(keys, dtype=self._key_dtype).copy()
-        self.row_ids = np.asarray(row_ids, dtype=np.uint32).copy()
+        self.set_entries(
+            np.asarray(keys, dtype=self._key_dtype).copy(),
+            np.asarray(row_ids, dtype=np.uint32).copy(),
+        )
         self.lsn += 1
         self.log.clear()
         parts: List[KernelStats] = []
@@ -1081,8 +1083,8 @@ class ReplicaGroup:
 
     def export_entries(self) -> Tuple[np.ndarray, np.ndarray]:
         # No defensive copy: the authoritative arrays are only ever rebound
-        # (update/reload build fresh arrays), so handing out references is
-        # safe and saves two O(entries) copies per routed write.
+        # (update/reload/re-export build fresh arrays), so handing out
+        # references is safe and saves two O(entries) copies.
         return self.keys, self.row_ids
 
     @property

@@ -8,7 +8,9 @@ only to the shards whose key ranges overlap the query interval.  Updates are
 routed the same way — shards whose index type supports native updates apply
 them in place, all others are rebuilt from the (updated) authoritative
 arrays, which is also the primitive the background maintenance worker uses to
-heal degraded shards.
+heal degraded shards.  After a native update of an index that can export its
+entries, the authoritative arrays are re-exported from it lazily, on their
+next read, rather than after every write.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from repro.baselines.base import (
     GpuIndex,
     LookupResult,
     RangeLookupResult,
-    UnsupportedOperation,
     UpdateResult,
     cancel_opposing_updates,
     delete_one_per_key,
@@ -82,15 +83,77 @@ class ShardCall:
     stats: KernelStats
 
 
+class LazyEntries:
+    """Authoritative ``(keys, row_ids)`` arrays kept as a lazily re-exported
+    copy of a live index (router shards and replica groups).
+
+    After a native write the owner only records the index that applied it
+    (:meth:`defer_export`); the first read of :attr:`keys` / :attr:`row_ids`
+    exports from that recorded object once, so a run of writes between
+    readers (rebuilds, reshards, resyncs, checkpoints) costs no whole-shard
+    copy per write.  The recorded object is used, not whatever index later
+    sits in the owner's slot: a shard whose index was dropped for a
+    stop-the-world rebuild, or a replica killed since, still yields the
+    entries of the last write.  Owners set ``_keys`` and ``_row_ids``.
+    """
+
+    #: Index the arrays must be re-exported from before they are next read
+    #: (``None``: the arrays are current).
+    _entries_source: Optional[GpuIndex] = None
+
+    def defer_export(self, index: GpuIndex) -> None:
+        """``index`` applied a write the arrays do not hold yet (the stale
+        arrays are dropped)."""
+        self._keys = self._row_ids = None
+        self._entries_source = index
+
+    def set_entries(self, keys: np.ndarray, row_ids: np.ndarray) -> None:
+        """Replace the arrays outright (they are current again)."""
+        self._keys, self._row_ids = keys, row_ids
+        self._entries_source = None
+
+    def apply_update(
+        self, insert_keys: np.ndarray, insert_row_ids: np.ndarray, delete_keys: np.ndarray
+    ) -> int:
+        """Apply a write to the arrays themselves (for indexes that cannot
+        export, and rebuild-fallback shards); returns the entries removed."""
+        keys, row_ids, removed = apply_update_to_entries(
+            self.keys, self.row_ids, insert_keys, insert_row_ids, delete_keys
+        )
+        self.set_entries(keys, row_ids)
+        return removed
+
+    def _sync_entries(self) -> None:
+        if self._entries_source is not None:
+            self.set_entries(*self._entries_source.export_entries())
+
+    @property
+    def keys(self) -> np.ndarray:
+        self._sync_entries()
+        return self._keys
+
+    @property
+    def row_ids(self) -> np.ndarray:
+        self._sync_entries()
+        return self._row_ids
+
+    @property
+    def num_entries(self) -> int:
+        if self._entries_source is not None:
+            return len(self._entries_source)
+        return int(self._keys.shape[0])
+
+
 @dataclass
-class _Shard:
-    """One shard: its index instance and the authoritative entry arrays."""
+class _Shard(LazyEntries):
+    """One shard: its index instance and the authoritative entry arrays
+    (a lazily re-exported copy, see :class:`LazyEntries`)."""
 
     shard_id: int
-    #: Authoritative keys, kept sorted ascending.
-    keys: np.ndarray
-    #: RowIDs aligned with ``keys``.
-    row_ids: np.ndarray
+    #: Authoritative keys, kept sorted ascending (read through :attr:`keys`).
+    _keys: np.ndarray
+    #: RowIDs aligned with ``_keys`` (read through :attr:`row_ids`).
+    _row_ids: np.ndarray
     index: Optional[GpuIndex] = None
     #: Number of rebuilds this shard has seen (bulk load included).
     builds: int = 0
@@ -119,10 +182,6 @@ class _Shard:
     reshard_version: int = -1
     #: Right-neighbour ``version`` an in-flight merge was built from.
     reshard_partner_version: int = -1
-
-    @property
-    def num_entries(self) -> int:
-        return int(self.keys.shape[0])
 
 
 class ShardRouter:
@@ -157,11 +216,7 @@ class ShardRouter:
             shard_keys = keys[member]
             shard_rows = row_ids[member]
             order = np.argsort(shard_keys, kind="stable")
-            shard = _Shard(
-                shard_id=shard_id,
-                keys=shard_keys[order],
-                row_ids=shard_rows[order],
-            )
+            shard = _Shard(shard_id, shard_keys[order], shard_rows[order])
             self._build_shard(shard)
             self.shards.append(shard)
 
@@ -487,16 +542,16 @@ class ShardRouter:
         position = self._split_position(shard, split_key)
         self.partitioner.split_at(shard_id, split_key)
         left_shard = _Shard(
-            shard_id=shard_id,
-            keys=shard.keys[:position].copy(),
-            row_ids=shard.row_ids[:position].copy(),
+            shard_id,
+            shard.keys[:position].copy(),
+            shard.row_ids[:position].copy(),
             index=left,
             builds=shard.builds + 1,
         )
         right_shard = _Shard(
-            shard_id=shard_id + 1,
-            keys=shard.keys[position:].copy(),
-            row_ids=shard.row_ids[position:].copy(),
+            shard_id + 1,
+            shard.keys[position:].copy(),
+            shard.row_ids[position:].copy(),
             index=right,
             builds=shard.builds + 1,
         )
@@ -552,9 +607,9 @@ class ShardRouter:
             )
         self.partitioner.merge_with_next(shard_id)
         merged = _Shard(
-            shard_id=shard_id,
-            keys=np.concatenate([left.keys, right.keys]),
-            row_ids=np.concatenate([left.row_ids, right.row_ids]),
+            shard_id,
+            np.concatenate([left.keys, right.keys]),
+            np.concatenate([left.row_ids, right.row_ids]),
             index=combined,
             builds=max(left.builds, right.builds) + 1,
         )
@@ -823,7 +878,8 @@ class ShardRouter:
             shard_deletes = delete_keys[delete_shards == shard_id]
             inserted += int(shard_inserts.shape[0])
 
-            if shard.index is not None and shard.index.supports_updates:
+            native = shard.index is not None and shard.index.supports_updates
+            if native:
                 result = shard.index.update_batch(
                     insert_keys=shard_inserts if shard_inserts.size else None,
                     insert_row_ids=shard_insert_rows if shard_inserts.size else None,
@@ -831,22 +887,18 @@ class ShardRouter:
                 )
                 parts.append(result.stats)
                 any_rebuilt = any_rebuilt or result.rebuilt
-                # Where the live index can dump its entries, snapshot it as
-                # the authoritative state: a rebuild then reproduces the live
-                # index exactly, duplicate tie-order included — and the
-                # sorted-array maintenance below would be redundant work.
-                try:
-                    shard.keys, shard.row_ids = shard.index.export_entries()
-                    shard.version += 1
-                    deleted += result.deleted
-                except UnsupportedOperation:
-                    deleted += self._apply_authoritative(
-                        shard, shard_inserts, shard_insert_rows, shard_deletes
-                    )
+            if native and shard.index.supports_export:
+                # The live index's entries become the authoritative state
+                # (re-exported when next read): a rebuild then reproduces it
+                # exactly, duplicate tie-order included.
+                shard.defer_export(shard.index)
+                deleted += result.deleted
             else:
-                deleted += self._apply_authoritative(
-                    shard, shard_inserts, shard_insert_rows, shard_deletes
+                deleted += shard.apply_update(
+                    shard_inserts, shard_insert_rows, shard_deletes
                 )
+            shard.version += 1
+            if not native:
                 parts.append(self.rebuild_shard(int(shard_id)))
                 any_rebuilt = True
 
@@ -864,24 +916,6 @@ class ShardRouter:
 
         stats = combine("serve.update", parts)
         return UpdateResult(inserted=inserted, deleted=deleted, stats=stats, rebuilt=any_rebuilt)
-
-    @staticmethod
-    def _apply_authoritative(
-        shard: _Shard,
-        insert_keys: np.ndarray,
-        insert_row_ids: np.ndarray,
-        delete_keys: np.ndarray,
-    ) -> int:
-        """Apply an update slice to the shard's sorted authoritative arrays.
-
-        Deletes remove one occurrence per delete key (matching cgRXu's
-        semantics); returns the number of entries actually removed.
-        """
-        shard.keys, shard.row_ids, removed = apply_update_to_entries(
-            shard.keys, shard.row_ids, insert_keys, insert_row_ids, delete_keys
-        )
-        shard.version += 1
-        return removed
 
     # ------------------------------------------------------------------ memory
 

@@ -182,6 +182,41 @@ def test_declared_update_support_is_honest(keyset):
         assert update.inserted == 1, name
 
 
+def test_declared_export_support_is_honest(keyset):
+    """Index types claiming entry export must dump every entry sorted by key,
+    current after a write (the serving layer re-exports from them lazily);
+    the others must raise UnsupportedOperation."""
+    from repro.serve import ReplicaGroup
+
+    order = np.argsort(keyset.keys, kind="stable")
+    indexes = {name: build(name, keyset) for name in FACTORY_IDS}
+    indexes["cgrx"] = cgrx_factory(32)(keyset)
+    for inner in ("cgrxu[compiled]", "hash_table"):
+        indexes[f"replica_group[{inner}]"] = ReplicaGroup(
+            0,
+            keyset.keys[order],
+            keyset.row_ids[order],
+            factory=CONTRACT_FACTORIES[inner],
+            key_bits=32,
+        )
+    entries = sorted(zip(keyset.keys.tolist(), keyset.row_ids.tolist()))
+    for name, index in indexes.items():
+        if not type(index).supports_export:
+            with pytest.raises(UnsupportedOperation):
+                index.export_entries()
+            continue
+        expected = entries
+        if type(index).supports_updates:
+            index.update_batch(
+                insert_keys=np.asarray([123456789], dtype=np.uint32),
+                insert_row_ids=np.asarray([1], dtype=np.uint32),
+            )
+            expected = sorted(expected + [(123456789, 1)])
+        keys, row_ids = index.export_entries()
+        assert np.all(np.diff(keys.astype(np.int64)) >= 0), name
+        assert sorted(zip(keys.tolist(), row_ids.tolist())) == expected, name
+
+
 # --------------------------------------------------------------------------
 # Memory and metadata
 # --------------------------------------------------------------------------

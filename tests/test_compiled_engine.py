@@ -6,7 +6,9 @@ same workloads through ``engine="compiled"`` (the default) and asserts
 compiled-tier-specific contracts: the C BVH builder's arrays equal the
 Python builder's, the closest-hit and all-hits megakernels, fused point
 routing and the C range walk match the scalar procedures ray for ray and key
-for key, each hot index path is one C call per batch, quantized AABBs are
+for key, the C update apply leaves the node slabs byte-identical (resuming
+once per slab growth, chain tables patched only on splits), each hot index
+path is one C call per batch, quantized AABBs are
 rounded conservatively outward, shard-local arenas are rebuilt in place, the
 kernel build is safe under concurrency and corruption, and a fallback to the
 scalar engine is loud.
@@ -560,6 +562,9 @@ def test_one_c_call_per_hot_path_batch(count_calls):
     count_calls.clear()
     cgrxu.range_lookup_batch(lows, highs)
     assert count_calls == {"locate_optimized": 1, "range_walk": 1}
+    count_calls.clear()
+    cgrxu.update_batch(insert_keys=lookups[:48], delete_keys=keyset.keys[::64])
+    assert count_calls == {"apply_updates": 1}
 
 
 # --------------------------------------------------------------------------
@@ -777,6 +782,119 @@ def test_cgrxu_compiled_identical_through_update_waves(key_bits, representation)
     comp_entries = comp.export_entries()
     assert scalar_entries[0].tobytes() == comp_entries[0].tobytes()
     assert scalar_entries[1].tobytes() == comp_entries[1].tobytes()
+
+
+@requires_backend
+@pytest.mark.parametrize("key_bits", [32, 64])
+@pytest.mark.parametrize("representation", ["naive", "optimized"])
+def test_cgrxu_compiled_apply_leaves_identical_node_state(key_bits, representation):
+    """The C apply edits the slabs exactly like the scalar per-key loop:
+    stale slots, free-list order, linked-region growth and chain tables."""
+    keyset = generate_keys(3072, uniformity=0.6, key_bits=key_bits, seed=41)
+    dtype = keyset.keys.dtype
+    rng = np.random.default_rng(42)
+    lookups = hit_miss_lookups(
+        keyset, 512, miss_fraction=0.3, out_of_range_fraction=0.3, seed=43
+    )
+    scalar, comp = (
+        CgRXuIndex(
+            keyset.keys,
+            keyset.row_ids,
+            CgRXuConfig(key_bits=key_bits, representation=representation, engine=engine),
+        )
+        for engine in ("scalar", "compiled")
+    )
+    comp.point_lookup_batch(lookups)  # packs the chain tables updates patch
+    initial_capacity = comp.nodes.linked_region_capacity
+    freed = 0
+    for wave in range(9):
+        # Inserts crowd the lower third so chains split and grow.
+        inserts = rng.choice(keyset.keys[:1024], size=600).astype(dtype)
+        # Duplicate inserts, plus keys beyond the bulk-loaded range.
+        inserts = np.concatenate(
+            [inserts, inserts[:40], rng.integers(0, np.iinfo(dtype).max, 40, dtype=dtype)]
+        )
+        rows = rng.integers(0, 1 << 31, size=inserts.shape[0]).astype(np.uint32)
+        # Deletes of stored keys (some twice) plus misses.
+        deletes = np.concatenate(
+            [
+                rng.choice(keyset.keys, size=300).astype(dtype),
+                rng.integers(0, np.iinfo(dtype).max, 30, dtype=dtype),
+            ]
+        )
+        expected = scalar.update_batch(inserts, rows, deletes)
+        result = comp.update_batch(inserts, rows, deletes)
+        assert (result.inserted, result.deleted) == (expected.inserted, expected.deleted)
+        assert_stats_identical(expected.stats, result.stats)
+        assert scalar.nodes.state_differences(comp.nodes) == []
+        for expected_table, table in zip(scalar._chain_table(), comp._chain_table()):
+            assert expected_table.tobytes() == table.tobytes()
+        assert len(comp) == comp._count_entries()
+        assert_point_identical(
+            scalar.point_lookup_batch(lookups), comp.point_lookup_batch(lookups)
+        )
+        if freed:
+            assert len(comp.nodes._free_nodes) < freed  # released nodes reused
+            freed = 0
+        if wave % 3 == 2:
+            # Compaction releases linked nodes to the free list.
+            lengths = scalar.bucket_chain_lengths()
+            hottest = np.argsort(lengths, kind="stable")[::-1][:48]
+            for index in (scalar, comp):
+                index.compact_buckets(hottest)
+            freed = len(comp.nodes._free_nodes)
+            assert freed > 0
+    assert comp.nodes.linked_region_capacity > initial_capacity
+
+
+@requires_backend
+def test_compiled_apply_resumes_once_when_the_linked_region_runs_out(count_calls):
+    keyset = generate_keys(2048, uniformity=0.6, key_bits=32, seed=44)
+    scalar, comp = (
+        CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32, engine=engine))
+        for engine in ("scalar", "compiled")
+    )
+    capacity = comp.nodes.linked_region_capacity
+    inserts = np.random.default_rng(45).choice(keyset.keys, size=2000)
+    deletes = keyset.keys[::16]
+    expected = scalar.update_batch(insert_keys=inserts, delete_keys=deletes)
+    count_calls.clear()
+    result = comp.update_batch(insert_keys=inserts, delete_keys=deletes)
+    # The splits need more linked nodes than reserved, but one doubling is
+    # enough: the kernel stops once, the slabs grow, and it resumes.
+    assert capacity < comp.nodes.linked_nodes_used <= 2 * capacity
+    assert comp.nodes.linked_region_capacity == 2 * capacity
+    assert count_calls == {"apply_updates": 2}
+    # Every op is counted once.
+    assert (result.inserted, result.deleted) == (expected.inserted, expected.deleted)
+    assert_stats_identical(expected.stats, result.stats)
+    assert scalar.nodes.state_differences(comp.nodes) == []
+    assert len(comp) == comp._count_entries() == len(scalar)
+
+
+@requires_backend
+def test_split_free_update_keeps_the_packed_chain_tables():
+    keyset = generate_keys(2048, uniformity=0.6, key_bits=64, seed=46)
+    lookups = hit_miss_lookups(keyset, 256, miss_fraction=0.3, seed=47)
+    scalar, comp = (
+        CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=64, engine=engine))
+        for engine in ("scalar", "compiled")
+    )
+    comp.point_lookup_batch(lookups)
+    tables = comp._compiled_chain_tables()
+    rebuilds = comp._compiled_arena.rebuilds
+    rng = np.random.default_rng(48)
+    # Nodes start half full: a few spread-out inserts fit without splits.
+    inserts = rng.integers(0, int(keyset.keys.max()), 24, dtype=np.uint64)
+    deletes = np.concatenate([keyset.keys[::7], inserts[:4]])
+    for index in (scalar, comp):
+        index.update_batch(insert_keys=inserts, delete_keys=deletes)
+    assert comp.nodes.linked_nodes_used == 0
+    assert_point_identical(
+        scalar.point_lookup_batch(lookups), comp.point_lookup_batch(lookups)
+    )
+    assert comp._compiled_chain_tables() is tables
+    assert comp._compiled_arena.rebuilds == rebuilds
 
 
 @requires_backend

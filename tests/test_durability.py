@@ -500,6 +500,53 @@ def test_reshard_rebases_the_store(keyset, tmp_path):
     assert deployment_entries(recovered) == state
 
 
+@pytest.mark.parametrize("replication_factor", [1, 3])
+def test_checkpoint_after_lazy_writes_matches_eager_export(
+    keyset, tmp_path, replication_factor
+):
+    """Shard arrays re-exported lazily after native writes checkpoint and
+    cold-start byte for byte like arrays exported after every write."""
+    lazy, eager = (
+        durable_deployment(keyset, tmp_path / name, replication_factor=replication_factor)
+        for name in ("lazy", "eager")
+    )
+    rng = np.random.default_rng(37)
+    for _ in range(5):
+        # Duplicates of stored keys make the tie-order of the arrays matter.
+        inserts = rng.choice(keyset.keys, 48)
+        rows = rng.integers(0, 1 << 31, size=48).astype(np.uint32)
+        deletes = rng.choice(keyset.keys, 16)
+        for served in (lazy, eager):
+            served.update_batch(insert_keys=inserts, insert_row_ids=rows, delete_keys=deletes)
+        for shard in eager.router.shards:
+            DeploymentStore.shard_durable_state(shard)
+            shard.keys, shard.row_ids
+    for served in (lazy, eager):
+        served.store.checkpoint_deployment(served.router)
+    recovered = [
+        ShardedIndex.cold_start(
+            DeploymentStore(LocalDirBackend(str(tmp_path / name)), key_bits=32),
+            factory=cgrxu_factory(128),
+        )
+        for name in ("lazy", "eager")
+    ]
+    def durable_arrays(served):
+        # Cold start re-partitions: compare the deployment-wide arrays in
+        # shard order, tie-order of duplicates included.
+        states = [DeploymentStore.shard_durable_state(s) for s in served.router.shards]
+        return tuple(
+            np.concatenate([state[part] for state in states]).tobytes()
+            for part in (0, 1)
+        )
+
+    probe = keyset.keys[::3]
+    for deployment in (lazy, *recovered):
+        assert durable_arrays(deployment) == durable_arrays(eager)
+        answers = deployment.point_lookup_batch(probe)
+        expected = eager.point_lookup_batch(probe)
+        assert answers.row_ids.tobytes() == expected.row_ids.tobytes()
+
+
 def test_metrics_surface_durability_counters(keyset, tmp_path):
     served = durable_deployment(keyset, tmp_path)
     apply_waves(served, keyset, num_waves=5)

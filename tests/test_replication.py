@@ -284,6 +284,110 @@ def test_router_rebalance_replicas(keyset):
 
 
 # --------------------------------------------------------------------------
+# Lazily re-exported group arrays
+# --------------------------------------------------------------------------
+
+
+def cgrxu_groups(keyset):
+    """A lazy group and its eager twin (re-exported after every write)."""
+    return (make_group(keyset, factory=cgrxu_factory(128)) for _ in range(2))
+
+
+def write_both(lazy, eager, keyset, seed):
+    rng = np.random.default_rng(seed)
+    # Duplicates of stored keys make the tie-order of the arrays matter.
+    inserts = rng.choice(keyset.keys, 48)
+    rows = rng.integers(0, 1 << 31, size=48).astype(np.uint32)
+    deletes = rng.choice(keyset.keys, 16)
+    for group in (lazy, eager):
+        group.update_batch(insert_keys=inserts, insert_row_ids=rows, delete_keys=deletes)
+    eager.keys, eager.row_ids
+
+
+def assert_same_entries(lazy, eager, keyset):
+    assert lazy.num_entries == eager.num_entries == len(lazy.keys)
+    for mine, theirs in zip(lazy.export_entries(), eager.export_entries()):
+        assert mine.tobytes() == theirs.tobytes()
+    probe = keyset.keys[::3]
+    mine, theirs = lazy.point_lookup_batch(probe), eager.point_lookup_batch(probe)
+    assert mine.row_ids.tobytes() == theirs.row_ids.tobytes()
+    assert mine.match_counts.tobytes() == theirs.match_counts.tobytes()
+
+
+def test_lazy_group_arrays_survive_failover(keyset):
+    lazy, eager = cgrxu_groups(keyset)
+    write_both(lazy, eager, keyset, seed=1)
+    for group in (lazy, eager):
+        group.crash(0, now_ms=1.0)  # the replica that applied the write first
+    probe = keyset.keys[::3]
+    mine, theirs = lazy.point_lookup_batch(probe), eager.point_lookup_batch(probe)
+    assert mine.row_ids.tobytes() == theirs.row_ids.tobytes()
+    write_both(lazy, eager, keyset, seed=2)  # applied by replicas 1 and 2 only
+    assert_same_entries(lazy, eager, keyset)
+
+
+def test_lazy_group_arrays_rebuild_a_killed_replica(keyset):
+    lazy, eager = cgrxu_groups(keyset)
+    write_both(lazy, eager, keyset, seed=3)
+    for group in (lazy, eager):
+        # The killed replica's index is the one the write was recorded from.
+        group.process_kill(0, now_ms=1.0)
+        group.end_outage(0, now_ms=2.0)
+        group.resync(group.replica(0), now_ms=2.0)
+        assert group.counters["resyncs_snapshot"] == 1
+    for mine, theirs in zip(
+        lazy.replica(0).index.export_entries(), eager.replica(0).index.export_entries()
+    ):
+        assert mine.tobytes() == theirs.tobytes()
+    for group in (lazy, eager):
+        group.crash(1, now_ms=3.0)
+        group.crash(2, now_ms=3.0)  # reads now hit the rebuilt replica
+    assert_same_entries(lazy, eager, keyset)
+
+
+def test_reload_replaces_lazy_group_arrays(keyset):
+    lazy, eager = cgrxu_groups(keyset)
+    write_both(lazy, eager, keyset, seed=4)
+    order = np.argsort(keyset.keys, kind="stable")
+    keys, rows = keyset.keys[order][::2], keyset.row_ids[order][::2]
+    for group in (lazy, eager):
+        group.reload(keys, rows)
+    assert lazy.keys.tobytes() == keys.tobytes()
+    assert lazy.row_ids.tobytes() == rows.tobytes()
+    write_both(lazy, eager, keyset, seed=5)
+    assert_same_entries(lazy, eager, keyset)
+
+
+def test_replicated_router_rebuild_after_lazy_writes(keyset):
+    routers = [
+        ReplicatedShardRouter(
+            keyset.keys,
+            keyset.row_ids,
+            factory=cgrxu_factory(128),
+            num_shards=2,
+            partitioner="range",
+            key_bits=32,
+            replication=ReplicationConfig(replication_factor=2),
+        )
+        for _ in range(2)
+    ]
+    rng = np.random.default_rng(6)
+    for wave in range(4):
+        inserts = rng.choice(keyset.keys, 32)
+        rows = rng.integers(0, 1 << 31, size=32).astype(np.uint32)
+        for router in routers:
+            router.update_batch(insert_keys=inserts, insert_row_ids=rows)
+            if wave == 1:
+                router.rebuild_shard(0)  # reloads the group from the shard arrays
+        for shard in routers[1].shards:  # the eager twin
+            shard.keys, shard.index.keys
+    for mine, theirs in zip(*(router.shards for router in routers)):
+        assert mine.keys.tobytes() == theirs.keys.tobytes()
+        assert mine.row_ids.tobytes() == theirs.row_ids.tobytes()
+        assert mine.index.keys.tobytes() == mine.keys.tobytes()
+
+
+# --------------------------------------------------------------------------
 # Replicated router behind the full deployment
 # --------------------------------------------------------------------------
 

@@ -173,6 +173,129 @@ def test_router_unsorted_insert_batch_keeps_authoritative_order(keyset):
 
 
 # --------------------------------------------------------------------------
+# Lazily re-exported shard arrays
+# --------------------------------------------------------------------------
+
+
+def cgrxu_router(keyset):
+    return ShardRouter(
+        keyset.keys,
+        keyset.row_ids,
+        factory=cgrxu_factory(128),
+        num_shards=3,
+        partitioner="range",
+        key_bits=32,
+    )
+
+
+def read_arrays(router) -> None:
+    """Read every shard's arrays, as the router used to after each write."""
+    for shard in router.shards:
+        shard.keys, shard.row_ids
+
+
+def write_waves(lazy, eager, keyset, num_waves=2, seed=11):
+    """Apply the same seeded writes to both routers (``eager`` may be
+    ``None``); ``eager`` re-exports right after each write.  Inserts
+    duplicate stored keys, so the arrays' tie-order of duplicates is
+    exercised."""
+    rng = np.random.default_rng(seed)
+    for _ in range(num_waves):
+        inserts = np.concatenate(
+            [rng.choice(keyset.keys, 48), rng.integers(0, 1 << 32, 16, dtype=np.uint64)]
+        ).astype(np.uint32)
+        rows = rng.integers(0, 1 << 31, size=inserts.shape[0]).astype(np.uint32)
+        deletes = rng.choice(keyset.keys, 24)
+        for router in (lazy, eager):
+            if router is not None:
+                router.update_batch(
+                    insert_keys=inserts, insert_row_ids=rows, delete_keys=deletes
+                )
+        if eager is not None:
+            read_arrays(eager)
+
+
+def assert_same_shards(lazy, eager, keyset) -> None:
+    assert len(lazy.shards) == len(eager.shards)
+    for mine, theirs in zip(lazy.shards, eager.shards):
+        assert mine.version == theirs.version
+        assert mine.num_entries == theirs.num_entries
+        assert mine.keys.tobytes() == theirs.keys.tobytes()
+        assert mine.row_ids.tobytes() == theirs.row_ids.tobytes()
+        assert mine.num_entries == mine.keys.shape[0]
+        if mine.index is not None:
+            exported = mine.index.export_entries()
+            assert exported[0].tobytes() == mine.keys.tobytes()
+            assert exported[1].tobytes() == mine.row_ids.tobytes()
+    probe = keyset.keys[::5]
+    mine, theirs = lazy.point_lookup_batch(probe), eager.point_lookup_batch(probe)
+    assert mine.row_ids.tobytes() == theirs.row_ids.tobytes()
+    assert mine.match_counts.tobytes() == theirs.match_counts.tobytes()
+
+
+def test_routed_cgrxu_write_exports_nothing_until_read(keyset, monkeypatch):
+    from repro.core.updatable import CgRXuIndex
+
+    exports = []
+    export = CgRXuIndex.export_entries
+
+    def counting_export(index):
+        exports.append(index)
+        return export(index)
+
+    router = cgrxu_router(keyset)
+    monkeypatch.setattr(CgRXuIndex, "export_entries", counting_export)
+    write_waves(router, None, keyset, num_waves=3)
+    assert exports == []
+    for shard in router.shards:
+        assert shard.num_entries == len(shard.index)
+    assert exports == []
+    for shard in router.shards:
+        monkeypatch.setattr(CgRXuIndex, "export_entries", export)
+        keys, row_ids = shard.index.export_entries()
+        monkeypatch.setattr(CgRXuIndex, "export_entries", counting_export)
+        assert shard.keys.tobytes() == keys.tobytes()
+        assert shard.row_ids.tobytes() == row_ids.tobytes()
+    # One re-export per written shard, however often the arrays are read.
+    assert len(exports) == len(router.shards)
+    read_arrays(router)
+    assert len(exports) == len(router.shards)
+
+
+#: Shard lifecycle steps run on both routers between write waves (``None``).
+LIFECYCLES = {
+    "stop_the_world": [lambda r: r.rebuild_shard(1, mode="stop_the_world")],
+    "double_buffered": [lambda r: r.rebuild_shard(1)],
+    "split_merge": [lambda r: r.split_shard(1), None, lambda r: r.merge_shards(0)],
+    "interleaved_commit": [
+        lambda r: r.begin_shard_rebuild(1),
+        None,
+        lambda r: r.commit_shard_rebuild(1),
+        lambda r: r.begin_shard_split(0),
+        None,
+        lambda r: r.commit_shard_split(0),
+        lambda r: r.begin_shard_merge(1),
+        None,
+        lambda r: r.commit_shard_merge(1),
+    ],
+}
+
+
+@pytest.mark.parametrize("lifecycle", sorted(LIFECYCLES))
+def test_lazy_shard_arrays_match_eager_export(keyset, lifecycle):
+    lazy, eager = cgrxu_router(keyset), cgrxu_router(keyset)
+    write_waves(lazy, eager, keyset, seed=21)
+    for seed, step in enumerate(LIFECYCLES[lifecycle], start=22):
+        if step is None:
+            write_waves(lazy, eager, keyset, seed=seed)
+            continue
+        for router in (lazy, eager):
+            step(router)
+    write_waves(lazy, eager, keyset, seed=40)
+    assert_same_shards(lazy, eager, keyset)
+
+
+# --------------------------------------------------------------------------
 # Range-lookup boundary contracts (vs a single-instance index)
 # --------------------------------------------------------------------------
 
