@@ -25,6 +25,7 @@ Three instrument kinds are provided:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
@@ -61,6 +62,11 @@ def default_boundaries(
     edges = lowest * growth ** np.arange(num_edges, dtype=np.float64)
     edges[-1] = max(edges[-1], highest)
     return edges
+
+
+#: Bucket edges of the default layout as Python floats, read-only and shared
+#: by every default-layout histogram (the bisect lookup of ``record``).
+_DEFAULT_BOUNDS: Tuple[float, ...] = tuple(default_boundaries().tolist())
 
 
 class Counter:
@@ -111,10 +117,15 @@ class LogBucketHistogram:
     percentiles are approximate, bounded by the bucket half-width.
     """
 
-    __slots__ = ("edges", "bucket_counts", "count", "total", "min", "max")
+    __slots__ = ("edges", "_bounds", "bucket_counts", "count", "total", "min", "max")
 
     def __init__(self, edges: Optional[np.ndarray] = None) -> None:
-        self.edges = default_boundaries() if edges is None else np.asarray(edges)
+        if edges is None:
+            self.edges = default_boundaries()
+            self._bounds = _DEFAULT_BOUNDS
+        else:
+            self.edges = np.asarray(edges)
+            self._bounds = tuple(self.edges.astype(np.float64).tolist())
         self.bucket_counts = np.zeros(self.edges.size + 1, dtype=np.int64)
         self.count = 0
         self.total = 0.0
@@ -125,8 +136,20 @@ class LogBucketHistogram:
         return self.count
 
     def record(self, value: float) -> None:
+        """Record one sample.
+
+        The bucket is found by ``bisect_left`` over the edges held as a tuple
+        of Python floats (shared by every default-layout histogram): for any
+        non-NaN value, ±inf included, that is the position
+        ``np.searchsorted(edges, value, side="left")`` gives, without a numpy
+        call per sample.  NaN still goes through numpy, which sorts it past
+        every edge where bisect would put it first.
+        """
         value = float(value)
-        position = int(np.searchsorted(self.edges, value, side="left"))
+        if value == value:
+            position = bisect_left(self._bounds, value)
+        else:
+            position = int(np.searchsorted(self.edges, value, side="left"))
         self.bucket_counts[position] += 1
         self.count += 1
         self.total += value

@@ -105,6 +105,13 @@ class BatchScheduler:
         self._queues: Dict[int, _ShardQueue] = {}
         self._dispatched = 0
         self._last_arrival_ms = float("-inf")
+        #: Earliest timeout deadline over the non-empty queues (``inf`` when
+        #: all are empty): no batch can be due before it.
+        self._next_deadline_ms = float("inf")
+        #: Telemetry histograms, resolved on the first dispatch that records
+        #: into them (``serve_batch_queue_wait_ms`` keyed by reason).
+        self._size_histogram = None
+        self._wait_histograms: Dict[str, object] = {}
 
     @property
     def num_dispatched(self) -> int:
@@ -138,6 +145,10 @@ class BatchScheduler:
 
         due = self._flush_expired(arrival_ms)
         queue = self._queues.setdefault(int(shard_id), _ShardQueue())
+        if not queue.keys:
+            self._next_deadline_ms = min(
+                self._next_deadline_ms, float(arrival_ms) + self.policy.max_wait_ms
+            )
         queue.keys.append(int(key))
         queue.request_ids.append(int(request_id))
         queue.arrival_ms.append(float(arrival_ms))
@@ -152,7 +163,8 @@ class BatchScheduler:
         Serving loops call this on *every* event (including requests answered
         elsewhere, e.g. from a cache), so timed-out batches are dispatched as
         soon as simulated time passes their deadline rather than waiting for
-        the next enqueued request.
+        the next enqueued request.  A poll before the earliest queued deadline
+        is O(1): it compares ``now_ms`` with that deadline and visits no queue.
         """
         if now_ms < self._last_arrival_ms:
             raise ValueError("time must be polled in non-decreasing order")
@@ -172,6 +184,8 @@ class BatchScheduler:
     # -------------------------------------------------------------- internals
 
     def _flush_expired(self, now_ms: float) -> List[Batch]:
+        if now_ms < self._next_deadline_ms:
+            return []
         batches: List[Batch] = []
         for shard_id in sorted(self._queues):
             queue = self._queues[shard_id]
@@ -200,9 +214,22 @@ class BatchScheduler:
         queue.arrival_ms.clear()
         queue.tenant_ids.clear()
         self._dispatched += 1
+        self._next_deadline_ms = min(
+            (
+                other.arrival_ms[0] + self.policy.max_wait_ms
+                for other in self._queues.values()
+                if other.arrival_ms
+            ),
+            default=float("inf"),
+        )
         if self.telemetry is not None:
-            self.telemetry.histogram("serve_batch_size").record(batch.size)
-            self.telemetry.histogram(
-                "serve_batch_queue_wait_ms", reason=reason
-            ).record_many(batch.queue_delays_ms())
+            if self._size_histogram is None:
+                self._size_histogram = self.telemetry.histogram("serve_batch_size")
+            self._size_histogram.record(batch.size)
+            waits = self._wait_histograms.get(reason)
+            if waits is None:
+                waits = self._wait_histograms[reason] = self.telemetry.histogram(
+                    "serve_batch_queue_wait_ms", reason=reason
+                )
+            waits.record_many(batch.queue_delays_ms())
         return batch

@@ -133,6 +133,9 @@ class ResultCache:
             shared = self.capacity
         self._parts[None] = _Partition(shared)
         self.stats = CacheStats()
+        #: Resident negative entries, kept exact by every method that adds,
+        #: overwrites or drops an entry.
+        self._negatives = 0
 
     def _partition(self, tenant: Optional[int]) -> _Partition:
         if tenant is None:
@@ -157,13 +160,15 @@ class ResultCache:
 
     @property
     def negative_count(self) -> int:
-        """Number of resident negative (known-miss) entries."""
-        return sum(
-            1
-            for part in self._parts.values()
-            for entry in part.entries.values()
-            if entry.match_count == 0
-        )
+        """Number of resident negative (known-miss) entries, across partitions.
+
+        O(1): a counter that :meth:`put` (new entries, positive/negative
+        overwrites, LRU evictions), :meth:`invalidate_keys`,
+        :meth:`invalidate_negative` and :meth:`clear` keep exact, so the
+        end-of-stream telemetry publish and every maintenance scan read it
+        without walking the resident entries.
+        """
+        return self._negatives
 
     @property
     def negative_fraction(self) -> float:
@@ -230,14 +235,19 @@ class ResultCache:
         """Insert or refresh an answer (``match_count == 0`` caches a miss)."""
         key = int(key)
         part = self._partition(tenant)
-        if key in part.entries:
+        entry = _Entry(int(row_agg), int(match_count))
+        previous = part.entries.get(key)
+        if previous is not None:
             part.entries.move_to_end(key)
-            part.entries[key] = _Entry(int(row_agg), int(match_count))
+            part.entries[key] = entry
+            self._negatives += (entry.match_count == 0) - (previous.match_count == 0)
             return
-        part.entries[key] = _Entry(int(row_agg), int(match_count))
+        part.entries[key] = entry
+        self._negatives += entry.match_count == 0
         self.stats.insertions += 1
         if len(part.entries) > part.capacity:
-            part.entries.popitem(last=False)
+            _, evicted = part.entries.popitem(last=False)
+            self._negatives -= evicted.match_count == 0
             self.stats.evictions += 1
 
     def fill_batch(
@@ -264,8 +274,10 @@ class ResultCache:
         for key in keys:
             key = int(key)
             for part in self._parts.values():
-                if part.entries.pop(key, None) is not None:
+                entry = part.entries.pop(key, None)
+                if entry is not None:
                     dropped += 1
+                    self._negatives -= entry.match_count == 0
         self.stats.invalidations += dropped
         return dropped
 
@@ -279,6 +291,7 @@ class ResultCache:
             for key in stale:
                 del part.entries[key]
             dropped += len(stale)
+        self._negatives -= dropped
         self.stats.invalidations += dropped
         return dropped
 
@@ -293,6 +306,7 @@ class ResultCache:
         dropped = len(self)
         for part in self._parts.values():
             part.entries.clear()
+        self._negatives = 0
         self.stats.bulk_clears += dropped
         return dropped
 

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.telemetry import LogBucketHistogram, TelemetryRegistry
+from repro.obs.telemetry import Counter, LogBucketHistogram, TelemetryRegistry
 
 #: Labeled instrument names the façade records into.
 EVENTS_METRIC = "serve_events_total"
@@ -118,6 +118,15 @@ class MetricsRegistry:
     Façade over a labeled :class:`TelemetryRegistry`: the historical dict
     attributes (``counters``, ``shard_requests``, ...) are read-only views
     materialised from the labeled instruments.
+
+    The per-request recording methods (:meth:`bump`, :meth:`record_request`,
+    :meth:`record_client`, :meth:`record_shard_batch`,
+    :meth:`record_tenant_request`, :meth:`record_replica_request`) record
+    through pre-bound instrument handles: the first call for a label value
+    (event name, client, shard, tenant or replica) resolves the labeled
+    instrument once and keeps it, so later calls skip the label lookup.
+    Handles are bound on first use, never up front, so a label that was never
+    recorded exports no zero-valued series.
     """
 
     def __init__(
@@ -150,6 +159,12 @@ class MetricsRegistry:
         #: histogram above is the bounded-memory production analogue).
         self.request_arrivals: List[float] = []
         self.request_latencies: List[float] = []
+        #: Pre-bound handles, keyed by the value of their single label.
+        self._events: Dict[str, Counter] = {}
+        self._clients: Dict[int, Counter] = {}
+        self._shards: Dict[int, Tuple[Counter, Counter]] = {}
+        self._tenants: Dict[int, Tuple[Counter, BoundedLatencyHistogram]] = {}
+        self._replicas: Dict[Tuple[int, int], Counter] = {}
 
     def _histogram(self, name: str) -> BoundedLatencyHistogram:
         return self.telemetry.get_or_create(name, BoundedLatencyHistogram)
@@ -217,7 +232,12 @@ class MetricsRegistry:
     # --------------------------------------------------------------- recording
 
     def bump(self, counter: str, amount: int = 1) -> None:
-        self.telemetry.counter(EVENTS_METRIC, event=counter).inc(int(amount))
+        handle = self._events.get(counter)
+        if handle is None:
+            handle = self._events[counter] = self.telemetry.counter(
+                EVENTS_METRIC, event=counter
+            )
+        handle.inc(int(amount))
 
     def record_request(self, latency_ms: float, arrival_ms: float, completion_ms: float) -> None:
         self.latency.record(latency_ms)
@@ -230,7 +250,12 @@ class MetricsRegistry:
             self.last_completion_ms = float(completion_ms)
 
     def record_client(self, client_id: int) -> None:
-        self.telemetry.counter(CLIENT_REQUESTS_METRIC, client=str(int(client_id))).inc()
+        handle = self._clients.get(client_id)
+        if handle is None:
+            handle = self._clients[client_id] = self.telemetry.counter(
+                CLIENT_REQUESTS_METRIC, client=str(int(client_id))
+            )
+        handle.inc()
 
     def record_failover(self, latency_ms: float) -> None:
         """One read failed over to another replica (or emergency-restarted)."""
@@ -249,8 +274,13 @@ class MetricsRegistry:
         self.bump("hedge_wins" if won else "hedge_losses")
 
     def record_replica_request(self, shard_id: int, replica_id: int, amount: int = 1) -> None:
-        key = f"{int(shard_id)}:{int(replica_id)}"
-        self.telemetry.counter(REPLICA_REQUESTS_METRIC, replica=key).inc(int(amount))
+        handle = self._replicas.get((shard_id, replica_id))
+        if handle is None:
+            key = f"{int(shard_id)}:{int(replica_id)}"
+            handle = self._replicas[(shard_id, replica_id)] = self.telemetry.counter(
+                REPLICA_REQUESTS_METRIC, replica=key
+            )
+        handle.inc(int(amount))
 
     def record_maintenance(self, tier: str, start_ms: float, end_ms: float) -> None:
         """Background maintenance of ``tier`` ran over ``[start_ms, end_ms]``."""
@@ -261,11 +291,18 @@ class MetricsRegistry:
 
     def record_tenant_request(self, tenant_id: int, latency_ms: float) -> None:
         """One served request of a labeled tenant (latency + count)."""
-        tenant = str(int(tenant_id))
-        self.telemetry.counter(TENANT_REQUESTS_METRIC, tenant=tenant).inc()
-        self.telemetry.get_or_create(
-            TENANT_LATENCY_METRIC, BoundedLatencyHistogram, tenant=tenant
-        ).record(float(latency_ms))
+        handles = self._tenants.get(tenant_id)
+        if handles is None:
+            tenant = str(int(tenant_id))
+            handles = self._tenants[tenant_id] = (
+                self.telemetry.counter(TENANT_REQUESTS_METRIC, tenant=tenant),
+                self.telemetry.get_or_create(
+                    TENANT_LATENCY_METRIC, BoundedLatencyHistogram, tenant=tenant
+                ),
+            )
+        requests, latency = handles
+        requests.inc()
+        latency.record(float(latency_ms))
 
     def record_shed(self, tenant_id: int, reason: str) -> None:
         """One request shed by admission control (never served)."""
@@ -299,9 +336,16 @@ class MetricsRegistry:
         self.bump("wal_records_replayed", int(replayed))
 
     def record_shard_batch(self, shard_id: int, batch_size: int, busy_ms: float) -> None:
-        shard = str(int(shard_id))
-        self.telemetry.counter(SHARD_REQUESTS_METRIC, shard=shard).inc(int(batch_size))
-        self.telemetry.counter(SHARD_BUSY_METRIC, shard=shard).inc(float(busy_ms))
+        handles = self._shards.get(shard_id)
+        if handles is None:
+            shard = str(int(shard_id))
+            handles = self._shards[shard_id] = (
+                self.telemetry.counter(SHARD_REQUESTS_METRIC, shard=shard),
+                self.telemetry.counter(SHARD_BUSY_METRIC, shard=shard),
+            )
+        requests, busy = handles
+        requests.inc(int(batch_size))
+        busy.inc(float(busy_ms))
         self.bump("batches")
 
     # --------------------------------------------------------------- reduction

@@ -19,6 +19,7 @@ from repro.obs import (
     Tracer,
     TelemetryRegistry,
     critical_path_breakdown,
+    default_boundaries,
     disable_profiling,
     enable_profiling,
     format_breakdown,
@@ -93,6 +94,35 @@ def test_histogram_record_many_matches_scalar_loop():
     assert bulk.min == looped.min and bulk.max == looped.max
     bulk.record_many([])  # empty batch is a no-op
     assert bulk.count == looped.count
+
+
+@pytest.mark.parametrize("custom_edges", [None, [1.0, 2.0, 4.0]], ids=["default", "custom"])
+def test_histogram_record_places_values_like_searchsorted(custom_edges):
+    edges = default_boundaries() if custom_edges is None else np.asarray(custom_edges)
+    rng = np.random.default_rng(17)
+    values = [
+        *edges[:3], *edges[-3:], *edges[rng.integers(0, edges.size, size=20)],
+        np.nextafter(edges[1], -math.inf), np.nextafter(edges[1], math.inf),
+        0.0, -0.0, -1.0, -1e300, 1e300, 1.5, math.inf, -math.inf, math.nan,
+        *rng.lognormal(sigma=4.0, size=50),
+    ]
+    for value in values:
+        histogram = LogBucketHistogram(edges=None if custom_edges is None else edges)
+        histogram.record(value)
+        expected = np.zeros(edges.size + 1, dtype=np.int64)
+        expected[np.searchsorted(edges, value, side="left")] = 1
+        assert np.array_equal(histogram.bucket_counts, expected), value
+
+
+def test_default_histograms_share_one_read_only_bounds_list():
+    first, second = LogBucketHistogram(), LogBucketHistogram()
+    assert first._bounds is second._bounds and isinstance(first._bounds, tuple)
+    assert list(first._bounds) == default_boundaries().tolist()
+    for value in (0.0, 1e-6, 3.5, 1e12, math.inf, -math.inf, math.nan):
+        first.record(value)
+    assert list(first._bounds) == default_boundaries().tolist()
+    assert second.count == 0 and not second.bucket_counts.any()
+    assert np.array_equal(second.edges, default_boundaries())
 
 
 def test_histogram_merge_equals_bulk_and_rejects_mismatched_edges():

@@ -11,14 +11,17 @@ from repro.bench.harness import cgrxu_factory, sorted_array_factory
 from repro.serve import (
     BatchPolicy,
     BatchScheduler,
+    FailureEvent,
     HashPartitioner,
     MaintenancePolicy,
     MaintenanceWorker,
     RangePartitioner,
+    ReliabilityConfig,
     ResultCache,
     ServeConfig,
     ShardRouter,
     ShardedIndex,
+    TenantQoS,
     make_partitioner,
     queueable,
     shard_skew,
@@ -26,7 +29,7 @@ from repro.serve import (
 from repro.serve.maintenance import QUEUEABLE_TASKS
 from repro.workloads.keygen import generate_keys
 from repro.workloads.lookups import uniform_lookups
-from repro.workloads.requests import zipf_request_stream
+from repro.workloads.requests import RequestStream, zipf_request_stream
 
 
 @pytest.fixture(scope="module")
@@ -466,6 +469,107 @@ def test_scheduler_rejects_time_travel():
         scheduler.offer(0, 1, key=2, arrival_ms=4.0)
 
 
+class _ScanningScheduler(BatchScheduler):
+    """Reference: every poll sorts and scans all shard queues for due batches."""
+
+    def _flush_expired(self, now_ms):
+        batches = []
+        for shard_id in sorted(self._queues):
+            queue = self._queues[shard_id]
+            deadline = queue.deadline_ms + self.policy.max_wait_ms
+            if len(queue) and deadline <= now_ms:
+                batches.append(self._dispatch(shard_id, queue, deadline, "timeout"))
+        return batches
+
+
+def _batch_record(batch):
+    tenants = None if batch.tenant_ids is None else batch.tenant_ids.tolist()
+    return (
+        batch.shard_id, batch.keys.tolist(), batch.request_ids.tolist(),
+        batch.arrival_ms.tolist(), batch.dispatch_ms, batch.reason, tenants,
+    )
+
+
+@pytest.mark.parametrize(
+    "max_batch_size, max_wait_ms, num_shards, reasons",
+    [
+        (1, 0.0, 3, {"full"}),
+        (4, 0.0, 4, {"timeout", "drain"}),
+        (1, 0.5, 2, {"full"}),
+        (3, 0.25, 4, {"full", "timeout", "drain"}),
+        (8, 1.0, 37, {"full", "timeout", "drain"}),
+        (64, 0.3, 5, {"timeout", "drain"}),
+    ],
+)
+def test_scheduler_matches_scanning_reference(max_batch_size, max_wait_ms, num_shards, reasons):
+    policy = BatchPolicy(max_batch_size=max_batch_size, max_wait_ms=max_wait_ms)
+    rng = np.random.default_rng(max_batch_size * 100 + num_shards)
+    scheduler, reference = BatchScheduler(policy), _ScanningScheduler(policy)
+    batches, expected = [], []
+    now, arrivals = 0.0, [0.0]
+    for request_id in range(1500):
+        step = rng.choice(["same", "small", "large"], p=[0.4, 0.55, 0.05])
+        if step == "small":
+            now += float(rng.exponential(0.05))
+        elif step == "large":
+            now += float(rng.exponential(2.0))
+        event = rng.choice(["offer", "poll", "poll_at_deadline", "drain"], p=[0.7, 0.2, 0.08, 0.02])
+        if event == "offer":
+            # Half the traffic goes to shard 0, so its queue also fills up.
+            shard = 0 if rng.random() < 0.5 else int(rng.integers(0, num_shards))
+            key = int(rng.integers(0, 1 << 40))
+            tenant = int(rng.choice([-1, -1, 1, 2]))
+            arrivals.append(now)
+            for side, out in ((scheduler, batches), (reference, expected)):
+                out += side.offer(shard, request_id, key, now, tenant_id=tenant)
+            continue
+        if event == "poll_at_deadline":
+            # Exactly on an earlier request's deadline: due at equality.
+            now = max(now, arrivals[int(rng.integers(0, len(arrivals)))] + max_wait_ms)
+        method = "drain" if event == "drain" else "poll"
+        batches += getattr(scheduler, method)(now)
+        expected += getattr(reference, method)(now)
+    batches += scheduler.drain(now + max_wait_ms)
+    expected += reference.drain(now + max_wait_ms)
+    assert [_batch_record(batch) for batch in batches] == [
+        _batch_record(batch) for batch in expected
+    ]
+    assert {batch.reason for batch in expected} == reasons
+    assert scheduler.total_pending == 0
+
+
+class _CountingQueues(dict):
+    """Shard-queue dict that counts every read of it."""
+
+    visits = 0
+
+    def __iter__(self):
+        self.visits += 1
+        return super().__iter__()
+
+    def __getitem__(self, shard_id):
+        self.visits += 1
+        return super().__getitem__(shard_id)
+
+    def values(self):
+        self.visits += 1
+        return super().values()
+
+
+def test_scheduler_idle_poll_visits_no_queue():
+    scheduler = BatchScheduler(BatchPolicy(max_batch_size=100, max_wait_ms=1.0))
+    for shard in range(8):
+        scheduler.offer(shard, shard, key=shard, arrival_ms=0.1 * shard)
+    scheduler._queues = queues = _CountingQueues(scheduler._queues)
+    assert scheduler.poll(0.9) == []  # shard 0 is due at 1.0
+    assert queues.visits == 0
+    due = scheduler.poll(1.0)
+    assert [batch.shard_id for batch in due] == [0] and queues.visits > 0
+    # The dispatch moved the earliest deadline on to shard 1's (1.1).
+    queues.visits = 0
+    assert scheduler.poll(1.05) == [] and queues.visits == 0
+
+
 # --------------------------------------------------------------------------
 # Result cache
 # --------------------------------------------------------------------------
@@ -502,6 +606,75 @@ def test_cache_invalidation_paths():
     assert cache.invalidate_negative() == 2
     assert len(cache) == 0
     assert cache.stats.invalidations == 3
+
+
+def _walked_negatives(cache: ResultCache) -> dict:
+    """Reference: resident negative entries per partition, counted by a walk."""
+    return {
+        tenant: sum(1 for entry in part.entries.values() if entry.match_count == 0)
+        for tenant, part in cache._parts.items()
+    }
+
+
+@pytest.mark.parametrize("partitions", [None, {1: 0.25, 2: 0.25}], ids=["shared", "tenants"])
+def test_cache_negative_count_matches_walk_after_every_op(partitions):
+    rng = np.random.default_rng(5)
+    cache = ResultCache(capacity=16, partitions=partitions)
+    tenants = [None, 1, 2, 3] if partitions else [None]
+    seen = set()
+
+    for _ in range(4000):
+        op = rng.choice(
+            ["put", "fill", "get", "invalidate_keys", "invalidate_negative", "clear"],
+            p=[0.5, 0.12, 0.15, 0.17, 0.04, 0.02],
+        )
+        before = _walked_negatives(cache)
+        if op == "put":
+            key, count = int(rng.integers(0, 48)), int(rng.choice([0, 0, 1, 2]))
+            tenant = tenants[int(rng.integers(0, len(tenants)))]
+            part = cache._partition(tenant)
+            previous = part.entries.get(key)
+            if previous is None:
+                seen.add("new_negative" if count == 0 else "new_positive")
+                oldest = next(iter(part.entries.values()), None)
+                if len(part.entries) == part.capacity and oldest.match_count == 0:
+                    seen.add("evict_negative")
+            elif (previous.match_count == 0) != (count == 0):
+                seen.add("overwrite_to_negative" if count == 0 else "overwrite_to_positive")
+            cache.put(key, -1 if count == 0 else key * 7, count, tenant=tenant)
+        elif op == "fill":
+            size = int(rng.integers(1, 6))
+            keys = rng.integers(0, 48, size=size)
+            batch_tenants = rng.choice([-1, 1, 2], size=size) if partitions else None
+            cache.fill_batch(keys, keys * 7, rng.choice([0, 1], size=size), tenants=batch_tenants)
+        elif op == "get":
+            cache.get(int(rng.integers(0, 48)), tenant=tenants[int(rng.integers(0, len(tenants)))])
+        elif op == "invalidate_keys":
+            cache.invalidate_keys(rng.integers(0, 48, size=int(rng.integers(1, 8))))
+            after = _walked_negatives(cache)
+            if any(after[tenant] < before[tenant] for tenant in before if tenant is not None):
+                seen.add("invalidate_keys_tenant_negative")
+            if after[None] < before[None]:
+                seen.add("invalidate_keys_negative")
+        elif op == "invalidate_negative":
+            cache.invalidate_negative()
+            if sum(before.values()):
+                seen.add("invalidate_negative")
+        else:
+            cache.clear()
+            if sum(before.values()):
+                seen.add("clear_negative")
+        walked = sum(_walked_negatives(cache).values())
+        assert cache.negative_count == walked, op
+        assert cache.negative_fraction == (walked / len(cache) if len(cache) else 0.0)
+    # The random sequence exercised every transition the counter must follow.
+    expected = {
+        "new_positive", "new_negative", "overwrite_to_negative", "overwrite_to_positive",
+        "evict_negative", "invalidate_keys_negative", "invalidate_negative", "clear_negative",
+    }
+    if partitions:
+        expected.add("invalidate_keys_tenant_negative")
+    assert seen == expected
 
 
 def test_sharded_index_cache_accounting(keyset):
@@ -792,3 +965,195 @@ def test_serving_experiment_produces_rows():
     maintenance_rows = [row for row in result.rows if row["panel"] == "c_maintenance"]
     assert maintenance_rows[-1]["rebuilds_performed"] >= 1
     assert result.to_table()  # the harness can render it
+
+
+# --------------------------------------------------------------------------
+# Served metrics: identical series and counts through pre-bound handles
+# --------------------------------------------------------------------------
+
+
+def _identity_stream(keyset) -> RequestStream:
+    """One fixed stream: two tenants, hot keys, absent keys (negative cache
+    entries) and two negative keys."""
+    rng = np.random.default_rng(2024)
+    count = 320
+    arrivals = np.cumsum(rng.exponential(scale=0.125, size=count))
+    hot = keyset.keys[rng.integers(0, 24, size=count)].astype(np.int64)
+    absent = int(np.iinfo(np.uint32).max) - rng.integers(0, 4, size=count)
+    keys = np.where(rng.random(count) < 0.1, absent, hot)
+    keys[[40, 200]] = -3
+    tenants = np.where(rng.random(count) < 0.75, 1, 2).astype(np.int64)
+    clients = tenants * 1000 + rng.integers(0, 3, size=count)
+    return RequestStream(
+        arrival_ms=arrivals, keys=keys, client_ids=clients, tenant_ids=tenants
+    )
+
+
+def _identity_deployment(name: str, keyset) -> ShardedIndex:
+    base = dict(num_shards=4, key_bits=32, cache_capacity=64, max_wait_ms=0.25)
+    if name == "tenants_shedding":
+        config = ServeConfig(
+            **base,
+            tenants=(
+                TenantQoS(tenant=1, priority=0, rate_limit_per_ms=2.0, cache_share=0.25),
+                TenantQoS(tenant=2, priority=2, cache_share=0.25),
+            ),
+            max_queue_depth=4,
+        )
+    elif name == "replicated_crash":
+        config = ServeConfig(**base, replication_factor=2, reliability=ReliabilityConfig())
+    else:
+        config = ServeConfig(**base)
+    deployment = ShardedIndex(keyset.keys, keyset.row_ids, config=config)
+    if name == "replicated_crash":
+        # Replica 0:0 is down for the whole stream, so it never gets a series.
+        deployment.inject_failures(
+            [FailureEvent(at_ms=0.5, kind="crash", shard_id=0, replica_id=0, duration_ms=20.0)]
+        )
+    return deployment
+
+
+_CACHE_STATS = (
+    "bulk_clears entries evictions hit_rate hits insertions invalidations misses"
+    " negative_entries negative_hits"
+)
+
+#: Series present in every deployment below (label values per instrument).
+_COMMON_SERIES = {
+    "serve_batch_size": "",
+    "serve_cache": _CACHE_STATS,
+    "serve_client_requests_total": "1000 1001 1002 2000 2001 2002",
+    "serve_failover_latency_ms": "",
+    "serve_partition_keys_routed_total": "range",
+    "serve_recovery_ms": "",
+    "serve_request_latency_ms": "",
+    "serve_shard_busy_ms_total": "0 1 2 3",
+    "serve_shard_requests_total": "0 1 2 3",
+    "serve_tenant_latency_ms": "1 2",
+    "serve_tenant_requests_total": "1 2",
+}
+
+#: Pinned from the recording path that resolved every labeled instrument on
+#: each call.
+_SERVED_METRICS_PINNED = {
+    "default": {
+        "snapshot": {
+            "requests": 320, "batches": 23, "span_ms": 36.77707186611627,
+            "throughput_per_s": 8701.073352575, "latency_p50_ms": 0.010173299196506011,
+            "latency_p99_ms": 0.2510299544154479, "latency_mean_ms": 0.029737353588087184,
+            "latency_max_ms": 0.2576382719999999, "request_skew": 1.4666666666666666,
+            "busy_skew": 1.2880341113404252, "unique_clients": 6,
+            "client_skew": 1.5374999999999999, "tenant_1_requests": 229,
+            "tenant_1_p50_ms": 0.010173299196506011, "tenant_1_p99_ms": 0.2510299544154479,
+            "tenant_2_requests": 91, "tenant_2_p50_ms": 0.010173299196506011,
+            "tenant_2_p99_ms": 0.2510299544154479, "batches_timeout": 23, "cache_hits": 262,
+            "cache_misses": 30, "cache_negative_hits": 26, "negative_key_misses": 2,
+        },
+        "series": {
+            **_COMMON_SERIES,
+            "serve_batch_queue_wait_ms": "timeout",
+            "serve_events_total": "batches batches_timeout cache_hits cache_misses"
+            " cache_negative_hits negative_key_misses requests",
+        },
+        "counts": {
+            "shard": {0: 8, 1: 9, 2: 2, 3: 11},
+            "client": {1000: 74, 1001: 82, 1002: 73, 2000: 24, 2001: 31, 2002: 36},
+            "replica": {}, "shed": {}, "tenant": {1: 229, 2: 91},
+        },
+    },
+    "tenants_shedding": {
+        "snapshot": {
+            "requests": 195, "batches": 79, "span_ms": 36.9525444044609,
+            "throughput_per_s": 5277.038513658065, "latency_p50_ms": 0.010173299196506011,
+            "latency_p99_ms": 0.2510299544154479, "latency_mean_ms": 0.12043444646305057,
+            "latency_max_ms": 0.2576382720000012, "request_skew": 1.5416666666666667,
+            "busy_skew": 1.4510921312519032, "unique_clients": 6, "client_skew": 1.2,
+            "tenant_1_requests": 104, "tenant_1_p50_ms": 0.010173299196506011,
+            "tenant_1_p99_ms": 0.2510299544154479, "tenant_2_requests": 91,
+            "tenant_2_p50_ms": 0.010173299196506011, "tenant_2_p99_ms": 0.2510299544154479,
+            "tenant_1_shed_rate_limit": 125, "batches_drain": 1, "batches_timeout": 78,
+            "cache_hits": 93, "cache_misses": 96, "cache_negative_hits": 5,
+            "negative_key_misses": 1, "requests_shed": 125,
+        },
+        "series": {
+            **_COMMON_SERIES,
+            "serve_batch_queue_wait_ms": "drain timeout",
+            "serve_cache_partition_entries": "1 2 shared",
+            "serve_events_total": "batches batches_drain batches_timeout cache_hits"
+            " cache_misses cache_negative_hits negative_key_misses requests requests_shed",
+            "serve_shed_total": "rate_limit,1",
+        },
+        "counts": {
+            "shard": {0: 27, 1: 25, 2: 7, 3: 37},
+            "client": {1000: 32, 1001: 39, 1002: 33, 2000: 24, 2001: 31, 2002: 36},
+            "replica": {}, "shed": {(1, "rate_limit"): 125}, "tenant": {1: 104, 2: 91},
+        },
+    },
+    "replicated_crash": {
+        "snapshot": {
+            "requests": 320, "batches": 23, "span_ms": 36.77707186611627,
+            "throughput_per_s": 8701.073352575, "latency_p50_ms": 0.010173299196506011,
+            "latency_p99_ms": 0.2510299544154479, "latency_mean_ms": 0.029737353588087184,
+            "latency_max_ms": 0.2576382719999999, "request_skew": 1.4666666666666666,
+            "busy_skew": 1.2880341113404252, "unique_clients": 6,
+            "client_skew": 1.5374999999999999, "replica_skew": 1.8666666666666667,
+            "maintenance_windows": 1, "maintenance_ms_resync": 0.004000000000001336,
+            "latency_p99_during_maintenance_ms": 0.01, "tenant_1_requests": 229,
+            "tenant_1_p50_ms": 0.010173299196506011, "tenant_1_p99_ms": 0.2510299544154479,
+            "tenant_2_requests": 91, "tenant_2_p50_ms": 0.010173299196506011,
+            "tenant_2_p99_ms": 0.2510299544154479, "batches_timeout": 23, "cache_hits": 262,
+            "cache_misses": 30, "cache_negative_hits": 26, "negative_key_misses": 2,
+        },
+        "series": {
+            **_COMMON_SERIES,
+            "fault_active_crash": "",
+            "fault_active_process_kill": "",
+            "fault_active_slow": "",
+            "fault_active_transient": "",
+            "serve_batch_queue_wait_ms": "timeout",
+            "serve_events_total": "batches batches_timeout cache_hits cache_misses"
+            " cache_negative_hits negative_key_misses requests",
+            "serve_maintenance_device_ms_total": "resync",
+            "serve_maintenance_tasks_total": "resync",
+            "serve_replica_requests_total": "0:1 1:0 1:1 2:0 2:1 3:0 3:1",
+        },
+        "counts": {
+            "shard": {0: 8, 1: 9, 2: 2, 3: 11},
+            "client": {1000: 74, 1001: 82, 1002: 73, 2000: 24, 2001: 31, 2002: 36},
+            "replica": {"0:1": 8, "1:0": 4, "1:1": 5, "2:0": 1, "2:1": 1, "3:0": 7, "3:1": 4},
+            "shed": {}, "tenant": {1: 229, 2: 91},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_SERVED_METRICS_PINNED))
+def test_served_metrics_match_pinned_series_and_counts(keyset, name):
+    """No series appears before its first record (handles bind lazily) and
+    no event is counted twice: the snapshot, every instrument's labels and
+    the integer counts equal the pinned values."""
+    metrics = _identity_deployment(name, keyset).serve_stream(
+        _identity_stream(keyset), record_answers=True
+    )
+    pinned = _SERVED_METRICS_PINNED[name]
+    snapshot = metrics.snapshot()
+    assert list(snapshot) == list(pinned["snapshot"])
+    assert snapshot == pytest.approx(pinned["snapshot"], rel=1e-12)
+    series = {}
+    for metric, labels, _ in metrics.telemetry.instruments():
+        series.setdefault(metric, []).append(",".join(value for _, value in labels))
+    assert {metric: " ".join(values) for metric, values in series.items()} == pinned["series"]
+    tenant_counts = {
+        int(labels[0][1]): counter.value
+        for _, labels, counter in metrics.telemetry.instruments("serve_tenant_requests_total")
+    }
+    assert {
+        "shard": metrics.shard_requests,
+        "client": metrics.client_requests,
+        "replica": metrics.replica_requests,
+        "shed": metrics.shed_requests,
+        "tenant": tenant_counts,
+    } == pinned["counts"]
+    counters = metrics.counters
+    assert all(isinstance(value, int) for value in counters.values())
+    assert {key: snapshot[key] for key in counters} == counters
