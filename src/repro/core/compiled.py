@@ -1,9 +1,10 @@
 """Compiled node-chain kernels for cgRXu lookups and updates.
 
-The compiled tier runs each whole chain walk of a batch — one per key or
-range — in one fused C loop over the :class:`~repro.core.nodes.NodeStorage`
-slabs, and a whole update batch in one C call, using the kernel library of
-:mod:`repro.rtx.compiled`.
+The compiled tier runs a whole point batch — routing, one chain walk per
+key and the kernel record's reductions — and a whole range batch's chain
+walks in one fused C loop each over the
+:class:`~repro.core.nodes.NodeStorage` slabs, and a whole update batch in
+one C call, using the kernel library of :mod:`repro.rtx.compiled`.
 
 Zero-copy by construction: the kernels read and write the live
 ``NodeStorage`` slab arrays directly (keys matrix, rowIDs, sizes, maxKeys,
@@ -35,6 +36,7 @@ from repro.rtx.compiled import (
     Arena,
     ChainTablesStruct,
     NodeSlabsStruct,
+    PointBatchStruct,
     address,
     check_shapes,
     library,
@@ -84,24 +86,112 @@ class CompiledChainTables:
         return self.slabs[0] is storage.keys_matrix and self.slabs[4] is storage.next_array
 
 
-def chain_walk_batch(
-    tables: CompiledChainTables, bucket_ids: np.ndarray, keys: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Fused point-lookup chain walk for a whole key batch.
+class CompiledPointBatch:
+    """The buffers of one index's compiled point batches, bound once.
 
-    ``bucket_ids`` are the routed buckets (:data:`~repro.core.representation.MISS`
-    walks the overflow bucket).  Returns per-key ``(row_sum, matches,
-    nodes_visited, entries)`` exactly as ``CgRXuIndex._collect`` would.
-    Requires the kernel library (callers resolve the engine first).
+    Keys in, routed buckets and ray visits in (for a representation that
+    routes its keys itself), answers out, the kernel's reductions and the
+    distinct-count scratch all live here; their pointers sit in one
+    :class:`PointBatchStruct` next to the chain and BVH table pointers, so a
+    batch is one ``point_lookup`` call that converts nothing.  The buffers
+    start at the first batch's size and grow geometrically only when a batch
+    exceeds them; :meth:`bind` re-points the table fields without touching
+    them.
     """
-    keys = np.ascontiguousarray(keys, dtype=tables.key_dtype)
-    bucket_ids = np.ascontiguousarray(bucket_ids, dtype=np.int64)
-    num_keys = int(keys.shape[0])
-    check_shapes((keys, (num_keys,)), (bucket_ids, (num_keys,)))
-    out = np.empty((4, num_keys), dtype=np.int64)
-    library().chain_walk(tables.ref, num_keys, address(keys), address(bucket_ids), address(out))
-    row_sum, matches, nodes_visited, entries = out
-    return row_sum, matches, nodes_visited, entries
+
+    #: Names of the kernel's reductions, in the order it writes them.
+    REDUCTIONS = (
+        "rays", "ray_nodes", "triangle_tests", "hits", "deepest_ray_nodes",
+        "chain_nodes", "entries", "paced_work", "sampled_work", "distinct_keys",
+    )
+
+    def __init__(self, key_dtype) -> None:
+        self.key_dtype = np.dtype(key_dtype)
+        self.capacity = 0
+        self.reductions = np.zeros(len(self.REDUCTIONS), dtype=np.int64)
+        self.struct = PointBatchStruct(reductions=address(self.reductions))
+        #: Address of :attr:`struct`, passed to every kernel call.
+        self.ref = ctypes.addressof(self.struct)
+        #: ``(chain tables, BVH tables, route params)`` the struct points at;
+        #: held so the memory behind those pointers stays alive.
+        self.bound: Tuple = (None, None, None)
+        self._reserve(0)
+
+    def bind(self, chain: CompiledChainTables, bvh=None, params=None) -> None:
+        """Point the struct at these tables: ``bvh`` and ``params`` for the
+        fused routing, both ``None`` when the caller routes the keys."""
+        bound_chain, bound_bvh, bound_params = self.bound
+        if bound_chain is chain and bound_bvh is bvh and bound_params is params:
+            return
+        if (bvh is None) != (params is None):
+            raise ValueError("fused routing needs both the BVH tables and the route params")
+        if chain.key_dtype != self.key_dtype:
+            raise ValueError(f"chain tables of {chain.key_dtype} keys, batch of {self.key_dtype}")
+        self.struct.chain = chain.ref
+        self.struct.bvh = None if bvh is None else bvh.ref
+        self.struct.route = None if params is None else ctypes.addressof(params)
+        self.bound = (chain, bvh, params)
+
+    @property
+    def fused(self) -> bool:
+        """Whether the kernel routes the keys itself (route params bound)."""
+        return self.bound[2] is not None
+
+    def _reserve(self, capacity: int) -> None:
+        self.keys = np.empty(capacity, dtype=self.key_dtype)
+        #: Bucket ids and ray visits of keys the caller routed.
+        self.routing = np.empty((2, capacity), dtype=np.int64)
+        self.answers = np.empty((2, capacity), dtype=np.int64)
+        self.scratch = np.empty(2 * capacity, dtype=np.uint64)
+        struct = self.struct
+        struct.keys = address(self.keys)
+        struct.buckets = address(self.routing[0])
+        struct.ray_nodes = address(self.routing[1])
+        struct.row_ids = address(self.answers[0])
+        struct.matches = address(self.answers[1])
+        struct.scratch = address(self.scratch)
+        self.capacity = capacity
+
+    @property
+    def nbytes(self) -> int:
+        """Host bytes held by the batch buffers."""
+        return sum(
+            array.nbytes
+            for array in (self.keys, self.routing, self.answers, self.scratch, self.reductions)
+        )
+
+    def run(
+        self, keys: np.ndarray, bucket_ids: np.ndarray = None, ray_nodes: np.ndarray = None
+    ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+        """One ``point_lookup`` call over ``keys``.
+
+        ``bucket_ids`` and ``ray_nodes`` are required exactly when the
+        struct is not :attr:`fused`.  Returns fresh ``(row_ids,
+        match_counts)`` arrays and the :attr:`REDUCTIONS` values.  Requires
+        the kernel library.
+        """
+        num_keys = int(keys.shape[0])
+        check_shapes((keys, (num_keys,)))
+        caller_routed = bucket_ids is not None
+        if (
+            self.bound[0] is None
+            or caller_routed == self.fused
+            or caller_routed != (ray_nodes is not None)
+        ):
+            raise ValueError(
+                "run needs bound chain tables, and bucket ids with their ray "
+                "visits exactly when the routing is not fused"
+            )
+        if num_keys > self.capacity:
+            self._reserve(max(num_keys, 2 * self.capacity))
+        self.keys[:num_keys] = keys
+        if caller_routed:
+            check_shapes((bucket_ids, (num_keys,)), (ray_nodes, (num_keys,)))
+            self.routing[0, :num_keys] = bucket_ids
+            self.routing[1, :num_keys] = ray_nodes
+        library().point_lookup(self.ref, num_keys)
+        row_ids, match_counts = self.answers[:, :num_keys].copy()
+        return row_ids, match_counts, self.reductions.tolist()
 
 
 def range_walk_batch(
@@ -110,13 +200,14 @@ def range_walk_batch(
     lows: np.ndarray,
     highs: np.ndarray,
     capacity: int,
-) -> Tuple[List[np.ndarray], int, int, int]:
+) -> Tuple[List[np.ndarray], int, int, int, int]:
     """Fused forward range walk for a whole batch of ranges.
 
     Rows land in one flat array in scalar walk order with per-query
     offsets; ``capacity`` sizes that array, and a walk that needs more is
     rerun once into an exactly sized one.  Returns ``(rows per query, total
-    rows, nodes visited, entries touched)``.  Requires the kernel library.
+    rows, nodes visited, entries touched, distinct lows)``.  Requires the
+    kernel library.
     """
     lib = library()
     lows = np.ascontiguousarray(lows, dtype=tables.key_dtype)
@@ -127,19 +218,21 @@ def range_walk_batch(
         (lows, (num_queries,)), (highs, (num_queries,)), (bucket_ids, (num_queries,))
     )
     offsets = np.empty(num_queries + 1, dtype=np.int64)
-    totals = np.empty(2, dtype=np.int64)
+    scratch = np.empty(2 * num_queries, dtype=np.uint64)
+    totals = np.empty(3, dtype=np.int64)
     rows = np.empty(max(int(capacity), 1), dtype=np.uint32)
     for _ in range(2):
         needed = lib.range_walk(
             tables.ref, num_queries, address(lows), address(highs), address(bucket_ids),
-            address(rows), rows.shape[0], address(offsets), address(totals),
+            address(rows), rows.shape[0], address(offsets), address(scratch), address(totals),
         )
         if needed <= rows.shape[0]:
             break
         rows = np.empty(needed, dtype=np.uint32)
     bounds = offsets.tolist()
     results = [rows[start:end] for start, end in zip(bounds, bounds[1:])]
-    return results, int(needed), int(totals[0]), int(totals[1])
+    nodes, entries, distinct = totals.tolist()
+    return results, int(needed), nodes, entries, distinct
 
 
 def apply_updates_batch(

@@ -198,7 +198,7 @@ class OptimizedRepresentation(SceneRepresentation):
 
     # ---------------------------------------------------------- batched lookups
 
-    def _compiled_route_params(self):
+    def compiled_route_params(self):
         if self._route_params is None:
             from repro.rtx import compiled
 
@@ -223,5 +223,5 @@ class OptimizedRepresentation(SceneRepresentation):
         the compiled tier (callers resolve the engine first).
         """
         return self.pipeline.route_optimized_batch(
-            self._compiled_route_params(), np.asarray(keys), stats
+            self.compiled_route_params(), np.asarray(keys), stats
         )

@@ -67,6 +67,12 @@ class SceneRepresentation(ABC):
         ``(bucket_ids, nodes_visited)`` arrays with results and counters
         identical to the per-key procedure."""
 
+    def compiled_route_params(self):
+        """The :class:`~repro.rtx.compiled.RouteParams` of this
+        representation's routing fused into one C loop, or ``None`` when
+        :meth:`locate_bucket_batch` routes with calls of its own."""
+        return None
+
     # ------------------------------------------------------------ maintenance
 
     def reanchor_representative(self, bucket_id: int, old_key: int, new_key: int) -> bool:

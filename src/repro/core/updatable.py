@@ -32,7 +32,7 @@ from repro.gpu.cost_model import RT_NODE_RESIDUAL_BYTES, RT_TRIANGLE_RESIDUAL_BY
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats
 from repro.gpu.memory import MemoryFootprint
-from repro.gpu.simt import divergence_factor
+from repro.gpu.simt import divergence_factor, divergence_from_pacing
 from repro.gpu.sort import device_radix_sort
 from repro.obs import profile as _profile
 from repro.rtx.bvh import BvhBuildConfig
@@ -40,7 +40,8 @@ from repro.rtx.pipeline import RaytracingPipeline
 from repro.rtx.refit import overlap_ratio, total_overlap_area
 from repro.rtx.traversal import RayStats
 
-#: Number of per-lookup / per-bucket work samples used for divergence estimates.
+#: Number of per-lookup / per-bucket work samples used for divergence
+#: estimates (the C ``point_lookup`` kernel samples with the same number).
 _DIVERGENCE_SAMPLE = 4096
 
 
@@ -159,6 +160,11 @@ class CgRXuIndex(GpuIndex):
         self._compiled_chain = None
         #: Shard-local arena backing the compiled chain tables (lazy).
         self._compiled_arena = None
+        #: Buffers of the compiled point batches, bound once (lazy).
+        self._point_batch = None
+        #: ``(inputs, memory_footprint().total_bytes)``; see
+        #: :meth:`_device_footprint_bytes`.
+        self._footprint_cache: Optional[Tuple[tuple, int]] = None
         #: Largest row count a compiled range walk has needed: the next
         #: walk's output buffer starts this large.
         self._range_rows_hint = 0
@@ -256,14 +262,15 @@ class CgRXuIndex(GpuIndex):
 
     def _point_lookup_stats(
         self,
-        keys: np.ndarray,
+        num_lookups: int,
         ray_stats: RayStats,
         total_nodes: int,
         total_entries: int,
-        work_sample: Sequence[int],
+        divergence: float,
+        unique_fraction: float,
     ) -> KernelStats:
-        """Kernel record of a point-lookup batch (shared by both engines)."""
-        num_lookups = int(keys.shape[0])
+        """Kernel record of a point-lookup batch from its reductions (shared
+        by both engines)."""
         stats = KernelStats(name="cgrxu.point_lookup", threads=num_lookups, launches=2)
         stats.rays_cast = ray_stats.rays_cast
         stats.bvh_node_visits = ray_stats.nodes_visited
@@ -274,16 +281,16 @@ class CgRXuIndex(GpuIndex):
         stats.bytes_read += num_lookups * self.config.key_bytes
         stats.bytes_written += num_lookups * 8
         stats.compute_ops += total_entries + total_nodes * 4
-        stats.divergence = divergence_factor(work_sample)
+        stats.divergence = divergence
         stats.cache_hit_fraction = self.cost_model.cache_hit_fraction(
-            self.memory_footprint().total_bytes, self._unique_fraction(keys)
+            self._device_footprint_bytes(), unique_fraction
         )
         return stats
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
         """Batched point lookups: raytracing stage plus node-chain traversal.
 
-        The ``compiled`` engine makes one C call for each stage; results and
+        The ``compiled`` engine makes one C call per batch; results and
         counters are byte-identical to the scalar reference path, and
         ``LookupResult.engine`` names the engine that ran.
         """
@@ -318,7 +325,12 @@ class CgRXuIndex(GpuIndex):
             previous_nodes = ray_stats.nodes_visited
 
         stats = self._point_lookup_stats(
-            keys, ray_stats, total_nodes, total_entries, work_sample
+            num_lookups,
+            ray_stats,
+            total_nodes,
+            total_entries,
+            divergence_factor(work_sample),
+            self._unique_fraction(keys),
         )
         prof = _profile.profiler()
         if prof is not None:
@@ -328,35 +340,61 @@ class CgRXuIndex(GpuIndex):
         )
 
     def _point_lookup_batch_compiled(self, keys: np.ndarray) -> LookupResult:
-        """Batch path: fused routing plus the C chain walk."""
-        from repro.core import compiled as core_compiled
+        """Batch path: one ``point_lookup`` C call over buffers bound once
+        per index (:class:`~repro.core.compiled.CompiledPointBatch`).
 
+        The call routes the keys (the optimized representation's fused
+        routing; the naive representation routes with its own calls first),
+        walks the chains and reduces what the kernel record needs.  Its rays
+        are counted in the pipeline's statistics and, with a profiler, in
+        the same series a separate routing call would feed.
+        """
         num_lookups = int(keys.shape[0])
-        ray_stats = RayStats()
-        bucket_ids, ray_nodes = self.representation.locate_bucket_batch(keys, ray_stats)
-        row_sum, match_counts, chain_nodes, entries = core_compiled.chain_walk_batch(
-            self._compiled_chain_tables(), bucket_ids, keys
-        )
-        row_agg = np.where(match_counts > 0, row_sum, -1).astype(np.int64)
-
-        sample_every = max(1, num_lookups // _DIVERGENCE_SAMPLE)
-        work_sample = (ray_nodes + chain_nodes)[::sample_every]
-        stats = self._point_lookup_stats(
-            keys,
-            ray_stats,
-            int(chain_nodes.sum()),
-            int(entries.sum()),
-            work_sample,
+        batch = self._bound_point_batch()
+        if batch.fused:
+            row_ids, match_counts, reductions = batch.run(keys)
+        else:
+            ray_stats = RayStats()
+            bucket_ids, ray_visits = self.representation.locate_bucket_batch(keys, ray_stats)
+            row_ids, match_counts, reductions = batch.run(keys, bucket_ids, ray_visits)
+        rays, ray_nodes, tests, hits, deepest, chain_nodes, entries, paced, work, distinct = (
+            reductions
         )
         prof = _profile.profiler()
-        if prof is not None:
-            prof.observe_chain_walk("compiled", int(chain_nodes.sum()), num_lookups)
-        return LookupResult(
-            row_ids=row_agg,
-            match_counts=match_counts.astype(np.int64),
-            stats=stats,
-            engine="compiled",
+        if batch.fused:
+            ray_stats = RayStats().add_totals(rays, ray_nodes, tests, hits)
+            self.pipeline.record_rays(ray_stats)
+            if prof is not None:
+                prof.observe_wavefront("compiled_locate", deepest, num_lookups, ray_nodes)
+        stats = self._point_lookup_stats(
+            num_lookups,
+            ray_stats,
+            chain_nodes,
+            entries,
+            divergence_from_pacing(paced, work),
+            distinct / num_lookups if num_lookups else 1.0,
         )
+        if prof is not None:
+            prof.observe_chain_walk("compiled", chain_nodes, num_lookups)
+        return LookupResult(
+            row_ids=row_ids, match_counts=match_counts, stats=stats, engine="compiled"
+        )
+
+    def _bound_point_batch(self):
+        """The index's compiled point batch, pointed at the current chain
+        tables and, for fused routing, the current BVH tables."""
+        batch = self._point_batch
+        if batch is None:
+            from repro.core import compiled as core_compiled
+
+            batch = self._point_batch = core_compiled.CompiledPointBatch(self._key_dtype)
+        params = self.representation.compiled_route_params()
+        batch.bind(
+            self._compiled_chain_tables(),
+            None if params is None else self.pipeline.compiled_tables(),
+            params,
+        )
+        return batch
 
     # ------------------------------------------------------- chain tables
 
@@ -383,13 +421,13 @@ class CgRXuIndex(GpuIndex):
         keep the structure — deletes and split-free inserts — need no repack:
         the packed tables read the live slabs.
         """
+        cached = self._compiled_chain
+        if cached is not None and cached[0] is self._chain_cache and cached[1].bound_to(self.nodes):
+            return cached[1]
         from repro.core import compiled as core_compiled
         from repro.rtx.compiled import Arena
 
         order, starts = self._chain_table()
-        cached = self._compiled_chain
-        if cached is not None and cached[0] is self._chain_cache and cached[1].bound_to(self.nodes):
-            return cached[1]
         if self._compiled_arena is None:
             self._compiled_arena = Arena()
         tables = core_compiled.CompiledChainTables(
@@ -400,14 +438,15 @@ class CgRXuIndex(GpuIndex):
 
     def _range_lookup_stats(
         self,
-        lows: np.ndarray,
+        num_queries: int,
         ray_stats: RayStats,
         total_nodes: int,
         total_entries: int,
         total_results: int,
+        unique_fraction: float,
     ) -> KernelStats:
         """Kernel record of a range-lookup batch (shared by both engines)."""
-        stats = KernelStats(name="cgrxu.range_lookup", threads=lows.shape[0], launches=2)
+        stats = KernelStats(name="cgrxu.range_lookup", threads=num_queries, launches=2)
         stats.rays_cast = ray_stats.rays_cast
         stats.bvh_node_visits = ray_stats.nodes_visited
         stats.triangle_tests = ray_stats.triangle_tests
@@ -417,7 +456,7 @@ class CgRXuIndex(GpuIndex):
         stats.bytes_written += total_results * 4
         stats.compute_ops += total_entries
         stats.cache_hit_fraction = self.cost_model.cache_hit_fraction(
-            self.memory_footprint().total_bytes, self._unique_fraction(lows)
+            self._device_footprint_bytes(), unique_fraction
         )
         return stats
 
@@ -472,11 +511,12 @@ class CgRXuIndex(GpuIndex):
                 results.append(np.empty(0, dtype=np.uint32))
 
         stats = self._range_lookup_stats(
-            lows,
+            lows.shape[0],
             ray_stats,
             total_nodes,
             total_entries,
             sum(r.shape[0] for r in results),
+            self._unique_fraction(lows),
         )
         return RangeLookupResult(row_ids=results, stats=stats)
 
@@ -490,16 +530,23 @@ class CgRXuIndex(GpuIndex):
         num_queries = int(lows.shape[0])
         ray_stats = RayStats()
         bucket_ids, _ = self.representation.locate_bucket_batch(lows, ray_stats)
-        results, total_results, total_nodes, total_entries = core_compiled.range_walk_batch(
-            self._compiled_chain_tables(),
-            bucket_ids,
-            lows,
-            highs,
-            max(self._range_rows_hint, 8 * num_queries),
+        results, total_results, total_nodes, total_entries, distinct = (
+            core_compiled.range_walk_batch(
+                self._compiled_chain_tables(),
+                bucket_ids,
+                lows,
+                highs,
+                max(self._range_rows_hint, 8 * num_queries),
+            )
         )
         self._range_rows_hint = max(self._range_rows_hint, total_results)
         stats = self._range_lookup_stats(
-            lows, ray_stats, total_nodes, total_entries, total_results
+            num_queries,
+            ray_stats,
+            total_nodes,
+            total_entries,
+            total_results,
+            distinct / num_queries if num_queries else 1.0,
         )
         return RangeLookupResult(row_ids=results, stats=stats)
 
@@ -963,15 +1010,32 @@ class CgRXuIndex(GpuIndex):
         footprint.add("bvh", self.pipeline.bvh.memory_footprint_bytes())
         return footprint
 
-    def compiled_buffers_bytes(self) -> int:
-        """Bytes held by the compiled tier's shard-local arenas.
+    def _device_footprint_bytes(self) -> int:
+        """``memory_footprint().total_bytes`` for the cost model's cache
+        fractions, cached on everything it reads: the linked-region
+        capacity, the BVH build generation and the vertex-buffer capacity."""
+        inputs = (
+            self.nodes.linked_region_capacity,
+            self.pipeline.build_count,
+            self.pipeline.vertex_buffer.capacity,
+        )
+        cached = self._footprint_cache
+        if cached is None or cached[0] != inputs:
+            cached = self._footprint_cache = (inputs, self.memory_footprint().total_bytes)
+        return cached[1]
 
-        Covers both the pipeline's quantized BVH node tables and this index's
-        packed chain tables; zero when the compiled tier has never run.
+    def compiled_buffers_bytes(self) -> int:
+        """Host bytes held by the compiled tier's shard-local arenas.
+
+        Covers the pipeline's quantized BVH node tables, this index's packed
+        chain tables and its point-batch buffers; zero when the compiled
+        tier has never run.
         """
         total = self.pipeline.compiled_buffers_bytes()
         if self._compiled_arena is not None:
             total += self._compiled_arena.capacity_bytes
+        if self._point_batch is not None:
+            total += self._point_batch.nbytes
         return total
 
     # ------------------------------------------------------------ conveniences

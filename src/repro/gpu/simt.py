@@ -52,7 +52,8 @@ def divergence_factor(per_thread_work: "Sequence[int] | np.ndarray") -> float:
     SIMT execution is paced by the slowest thread of each warp.  Given the
     per-thread work of a (sample of a) batch, the raw imbalance is the ratio
     between warp-maximum-paced cost and mean-paced cost; the returned factor
-    exposes only :data:`DIVERGENCE_EXPOSURE` of it (latency hiding).
+    exposes only :data:`DIVERGENCE_EXPOSURE` of it (latency hiding).  See
+    :func:`divergence_from_pacing`.
     """
     work = np.maximum(np.asarray(per_thread_work, dtype=np.int64).reshape(-1), 0)
     if not work.size:
@@ -67,6 +68,20 @@ def divergence_factor(per_thread_work: "Sequence[int] | np.ndarray") -> float:
     lanes = np.full(warps, WARP_SIZE, dtype=np.int64)
     lanes[-1] = work.size - (warps - 1) * WARP_SIZE
     paced = int((padded.reshape(warps, WARP_SIZE).max(axis=1) * lanes).sum())
+    return divergence_from_pacing(paced, total)
+
+
+def divergence_from_pacing(paced: int, total: int) -> float:
+    """The :func:`divergence_factor` of a batch from its two sums.
+
+    ``paced`` is the warp-maximum-paced work (per warp of
+    :data:`WARP_SIZE` consecutive threads, the last one possibly partial:
+    its largest work times its threads), ``total`` the plain sum of the
+    (non-negative) per-thread work.  A kernel that reduces its work as it
+    runs passes the sums here instead of the work vector.
+    """
+    if total <= 0:
+        return 1.0
     raw = max(1.0, paced / total)
     return 1.0 + (raw - 1.0) * DIVERGENCE_EXPOSURE
 

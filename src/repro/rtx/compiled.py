@@ -13,10 +13,16 @@ reference oracle:
   ray sequence of ``OptimizedRepresentation.locate_bucket`` per key inside
   one C call: key slicing, the row ray, the next-row and leftmost-in-row
   rays, the next-plane ray with its first row and leftmost representative,
-  the float32 hit-point grid snap and the primitive remap.
+  the float32 hit-point grid snap and the primitive remap.  A cgRXu point
+  batch goes further: ``point_lookup`` runs that routing and the chain walk
+  per key in one C call, writes the rowID aggregate and match count, and
+  reduces what the batch's kernel record needs (ray totals, chain nodes,
+  entries, the divergence sample's warp pacing, the distinct-key count).
+  The naive representation routes with its own calls and hands its bucket
+  ids and ray visits to the same entry.
 * **BVH build.**  :func:`build_bvh_median` is the ``median``-split builder of
   :func:`repro.rtx.bvh.build_bvh` in C, with identical output arrays.
-* **cgRXu node chains.**  The point and range chain walks and the update
+* **cgRXu node chains.**  The point batch, the range walk and the update
   apply (deletes, inserts, node splits and linked-node allocation) run over
   the live ``NodeStorage`` slabs; their Python entries are in
   :mod:`repro.core.compiled`.
@@ -32,7 +38,14 @@ reference oracle:
   byte buffer rebuilt in place across build/refit epochs; the scene's
   centroids, primitive indices and flip flags are aliased, not copied.  The
   table pointers are gathered into one C struct when an epoch is packed, so
-  a kernel call converts only its per-batch arrays.
+  a kernel call converts only its per-batch arrays.  A cgRXu index's point
+  batches go further: their key, answer, reduction and scratch buffers are
+  owned by the index, and their pointers sit in one ``PointBatch`` struct
+  next to the chain- and BVH-table pointers, which are re-pointed when those
+  tables are repacked or rebuilt.  The buffers grow geometrically, only
+  when a batch exceeds them, so a call converts nothing.  Arenas and batch
+  buffers are host memory, reported by ``compiled_buffers_bytes()`` and
+  never in a simulated-device footprint.
 
 The kernels are C compiled at first use with the system C compiler into a
 cached shared library and bound through :mod:`ctypes` (no Python dependency
@@ -247,6 +260,22 @@ typedef struct {
     int32_t capacity;
     int32_t key_is_64;
 } NodeSlabs;
+
+/* One index's cgRXu point batches (PointBatch): the tables a batch reads and
+   the batch buffers, bound once per index.  route == NULL means the caller
+   routed the keys itself and filled buckets / ray_nodes. */
+typedef struct {
+    const BvhTables* bvh;
+    const RouteParams* route;
+    const ChainTables* chain;
+    const void* keys;
+    const int64_t* buckets;
+    const int64_t* ray_nodes;
+    int64_t* row_ids;
+    int64_t* matches;
+    uint64_t* scratch;
+    int64_t* reductions;
+} PointBatch;
 
 typedef struct { int64_t rays, nodes, triangle_tests, hits; } RayTotals;
 
@@ -478,30 +507,31 @@ static int64_t route(const BvhTables* T, const RouteParams* P, int64_t kx, int64
     return -1;
 }
 
+/* OptimizedRepresentation.locate_bucket for one key: -1 (MISS) above the
+   largest representative, 0 below the smallest. */
+static int64_t route_key(const BvhTables* T, const RouteParams* P, uint64_t key,
+                         int64_t* kn, RayTotals* c)
+{
+    if (key > P->max_rep) return -1;
+    if (key < P->min_rep) return 0;
+    const uint64_t x_mask = ((uint64_t)1 << P->x_bits) - 1;
+    const uint64_t y_mask = ((uint64_t)1 << P->y_bits) - 1;
+    const uint64_t z_mask = ((uint64_t)1 << P->z_bits) - 1;
+    const int64_t kx = (int64_t)(key & x_mask);
+    const int64_t ky = P->y_bits ? (int64_t)((key >> P->x_bits) & y_mask) : 0;
+    const int64_t kz = P->z_bits ? (int64_t)((key >> (P->x_bits + P->y_bits)) & z_mask) : 0;
+    return route(T, P, kx, ky, kz, kn, c);
+}
+
 /* Bucket ids (-1 = MISS) and per-key node visits for a key batch: out is
    (2, num_keys).  totals: rays, nodes, triangle tests, hits. */
 void locate_optimized(const BvhTables* T, const RouteParams* P, int64_t num_keys,
                       const uint64_t* keys, int64_t* out, int64_t* totals)
 {
-    const uint64_t x_mask = ((uint64_t)1 << P->x_bits) - 1;
-    const uint64_t y_mask = ((uint64_t)1 << P->y_bits) - 1;
-    const uint64_t z_mask = ((uint64_t)1 << P->z_bits) - 1;
     RayTotals c = {0, 0, 0, 0};
     for (int64_t k = 0; k < num_keys; k++) {
-        const uint64_t key = keys[k];
-        int64_t kn = 0, bucket;
-        if (key > P->max_rep) {
-            bucket = -1;
-        } else if (key < P->min_rep) {
-            bucket = 0;
-        } else {
-            const int64_t kx = (int64_t)(key & x_mask);
-            const int64_t ky = P->y_bits ? (int64_t)((key >> P->x_bits) & y_mask) : 0;
-            const int64_t kz =
-                P->z_bits ? (int64_t)((key >> (P->x_bits + P->y_bits)) & z_mask) : 0;
-            bucket = route(T, P, kx, ky, kz, &kn, &c);
-        }
-        out[k] = bucket;
+        int64_t kn = 0;
+        out[k] = route_key(T, P, keys[k], &kn, &c);
         out[num_keys + k] = kn;
     }
     totals[0] = c.rays;
@@ -510,51 +540,129 @@ void locate_optimized(const BvhTables* T, const RouteParams* P, int64_t num_keys
     totals[3] = c.hits;
 }
 
-/* cgRXu point-lookup chain walk (CgRXuIndex._collect): out is (4, num_keys):
+/* cgRXu point-lookup chain walk of one key (CgRXuIndex._collect): out gets
    rowID sum, matches, nodes visited, entries touched. */
-void chain_walk(const ChainTables* C, int64_t num_keys, const void* targets,
-                const int64_t* buckets, int64_t* out)
+static void walk_point(const ChainTables* C, uint64_t target, int64_t bucket, int64_t* out)
 {
-    for (int64_t k = 0; k < num_keys; k++) {
-        const uint64_t target = key_at(targets, C->key_is_64, k);
-        const int64_t bucket = buckets[k] < 0 ? C->overflow_bucket : buckets[k];
-        int64_t pos = C->starts[bucket];
-        int64_t visits = 0, touched = 0, matched = 0, rsum = 0;
-        while (pos < C->order_len) {
-            const int64_t node = C->order[pos];
-            visits++;
-            const int32_t size = C->sizes[node];
-            if (C->max_keys[node] < target && C->next_node[node] != -1) { pos++; continue; }
-            const int64_t base = node * (int64_t)C->capacity;
-            int64_t left = 0, right = 0;
-            for (int32_t i = 0; i < size; i++) {
-                const uint64_t value = key_at(C->keys, C->key_is_64, base + i);
-                left += value < target;
-                right += value <= target;
-            }
-            const int64_t span = right - left;
-            touched += span > 1 ? span : 1;
-            if (span > 0) {
-                for (int64_t i = left; i < right; i++) rsum += (int64_t)C->row_ids[base + i];
-                matched += span;
-            }
-            if (right < (int64_t)size) break;
-            pos++;
+    int64_t pos = C->starts[bucket < 0 ? C->overflow_bucket : bucket];
+    int64_t visits = 0, touched = 0, matched = 0, rsum = 0;
+    while (pos < C->order_len) {
+        const int64_t node = C->order[pos];
+        visits++;
+        const int32_t size = C->sizes[node];
+        if (C->max_keys[node] < target && C->next_node[node] != -1) { pos++; continue; }
+        const int64_t base = node * (int64_t)C->capacity;
+        int64_t left = 0, right = 0;
+        for (int32_t i = 0; i < size; i++) {
+            const uint64_t value = key_at(C->keys, C->key_is_64, base + i);
+            left += value < target;
+            right += value <= target;
         }
-        out[k] = rsum;
-        out[num_keys + k] = matched;
-        out[2 * num_keys + k] = visits;
-        out[3 * num_keys + k] = touched;
+        const int64_t span = right - left;
+        touched += span > 1 ? span : 1;
+        if (span > 0) {
+            for (int64_t i = left; i < right; i++) rsum += (int64_t)C->row_ids[base + i];
+            matched += span;
+        }
+        if (right < (int64_t)size) break;
+        pos++;
     }
+    out[0] = rsum;
+    out[1] = matched;
+    out[2] = visits;
+    out[3] = touched;
+}
+
+/* Number of distinct values among keys[0, n) (np.unique(keys).size): a
+   bottom-up merge sort of a copy, in scratch (2n slots). */
+static int64_t count_distinct(const void* keys, int is_64, int64_t n, uint64_t* scratch)
+{
+    uint64_t* a = scratch;
+    uint64_t* b = scratch + n;
+    for (int64_t i = 0; i < n; i++) a[i] = key_at(keys, is_64, i);
+    for (int64_t lo = 0; lo < n; lo += 16) {
+        const int64_t hi = lo + 16 < n ? lo + 16 : n;
+        for (int64_t i = lo + 1; i < hi; i++) {
+            const uint64_t v = a[i];
+            int64_t j = i;
+            while (j > lo && a[j - 1] > v) { a[j] = a[j - 1]; j--; }
+            a[j] = v;
+        }
+    }
+    for (int64_t width = 16; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            const int64_t mid = lo + width < n ? lo + width : n;
+            const int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi) b[k++] = a[j] < a[i] ? a[j++] : a[i++];
+            while (i < mid) b[k++] = a[i++];
+            while (j < hi) b[k++] = a[j++];
+        }
+        uint64_t* t = a; a = b; b = t;
+    }
+    int64_t distinct = n > 0;
+    for (int64_t i = 1; i < n; i++) distinct += a[i] != a[i - 1];
+    return distinct;
+}
+
+/* A whole cgRXu point batch (CgRXuIndex.point_lookup_batch): per key the
+   fused routing (or the caller's buckets and ray visits) and the chain walk,
+   writing the rowID aggregate (-1 without a match) and the match count.
+   reductions: rays, ray node visits, triangle tests, hits, the deepest
+   per-key ray visits, chain nodes, entries touched, the warp-paced and the
+   plain work of the divergence sample (every max(1, n / 4096)-th key, in
+   32-lane warps; gpu.simt.divergence_factor), and the distinct keys. */
+void point_lookup(const PointBatch* B, int64_t num_keys)
+{
+    const ChainTables* C = B->chain;
+    const int64_t sample_every = num_keys / 4096 > 1 ? num_keys / 4096 : 1;
+    RayTotals c = {0, 0, 0, 0};
+    int64_t deepest = 0, chain_nodes = 0, entries = 0;
+    int64_t paced = 0, sampled = 0, warp_max = 0, lanes = 0;
+    for (int64_t k = 0; k < num_keys; k++) {
+        const uint64_t key = key_at(B->keys, C->key_is_64, k);
+        int64_t bucket, kn = 0, walk[4];
+        if (B->route) {
+            bucket = route_key(B->bvh, B->route, key, &kn, &c);
+        } else {
+            bucket = B->buckets[k];
+            kn = B->ray_nodes[k];
+        }
+        walk_point(C, key, bucket, walk);
+        B->row_ids[k] = walk[1] ? walk[0] : -1;
+        B->matches[k] = walk[1];
+        if (kn > deepest) deepest = kn;
+        chain_nodes += walk[2];
+        entries += walk[3];
+        if (k % sample_every == 0) {
+            const int64_t work = kn + walk[2];
+            sampled += work;
+            if (work > warp_max) warp_max = work;
+            if (++lanes == 32) { paced += 32 * warp_max; warp_max = 0; lanes = 0; }
+        }
+    }
+    paced += lanes * warp_max;
+    int64_t* r = B->reductions;
+    r[0] = c.rays;
+    r[1] = c.nodes;
+    r[2] = c.triangle_tests;
+    r[3] = c.hits;
+    r[4] = deepest;
+    r[5] = chain_nodes;
+    r[6] = entries;
+    r[7] = paced;
+    r[8] = sampled;
+    r[9] = count_distinct(B->keys, C->key_is_64, num_keys, B->scratch);
 }
 
 /* cgRXu forward range walk (CgRXuIndex._range_lookup_batch_scalar): rows of
    every query in walk order into one flat array, offsets (num_queries + 1)
    per query.  Writes at most `capacity` rows and returns the number needed.
-   totals: nodes visited, entries touched. */
+   totals: nodes visited, entries touched, distinct lows (sorted in scratch,
+   2 * num_queries slots). */
 int64_t range_walk(const ChainTables* C, int64_t num_queries, const void* lows,
                    const void* highs, const int64_t* buckets, uint32_t* rows,
-                   int64_t capacity, int64_t* offsets, int64_t* totals)
+                   int64_t capacity, int64_t* offsets, uint64_t* scratch, int64_t* totals)
 {
     int64_t written = 0, nodes = 0, entries = 0;
     offsets[0] = 0;
@@ -585,6 +693,7 @@ int64_t range_walk(const ChainTables* C, int64_t num_queries, const void* lows,
     }
     totals[0] = nodes;
     totals[1] = entries;
+    totals[2] = count_distinct(lows, C->key_is_64, num_queries, scratch);
     return written;
 }
 
@@ -920,6 +1029,23 @@ class ChainTablesStruct(ctypes.Structure):
     ]
 
 
+class PointBatchStruct(ctypes.Structure):
+    """Mirror of the C ``PointBatch`` struct."""
+
+    _fields_ = [
+        ("bvh", ctypes.c_void_p),
+        ("route", ctypes.c_void_p),
+        ("chain", ctypes.c_void_p),
+        ("keys", ctypes.c_void_p),
+        ("buckets", ctypes.c_void_p),
+        ("ray_nodes", ctypes.c_void_p),
+        ("row_ids", ctypes.c_void_p),
+        ("matches", ctypes.c_void_p),
+        ("scratch", ctypes.c_void_p),
+        ("reductions", ctypes.c_void_p),
+    ]
+
+
 class NodeSlabsStruct(ctypes.Structure):
     """Mirror of the C ``NodeSlabs`` struct."""
 
@@ -947,8 +1073,8 @@ def _bind(lib: ctypes.CDLL) -> None:
         "trace_axis_closest": ([p, i32, i64, p, p, p, p, p], None),
         "trace_axis_all": ([p, i32, i64, p, p, p, i64, p, p, p, p], i64),
         "locate_optimized": ([p, p, i64, p, p, p], None),
-        "chain_walk": ([p, i64, p, p, p], None),
-        "range_walk": ([p, i64, p, p, p, p, i64, p, p], i64),
+        "point_lookup": ([p, i64], None),
+        "range_walk": ([p, i64, p, p, p, p, i64, p, p, p], i64),
         "apply_updates": ([p, i64, p, p, p, p, p, p, p, p], i64),
         "build_bvh_median": ([i64, p, p, i64, p, p, p, p, p, p, p], i64),
     }
@@ -1275,16 +1401,6 @@ class CompiledBvhTables:
         )
 
 
-def _add_ray_totals(stats, totals: np.ndarray) -> None:
-    rays, nodes, tests, hits = (int(value) for value in totals)
-    stats.rays_cast += rays
-    stats.nodes_visited += nodes
-    stats.aabb_tests += nodes
-    stats.triangle_tests += tests
-    stats.hits += hits
-    stats.misses += rays - hits
-
-
 # --------------------------------------------------------------------------
 # Kernel entries
 # --------------------------------------------------------------------------
@@ -1384,7 +1500,7 @@ def trace_axis_closest_batch(
         address(ints), address(totals),
     )
     best_tri, nodes_visited = ints
-    _add_ray_totals(stats, totals)
+    stats.add_totals(*totals.tolist())
     _observe_traversal("compiled_axis_closest", nodes_visited, totals)
 
     point = np.zeros((num_rays, 3), dtype=np.float32)
@@ -1435,7 +1551,7 @@ def trace_axis_all_batch(
         if found <= size:
             break
         size = found
-    _add_ray_totals(stats, totals)
+    stats.add_totals(*totals.tolist())
     _observe_traversal("compiled_axis_all", nodes_visited, totals)
 
     # Stable sort by (ray, t): equal-t hits keep traversal order, the same
@@ -1511,7 +1627,7 @@ def locate_optimized_batch(
         tables.ref, ctypes.addressof(params), num_keys, address(keys), address(out),
         address(totals),
     )
-    _add_ray_totals(stats, totals)
+    stats.add_totals(*totals.tolist())
     _observe_traversal("compiled_locate", out[1], totals)
     return out[0], out[1]
 

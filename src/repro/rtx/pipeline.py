@@ -188,6 +188,18 @@ class RaytracingPipeline:
         the fallback reason when they cannot)."""
         return self._require_engine()._compiled_ready()
 
+    def compiled_tables(self):
+        """The current tree's compiled node tables (see
+        :meth:`TraversalEngine.compiled_tables`)."""
+        return self._require_engine().compiled_tables()
+
+    def record_rays(self, stats: RayStats) -> None:
+        """Count the rays of a compiled kernel that routes on its own (the
+        fused cgRXu point batch) like those fired through this pipeline: in
+        the engine's and the lifetime statistics."""
+        self._require_engine().stats.merge(stats)
+        self.lifetime_stats.merge(stats)
+
     def route_optimized_batch(self, params, keys: np.ndarray, stats: Optional[RayStats] = None):
         """An optimized representation's whole point routing in one compiled
         call (see :meth:`TraversalEngine.route_optimized_batch`)."""

@@ -41,6 +41,17 @@ class RayStats:
         self.misses += other.misses
         return self
 
+    def add_totals(self, rays: int, nodes: int, triangle_tests: int, hits: int) -> "RayStats":
+        """Accumulate a compiled kernel's ray totals (every node visited is
+        one AABB test; every ray without a hit a miss) and return ``self``."""
+        self.rays_cast += rays
+        self.nodes_visited += nodes
+        self.aabb_tests += nodes
+        self.triangle_tests += triangle_tests
+        self.hits += hits
+        self.misses += rays - hits
+        return self
+
     def copy(self) -> "RayStats":
         return RayStats(
             rays_cast=self.rays_cast,

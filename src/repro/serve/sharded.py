@@ -584,17 +584,10 @@ class ShardedIndex(GpuIndex):
                     f"shard_{shard.shard_id}_rebuild_buffer",
                     shard.pending_index.memory_footprint().total_bytes,
                 )
-            # Host-side compiled-tier arenas (quantized node tables + packed
-            # chain tables); reported separately so the simulated-device
-            # footprint above stays engine-independent.
-            if shard.index is not None:
-                arena_bytes = getattr(shard.index, "compiled_buffers_bytes", None)
-                if arena_bytes is not None:
-                    bytes_held = arena_bytes()
-                    if bytes_held:
-                        footprint.add(
-                            f"shard_{shard.shard_id}_compiled_arena", bytes_held
-                        )
+        # The compiled tier's arenas and batch buffers are host memory, not
+        # simulated device memory: the maintenance snapshot reports them
+        # (``compiled_arena_bytes``), so this footprint stays independent of
+        # the engine and of the query history.
         if self.cache is not None:
             # Host-side entry: key + aggregate + count + LRU links.
             footprint.add("result_cache", len(self.cache) * (self.config.key_bits // 8 + 24))

@@ -7,7 +7,9 @@ compiled-tier-specific contracts: the C BVH builder's arrays equal the
 Python builder's, the closest-hit and all-hits megakernels, fused point
 routing and the C range walk match the scalar procedures ray for ray and key
 for key, the C update apply leaves the node slabs byte-identical (resuming
-once per slab growth, chain tables patched only on splits), each hot index
+once per slab growth, chain tables patched only on splits), the cgRXu point
+batch matches the scalar engine at every batch size and through the index
+lifecycle over buffers bound once, each hot index
 path is one C call per batch, quantized AABBs are
 rounded conservatively outward, shard-local arenas are rebuilt in place, the
 kernel build is safe under concurrency and corruption, and a fallback to the
@@ -33,6 +35,7 @@ from repro.baselines.rx import RXIndex
 from repro.core.config import CgRXConfig, CgRXuConfig, resolve_engine
 from repro.core.index import CgRXIndex
 from repro.core.updatable import CgRXuIndex
+from repro.gpu.device import RTX_4090
 from repro.rtx import compiled
 from repro.rtx.bvh import BvhBuildConfig, build_bvh, build_bvh_python
 from repro.rtx.scene import TriangleScene, VertexBuffer
@@ -528,10 +531,11 @@ def test_c_range_walk_regrows_a_small_buffer():
     lows, highs = range_lookups(keyset, count=16, expected_hits=50, seed=97)
     reference = index.range_lookup_batch(lows, highs)
     bucket_ids, _ = index.representation.locate_bucket_batch(lows, RayStats())
-    rows, total, _, _ = core_compiled.range_walk_batch(
+    rows, total, _, _, distinct = core_compiled.range_walk_batch(
         index._compiled_chain_tables(), bucket_ids, lows, highs, capacity=3
     )
     assert total == reference.total_matches
+    assert distinct == np.unique(lows).size
     assert [r.tobytes() for r in rows] == [r.tobytes() for r in reference.row_ids]
 
 
@@ -558,7 +562,7 @@ def test_one_c_call_per_hot_path_batch(count_calls):
     assert count_calls == {"trace_axis_all": 1}
     count_calls.clear()
     cgrxu.point_lookup_batch(lookups)
-    assert count_calls == {"locate_optimized": 1, "chain_walk": 1}
+    assert count_calls == {"point_lookup": 1}
     count_calls.clear()
     cgrxu.range_lookup_batch(lows, highs)
     assert count_calls == {"locate_optimized": 1, "range_walk": 1}
@@ -897,6 +901,219 @@ def test_split_free_update_keeps_the_packed_chain_tables():
     assert comp._compiled_arena.rebuilds == rebuilds
 
 
+# --------------------------------------------------------------------------
+# cgRXu point batches: one C call over buffers bound once per index
+# --------------------------------------------------------------------------
+
+
+def point_batch(keyset, size: int, rng) -> np.ndarray:
+    """``size`` lookup keys: a stored key twice, the largest key of the key
+    type (above every representative) and 0 (below the smallest) first, then
+    stored keys, keys between them and a few repeated keys above the largest
+    representative.  The out-of-range keys skip the rays, so large batches
+    stay cheap for the scalar reference while their per-key work varies."""
+    dtype = keyset.keys.dtype
+    top = np.iinfo(dtype).max
+    head = np.array([keyset.keys[7], keyset.keys[7], top, 0], dtype=dtype)
+    kind = rng.choice(3, size=size, p=[0.15, 0.05, 0.8])
+    stored = rng.choice(keyset.keys, size=size)
+    between = rng.integers(0, int(keyset.keys.max()), size=size, dtype=np.uint64)
+    above = top - rng.integers(0, 8, size=size).astype(dtype)
+    tail = np.select([kind == 0, kind == 1], [stored, between.astype(dtype)], above)
+    return np.concatenate([head, tail]).astype(dtype)[:size]
+
+
+def assert_point_engines_identical(scalar, comp, keys) -> None:
+    """Same answers, kernel record, pipeline lifetime and engine ray stats."""
+    expected = scalar.point_lookup_batch(keys)
+    result = comp.point_lookup_batch(keys)
+    assert (expected.engine, result.engine) == ("scalar", "compiled")
+    assert_point_identical(expected, result)
+    assert_stats_identical(scalar.pipeline.lifetime_stats, comp.pipeline.lifetime_stats)
+    assert_stats_identical(scalar.pipeline._engine.stats, comp.pipeline._engine.stats)
+
+
+#: An L2 far smaller than the test indexes, so a kernel record's cache
+#: fraction depends on the footprint and on the distinct-key count.
+SMALL_L2 = dataclasses.replace(RTX_4090, l2_cache_bytes=4096)
+
+
+def cgrxu_twins(keyset, representation: str):
+    return [
+        CgRXuIndex(
+            keyset.keys,
+            keyset.row_ids,
+            CgRXuConfig(
+                key_bits=keyset.key_bits, representation=representation, engine=engine
+            ),
+            device=SMALL_L2,
+        )
+        for engine in ("scalar", "compiled")
+    ]
+
+
+@requires_backend
+@pytest.mark.parametrize("key_bits", [32, 64])
+@pytest.mark.parametrize("representation", ["naive", "optimized"])
+def test_point_batch_matches_scalar_at_every_batch_size(key_bits, representation):
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=key_bits, seed=111)
+    scalar, comp = cgrxu_twins(keyset, representation)
+    rng = np.random.default_rng(112)
+    # 4096, 8192 and 12289 keys put every, every 2nd and every 3rd key in the
+    # divergence sample; 31/32/33 end in a partial, a full and a 1-lane warp.
+    for size in (0, 1, 3, 31, 32, 33, 4096, 8192, 12289):
+        keys = point_batch(keyset, size, rng)
+        if size >= 3:
+            assert np.unique(keys).size < size
+        assert_point_engines_identical(scalar, comp, keys)
+
+
+def lifecycle_steps(indexes, keyset, seed):
+    """Drive identical cgRXu indexes through every structural change a bound
+    point batch has to follow; yields ``(label, indexes)`` after each."""
+    rng = np.random.default_rng(seed)
+    dtype = keyset.keys.dtype
+    yield "fresh", indexes
+    capacity = indexes[0].nodes.linked_region_capacity
+    inserts = np.concatenate(
+        [rng.choice(keyset.keys, size=2400), rng.integers(0, np.iinfo(dtype).max, 100, dtype=dtype)]
+    ).astype(dtype)
+    rows = rng.integers(0, 1 << 31, size=inserts.shape[0]).astype(np.uint32)
+    deletes = rng.choice(keyset.keys, size=512, replace=False)
+    for index in indexes:
+        index.update_batch(inserts, rows, deletes)
+        assert index.nodes.linked_region_capacity > capacity
+    yield "splits and linked-region growth", indexes
+    for index in indexes:
+        refits = index.pipeline.refit_count
+        index.compact_buckets(np.arange(index.overflow_bucket + 1))
+        assert index.lifecycle["reanchored_representatives"] > 0
+        assert index.pipeline.refit_count > refits
+    yield "compaction with re-anchor and refit", indexes
+    live = indexes[0].export_entries()[0]
+    deletes = rng.choice(live, size=live.shape[0] // 4, replace=False)
+    for index in indexes:
+        builds = index.pipeline.build_count
+        index.update_batch(delete_keys=deletes)
+        # Shrink the quality baseline so the refit escalates to a rebuild.
+        index._built_overlap_area = index._built_overlap_area / 1e6
+        index.compact_buckets(np.arange(index.overflow_bucket + 1))
+        assert index.pipeline.build_count > builds
+    yield "refit escalated to a rebuild", indexes
+    yield "build_from_snapshot", [
+        CgRXuIndex.build_from_snapshot(index.snapshot()) for index in indexes
+    ]
+
+
+@requires_backend
+@pytest.mark.parametrize("key_bits", [32, 64])
+@pytest.mark.parametrize("representation", ["naive", "optimized"])
+def test_point_batch_matches_scalar_through_the_index_lifecycle(key_bits, representation):
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=key_bits, seed=113)
+    rng = np.random.default_rng(114)
+    probe = np.concatenate(
+        [point_batch(keyset, 300, rng), rng.choice(keyset.keys, size=200)]
+    ).astype(keyset.keys.dtype)
+    # Ranges whose lows repeat: the range record's distinct count.
+    lows = probe[:160]
+    top = np.iinfo(lows.dtype).max
+    highs = np.where(lows > top - 4096, top, lows + 4096).astype(lows.dtype)
+    for _, (scalar, comp) in lifecycle_steps(cgrxu_twins(keyset, representation), keyset, 115):
+        assert_point_engines_identical(scalar, comp, probe)
+        assert_range_identical(
+            scalar.range_lookup_batch(lows, highs), comp.range_lookup_batch(lows, highs)
+        )
+
+
+@requires_backend
+def test_point_batch_caches_the_footprint_per_structural_change(monkeypatch):
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=116)
+    index = CgRXuIndex(keyset.keys, keyset.row_ids)
+    probe = point_batch(keyset, 64, np.random.default_rng(117))
+    for label, (index,) in lifecycle_steps([index], keyset, 118):
+        index.point_lookup_batch(probe)
+        assert index._device_footprint_bytes() == index.memory_footprint().total_bytes, label
+    # Between structural changes, batches reuse the cached total.
+    monkeypatch.setattr(index, "memory_footprint", None)
+    index.point_lookup_batch(probe)
+    index.range_lookup_batch(probe[:8], probe[:8])
+
+
+@requires_backend
+def test_point_batch_returns_fresh_arrays():
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=119)
+    index = CgRXuIndex(keyset.keys, keyset.row_ids)
+    first = index.point_lookup_batch(keyset.keys[:40])
+    row_ids, match_counts = first.row_ids.copy(), first.match_counts.copy()
+    index.point_lookup_batch(keyset.keys[40:80][::-1])
+    assert first.row_ids.tobytes() == row_ids.tobytes()
+    assert first.match_counts.tobytes() == match_counts.tobytes()
+    for array in (first.row_ids, first.match_counts):
+        assert not np.shares_memory(array, index._point_batch.answers)
+
+
+@requires_backend
+def test_point_batch_buffers_grow_with_batches_not_with_repacks():
+    """Chain-table repacks and BVH changes re-point the bound struct; only a
+    batch larger than the buffers grows them."""
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=32, seed=120)
+    index = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32))
+    rng = np.random.default_rng(121)
+    largest = repacks = 0
+    index.point_lookup_batch(keyset.keys[:1])
+    batch = index._point_batch
+    for _ in range(200):
+        tables = index._compiled_chain_tables()
+        inserts = rng.choice(keyset.keys, size=24)
+        index.update_batch(insert_keys=inserts, delete_keys=rng.choice(keyset.keys, size=8))
+        repacks += index._compiled_chain_tables() is not tables
+        size = int(rng.integers(1, 48))
+        grows = size > batch.capacity
+        buffers = batch.keys, batch.answers, batch.scratch
+        largest = max(largest, size)
+        index.point_lookup_batch(rng.choice(keyset.keys, size=size))
+        assert largest <= batch.capacity <= 2 * largest
+        if not grows:
+            assert batch.keys is buffers[0]
+            assert batch.answers is buffers[1] and batch.scratch is buffers[2]
+    assert repacks > 100
+    assert index._point_batch is batch
+    assert batch.bound[0] is index._compiled_chain_tables()
+    assert batch.bound[1] is index.pipeline.compiled_tables()
+
+
+@requires_backend
+def test_point_batch_feeds_the_profiler_series_of_its_stages():
+    """The routing's ``rtx_wavefront_*`` series and the chain walk's
+    ``core_chain_*`` series get what a separate routing call plus the walk
+    would give them."""
+    from repro.obs.profile import disable_profiling, enable_profiling
+
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=122)
+    keys = point_batch(keyset, 700, np.random.default_rng(123))
+    fused_index, staged_index = (CgRXuIndex(keyset.keys, keyset.row_ids) for _ in range(2))
+
+    def series(run) -> list:
+        profile = enable_profiling()
+        try:
+            run()
+        finally:
+            disable_profiling()
+        lines = profile.registry.exposition().splitlines()
+        return [line for line in lines if "rtx_wavefront" in line or "core_chain" in line]
+
+    fused = series(lambda: fused_index.point_lookup_batch(keys))
+    staged = series(
+        lambda: (
+            staged_index.representation.locate_bucket_batch(keys, RayStats()),
+            staged_index._point_lookup_batch_scalar(keys),
+        )
+    )
+    assert any('kernel="compiled_locate"' in line for line in fused)
+    assert any("core_chain_walk_length" in line for line in fused)
+    assert fused == [line.replace('engine="scalar"', 'engine="compiled"') for line in staged]
+
+
 @requires_backend
 @pytest.mark.parametrize("key_bits", [32, 64])
 def test_cgrx_compiled_identical(key_bits):
@@ -1042,26 +1259,43 @@ def test_engine_validation_accepts_compiled():
 
 
 @requires_backend
-def test_compiled_arena_reported_in_serve_footprint():
+def test_compiled_arena_reported_outside_the_device_footprint():
+    """Arenas and batch buffers are host memory: the simulated-device
+    footprint does not depend on the engine or on the query history, and the
+    maintenance snapshot reports the compiled tier's bytes instead."""
     from repro.bench.harness import cgrxu_factory
     from repro.serve import ServeConfig, ShardedIndex
 
     keyset = generate_keys(2048, uniformity=0.5, key_bits=32, seed=81)
-    served = ShardedIndex(
-        keyset.keys,
-        keyset.row_ids,
-        factory=cgrxu_factory(engine="compiled"),
-        config=ServeConfig(num_shards=2, key_bits=32),
+    served, scalar_twin = (
+        ShardedIndex(
+            keyset.keys,
+            keyset.row_ids,
+            factory=cgrxu_factory(engine=engine),
+            config=ServeConfig(num_shards=2, key_bits=32),
+        )
+        for engine in ("compiled", "scalar")
     )
-    lookups = hit_miss_lookups(keyset, 256, miss_fraction=0.2, seed=82)
-    served.point_lookup_batch(lookups)
-    footprint = served.memory_footprint()
-    arena_entries = {
-        name: size
-        for name, size in footprint.components.items()
-        if "compiled_arena" in name
-    }
-    assert arena_entries and all(size > 0 for size in arena_entries.values())
-    snapshot = served.maintenance.snapshot()
-    assert snapshot["compiled_arena_bytes"] == sum(arena_entries.values())
+    def device_entries(deployment) -> dict:
+        # The result cache is filled by the lookups; everything else is
+        # simulated device memory.
+        components = deployment.memory_footprint().components
+        return {name: size for name, size in components.items() if name != "result_cache"}
 
+    shards = [shard.index for shard in served.router.shards]
+    before = device_entries(served)
+    assert sorted(before) == ["shard_0", "shard_1"]
+    lookups = hit_miss_lookups(keyset, 256, miss_fraction=0.2, seed=82)
+    for deployment in (served, scalar_twin):
+        deployment.point_lookup_batch(lookups)
+    assert device_entries(served) == before == device_entries(scalar_twin)
+    assert served.memory_footprint().components == scalar_twin.memory_footprint().components
+
+    arena_bytes = served.maintenance.snapshot()["compiled_arena_bytes"]
+    assert arena_bytes == sum(index.compiled_buffers_bytes() for index in shards) > 0
+    batch_bytes = [index._point_batch.nbytes for index in shards]
+    assert all(batch_bytes)
+    assert arena_bytes == sum(batch_bytes) + sum(
+        index.pipeline.compiled_buffers_bytes() + index._compiled_arena.capacity_bytes
+        for index in shards
+    )

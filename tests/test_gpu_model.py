@@ -22,6 +22,7 @@ from repro.gpu.simt import (
     WARP_SIZE,
     cooperative_scan_steps,
     divergence_factor,
+    divergence_from_pacing,
     occupancy,
     warps_for_threads,
 )
@@ -169,6 +170,18 @@ class TestSimt:
             work = rng.integers(-3, 200, size=size)
             assert divergence_factor(work) == reference(work)
             assert divergence_factor(work.tolist()) == reference(work)
+
+    def test_divergence_from_pacing_reproduces_divergence_factor(self):
+        # The sums a kernel reduces as it runs: per warp of 32 consecutive
+        # threads (the last one partial), its largest work times its threads.
+        rng = np.random.default_rng(4)
+        for size in range(101):
+            for high in (1, 3, 200):
+                work = rng.integers(0, high, size=size)
+                work[rng.random(size) < 0.3] = 0
+                warps = [work[start : start + WARP_SIZE] for start in range(0, size, WARP_SIZE)]
+                paced = sum(int(warp.max()) * len(warp) for warp in warps)
+                assert divergence_from_pacing(paced, int(work.sum())) == divergence_factor(work)
 
     def test_occupancy_saturates_at_one(self):
         assert occupancy(1 << 20, 1 << 15) == 1.0
