@@ -1,10 +1,18 @@
-"""Compiled node-chain kernels for cgRXu lookups and updates.
+"""Compiled node-chain kernels for cgRXu lookups, updates and compaction.
 
 The compiled tier runs a whole point batch — routing, one chain walk per
 key and the kernel record's reductions — and a whole range batch's chain
 walks in one fused C loop each over the
 :class:`~repro.core.nodes.NodeStorage` slabs, and a whole update batch in
-one C call, using the kernel library of :mod:`repro.rtx.compiled`.
+one C call, using the kernel library of :mod:`repro.rtx.compiled`.  A
+compaction pass is two C calls around the re-anchor decisions, which stay
+in Python: :func:`chain_tails` reports each selected chain's node count,
+entry count and last key, and :func:`compact_chains` re-packs the chains
+like ``NodeStorage.compact_chain`` and hands back their surplus nodes.
+After an update that split nodes, or a compaction, :func:`patch_chain_tables`
+re-flattens the cached ``(order, starts)`` tables in one more call: it copies
+each run of untouched chains whole and re-walks only the changed ones, so the
+Python cost of a write follows the buckets it touched, not the index size.
 
 Zero-copy by construction: the kernels read and write the live
 ``NodeStorage`` slab arrays directly (keys matrix, rowIDs, sizes, maxKeys,
@@ -21,8 +29,10 @@ entries-touched accounting, cross-bucket duplicate-group continuation) and
 the range walk ``CgRXuIndex._range_lookup_batch_scalar`` (empty nodes
 skipped, stop at the first key above ``high``, rows in walk order) — and so
 does the update apply (``CgRXuIndex._delete_one`` / ``_insert_one`` with
-the ``NodeStorage`` node edits, splits and allocator), so results, kernel
-counters and node slabs stay byte-identical to the scalar engine.
+the ``NodeStorage`` node edits, splits and allocator) and the compaction
+(``NodeStorage.compact_chain``: stale slots kept, surplus nodes zeroed and
+freed in bucket, then chain order), so results, kernel counters, node slabs,
+the free list and the chain tables stay byte-identical to the scalar engine.
 """
 
 from __future__ import annotations
@@ -289,22 +299,11 @@ def apply_updates_batch(
     work = np.zeros(num_touched, dtype=np.int64)
     split = np.zeros(num_touched, dtype=np.uint8)
     cursor = np.asarray([0, -1], dtype=np.int64)
-    slabs = NodeSlabsStruct(
-        free_nodes=address(free_nodes),
-        free_count=int(free_nodes.shape[0]),
-        linked_used=int(storage._linked_used),
-        num_representative=int(storage.num_representative_nodes),
-        overflow_bucket=int(overflow_bucket),
-        capacity=int(storage.node_capacity),
-        key_is_64=int(key_dtype.itemsize == 8),
-    )
+    slabs = _node_slabs(storage, overflow_bucket)
+    slabs.free_nodes = address(free_nodes)
+    slabs.free_count = int(free_nodes.shape[0])
     while True:
-        slabs.keys = address(storage.keys_matrix)
-        slabs.row_ids = address(storage.row_ids_matrix)
-        slabs.sizes = address(storage.sizes_array)
-        slabs.max_keys = address(storage.max_keys_array)
-        slabs.next_node = address(storage.next_array)
-        slabs.total_nodes = int(storage.keys_matrix.shape[0])
+        _point_at_slabs(slabs, storage)
         needs_growth = lib.apply_updates(
             ctypes.addressof(slabs), num_touched, address(slices),
             address(delete_keys), address(insert_keys), address(insert_row_ids),
@@ -315,3 +314,140 @@ def apply_updates_batch(
         if not needs_growth:
             return work, split.view(bool)
         storage._grow_linked_region()
+
+
+def chain_tails(
+    storage, overflow_bucket: int, bucket_ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first call of a compaction pass: per bucket of ``bucket_ids``
+    (sorted, distinct), its chain's node count, entry count and last entry's
+    key (uint64; 0 for an empty chain).  Requires the kernel library."""
+    bucket_ids = _checked_buckets(bucket_ids, overflow_bucket)
+    num_buckets = int(bucket_ids.shape[0])
+    counts = np.empty((2, num_buckets), dtype=np.int64)
+    last = np.empty(num_buckets, dtype=np.uint64)
+    slabs = _node_slabs(storage, overflow_bucket)
+    library().chain_tails(
+        ctypes.addressof(slabs), num_buckets, address(bucket_ids),
+        address(counts[0]), address(counts[1]), address(last),
+    )
+    return counts[0], counts[1], last
+
+
+def compact_chains(
+    storage,
+    overflow_bucket: int,
+    bucket_ids: np.ndarray,
+    bounds: np.ndarray,
+    nodes_before: np.ndarray,
+    entries: np.ndarray,
+) -> np.ndarray:
+    """Re-pack the chains of ``bucket_ids`` (sorted, distinct) exactly like
+    ``NodeStorage.compact_chain``, in one C call.
+
+    ``bounds`` (uint64) is each chain's new final-node maxKey;
+    ``nodes_before`` and ``entries`` are :func:`chain_tails`' counts, which
+    size the gather scratch and the release buffer.  The surplus linked
+    nodes join the free list in bucket, then chain order.  Returns each
+    chain's node count after.  Requires the kernel library.
+    """
+    bucket_ids = _checked_buckets(bucket_ids, overflow_bucket)
+    num_buckets = int(bucket_ids.shape[0])
+    bounds = np.ascontiguousarray(bounds, dtype=np.uint64)
+    nodes_before = np.ascontiguousarray(nodes_before, dtype=np.int64)
+    entries = np.ascontiguousarray(entries, dtype=np.int64)
+    check_shapes(
+        (bounds, (num_buckets,)), (nodes_before, (num_buckets,)), (entries, (num_buckets,))
+    )
+    nodes_after = np.maximum(1, -(-entries // storage.node_capacity))
+    if num_buckets and (entries.min() < 0 or (nodes_before < nodes_after).any()):
+        raise ValueError("chain counts out of range")
+    released = np.empty(int((nodes_before - nodes_after).sum()), dtype=np.int64)
+    largest = int(entries.max()) if num_buckets else 0
+    scratch_keys = np.empty(largest, dtype=storage.key_dtype)
+    scratch_rows = np.empty(largest, dtype=np.uint32)
+    slabs = _node_slabs(storage, overflow_bucket)
+    freed = library().compact_chains(
+        ctypes.addressof(slabs), num_buckets, address(bucket_ids), address(bounds),
+        address(nodes_before), address(entries), address(scratch_keys),
+        address(scratch_rows), address(released),
+    )
+    if freed != released.shape[0]:
+        raise RuntimeError("compaction counts do not match the chains")
+    storage._free_nodes.extend(released.tolist())
+    return nodes_after
+
+
+def patch_chain_tables(
+    storage, order: np.ndarray, starts: np.ndarray, bucket_ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The flattened ``(order, starts)`` chain tables after the chains of
+    ``bucket_ids`` (sorted, distinct) changed, in one C call.
+
+    Each run of untouched chains is copied from the old tables whole and
+    each touched chain is re-walked through the live ``next`` pointers.
+    Raises unless the new tables hold exactly ``storage.total_nodes``
+    nodes.  Requires the kernel library.
+    """
+    num_chains = int(storage.num_representative_nodes)
+    bucket_ids = _checked_buckets(bucket_ids, num_chains - 1)
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    starts = np.ascontiguousarray(starts, dtype=np.int64)
+    check_shapes((starts, (num_chains + 1,)))
+    if starts[0] != 0 or starts[-1] != order.shape[0]:
+        raise ValueError("chain starts do not span the order table")
+    total = int(storage.total_nodes)
+    new_order = np.empty(total, dtype=np.int64)
+    new_starts = np.empty(num_chains + 1, dtype=np.int64)
+    written = library().patch_chains(
+        address(storage.next_array), num_chains, address(order), address(starts),
+        int(bucket_ids.shape[0]), address(bucket_ids), address(new_order),
+        address(new_starts), total,
+    )
+    if written != total:
+        raise RuntimeError(
+            f"patched chain tables hold {written} nodes, the slabs {total} live ones"
+        )
+    return new_order, new_starts
+
+
+def _checked_buckets(bucket_ids: np.ndarray, overflow_bucket: int) -> np.ndarray:
+    """``bucket_ids`` as a contiguous int64 vector; raises unless they are
+    sorted, distinct and within ``[0, overflow_bucket]`` (the kernels index
+    the slabs with them)."""
+    bucket_ids = np.ascontiguousarray(bucket_ids, dtype=np.int64)
+    if bucket_ids.ndim != 1 or (
+        bucket_ids.size
+        and not (
+            bucket_ids[0] >= 0
+            and bucket_ids[-1] <= overflow_bucket
+            and (bucket_ids[1:] > bucket_ids[:-1]).all()
+        )
+    ):
+        raise ValueError("bucket ids must be sorted, distinct and in range")
+    return bucket_ids
+
+
+def _node_slabs(storage, overflow_bucket: int) -> NodeSlabsStruct:
+    """A ``NodeSlabs`` struct over ``storage``'s current slabs, its free
+    list empty."""
+    slabs = NodeSlabsStruct(
+        linked_used=int(storage._linked_used),
+        num_representative=int(storage.num_representative_nodes),
+        overflow_bucket=int(overflow_bucket),
+        capacity=int(storage.node_capacity),
+        key_is_64=int(storage.key_dtype.itemsize == 8),
+    )
+    _point_at_slabs(slabs, storage)
+    return slabs
+
+
+def _point_at_slabs(slabs: NodeSlabsStruct, storage) -> None:
+    """Point ``slabs`` at ``storage``'s slab arrays (a linked-region growth
+    replaces them)."""
+    slabs.keys = address(storage.keys_matrix)
+    slabs.row_ids = address(storage.row_ids_matrix)
+    slabs.sizes = address(storage.sizes_array)
+    slabs.max_keys = address(storage.max_keys_array)
+    slabs.next_node = address(storage.next_array)
+    slabs.total_nodes = int(storage.keys_matrix.shape[0])

@@ -151,8 +151,8 @@ class CgRXuIndex(GpuIndex):
         #: path so ``__len__`` never re-walks the chains.
         self._num_entries = len(self.bucketed)
         #: Cached flattened chain tables: patched for the buckets whose chains
-        #: a compiled update split or a compaction re-packed, dropped by the
-        #: scalar update path.
+        #: a compiled update split or a compiled compaction re-packed, dropped
+        #: by the scalar update and compaction paths.
         self._chain_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Arena-packed copy of the chain tables for the compiled walk, keyed
         #: by the identity of ``_chain_cache`` so invalidations and patches
@@ -590,8 +590,6 @@ class CgRXuIndex(GpuIndex):
         insert_keys, insert_row_ids, delete_keys = cancel_opposing_updates(
             insert_keys, insert_row_ids, delete_keys
         )
-        uppers = self._bucket_uppers
-        lowers = np.concatenate([[np.uint64(0)], uppers[:-1] + np.uint64(1)])
         apply_stats = KernelStats(
             name="cgrxu.apply", threads=self.overflow_bucket + 1, launches=1
         )
@@ -601,11 +599,11 @@ class CgRXuIndex(GpuIndex):
 
         if resolve_engine(self.config.engine, self.pipeline) == "scalar":
             inserted, deleted, visited, ops, per_bucket_work = self._apply_scalar(
-                insert_keys, insert_row_ids, delete_keys, lowers, uppers
+                insert_keys, insert_row_ids, delete_keys
             )
         else:
             inserted, deleted, visited, ops, per_bucket_work = self._apply_compiled(
-                insert_keys, insert_row_ids, delete_keys, lowers, uppers
+                insert_keys, insert_row_ids, delete_keys
             )
         apply_stats.bytes_read += visited * self.config.node_bytes
         apply_stats.bytes_written += ops * (self.config.node_bytes // 2)
@@ -613,19 +611,24 @@ class CgRXuIndex(GpuIndex):
         stats.merge(apply_stats)
         return UpdateResult(inserted=inserted, deleted=deleted, stats=stats, rebuilt=False)
 
-    def _apply_scalar(self, insert_keys, insert_row_ids, delete_keys, lowers, uppers):
+    def _apply_scalar(self, insert_keys, insert_row_ids, delete_keys):
         """Reference apply: one thread per bucket, one key at a time.
 
-        Returns ``(inserted, deleted, nodes visited, ops, per-bucket work)``.
+        Bucket ``b`` takes the batch keys in ``(uppers[b - 1], uppers[b]]``;
+        the bounds are compared as Python ints, so a bucket after one whose
+        bound is the largest uint64 takes no keys rather than wrapping
+        around to the whole key space.  Returns ``(inserted, deleted, nodes
+        visited, ops, per-bucket work)``.
         """
         # Invalidate before mutating and keep the entry count per-operation:
         # even if the apply is interrupted mid-batch, later reads see the
         # live chains and a correct count.
         self._chain_cache = None
+        uppers = self._bucket_uppers
         inserted = deleted = visited_total = ops = 0
         per_bucket_work: List[int] = []
         for bucket in range(self.overflow_bucket + 1):
-            low = int(lowers[bucket])
+            low = int(uppers[bucket - 1]) + 1 if bucket else 0
             high = int(uppers[bucket])
             delete_lo, delete_hi = self._batch_range(delete_keys, low, high)
             inserts_lo, inserts_hi = self._batch_range(insert_keys, low, high)
@@ -650,7 +653,7 @@ class CgRXuIndex(GpuIndex):
                 per_bucket_work.append(work)
         return inserted, deleted, visited_total, ops, per_bucket_work
 
-    def _apply_compiled(self, insert_keys, insert_row_ids, delete_keys, lowers, uppers):
+    def _apply_compiled(self, insert_keys, insert_row_ids, delete_keys):
         """One C call over the touched buckets (plus one per slab growth).
 
         Deletes and split-free inserts leave every chain's node sequence
@@ -661,19 +664,7 @@ class CgRXuIndex(GpuIndex):
         """
         from repro.core import compiled as core_compiled
 
-        deletes_lo, deletes_hi = self._batch_ranges(delete_keys, lowers, uppers)
-        inserts_lo, inserts_hi = self._batch_ranges(insert_keys, lowers, uppers)
-        touched = np.nonzero((deletes_hi > deletes_lo) | (inserts_hi > inserts_lo))[0]
-        slices = np.stack(
-            [
-                touched,
-                deletes_lo[touched],
-                deletes_hi[touched],
-                inserts_lo[touched],
-                inserts_hi[touched],
-            ],
-            axis=1,
-        )
+        slices = self._partition_batch(delete_keys, insert_keys)
         totals = np.zeros(4, dtype=np.int64)
         cache, self._chain_cache = self._chain_cache, None
         try:
@@ -685,9 +676,31 @@ class CgRXuIndex(GpuIndex):
             self._num_entries += int(totals[0] - totals[1])
         self._chain_cache = cache
         if split.any():
-            self._patch_chain_cache(touched[split])
+            self._patch_chain_cache(slices[split, 0])
         inserted, deleted, visited, ops = (int(value) for value in totals)
         return inserted, deleted, visited, ops, work[work > 0]
+
+    def _partition_batch(self, delete_keys: np.ndarray, insert_keys: np.ndarray) -> np.ndarray:
+        """``(bucket, delete lo, delete hi, insert lo, insert hi)`` per bucket
+        the sorted batch touches, in bucket order.
+
+        Each key is searched into the bucket bounds: it belongs to the first
+        bucket whose bound is at least the key.  That is the scalar apply's
+        per-bucket ``(uppers[b - 1], uppers[b]]`` rule because the bounds
+        never decrease (a re-anchor only lowers a bound to its chain's
+        largest key, which is never below the previous bucket's bound).
+        """
+        uppers = self._bucket_uppers
+        delete_buckets = np.searchsorted(uppers, delete_keys.astype(np.uint64), side="left")
+        insert_buckets = np.searchsorted(uppers, insert_keys.astype(np.uint64), side="left")
+        touched = np.union1d(delete_buckets, insert_buckets)
+        slices = np.empty((touched.shape[0], 5), dtype=np.int64)
+        slices[:, 0] = touched
+        slices[:, 1] = np.searchsorted(delete_buckets, touched, side="left")
+        slices[:, 2] = np.searchsorted(delete_buckets, touched, side="right")
+        slices[:, 3] = np.searchsorted(insert_buckets, touched, side="left")
+        slices[:, 4] = np.searchsorted(insert_buckets, touched, side="right")
+        return slices
 
     def _batch_range(self, sorted_keys: np.ndarray, low: int, high: int) -> Tuple[int, int]:
         """Index range of a sorted batch falling into a bucket's ``[low, high]`` range.
@@ -704,24 +717,6 @@ class CgRXuIndex(GpuIndex):
         high_key = np.asarray(min(high, dtype_max), dtype=self._key_dtype)
         lo = int(np.searchsorted(sorted_keys, low_key, side="left"))
         hi = int(np.searchsorted(sorted_keys, high_key, side="right"))
-        return lo, hi
-
-    def _batch_ranges(
-        self, sorted_keys: np.ndarray, lowers: np.ndarray, uppers: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_batch_range` over every bucket at once."""
-        num_buckets = int(lowers.shape[0])
-        if sorted_keys.size == 0:
-            zeros = np.zeros(num_buckets, dtype=np.int64)
-            return zeros, zeros.copy()
-        dtype_max = np.uint64(np.iinfo(self._key_dtype).max)
-        valid = lowers <= dtype_max
-        low_keys = np.minimum(lowers, dtype_max).astype(self._key_dtype)
-        high_keys = np.minimum(uppers, dtype_max).astype(self._key_dtype)
-        lo = np.searchsorted(sorted_keys, low_keys, side="left").astype(np.int64)
-        hi = np.searchsorted(sorted_keys, high_keys, side="right").astype(np.int64)
-        lo[~valid] = 0
-        hi[~valid] = 0
         return lo, hi
 
     def _delete_one(self, bucket: int, key: int) -> Tuple[bool, int]:
@@ -809,8 +804,10 @@ class CgRXuIndex(GpuIndex):
 
         Lookup answers are unchanged by construction (both engines walk the
         same, now shorter, chains); only the lookup *cost* drops.  The
-        cached chain tables are patched per bucket instead of being
-        invalidated globally.
+        ``compiled`` engine compacts in two C calls and patches the cached
+        chain tables in a third, leaving node slabs, free list, bounds and
+        counters byte-identical to the scalar reference, which drops the
+        tables instead.
         """
         bucket_ids = np.unique(np.asarray(bucket_ids, dtype=np.int64))
         if bucket_ids.size and (
@@ -820,10 +817,49 @@ class CgRXuIndex(GpuIndex):
         stats = KernelStats(
             name="cgrxu.compact", threads=int(bucket_ids.size), launches=1
         )
+        if resolve_engine(self.config.engine, self.pipeline) == "scalar":
+            reanchored, nodes_before, nodes_after, entries = self._compact_scalar(bucket_ids)
+        else:
+            reanchored, nodes_before, nodes_after, entries = self._compact_compiled(bucket_ids)
+        prof = _profile.profiler()
+        if prof is not None:
+            for before, after in zip(nodes_before, nodes_after):
+                prof.observe_chain_compaction(before, after)
+        self.lifecycle["nodes_reclaimed"] += sum(nodes_before) - sum(nodes_after)
+        stats.bytes_read += sum(nodes_before) * self.config.node_bytes
+        stats.bytes_written += sum(nodes_after) * self.config.node_bytes
+        stats.compute_ops += sum(entries)
+        stats.divergence = divergence_factor(nodes_before)
+
+        if reanchored:
+            # Geometry moved: refit the existing BVH (the cheap OptiX update
+            # build) and escalate to a full rebuild only when the overlap
+            # quality signal says refitting has degraded the tree too far.
+            self.pipeline.update_acceleration_structure()
+            self.lifecycle["bvh_refits"] += 1
+            self.lifecycle["reanchored_representatives"] += reanchored
+            stats.bytes_read += self.num_triangles * RT_TRIANGLE_RESIDUAL_BYTES
+            stats.bytes_written += self.pipeline.bvh.num_nodes * RT_NODE_RESIDUAL_BYTES
+            if self.bvh_overlap_ratio() > self.config.refit_escalation_ratio:
+                self.pipeline.build_acceleration_structure()
+                self._built_overlap_area = total_overlap_area(self.pipeline.bvh)
+                self.lifecycle["bvh_rebuilds"] += 1
+
+        self.lifecycle["compaction_passes"] += 1
+        self.lifecycle["buckets_compacted"] += int(bucket_ids.size)
+        self.epoch += 1
+        return stats
+
+    def _compact_scalar(self, bucket_ids: np.ndarray):
+        """Reference compaction: one bucket at a time, re-anchoring as it
+        goes.  Drops the cached chain tables.  Returns ``(re-anchored,
+        nodes before, nodes after, entries)``, the last three per bucket."""
+        self._chain_cache = None
         uppers = self._bucket_uppers
         reanchored = 0
-        per_bucket_work: List[int] = []
-        prof = _profile.profiler()
+        nodes_before: List[int] = []
+        nodes_after: List[int] = []
+        entries: List[int] = []
         for bucket in bucket_ids:
             bucket = int(bucket)
             chain_keys, chain_rows = self.nodes.chain_entries(bucket)
@@ -846,72 +882,68 @@ class CgRXuIndex(GpuIndex):
             before, after = self.nodes.compact_chain(
                 bucket, new_upper, entries=(chain_keys, chain_rows)
             )
-            if prof is not None:
-                prof.observe_chain_compaction(before, after)
-            self.lifecycle["nodes_reclaimed"] += before - after
-            stats.bytes_read += before * self.config.node_bytes
-            stats.bytes_written += after * self.config.node_bytes
-            stats.compute_ops += int(chain_keys.shape[0])
-            per_bucket_work.append(before)
-        stats.divergence = divergence_factor(per_bucket_work)
+            nodes_before.append(before)
+            nodes_after.append(after)
+            entries.append(int(chain_keys.shape[0]))
+        return reanchored, nodes_before, nodes_after, entries
 
-        if reanchored:
-            # Geometry moved: refit the existing BVH (the cheap OptiX update
-            # build) and escalate to a full rebuild only when the overlap
-            # quality signal says refitting has degraded the tree too far.
-            self.pipeline.update_acceleration_structure()
-            self.lifecycle["bvh_refits"] += 1
-            self.lifecycle["reanchored_representatives"] += reanchored
-            stats.bytes_read += self.num_triangles * RT_TRIANGLE_RESIDUAL_BYTES
-            stats.bytes_written += self.pipeline.bvh.num_nodes * RT_NODE_RESIDUAL_BYTES
-            if self.bvh_overlap_ratio() > self.config.refit_escalation_ratio:
-                self.pipeline.build_acceleration_structure()
-                self._built_overlap_area = total_overlap_area(self.pipeline.bvh)
-                self.lifecycle["bvh_rebuilds"] += 1
+    def _compact_compiled(self, bucket_ids: np.ndarray):
+        """Compaction in two C calls plus the chain-table patch.
 
+        The first call reports each chain's nodes, entries and last key.
+        The re-anchor candidates follow from the bounds as they were before
+        the pass — a pass only lowers the bounds of buckets it has already
+        passed, so the scalar loop sees the same ones — and are offered to
+        the representation in ascending bucket order.  The second call
+        re-packs the chains.  Same return value as :meth:`_compact_scalar`.
+        """
+        from repro.core import compiled as core_compiled
+
+        if not bucket_ids.size:
+            return 0, [], [], []
+        uppers = self._bucket_uppers
+        nodes_before, entries, last = core_compiled.chain_tails(
+            self.nodes, self.overflow_bucket, bucket_ids
+        )
+        upper = uppers[bucket_ids]
+        following = uppers[np.minimum(bucket_ids + 1, self.overflow_bucket)]
+        candidates = np.nonzero(
+            (bucket_ids < self.overflow_bucket)
+            & (entries > 0)
+            & (last < upper)
+            & (following != upper)
+        )[0]
+        reanchored = 0
+        for position in candidates.tolist():
+            bucket = int(bucket_ids[position])
+            if self.representation.reanchor_representative(
+                bucket, int(upper[position]), int(last[position])
+            ):
+                uppers[bucket] = last[position]
+                reanchored += 1
+        cache, self._chain_cache = self._chain_cache, None
+        nodes_after = core_compiled.compact_chains(
+            self.nodes, self.overflow_bucket, bucket_ids, uppers[bucket_ids],
+            nodes_before, entries,
+        )
+        self._chain_cache = cache
         self._patch_chain_cache(bucket_ids)
-        self.lifecycle["compaction_passes"] += 1
-        self.lifecycle["buckets_compacted"] += int(bucket_ids.size)
-        self.epoch += 1
-        return stats
+        return reanchored, nodes_before.tolist(), nodes_after.tolist(), entries.tolist()
 
     def _patch_chain_cache(self, bucket_ids: np.ndarray) -> None:
-        """Splice the new chains of ``bucket_ids`` into the cached tables.
-
-        Only those buckets' chains are re-walked; every other chain's
-        segment is copied wholesale from the existing ``(order, starts)``
-        tables, so a compaction or a splitting update re-chases the pointers
-        of the buckets it changed rather than of every chain in the index.
-        """
+        """Splice the new chains of ``bucket_ids`` (sorted, distinct) into
+        the cached tables with one C call: runs of untouched chains are
+        copied whole and only the touched chains are re-walked (compiled
+        engine only; the scalar engine drops the tables instead)."""
         if self._chain_cache is None:
             return
+        from repro.core import compiled as core_compiled
+
         order, starts = self._chain_cache
-        num_chains = int(starts.shape[0]) - 1
-        lengths = np.diff(starts)
-        touched = np.zeros(num_chains, dtype=bool)
-        segments: Dict[int, np.ndarray] = {}
-        for bucket in bucket_ids:
-            bucket = int(bucket)
-            segment = np.fromiter(self.nodes.chain(bucket), dtype=np.int64)
-            segments[bucket] = segment
-            touched[bucket] = True
-            lengths[bucket] = segment.shape[0]
-        new_starts = np.zeros(num_chains + 1, dtype=np.int64)
-        np.cumsum(lengths, out=new_starts[1:])
-        new_order = np.empty(int(new_starts[-1]), dtype=np.int64)
-        untouched = np.nonzero(~touched)[0]
-        if untouched.size:
-            kept = lengths[untouched]
-            total = int(kept.sum())
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                np.concatenate([[0], np.cumsum(kept)[:-1]]), kept
-            )
-            new_order[np.repeat(new_starts[untouched], kept) + offsets] = order[
-                np.repeat(starts[untouched], kept) + offsets
-            ]
-        for bucket, segment in segments.items():
-            new_order[new_starts[bucket] : new_starts[bucket] + segment.shape[0]] = segment
-        self._chain_cache = (new_order, new_starts)
+        self._chain_cache = None  # a failed patch leaves no stale tables behind
+        self._chain_cache = core_compiled.patch_chain_tables(
+            self.nodes, order, starts, bucket_ids
+        )
 
     def bucket_chain_lengths(self) -> np.ndarray:
         """Chain length in nodes per bucket (overflow bucket last).

@@ -22,10 +22,15 @@ reference oracle:
   ids and ray visits to the same entry.
 * **BVH build.**  :func:`build_bvh_median` is the ``median``-split builder of
   :func:`repro.rtx.bvh.build_bvh` in C, with identical output arrays.
-* **cgRXu node chains.**  The point batch, the range walk and the update
-  apply (deletes, inserts, node splits and linked-node allocation) run over
-  the live ``NodeStorage`` slabs; their Python entries are in
-  :mod:`repro.core.compiled`.
+* **cgRXu node chains.**  The point batch, the range walk, the update
+  apply (deletes, inserts, node splits and linked-node allocation) and
+  compaction run over the live ``NodeStorage`` slabs.  A compaction pass is
+  two calls: ``chain_tails`` reports each selected chain's nodes, entries
+  and last key, Python decides the re-anchors, and ``compact_chains``
+  re-packs the chains and releases their surplus nodes.  After a split or a
+  compaction, ``patch_chains`` re-flattens the chain tables: runs of
+  untouched chains are copied whole and only the changed chains are
+  re-walked.  Their Python entries are in :mod:`repro.core.compiled`.
 * **Quantized cache-blocked node tables.**  Per node, a 12-byte record of
   uint16 AABB bounds quantized against a per-tree frame, rounded *outward* so
   a quantized reject implies the exact reject.  The kernel tests the 12-byte
@@ -846,6 +851,116 @@ int64_t apply_updates(NodeSlabs* S, int64_t num_touched, const int64_t* slices,
     return 0;
 }
 
+/* The first call of a cgRXu compaction pass (CgRXuIndex.compact_buckets):
+   per bucket, its chain's node count, entry count and last entry's key (0
+   for an empty chain). */
+void chain_tails(const NodeSlabs* S, int64_t num_buckets, const int64_t* buckets,
+                 int64_t* nodes, int64_t* entries, uint64_t* last)
+{
+    for (int64_t t = 0; t < num_buckets; t++) {
+        int64_t count = 0, total = 0;
+        uint64_t tail = 0;
+        for (int64_t node = buckets[t]; node != -1; node = S->next_node[node]) {
+            const int64_t size = S->sizes[node];
+            count++;
+            total += size;
+            if (size > 0) tail = key_at(S->keys, S->key_is_64, node * (int64_t)S->capacity + size - 1);
+        }
+        nodes[t] = count;
+        entries[t] = total;
+        last[t] = tail;
+    }
+}
+
+/* NodeStorage.compact_chain per bucket: the chain's entries[t] entries are
+   gathered into scratch_keys / scratch_rows first, then re-packed head-first
+   into the fewest nodes, each but the final one full.  Only the first `count`
+   slots of a kept node are written (stale slots stay); the final node's
+   maxKey is bounds[t], an interior node's its own last key.  Surplus linked
+   nodes are zeroed in every slot, unlinked and written to released in bucket,
+   then chain order.  Returns the number released, or -1 when a chain holds
+   other than nodes[t] nodes and entries[t] entries (chain_tails' counts; that
+   bucket is left as it was). */
+int64_t compact_chains(NodeSlabs* S, int64_t num_buckets, const int64_t* buckets,
+                       const uint64_t* bounds, const int64_t* nodes, const int64_t* entries,
+                       void* scratch_keys, uint32_t* scratch_rows, int64_t* released)
+{
+    const int64_t capacity = S->capacity;
+    const int64_t width = S->key_is_64 ? 8 : 4;
+    int64_t freed = 0;
+    for (int64_t t = 0; t < num_buckets; t++) {
+        const int64_t count = entries[t];
+        int64_t gathered = 0, walked = 0;
+        for (int64_t node = buckets[t]; node != -1; node = S->next_node[node]) {
+            const int64_t size = S->sizes[node];
+            if (++walked > nodes[t] || gathered + size > count) return -1;
+            memcpy((char*)scratch_keys + gathered * width,
+                   (char*)S->keys + node * capacity * width, (size_t)(size * width));
+            memcpy(scratch_rows + gathered, S->row_ids + node * capacity,
+                   (size_t)size * sizeof(uint32_t));
+            gathered += size;
+        }
+        if (walked != nodes[t] || gathered != count) return -1;
+        const int64_t kept = count > 0 ? (count + capacity - 1) / capacity : 1;
+        int64_t position = 0;
+        for (int64_t node = buckets[t]; node != -1; position++) {
+            const int64_t following = S->next_node[node];
+            if (position < kept) {
+                const int64_t low = position * capacity;
+                const int64_t high = low + capacity < count ? low + capacity : count;
+                memcpy((char*)S->keys + node * capacity * width,
+                       (char*)scratch_keys + low * width, (size_t)((high - low) * width));
+                memcpy(S->row_ids + node * capacity, scratch_rows + low,
+                       (size_t)(high - low) * sizeof(uint32_t));
+                S->sizes[node] = (int32_t)(high - low);
+                const int final = position == kept - 1;
+                S->max_keys[node] = final ? bounds[t] : key_at(scratch_keys, S->key_is_64, high - 1);
+                S->next_node[node] = final ? -1 : following;
+            } else {
+                memset((char*)S->keys + node * capacity * width, 0, (size_t)(capacity * width));
+                memset(S->row_ids + node * capacity, 0, (size_t)capacity * sizeof(uint32_t));
+                S->sizes[node] = 0;
+                S->max_keys[node] = 0;
+                S->next_node[node] = -1;
+                released[freed++] = node;
+            }
+            node = following;
+        }
+    }
+    return freed;
+}
+
+/* CgRXuIndex._patch_chain_cache: the flattened chain tables (order, starts
+   of num_chains chains) after the chains of touched (sorted, distinct bucket
+   ids) changed.  Each run of untouched chains is copied with one memcpy and
+   its starts shifted; each touched chain is re-walked through next_node.
+   Writes at most capacity order entries and returns the number written, or
+   -1 when the chains hold more or a run's starts leave the old table. */
+int64_t patch_chains(const int64_t* next_node, int64_t num_chains, const int64_t* order,
+                     const int64_t* starts, int64_t num_touched, const int64_t* touched,
+                     int64_t* new_order, int64_t* new_starts, int64_t capacity)
+{
+    int64_t written = 0, chain = 0;
+    for (int64_t t = 0; t <= num_touched; t++) {
+        const int64_t end = t < num_touched ? touched[t] : num_chains;
+        const int64_t run = starts[end] - starts[chain], shift = written - starts[chain];
+        if (starts[chain] < 0 || run < 0 || starts[end] > starts[num_chains]
+            || written + run > capacity) return -1;
+        memcpy(new_order + written, order + starts[chain], (size_t)run * sizeof(int64_t));
+        for (int64_t c = chain; c < end; c++) new_starts[c] = starts[c] + shift;
+        written += run;
+        if (end == num_chains) break;
+        new_starts[end] = written;
+        for (int64_t node = end; node != -1; node = next_node[node]) {
+            if (written == capacity) return -1;
+            new_order[written++] = node;
+        }
+        chain = end + 1;
+    }
+    new_starts[num_chains] = written;
+    return written;
+}
+
 /* Stable merge sort of idx[0, n) by key[0, n); ties keep their input order
    (numpy's argsort(kind="stable")). */
 static void merge_sort(double* key, int64_t* idx, double* tk, int64_t* ti, int64_t n)
@@ -1076,6 +1191,9 @@ def _bind(lib: ctypes.CDLL) -> None:
         "point_lookup": ([p, i64], None),
         "range_walk": ([p, i64, p, p, p, p, i64, p, p, p], i64),
         "apply_updates": ([p, i64, p, p, p, p, p, p, p, p], i64),
+        "chain_tails": ([p, i64, p, p, p, p], None),
+        "compact_chains": ([p, i64, p, p, p, p, p, p, p], i64),
+        "patch_chains": ([p, i64, p, p, i64, p, p, p, i64], i64),
         "build_bvh_median": ([i64, p, p, i64, p, p, p, p, p, p, p], i64),
     }
     for name, (argtypes, restype) in signatures.items():

@@ -7,7 +7,9 @@ compiled-tier-specific contracts: the C BVH builder's arrays equal the
 Python builder's, the closest-hit and all-hits megakernels, fused point
 routing and the C range walk match the scalar procedures ray for ray and key
 for key, the C update apply leaves the node slabs byte-identical (resuming
-once per slab growth, chain tables patched only on splits), the cgRXu point
+once per slab growth, chain tables patched only on splits) and partitions
+its batch exactly like the scalar per-bucket ranges, the C compaction leaves
+slabs, free list, bounds and counters as the scalar one does, the cgRXu point
 batch matches the scalar engine at every batch size and through the index
 lifecycle over buffers bound once, each hot index
 path is one C call per batch, quantized AABBs are
@@ -36,6 +38,7 @@ from repro.core.config import CgRXConfig, CgRXuConfig, resolve_engine
 from repro.core.index import CgRXIndex
 from repro.core.updatable import CgRXuIndex
 from repro.gpu.device import RTX_4090
+from repro.obs.profile import disable_profiling, enable_profiling
 from repro.rtx import compiled
 from repro.rtx.bvh import BvhBuildConfig, build_bvh, build_bvh_python
 from repro.rtx.scene import TriangleScene, VertexBuffer
@@ -569,6 +572,18 @@ def test_one_c_call_per_hot_path_batch(count_calls):
     count_calls.clear()
     cgrxu.update_batch(insert_keys=lookups[:48], delete_keys=keyset.keys[::64])
     assert count_calls == {"apply_updates": 1}
+    count_calls.clear()
+    # Crowding one bucket splits its chain: the apply, then the patch of the
+    # cached chain tables.
+    crowded = np.repeat(np.sort(keyset.keys)[1000], 40)
+    cgrxu.update_batch(insert_keys=crowded)
+    assert count_calls == {"apply_updates": 1, "patch_chains": 1}
+    count_calls.clear()
+    # A compaction pass: the chain tails, the re-pack and the patch.
+    lengths = cgrxu.bucket_chain_lengths()
+    assert lengths.max() > 1
+    cgrxu.compact_buckets(np.nonzero(lengths > 1)[0])
+    assert count_calls == {"chain_tails": 1, "compact_chains": 1, "patch_chains": 1}
 
 
 # --------------------------------------------------------------------------
@@ -788,32 +803,76 @@ def test_cgrxu_compiled_identical_through_update_waves(key_bits, representation)
     assert scalar_entries[1].tobytes() == comp_entries[1].tobytes()
 
 
+def compact_twins(scalar, comp, bucket_ids) -> None:
+    """Compact both indexes, each under its own profiler, and assert the
+    compiled pass left what the scalar one did: node slabs and free list,
+    bounds, lifecycle counters, the kernel record, the profiler's
+    compaction counters, the representative scene and the BVH generation,
+    and chain tables equal to a fresh flatten."""
+    records, counters = [], []
+    for index in (scalar, comp):
+        prof = enable_profiling()
+        try:
+            records.append(index.compact_buckets(bucket_ids))
+        finally:
+            disable_profiling()
+        counters.append(
+            {
+                name: instrument.value
+                for name, _, instrument in prof.registry.instruments()
+                if name.startswith("core_compaction_")
+            }
+        )
+    assert_stats_identical(*records)
+    assert counters[0] == counters[1]
+    assert counters[1].get("core_compaction_chains_total", 0) == np.unique(bucket_ids).size
+    assert scalar.nodes.state_differences(comp.nodes) == []
+    assert scalar._bucket_uppers.tobytes() == comp._bucket_uppers.tobytes()
+    assert scalar.lifecycle == comp.lifecycle
+    assert (scalar.pipeline.refit_count, scalar.pipeline.build_count) == (
+        comp.pipeline.refit_count,
+        comp.pipeline.build_count,
+    )
+    assert (
+        scalar.pipeline.vertex_buffer.centres.tobytes()
+        == comp.pipeline.vertex_buffer.centres.tobytes()
+    )
+    flattened = comp.nodes.flatten_chains(comp.overflow_bucket + 1)
+    for expected_table, table in zip(flattened, comp._chain_table()):
+        assert expected_table.tobytes() == table.tobytes()
+
+
 @requires_backend
 @pytest.mark.parametrize("key_bits", [32, 64])
 @pytest.mark.parametrize("representation", ["naive", "optimized"])
 def test_cgrxu_compiled_apply_leaves_identical_node_state(key_bits, representation):
-    """The C apply edits the slabs exactly like the scalar per-key loop:
-    stale slots, free-list order, linked-region growth and chain tables."""
+    """The C apply and the C compaction edit the slabs exactly like the
+    scalar per-key and per-bucket loops: stale slots, free-list order,
+    linked-region growth, bounds, re-anchors, refits and chain tables."""
     keyset = generate_keys(3072, uniformity=0.6, key_bits=key_bits, seed=41)
     dtype = keyset.keys.dtype
+    # A duplicate group spanning several buckets gives them one bound.
+    keys = np.sort(keyset.keys)
+    keys[1500:1530] = keys[1500]
     rng = np.random.default_rng(42)
     lookups = hit_miss_lookups(
         keyset, 512, miss_fraction=0.3, out_of_range_fraction=0.3, seed=43
     )
     scalar, comp = (
         CgRXuIndex(
-            keyset.keys,
+            keys,
             keyset.row_ids,
             CgRXuConfig(key_bits=key_bits, representation=representation, engine=engine),
         )
         for engine in ("scalar", "compiled")
     )
+    assert (np.diff(comp._bucket_uppers) == 0).any()
     comp.point_lookup_batch(lookups)  # packs the chain tables updates patch
     initial_capacity = comp.nodes.linked_region_capacity
     freed = 0
     for wave in range(9):
         # Inserts crowd the lower third so chains split and grow.
-        inserts = rng.choice(keyset.keys[:1024], size=600).astype(dtype)
+        inserts = rng.choice(keys[:1024], size=600).astype(dtype)
         # Duplicate inserts, plus keys beyond the bulk-loaded range.
         inserts = np.concatenate(
             [inserts, inserts[:40], rng.integers(0, np.iinfo(dtype).max, 40, dtype=dtype)]
@@ -822,7 +881,7 @@ def test_cgrxu_compiled_apply_leaves_identical_node_state(key_bits, representati
         # Deletes of stored keys (some twice) plus misses.
         deletes = np.concatenate(
             [
-                rng.choice(keyset.keys, size=300).astype(dtype),
+                rng.choice(keys, size=300).astype(dtype),
                 rng.integers(0, np.iinfo(dtype).max, 30, dtype=dtype),
             ]
         )
@@ -840,15 +899,158 @@ def test_cgrxu_compiled_apply_leaves_identical_node_state(key_bits, representati
         if freed:
             assert len(comp.nodes._free_nodes) < freed  # released nodes reused
             freed = 0
-        if wave % 3 == 2:
-            # Compaction releases linked nodes to the free list.
+        if wave == 2:
+            # The hottest chains and the overflow bucket; compaction
+            # releases linked nodes to the free list.
             lengths = scalar.bucket_chain_lengths()
             hottest = np.argsort(lengths, kind="stable")[::-1][:48]
-            for index in (scalar, comp):
-                index.compact_buckets(hottest)
+            compact_twins(scalar, comp, np.append(hottest, comp.overflow_bucket))
             freed = len(comp.nodes._free_nodes)
             assert freed > 0
+        elif wave == 4:
+            # Drain a few whole buckets, leaving their chains empty.
+            drained = [5, 6, 300]
+            drain = np.concatenate([scalar.nodes.chain_entries(b)[0] for b in drained])
+            for index in (scalar, comp):
+                index.update_batch(delete_keys=drain)
+            assert scalar.nodes.state_differences(comp.nodes) == []
+            assert any(scalar.nodes.chain_entries(b)[0].size == 0 for b in drained)
+            # Every bucket: empty chains, already-compact chains, shared
+            # bounds and the overflow bucket, with re-anchors and a refit.
+            assert (scalar.bucket_chain_lengths() == 1).any()
+            refits = comp.pipeline.refit_count
+            compact_twins(scalar, comp, np.arange(comp.overflow_bucket + 1))
+            assert comp.pipeline.refit_count > refits
+            freed = len(comp.nodes._free_nodes)
+        elif wave == 7:
+            compact_twins(scalar, comp, [])
+            # Shrink the quality baseline so the refit escalates to a rebuild.
+            builds = comp.pipeline.build_count
+            for index in (scalar, comp):
+                index._built_overlap_area = index._built_overlap_area / 1e6
+            compact_twins(scalar, comp, np.arange(comp.overflow_bucket + 1))
+            assert comp.pipeline.build_count > builds
+            freed = len(comp.nodes._free_nodes)
+    assert comp.lifecycle["reanchored_representatives"] > 0
     assert comp.nodes.linked_region_capacity > initial_capacity
+
+
+def reference_slices(index, delete_keys, insert_keys) -> np.ndarray:
+    """The scalar apply's partition, bucket by bucket: bucket ``b`` takes
+    the sorted batch keys in ``(uppers[b - 1], uppers[b]]``
+    (:meth:`CgRXuIndex._batch_range`); one row per bucket that takes any."""
+    uppers = index._bucket_uppers
+    rows = []
+    for bucket in range(index.overflow_bucket + 1):
+        low = int(uppers[bucket - 1]) + 1 if bucket else 0
+        high = int(uppers[bucket])
+        deletes = index._batch_range(delete_keys, low, high)
+        inserts = index._batch_range(insert_keys, low, high)
+        if deletes[1] > deletes[0] or inserts[1] > inserts[0]:
+            rows.append((bucket, *deletes, *inserts))
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 5)
+
+
+@pytest.mark.parametrize(
+    "key_bits, store_top", [(32, True), (64, False), (64, True)], ids=["32-top", "64", "64-top"]
+)
+def test_key_search_partition_matches_the_per_bucket_reference(key_bits, store_top):
+    """The compiled apply's partition (each key searched into the bucket
+    bounds) equals the scalar per-bucket ranges over real index states:
+    re-anchored bounds, bounds shared by a duplicate group, the key type's
+    largest key stored, empty halves and keys above every bound."""
+    keyset = generate_keys(2048, uniformity=0.6, key_bits=key_bits, seed=51)
+    dtype = keyset.keys.dtype
+    top = np.iinfo(dtype).max
+    keys = np.sort(keyset.keys)
+    keys[900:930] = keys[900]
+    if store_top:
+        keys[-1] = top
+    index = CgRXuIndex(keys, config=CgRXuConfig(key_bits=key_bits))
+    rng = np.random.default_rng(52)
+    reanchored = 0
+    for wave in range(6):
+        uppers = index._bucket_uppers
+        assert (np.diff(uppers) >= 0).all()
+        assert (np.diff(uppers) == 0).any()
+        live = index.export_entries()[0]
+        stored = rng.choice(live, size=200)
+        random = rng.integers(0, top, size=100, dtype=dtype, endpoint=True)
+        above = np.asarray(top, dtype) - rng.integers(0, 4, size=20).astype(dtype)
+        bounds = uppers[:-1][uppers[:-1] <= top].astype(dtype)
+        ends = np.asarray([0, top], dtype=dtype)
+        edges = np.concatenate([bounds[::97], bounds[::89] + np.asarray(1, dtype), ends])
+        batch = np.sort(np.concatenate([stored, random, above, edges]))
+        assert batch.dtype == dtype
+        half = np.sort(rng.choice(batch, size=batch.shape[0] // 2))
+        empty = np.empty(0, dtype=dtype)
+        for deletes, inserts in ((half, batch), (batch, empty), (empty, half), (empty, empty)):
+            expected = reference_slices(index, deletes, inserts)
+            assert expected.tobytes() == index._partition_batch(deletes, inserts).tobytes()
+        # Deletes shrink buckets, so the compaction re-anchors bounds.
+        index.update_batch(
+            insert_keys=rng.choice(live, size=150), delete_keys=rng.choice(live, size=400)
+        )
+        index.compact_buckets(np.arange(0, index.overflow_bucket + 1, 1 + wave % 2))
+        reanchored = index.lifecycle["reanchored_representatives"]
+    assert reanchored > 0
+    assert (np.diff(index._bucket_uppers) >= 0).all()
+
+
+@pytest.mark.parametrize("key_bits", [32, 64])
+def test_stored_largest_key_does_not_apply_updates_twice(key_bits):
+    """A bucket after one whose bound is the key type's largest key takes no
+    keys: with 2**64 - 1 stored, the scalar reference once routed every key
+    to the overflow bucket as well, so updates applied twice."""
+    top = np.iinfo(np.uint32 if key_bits == 32 else np.uint64).max
+    keys = np.asarray([10, 20, 30, 40, 50, 60, 70, top], dtype=np.uint64)
+    if key_bits == 32:
+        keys = keys.astype(np.uint32)
+    scalar, comp = (
+        CgRXuIndex(keys, config=CgRXuConfig(key_bits=key_bits, engine=engine))
+        for engine in ("scalar", "compiled")
+    )
+    probe = np.asarray([25, 70, top], dtype=keys.dtype)
+    for index in (scalar, comp):
+        result = index.update_batch(
+            insert_keys=np.asarray([25], dtype=keys.dtype),
+            insert_row_ids=np.asarray([99], dtype=np.uint32),
+        )
+        assert result.inserted == 1
+        assert len(index) == index._count_entries() == 9
+        stored, _ = index.export_entries()
+        assert (np.diff(stored.astype(np.uint64)) >= 0).all()
+        assert (stored == 25).sum() == 1
+        live = index.point_lookup_batch(probe)
+        rebuilt = CgRXuIndex.build_from_snapshot(index.snapshot()).point_lookup_batch(probe)
+        assert live.match_counts.tolist() == rebuilt.match_counts.tolist() == [1, 1, 1]
+        assert live.row_ids.tobytes() == rebuilt.row_ids.tobytes()
+        assert index.update_batch(delete_keys=np.asarray([25], dtype=keys.dtype)).deleted == 1
+        assert len(index) == index._count_entries() == 8
+    assert scalar.nodes.state_differences(comp.nodes) == []
+
+
+@requires_backend
+def test_compaction_kernels_reject_inputs_that_disagree_with_the_chains():
+    from repro.core import compiled as core_compiled
+
+    keyset = generate_keys(1024, uniformity=0.5, key_bits=64, seed=53)
+    index = CgRXuIndex(keyset.keys, keyset.row_ids)
+    order, starts = index._chain_table()
+    index.update_batch(insert_keys=np.repeat(np.sort(keyset.keys)[500], 40))
+    nodes, overflow = index.nodes, index.overflow_bucket
+    with pytest.raises(RuntimeError):  # the chain that split is left out
+        core_compiled.patch_chain_tables(nodes, order, starts, [])
+    for bad in ([3, 2], [2, 2], [-1], [overflow + 1], [[1, 2]]):
+        with pytest.raises(ValueError):
+            core_compiled.chain_tails(nodes, overflow, np.asarray(bad))
+    buckets = np.nonzero(index.bucket_chain_lengths() > 1)[0]
+    before, entries, _ = core_compiled.chain_tails(nodes, overflow, buckets)
+    bounds = index._bucket_uppers[buckets]
+    with pytest.raises(ValueError):  # fewer nodes than the entries need
+        core_compiled.compact_chains(nodes, overflow, buckets, bounds, before * 0, entries)
+    with pytest.raises(RuntimeError):  # counts of other chains
+        core_compiled.compact_chains(nodes, overflow, buckets + 1, bounds, before, entries)
 
 
 @requires_backend
