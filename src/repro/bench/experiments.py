@@ -13,13 +13,19 @@ can be requested explicitly if runtime is no concern.
 from __future__ import annotations
 
 import dataclasses
+import inspect
+import json
+import os
+import shutil
+import sys
+import tempfile
+import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.base import GpuIndex, UnsupportedOperation
+from repro.baselines.base import GpuIndex
 from repro.baselines.btree import BPlusTreeIndex
-from repro.baselines.fullscan import FullScanIndex
 from repro.baselines.hash_table import HashTableIndex
 from repro.baselines.rtscan import RTScanIndex
 from repro.baselines.rx import RXIndex
@@ -27,14 +33,19 @@ from repro.baselines.sorted_array import SortedArrayIndex
 from repro.bench.harness import (
     ExperimentResult,
     IndexFactory,
+    at_clock,
     btree_factory,
+    byte_identical,
     cgrx_factory,
     cgrxu_factory,
     default_point_lookup_factories,
     fullscan_factory,
     hash_table_factory,
+    probe_identical,
+    random_keys32,
     rtscan_factory,
     rx_factory,
+    sharded_factory,
     sorted_array_factory,
 )
 from repro.bench.metrics import (
@@ -45,7 +56,21 @@ from repro.bench.metrics import (
 from repro.core.config import CgRXConfig, CgRXuConfig, Representation
 from repro.core.index import CgRXIndex
 from repro.core.updatable import CgRXuIndex
-from repro.gpu.device import RTX_4090, RTX_A6000, GpuDevice
+from repro.gpu.device import RTX_4090, GpuDevice
+from repro.obs import critical_path_breakdown, format_breakdown
+from repro.serve.qos import TenantQoS
+from repro.serve.reliability import ReliabilityConfig
+from repro.serve.replication import FailureEvent
+from repro.serve.router import apply_update_to_entries
+from repro.serve.sharded import ServeConfig, ShardedIndex
+from repro.store import DeploymentStore, LocalDirBackend, encode_record
+from repro.workloads.adversarial import (
+    TenantSpec,
+    multi_tenant_stream,
+    range_hammer_stream,
+    shifting_hotspot_stream,
+)
+from repro.workloads.failures import failure_schedule
 from repro.workloads.keygen import DISTRIBUTIONS, KeySet, generate_distribution, generate_keys
 from repro.workloads.lookups import (
     hit_miss_lookups,
@@ -53,6 +78,7 @@ from repro.workloads.lookups import (
     uniform_lookups,
     zipf_lookups,
 )
+from repro.workloads.requests import zipf_request_stream
 from repro.workloads.updates import update_waves
 
 
@@ -167,7 +193,7 @@ def figure_01_rx_limitations(
         if updates:
             rng = np.random.default_rng(seed + updates)
             delete_keys = rng.choice(base.keys, size=updates, replace=False)
-            insert_keys = rng.integers(0, (1 << 32) - 1, size=updates, dtype=np.uint64).astype(np.uint32)
+            insert_keys = random_keys32(rng, updates)
             index.update_batch_refit(insert_keys, delete_keys=delete_keys)
         lookup = index.point_lookup_batch(lookups)
         result.add(
@@ -736,10 +762,6 @@ def serving_deployment(
     * ``c_maintenance`` — insert waves against a cgRXu deployment: chains
       degrade shard health until the background worker rebuilds them.
     """
-    from repro.bench.harness import sharded_factory
-    from repro.serve.sharded import ServeConfig, ShardedIndex
-    from repro.workloads.requests import zipf_request_stream
-
     result = ExperimentResult(
         name="serving",
         description="Sharded index serving: batching, caching, maintenance",
@@ -819,24 +841,17 @@ def serving_deployment(
             )
 
     # (c) Update waves against a cgRXu deployment: degradation + maintenance.
-    config = ServeConfig(
-        num_shards=4,
-        partitioner="range",
-        key_bits=32,
+    served = sharded_factory(
+        inner=cgrxu_factory(128),
         cache_capacity=cache_capacity,
         max_batch_size=max_batch_size,
         max_wait_ms=max_wait_ms,
         rebuild_threshold=0.25,
-    )
-    served = ShardedIndex(
-        keyset.keys, keyset.row_ids, factory=cgrxu_factory(128), config=config
-    )
+    )(keyset)
     rng = np.random.default_rng(seed + 3)
     wave_size = max(1, num_keys // 4)
     for wave in range(1, num_update_waves + 1):
-        insert_keys = rng.integers(0, (1 << 32) - 1, size=wave_size, dtype=np.uint64).astype(
-            np.uint32
-        )
+        insert_keys = random_keys32(rng, wave_size)
         degradation_before = served.degradation_score()
         update = served.update_batch(insert_keys=insert_keys)
         maintenance = served.maintenance.snapshot()
@@ -887,13 +902,6 @@ def availability(
       replicas: quorum accounting, then recovery via log replay vs snapshot
       resync, again oracle-checked after catch-up.
     """
-    from repro.baselines.sorted_array import SortedArrayIndex
-    from repro.bench.harness import sharded_factory
-    from repro.serve.replication import FailureEvent
-    from repro.serve.router import apply_update_to_entries
-    from repro.workloads.failures import failure_schedule
-    from repro.workloads.requests import zipf_request_stream
-
     result = ExperimentResult(
         name="replication",
         description="Replicated fault-tolerant serving: failover, quorum, resync",
@@ -941,13 +949,6 @@ def availability(
     # computed once; every row only compares bytes against them.
     stream_expected = oracle.point_lookup_batch(stream.keys.astype(np.uint32))
 
-    def oracle_identical(served) -> bool:
-        row_agg, match_counts = served.last_answers
-        return (
-            row_agg.tobytes() == stream_expected.row_ids.tobytes()
-            and match_counts.tobytes() == stream_expected.match_counts.tobytes()
-        )
-
     # (a) Read balancing across the replication factor x policy plane.  The
     # unreplicated deployment ignores read policies: one baseline row only.
     panel_a = [(1, "(single)")] if 1 in replication_factors else []
@@ -970,7 +971,7 @@ def availability(
             throughput_per_s=snapshot["throughput_per_s"],
             replica_skew=snapshot.get("replica_skew", 1.0),
             footprint_mib=served.memory_footprint().total_bytes / float(1 << 20),
-            answers_identical=oracle_identical(served),
+            answers_identical=byte_identical(served.last_answers, stream_expected),
         )
 
     # (b) Failure weather: crashes, slow replicas, transient errors.
@@ -1005,7 +1006,7 @@ def availability(
             availability=snapshot.get("availability", 1.0),
             emergency_restarts=replication.get("emergency_restarts", 0),
             resyncs_performed=maintenance["resyncs_performed"],
-            answers_identical=oracle_identical(served),
+            answers_identical=byte_identical(served.last_answers, stream_expected),
         )
 
     # (c) Writes under partial outages: quorum accounting and catch-up.
@@ -1038,9 +1039,7 @@ def availability(
             ]
         )
         injector.poll(now)
-        insert_keys = rng.integers(0, (1 << 32) - 1, size=wave_size, dtype=np.uint64).astype(
-            np.uint32
-        )
+        insert_keys = random_keys32(rng, wave_size)
         insert_rows = np.arange(next_row, next_row + wave_size, dtype=np.uint32)
         next_row += wave_size
         # Two batches per wave: a replica down for the whole wave misses two
@@ -1063,21 +1062,6 @@ def availability(
         injector.poll(now + 10.0)
         served.maintenance.run_cycle(now + 10.0)
         replication = served.replication_snapshot()
-        wave_oracle = SortedArrayIndex(oracle_keys, oracle_rows, key_bits=32)
-        # Probe the *post-update* key population (original keys AND this
-        # run's inserts) plus some guaranteed misses — inserts lost by a
-        # quorum write or a resync must not escape the differential check.
-        probe_rng = np.random.default_rng(seed + 4 + wave)
-        probe = np.concatenate(
-            [
-                probe_rng.choice(oracle_keys, size=224),
-                probe_rng.integers(0, (1 << 32) - 1, size=32, dtype=np.uint64).astype(
-                    np.uint32
-                ),
-            ]
-        )
-        expected = wave_oracle.point_lookup_batch(probe)
-        answered = served.point_lookup_batch(probe)
         result.add(
             panel="c_quorum_resync",
             wave=wave,
@@ -1087,10 +1071,9 @@ def availability(
             quorum_failures=wave_delta(replication, "quorum_failures"),
             resyncs_log_replay=wave_delta(replication, "resyncs_log_replay"),
             resyncs_snapshot=wave_delta(replication, "resyncs_snapshot"),
-            answers_identical=bool(
-                answered.row_ids.tobytes() == expected.row_ids.tobytes()
-                and answered.match_counts.tobytes() == expected.match_counts.tobytes()
-            ),
+            # Probe the *post-update* key population: inserts lost by a
+            # quorum write or a resync must not escape the differential check.
+            answers_identical=probe_identical(served, oracle_keys, oracle_rows, seed + 4 + wave),
         )
         previous_totals = replication
     return result
@@ -1137,12 +1120,6 @@ def lifecycle(
     reference built from the authoritative entries — maintenance must never
     change an answer, only its cost.
     """
-    from repro.baselines.sorted_array import SortedArrayIndex
-    from repro.bench.harness import cgrxu_factory
-    from repro.serve.router import apply_update_to_entries
-    from repro.serve.sharded import ServeConfig, ShardedIndex
-    from repro.workloads.requests import RequestStream, zipf_request_stream
-
     if quick:
         num_keys = min(num_keys, 1 << 11)
         num_requests = min(num_requests, 1 << 9)
@@ -1188,18 +1165,14 @@ def lifecycle(
     keyset = generate_keys(num_keys, uniformity=0.5, key_bits=32, seed=seed)
 
     for policy_name, knobs in policies:
-        config = ServeConfig(
+        served = sharded_factory(
+            inner=cgrxu_factory(128),
             num_shards=num_shards,
-            partitioner="range",
-            key_bits=32,
             cache_capacity=0,  # every request exercises a shard (oracle 1:1)
             max_batch_size=max_batch_size,
             max_wait_ms=max_wait_ms,
             **knobs,
-        )
-        served = ShardedIndex(
-            keyset.keys, keyset.row_ids, factory=cgrxu_factory(128), config=config
-        )
+        )(keyset)
         oracle_keys = np.sort(keyset.keys).astype(np.uint32)
         oracle_rows = keyset.row_ids[np.argsort(keyset.keys, kind="stable")].copy()
         rng = np.random.default_rng(seed + 1)  # same workload for every policy
@@ -1219,26 +1192,16 @@ def lifecycle(
                 miss_fraction=0.0,
                 seed=seed + 16 * wave,
             )
-            chunk = RequestStream(
-                arrival_ms=chunk.arrival_ms + served.clock.now_ms,
-                keys=chunk.keys,
-                client_ids=chunk.client_ids,
-                description=chunk.description,
-            )
+            chunk = at_clock(chunk, served.clock.now_ms)
             served.serve_stream(chunk, record_answers=True)
             reference = SortedArrayIndex(oracle_keys, oracle_rows, key_bits=32)
-            expected = reference.point_lookup_batch(chunk.keys)
-            answers, counts = served.last_answers
-            oracle_identical = bool(
-                answers.tobytes() == expected.row_ids.tobytes()
-                and counts.tobytes() == expected.match_counts.tobytes()
+            oracle_identical = byte_identical(
+                served.last_answers, reference.point_lookup_batch(chunk.keys)
             )
 
             # Update wave: inserts grow chains; whole-duplicate-group deletes
             # shrink bucket maxima (what representative re-anchoring heals).
-            insert_keys = rng.integers(
-                0, (1 << 32) - 1, size=wave_size, dtype=np.uint64
-            ).astype(np.uint32)
+            insert_keys = random_keys32(rng, wave_size)
             insert_rows = np.arange(next_row, next_row + wave_size, dtype=np.uint32)
             next_row += wave_size
             distinct, group_sizes = np.unique(oracle_keys, return_counts=True)
@@ -1329,8 +1292,6 @@ def hotpath(
 
     ``quick=True`` shrinks the workload for CI smoke runs.
     """
-    import time
-
     if quick:
         num_keys = min(num_keys, 20_000)
         batch_sizes = tuple(b for b in batch_sizes if b <= 1024) or (256,)
@@ -1359,6 +1320,14 @@ def hotpath(
             "quick": quick,
             "compiled_backend": compiled_backend.available_backend() or "none",
         },
+        wall_columns=(
+            "scalar_ms",
+            "compiled_ms",
+            "compiled_speedup",
+            "scalar_ns_per_key",
+            "compiled_ns_per_key",
+            "arena_mib",
+        ),
     )
     keyset = generate_keys(num_keys, uniformity=0.8, key_bits=key_bits, seed=seed)
     index = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=key_bits))
@@ -1377,11 +1346,7 @@ def hotpath(
         return dataclasses.asdict(a) == dataclasses.asdict(b)
 
     def point_identical(a, b) -> bool:
-        return bool(
-            a.row_ids.tobytes() == b.row_ids.tobytes()
-            and a.match_counts.tobytes() == b.match_counts.tobytes()
-            and stats_identical(a.stats, b.stats)
-        )
+        return byte_identical(a, b) and stats_identical(a.stats, b.stats)
 
     def add_row(panel: str, batch_size: int, scalar_s: float, compiled_s: float, identical):
         result.add(
@@ -1444,16 +1409,13 @@ def hotpath(
         updates["scalar"],
         updates["compiled"],
     )
-    scalar_entries = scalar_index.export_entries()
-    compiled_entries = compiled_index.export_entries()
     add_row(
         "c_update", update_size + update_size // 2, best["scalar"], best["compiled"],
         scalar_update.inserted == compiled_update.inserted
         and scalar_update.deleted == compiled_update.deleted
         and stats_identical(scalar_update.stats, compiled_update.stats)
         and not scalar_index.nodes.state_differences(compiled_index.nodes)
-        and scalar_entries[0].tobytes() == compiled_entries[0].tobytes()
-        and scalar_entries[1].tobytes() == compiled_entries[1].tobytes(),
+        and byte_identical(scalar_index.export_entries(), compiled_index.export_entries()),
     )
 
     # (d) Scaling study: per-key point-lookup cost at 1M/10M keys.
@@ -1535,14 +1497,6 @@ def observability(
     The traced run's spans are additionally exported as a Chrome trace-event
     document (``TRACE_obs.json`` under ``trace_dir``; pass ``None`` to skip).
     """
-    import os
-    import time
-
-    from repro.obs import critical_path_breakdown, format_breakdown
-    from repro.serve.sharded import ServeConfig, ShardedIndex
-    from repro.workloads.failures import failure_schedule
-    from repro.workloads.requests import RequestStream, zipf_request_stream
-
     if quick:
         num_keys = min(num_keys, 1 << 11)
         num_requests = min(num_requests, 1 << 9)
@@ -1564,15 +1518,16 @@ def observability(
             "percentile": percentile,
             "quick": quick,
         },
+        wall_columns=("untraced_s", "traced_s", "overhead_pct"),
     )
     keyset = generate_keys(num_keys, uniformity=0.5, key_bits=32, seed=seed)
 
     def run(traced: bool):
         """One full serving run; returns (elapsed_s, answers, snapshot, served)."""
-        config = ServeConfig(
+        served = sharded_factory(
+            inner=cgrxu_factory(128),
             num_shards=num_shards,
             partitioner="hash",
-            key_bits=32,
             cache_capacity=cache_capacity,
             replication_factor=replication_factor,
             max_batch_size=max_batch_size,
@@ -1581,18 +1536,12 @@ def observability(
             rebuild_threshold=0.6,
             tracing=traced,
             telemetry_sample_interval_ms=5.0,
-        )
-        served = ShardedIndex(
-            keyset.keys, keyset.row_ids, factory=cgrxu_factory(128), config=config
-        )
+        )(keyset)
         rng = np.random.default_rng(seed + 1)  # identical workload either way
         answers: List[bytes] = []
         begin = time.perf_counter()
         for wave in range(1, num_waves + 1):
-            insert_keys = rng.integers(
-                0, (1 << 32) - 1, size=wave_size, dtype=np.uint64
-            ).astype(np.uint32)
-            served.update_batch(insert_keys=insert_keys)
+            served.update_batch(insert_keys=random_keys32(rng, wave_size))
             chunk = zipf_request_stream(
                 keyset,
                 num_requests,
@@ -1602,12 +1551,7 @@ def observability(
                 seed=seed + 16 * wave,
             )
             now = served.clock.now_ms
-            chunk = RequestStream(
-                arrival_ms=chunk.arrival_ms + now,
-                keys=chunk.keys,
-                client_ids=chunk.client_ids,
-                description=chunk.description,
-            )
+            chunk = at_clock(chunk, now)
             if replication_factor > 1:
                 events = failure_schedule(
                     num_shards,
@@ -1740,16 +1684,6 @@ def adaptive(
     single-instance sorted-array reference (shed requests excluded — they
     were never served, by design — and negative keys expected as misses).
     """
-    from repro.baselines.sorted_array import SortedArrayIndex
-    from repro.serve.qos import TenantQoS
-    from repro.serve.sharded import ServeConfig, ShardedIndex
-    from repro.workloads.adversarial import (
-        TenantSpec,
-        multi_tenant_stream,
-        range_hammer_stream,
-        shifting_hotspot_stream,
-    )
-
     if quick:
         num_keys = min(num_keys, 8_000)
         num_requests = min(num_requests, 8_000)
@@ -1788,19 +1722,9 @@ def adaptive(
             expected_rows = np.where(negative, -1, expected_rows)
             expected_counts = np.where(negative, 0, expected_counts)
         shed = served.last_shed
-        if shed is not None and shed.any():
-            keep = ~shed
-            shed_untouched = bool(
-                np.all(rows[shed] == -1) and np.all(counts[shed] == 0)
-            )
-            return bool(
-                shed_untouched
-                and rows[keep].tobytes() == expected_rows[keep].tobytes()
-                and counts[keep].tobytes() == expected_counts[keep].tobytes()
-            )
-        return bool(
-            rows.tobytes() == expected_rows.tobytes()
-            and counts.tobytes() == expected_counts.tobytes()
+        shed_untouched = bool(np.all(rows[shed] == -1) and np.all(counts[shed] == 0))
+        return shed_untouched and byte_identical(
+            (rows, counts), (expected_rows, expected_counts), ~shed
         )
 
     # (a) Hotspot migration: static range vs static hash vs adaptive range.
@@ -1984,18 +1908,6 @@ def durability(
       with the store detached / attached without fsync / attached with
       fsync: what the durability guarantee costs on the write path.
     """
-    import shutil
-    import tempfile
-    import time as _time
-
-    from repro.bench.harness import sharded_factory
-    from repro.serve.replication import FailureEvent
-    from repro.serve.router import apply_update_to_entries
-    from repro.serve.sharded import ShardedIndex, ServeConfig
-    from repro.store import DeploymentStore, LocalDirBackend, encode_record
-    from repro.workloads.failures import failure_schedule
-    from repro.workloads.requests import zipf_request_stream
-
     if quick:
         num_keys = min(num_keys, 1 << 11)
         num_requests = min(num_requests, 1 << 9)
@@ -2013,6 +1925,17 @@ def durability(
             "max_batch_size": max_batch_size,
             "max_wait_ms": max_wait_ms,
         },
+        wall_columns=(
+            # recovery_mean_ms/recovery_max_ms time the store's restores on
+            # the host (MetricsRegistry.snapshot() reports them).
+            "recovery_mean_ms",
+            "recovery_max_ms",
+            "recovery_wall_ms",
+            "cold_start_wall_ms",
+            "wall_ms",
+            "baseline_wall_ms",
+            "overhead_pct",
+        ),
     )
     keyset = generate_keys(num_keys, uniformity=0.5, key_bits=32, seed=seed)
     store_root = tempfile.mkdtemp(prefix="repro-durability-")
@@ -2046,24 +1969,6 @@ def durability(
         order = np.lexsort((oracle_rows, oracle_keys))
         return oracle_keys[order], oracle_rows[order]
 
-    def probe_identical(served, oracle_keys, oracle_rows, probe_seed) -> bool:
-        oracle = SortedArrayIndex(oracle_keys, oracle_rows, key_bits=32)
-        rng = np.random.default_rng(probe_seed)
-        probe = np.concatenate(
-            [
-                rng.choice(oracle_keys, size=224),
-                rng.integers(0, (1 << 32) - 1, size=32, dtype=np.uint64).astype(
-                    np.uint32
-                ),
-            ]
-        )
-        expected = oracle.point_lookup_batch(probe)
-        answered = served.point_lookup_batch(probe)
-        return bool(
-            answered.row_ids.tobytes() == expected.row_ids.tobytes()
-            and answered.match_counts.tobytes() == expected.match_counts.tobytes()
-        )
-
     # (a) Process-kill weather: acked update waves between kill rounds, every
     # restart restored from the durable tier while peers keep serving.
     served = deployment(store_root)
@@ -2082,9 +1987,7 @@ def durability(
     next_row = int(oracle_rows.max()) + 1
     previous: dict = {}
     for wave in range(1, num_update_waves + 1):
-        insert_keys = rng.integers(
-            0, (1 << 32) - 1, size=wave_size, dtype=np.uint64
-        ).astype(np.uint32)
+        insert_keys = random_keys32(rng, wave_size)
         delete_keys = rng.choice(oracle_keys, size=wave_size // 4, replace=False)
         insert_rows = np.arange(next_row, next_row + wave_size, dtype=np.uint32)
         next_row += wave_size
@@ -2115,22 +2018,17 @@ def durability(
         injector.poll(now + 5.0)
         served.maintenance.run_cycle(now + 5.0)
         replication = served.replication_snapshot()
-        recovered_keys, recovered_rows = entries_of(served)
-        expected_keys, expected_rows = oracle_state(oracle_keys, oracle_rows)
+        recovered_entries = entries_of(served)
+        expected = oracle_state(oracle_keys, oracle_rows)
         result.add(
             panel="a_crash_restart",
             wave=wave,
             process_kills=int(replication.get("process_kills", 0)) - int(previous.get("process_kills", 0)),
             durable_restores=int(replication.get("resyncs_durable", 0)) - int(previous.get("resyncs_durable", 0)),
             wal_records_replayed=served.store.counters["records_replayed"],
-            acked_writes_lost=int(expected_keys.shape[0] - recovered_keys.shape[0]),
-            entries_identical=bool(
-                recovered_keys.tobytes() == expected_keys.tobytes()
-                and recovered_rows.tobytes() == expected_rows.tobytes()
-            ),
-            answers_identical=probe_identical(
-                served, oracle_keys, oracle_rows, seed + 10 + wave
-            ),
+            acked_writes_lost=int(expected[0].shape[0] - recovered_entries[0].shape[0]),
+            entries_identical=byte_identical(recovered_entries, expected),
+            answers_identical=probe_identical(served, oracle_keys, oracle_rows, seed + 10 + wave),
         )
         previous = replication
     # ... then serve a read stream through trailing kill weather: recoveries
@@ -2152,7 +2050,6 @@ def durability(
     stream_expected = stream_oracle.point_lookup_batch(stream.keys.astype(np.uint32))
     metrics = served.serve_stream(stream, record_answers=True)
     snapshot = metrics.snapshot()
-    row_agg, match_counts = served.last_answers
     replication = served.replication_snapshot()
     result.add(
         panel="a_crash_restart",
@@ -2164,10 +2061,7 @@ def durability(
         recovery_max_ms=snapshot.get("recovery_max_ms", 0.0),
         latency_p99_ms=snapshot["latency_p99_ms"],
         availability=snapshot.get("availability", 1.0),
-        answers_identical=bool(
-            row_agg.tobytes() == stream_expected.row_ids.tobytes()
-            and match_counts.tobytes() == stream_expected.match_counts.tobytes()
-        ),
+        answers_identical=byte_identical(served.last_answers, stream_expected),
     )
 
     # (b) Cold start: open a fresh store over the same directory (the
@@ -2182,7 +2076,7 @@ def durability(
         np.empty(0, dtype=np.uint32),
     )
     store.backend.put(torn_wal._name(torn_lsn), record[: len(record) // 2])
-    began = _time.perf_counter()
+    began = time.perf_counter()
     recovered = ShardedIndex.cold_start(
         store,
         factory=cgrxu_factory(128),
@@ -2193,10 +2087,10 @@ def durability(
             max_wait_ms=max_wait_ms,
         ),
     )
-    cold_start_wall_ms = (_time.perf_counter() - began) * 1e3
+    cold_start_wall_ms = (time.perf_counter() - began) * 1e3
     report = recovered.last_recovery
-    recovered_keys, recovered_rows = entries_of(recovered)
-    expected_keys, expected_rows = oracle_state(oracle_keys, oracle_rows)
+    recovered_entries = entries_of(recovered)
+    expected = oracle_state(oracle_keys, oracle_rows)
     result.add(
         panel="b_cold_start",
         entries_recovered=report["entries_recovered"],
@@ -2205,14 +2099,9 @@ def durability(
         corrupt_skipped=report["corrupt_skipped"],
         recovery_wall_ms=report["recovery_wall_ms"],
         cold_start_wall_ms=cold_start_wall_ms,
-        acked_writes_lost=int(expected_keys.shape[0] - recovered_keys.shape[0]),
-        entries_identical=bool(
-            recovered_keys.tobytes() == expected_keys.tobytes()
-            and recovered_rows.tobytes() == expected_rows.tobytes()
-        ),
-        answers_identical=probe_identical(
-            recovered, oracle_keys, oracle_rows, seed + 20
-        ),
+        acked_writes_lost=int(expected[0].shape[0] - recovered_entries[0].shape[0]),
+        entries_identical=byte_identical(recovered_entries, expected),
+        answers_identical=probe_identical(recovered, oracle_keys, oracle_rows, seed + 20),
     )
     shutil.rmtree(store_root, ignore_errors=True)
 
@@ -2221,19 +2110,16 @@ def durability(
     def timed_workload(store_dir, store_fsync) -> dict:
         subject = deployment(store_dir, store_fsync=store_fsync)
         workload_rng = np.random.default_rng(seed + 5)
-        began = _time.perf_counter()
+        began = time.perf_counter()
         for _ in range(8):
-            inserts = workload_rng.integers(
-                0, (1 << 32) - 1, size=128, dtype=np.uint64
-            ).astype(np.uint32)
             subject.update_batch(
-                insert_keys=inserts,
+                insert_keys=random_keys32(workload_rng, 128),
                 insert_row_ids=np.arange(128, dtype=np.uint32),
             )
             subject.point_lookup_batch(
                 workload_rng.choice(keyset.keys, size=256)
             )
-        wall_ms = (_time.perf_counter() - began) * 1e3
+        wall_ms = (time.perf_counter() - began) * 1e3
         wal_bytes = (
             subject.store.counters["wal_bytes"] if subject.store is not None else 0
         )
@@ -2294,16 +2180,6 @@ def tail_reliability(
       with the full reliability stack armed: post-wave probes prove zero
       acknowledged-write loss.
     """
-    import shutil
-    import tempfile
-
-    from repro.baselines.sorted_array import SortedArrayIndex
-    from repro.bench.harness import sharded_factory
-    from repro.serve.reliability import ReliabilityConfig
-    from repro.serve.router import apply_update_to_entries
-    from repro.workloads.failures import failure_schedule
-    from repro.workloads.requests import zipf_request_stream
-
     if quick:
         num_requests = min(num_requests, 768)
     result = ExperimentResult(
@@ -2352,23 +2228,11 @@ def tail_reliability(
         return factory(keyset, RTX_4090)
 
     def complete_mask(served) -> np.ndarray:
-        mask = np.ones(len(stream), dtype=bool)
-        for partial in (
-            served.last_shed,
-            served.last_unavailable,
-            served.last_deadline_exceeded,
-            served.last_stale,
-        ):
-            if partial is not None:
-                mask &= ~partial
-        return mask
-
-    def identical_on(served, mask: np.ndarray) -> bool:
-        row_agg, match_counts = served.last_answers
-        return bool(
-            row_agg[mask].tobytes() == stream_expected.row_ids[mask].tobytes()
-            and match_counts[mask].tobytes()
-            == stream_expected.match_counts[mask].tobytes()
+        return ~(
+            served.last_shed
+            | served.last_unavailable
+            | served.last_deadline_exceeded
+            | served.last_stale
         )
 
     def storm_events(factor_seed: int = 2):
@@ -2418,13 +2282,9 @@ def tail_reliability(
             hedges=int(rel_report.get("hedges", 0)),
             hedge_wins=int(rel_report.get("hedge_wins", 0)),
             hedge_waste_ms=float(rel_report.get("hedge_waste_ms", 0.0)),
-            deadline_exceeded=int(
-                (~mask).sum()
-                if served.last_deadline_exceeded is None
-                else served.last_deadline_exceeded.sum()
-            ),
+            deadline_exceeded=int(served.last_deadline_exceeded.sum()),
             complete_fraction=float(mask.mean()),
-            complete_answers_identical=identical_on(served, mask),
+            complete_answers_identical=byte_identical(served.last_answers, stream_expected, mask),
         )
 
     # (b) Correlated whole-group outages: explicit degradation, two flavors.
@@ -2452,24 +2312,23 @@ def tail_reliability(
             )
             served = deployment(config, **serve_kwargs)
             served.inject_failures(list(outage_events))
-            metrics = served.serve_stream(stream, record_answers=True)
+            served.serve_stream(stream, record_answers=True)
             mask = complete_mask(served)
-            stale_mask = (
-                served.last_stale
-                if served.last_stale is not None
-                else np.zeros(len(stream), dtype=bool)
-            )
             result.add(
                 panel="b_degradation",
                 mode=mode,
                 unavailable=int(served.last_unavailable.sum()),
-                stale_served=int(stale_mask.sum()),
+                stale_served=int(served.last_stale.sum()),
                 deadline_exceeded=int(served.last_deadline_exceeded.sum()),
                 complete_fraction=float(mask.mean()),
-                complete_answers_identical=identical_on(served, mask),
+                complete_answers_identical=byte_identical(
+                    served.last_answers, stream_expected, mask
+                ),
                 # No writes landed after the checkpoint, so stale bytes must
                 # equal fresh bytes wherever a stale answer was served.
-                stale_answers_identical=identical_on(served, stale_mask),
+                stale_answers_identical=byte_identical(
+                    served.last_answers, stream_expected, served.last_stale
+                ),
             )
     finally:
         shutil.rmtree(store_root, ignore_errors=True)
@@ -2494,9 +2353,7 @@ def tail_reliability(
         now = served.clock.now_ms
         injector = served.inject_failures(storm_events(factor_seed=6 + wave))
         injector.poll(now)
-        insert_keys = rng.integers(
-            0, (1 << 32) - 1, size=wave_size, dtype=np.uint64
-        ).astype(np.uint32)
+        insert_keys = random_keys32(rng, wave_size)
         insert_rows = np.arange(next_row, next_row + wave_size, dtype=np.uint32)
         next_row += wave_size
         acked = served.update_batch(
@@ -2511,34 +2368,13 @@ def tail_reliability(
         )
         injector.poll(now + 40.0)
         served.maintenance.run_cycle(now + 40.0)
-        wave_oracle = SortedArrayIndex(oracle_keys, oracle_rows, key_bits=32)
-        probe_rng = np.random.default_rng(seed + 10 + wave)
-        probe = np.concatenate(
-            [
-                probe_rng.choice(oracle_keys, size=224),
-                probe_rng.integers(
-                    0, (1 << 32) - 1, size=32, dtype=np.uint64
-                ).astype(np.uint32),
-            ]
-        )
-        expected = wave_oracle.point_lookup_batch(probe)
-        answered = served.point_lookup_batch(probe)
+        identical = probe_identical(served, oracle_keys, oracle_rows, seed + 10 + wave)
         result.add(
             panel="c_write_safety",
             wave=wave,
             writes_applied=int(acked.inserted),
-            acked_writes_lost=0
-            if (
-                answered.row_ids.tobytes() == expected.row_ids.tobytes()
-                and answered.match_counts.tobytes()
-                == expected.match_counts.tobytes()
-            )
-            else -1,
-            answers_identical=bool(
-                answered.row_ids.tobytes() == expected.row_ids.tobytes()
-                and answered.match_counts.tobytes()
-                == expected.match_counts.tobytes()
-            ),
+            acked_writes_lost=0 if identical else -1,
+            answers_identical=identical,
         )
     return result
 
@@ -2601,10 +2437,9 @@ def run_all(
 
     Every name is validated before anything runs.  ``quick=True`` is
     forwarded to every experiment that supports a ``quick`` parameter
-    (currently ``hotpath`` and ``lifecycle``); the others ignore it.
+    (``lifecycle``, ``hotpath``, ``obs``, ``adaptive``, ``durability`` and
+    ``reliability``); the others ignore it.
     """
-    import inspect
-
     selected = list(names) if names is not None else list(ALL_EXPERIMENTS)
     check_experiment_names(selected)
     results = []
@@ -2617,6 +2452,20 @@ def run_all(
     return results
 
 
+def check_snapshot(result: ExperimentResult, directory: str) -> bool:
+    """Print how ``result`` differs from ``DIR/BENCH_<name>.json``; True on a match."""
+    path = os.path.join(directory, f"BENCH_{result.name}.json")
+    if not os.path.exists(path):
+        print(f"{result.name}: no snapshot {path}")
+        return False
+    with open(path, encoding="utf-8") as handle:
+        differences = result.diff(json.load(handle))
+    for line in differences:
+        print(f"{result.name}: {line}")
+    print(f"{result.name}: {len(differences)} difference(s) against {path}")
+    return not differences
+
+
 def main() -> None:
     """Command-line entry point: run and print the selected experiments.
 
@@ -2624,14 +2473,19 @@ def main() -> None:
     result as ``BENCH_<name>.json`` — the committed ``BENCH_*.json``
     snapshots are produced exactly this way.  The directory is bound with
     ``=`` so experiment names are never mistaken for an output path.
-    ``--quick`` shrinks the workloads of experiments that support it (used by
-    the CI perf-smoke job).  ``--list`` prints every experiment name with a
-    one-line description and exits.  An unknown experiment name prints the
-    valid names to stderr and exits with status 2 before anything runs.
+    ``--check`` (working directory) or ``--check=DIR`` reruns the experiments
+    at their defaults and, instead of printing tables, prints every
+    difference against ``DIR/BENCH_<name>.json`` (see
+    :meth:`ExperimentResult.diff`); it exits 1 on any difference or missing
+    snapshot.  ``--quick`` shrinks the workloads of experiments that
+    support it (used by the CI perf-smoke job); with ``--check`` it exits 2,
+    because quick sizes cannot match a default-size snapshot.  ``--list``
+    prints every experiment name with a one-line description and exits.  An
+    unknown experiment name prints the valid names to stderr and exits with
+    status 2 before anything runs.
     """
-    import sys
-
     json_dir: Optional[str] = None
+    check_dir: Optional[str] = None
     quick = False
     arguments = []
     for argument in sys.argv[1:]:
@@ -2639,6 +2493,8 @@ def main() -> None:
             json_dir = "."
         elif argument.startswith("--json="):
             json_dir = argument[len("--json="):] or "."
+        elif argument == "--check" or argument.startswith("--check="):
+            check_dir = argument[len("--check="):] or "."
         elif argument == "--quick":
             quick = True
         elif argument == "--list":
@@ -2647,17 +2503,26 @@ def main() -> None:
             return
         else:
             arguments.append(argument)
+    if check_dir is not None and quick:
+        print("repro-bench: --check compares default-size runs; drop --quick", file=sys.stderr)
+        sys.exit(2)
     try:
         check_experiment_names(arguments)
     except KeyError as error:
         print(f"repro-bench: {error.args[0]}", file=sys.stderr)
         sys.exit(2)
+    matched = True
     for result in run_all(arguments or None, quick=quick):
-        result.print()
-        print()
+        if check_dir is not None:
+            matched = check_snapshot(result, check_dir) and matched
+        else:
+            result.print()
+            print()
         if json_dir is not None:
             path = result.save_json(json_dir)
             print(f"wrote {path}")
+    if not matched:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

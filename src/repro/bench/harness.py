@@ -1,14 +1,18 @@
-"""Experiment results, tabular reporting and index factories."""
+"""Experiment results, snapshot comparison, index factories and the helpers
+the experiments share."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.base import GpuIndex
+from repro.baselines.base import GpuIndex, LookupResult
 from repro.baselines.btree import BPlusTreeIndex
 from repro.baselines.fullscan import FullScanIndex
 from repro.baselines.hash_table import HashTableIndex
@@ -19,12 +23,21 @@ from repro.core.config import CgRXConfig, CgRXuConfig
 from repro.core.index import CgRXIndex
 from repro.core.updatable import CgRXuIndex
 from repro.gpu.device import RTX_4090, GpuDevice
+from repro.serve.sharded import ServeConfig, ShardedIndex
 from repro.workloads.keygen import KeySet
+from repro.workloads.requests import RequestStream
 
 
 @dataclass
 class ExperimentResult:
-    """Rows of one regenerated table or figure."""
+    """Rows of one regenerated table or figure.
+
+    Every column is simulated ("sim"): the GPU cost model's deterministic
+    output, which must reproduce exactly.  The exceptions are the
+    ``wall_columns``, which measure the host ("wall") and differ from run to
+    run.  :meth:`diff` compares a rerun against the committed
+    ``BENCH_<name>.json`` snapshot on that basis.
+    """
 
     #: Experiment identifier, e.g. ``"figure_12"``.
     name: str
@@ -34,23 +47,42 @@ class ExperimentResult:
     rows: List[dict] = field(default_factory=list)
     #: Workload parameters the experiment ran with (scaled-down sizes etc.).
     parameters: Dict[str, object] = field(default_factory=dict)
+    #: Columns measured on the host's wall clock.  :meth:`diff` requires
+    #: their cells but does not compare their values.  Not part of the JSON.
+    wall_columns: Tuple[str, ...] = ()
 
     def add(self, **row: object) -> None:
         """Append one row."""
         self.rows.append(row)
 
-    def columns(self) -> List[str]:
-        """Union of row keys, in first-seen order."""
-        seen: List[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in seen:
-                    seen.append(key)
-        return seen
+    def diff(self, committed: dict) -> List[str]:
+        """Differences against a committed ``BENCH_<name>.json`` document.
 
-    def series(self, index_name: str) -> List[dict]:
-        """All rows belonging to one index/series."""
-        return [row for row in self.rows if row.get("index") == index_name]
+        One line per sim cell whose value differs (row, column, committed
+        value, new value), per missing or extra row and per missing or extra
+        column of a row.  Rows compare by position, after a JSON round trip,
+        so each value compares as written.  ``parameters`` are not compared.
+        Raises ``ValueError`` when a declared wall column appears in no row.
+        """
+        rows = json.loads(self.to_json())["rows"]
+        unused = [column for column in self.wall_columns if all(column not in row for row in rows)]
+        if unused:
+            raise ValueError(f"{self.name}: wall column(s) {unused} appear in no row")
+        old_rows = committed["rows"]
+        shared = min(len(old_rows), len(rows))
+        lines = [f"row {i}: missing, committed {old_rows[i]}" for i in range(shared, len(old_rows))]
+        lines += [f"row {i}: extra, new {rows[i]}" for i in range(shared, len(rows))]
+        for i, (old, new) in enumerate(zip(old_rows, rows)):
+            for column in [*old, *(column for column in new if column not in old)]:
+                if column not in new:
+                    lines.append(f"row {i}, {column}: missing, committed {old[column]!r}")
+                elif column not in old:
+                    lines.append(f"row {i}, {column}: extra, new {new[column]!r}")
+                elif column not in self.wall_columns:
+                    was, now = old[column], new[column]
+                    if json.dumps(was) != json.dumps(now):
+                        lines.append(f"row {i}, {column}: committed {was!r}, new {now!r}")
+        return lines
 
     def to_table(self) -> str:
         """Human-readable table of all rows."""
@@ -65,7 +97,6 @@ class ExperimentResult:
         ``allow_nan=False`` as a backstop — a non-finite value that slips
         past the sanitiser is a bug, not output.
         """
-        import json
 
         def convert(value: object):
             if isinstance(value, np.integer):
@@ -105,8 +136,6 @@ class ExperimentResult:
 
     def save_json(self, directory: str = ".") -> str:
         """Write the ``BENCH_<name>.json`` snapshot; returns the path."""
-        import os
-
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, f"BENCH_{self.name}.json")
         with open(path, "w") as handle:
@@ -221,55 +250,22 @@ def fullscan_factory() -> IndexFactory:
     return build
 
 
-def sharded_factory(
-    inner: Optional[IndexFactory] = None,
-    num_shards: int = 4,
-    partitioner: str = "range",
-    cache_capacity: int = 4096,
-    replication_factor: int = 1,
-    read_policy: str = "round_robin",
-    write_quorum: Optional[int] = None,
-    rebuild_threshold: float = 0.5,
-    compact_threshold: float = 0.2,
-    rebuild_mode: str = "double_buffered",
-    **config_kwargs: object,
-) -> IndexFactory:
+def sharded_factory(inner: Optional[IndexFactory] = None, **serve_config: object) -> IndexFactory:
     """Factory for a served :class:`~repro.serve.sharded.ShardedIndex` deployment.
 
     ``inner`` is the factory of the per-shard index type (sorted array when
-    omitted); the remaining arguments configure the serving layer, so bench
-    experiments can compare served deployments against bare indexes.  With
-    ``replication_factor > 1`` every shard becomes a replica group with
-    load-balanced reads and quorum-acknowledged writes.  The shards' batch
-    engine comes from the *inner* factory (e.g.
-    ``cgrxu_factory(128, engine="scalar")``).
-    ``rebuild_threshold``/``compact_threshold``/``rebuild_mode`` configure
-    the tiered maintenance lifecycle (incremental
-    compaction below the rebuild threshold, double-buffered or
-    stop-the-world rebuild swaps above it).
+    omitted); it also picks the shards' batch engine (e.g.
+    ``cgrxu_factory(128, engine="scalar")``).  ``serve_config`` holds
+    :class:`~repro.serve.sharded.ServeConfig` fields; ``key_bits`` comes from
+    the key set.
     """
 
     def build(keyset: KeySet, device: GpuDevice = RTX_4090) -> GpuIndex:
-        from repro.serve.sharded import ServeConfig, ShardedIndex
-
-        config = ServeConfig(
-            num_shards=num_shards,
-            partitioner=partitioner,
-            key_bits=keyset.key_bits,
-            cache_capacity=cache_capacity,
-            replication_factor=replication_factor,
-            read_policy=read_policy,
-            write_quorum=write_quorum,
-            rebuild_threshold=rebuild_threshold,
-            compact_threshold=compact_threshold,
-            rebuild_mode=rebuild_mode,
-            **config_kwargs,
-        )
         return ShardedIndex(
             keyset.keys,
             keyset.row_ids,
             factory=inner or sorted_array_factory(),
-            config=config,
+            config=ServeConfig(key_bits=keyset.key_bits, **serve_config),
             device=device,
         )
 
@@ -291,35 +287,49 @@ def default_point_lookup_factories(key_bits: int) -> Dict[str, IndexFactory]:
 
 
 # --------------------------------------------------------------------------
-# Generic experiment runners
+# Helpers the experiments share
 # --------------------------------------------------------------------------
 
 
-def run_experiment(
-    result: ExperimentResult,
-    factories: Dict[str, IndexFactory],
-    keyset: KeySet,
-    lookups: np.ndarray,
-    device: GpuDevice = RTX_4090,
-    extra: Optional[dict] = None,
-) -> ExperimentResult:
-    """Build every index, run the point-lookup batch and append one row each."""
-    from repro.bench.metrics import throughput_per_footprint
+def random_keys32(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniform 32-bit keys: the experiments' insert and fresh-key draw."""
+    return rng.integers(0, (1 << 32) - 1, size=size, dtype=np.uint64).astype(np.uint32)
 
-    extra = extra or {}
-    for name, factory in factories.items():
-        index = factory(keyset, device)
-        lookup_result = index.point_lookup_batch(lookups)
-        time_ms = index.lookup_time_ms(lookup_result)
-        footprint = index.memory_footprint().total_bytes
-        result.add(
-            index=name,
-            footprint_mib=footprint / float(1 << 20),
-            lookup_time_ms=time_ms,
-            throughput_per_footprint=throughput_per_footprint(
-                lookup_result.num_lookups, time_ms, footprint
-            ),
-            hits=lookup_result.hits,
-            **extra,
-        )
-    return result
+
+def byte_identical(answers, expected, mask: Optional[np.ndarray] = None) -> bool:
+    """Whether two array pairs are byte-for-byte equal, where ``mask`` is set.
+
+    Each side is a :class:`~repro.baselines.base.LookupResult` (its row IDs
+    and match counts), a ``last_answers`` tuple or a ``(keys, row_ids)``
+    entry pair.
+    """
+    sides = [
+        (side.row_ids, side.match_counts) if isinstance(side, LookupResult) else side
+        for side in (answers, expected)
+    ]
+    for left, right in zip(*sides):
+        if mask is not None:
+            left, right = left[mask], right[mask]
+        if left.tobytes() != right.tobytes():
+            return False
+    return True
+
+
+def probe_identical(
+    served: GpuIndex, oracle_keys: np.ndarray, oracle_rows: np.ndarray, seed: int
+) -> bool:
+    """Post-update probe: does ``served`` answer like its oracle entries?
+
+    The probe is 224 keys drawn by position from ``oracle_keys`` (so a lost
+    insert shows) plus 32 fresh uniform keys, mostly misses.  The reference
+    is a sorted array over the oracle entries.
+    """
+    rng = np.random.default_rng(seed)
+    probe = np.concatenate([rng.choice(oracle_keys, size=224), random_keys32(rng, 32)])
+    expected = SortedArrayIndex(oracle_keys, oracle_rows, key_bits=32).point_lookup_batch(probe)
+    return byte_identical(served.point_lookup_batch(probe), expected)
+
+
+def at_clock(stream: RequestStream, now_ms: float) -> RequestStream:
+    """``stream`` with its arrivals moved onto a deployment clock reading ``now_ms``."""
+    return dataclasses.replace(stream, arrival_ms=stream.arrival_ms + now_ms)

@@ -27,10 +27,3 @@ def time_per_lookup_ms(total_time_ms: float, num_lookups: int) -> float:
     if num_lookups <= 0:
         return float("inf")
     return total_time_ms / num_lookups
-
-
-def speedup(baseline_time_ms: float, contender_time_ms: float) -> float:
-    """How many times faster the contender is than the baseline."""
-    if contender_time_ms <= 0.0:
-        return float("inf")
-    return baseline_time_ms / contender_time_ms

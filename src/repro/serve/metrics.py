@@ -449,7 +449,12 @@ class MetricsRegistry:
         return max(0.0, 1.0 - self.unavailable_ms / span)
 
     def snapshot(self) -> dict:
-        """Flat report of the registry, as consumed by the serving experiment."""
+        """Flat report of the registry, as consumed by the serving experiment.
+
+        Every value is on the simulated clock except ``recovery_mean_ms`` and
+        ``recovery_max_ms``: the durable store times its restores on the
+        host's wall clock, so those two differ from run to run.
+        """
         counters = self.counters
         snapshot = {
             "requests": counters.get("requests", 0),
