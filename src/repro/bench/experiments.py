@@ -62,7 +62,14 @@ from repro.serve.qos import TenantQoS
 from repro.serve.reliability import ReliabilityConfig
 from repro.serve.replication import FailureEvent
 from repro.serve.router import apply_update_to_entries
-from repro.serve.sharded import ServeConfig, ShardedIndex
+from repro.serve.sharded import (
+    ANSWERED,
+    DEADLINE_EXCEEDED,
+    STALE,
+    UNAVAILABLE,
+    ServeConfig,
+    ShardedIndex,
+)
 from repro.store import DeploymentStore, LocalDirBackend, encode_record
 from repro.workloads.adversarial import (
     TenantSpec,
@@ -1721,10 +1728,12 @@ def adaptive(
             negative = stream.keys < 0
             expected_rows = np.where(negative, -1, expected_rows)
             expected_counts = np.where(negative, 0, expected_counts)
-        shed = served.last_shed
-        shed_untouched = bool(np.all(rows[shed] == -1) and np.all(counts[shed] == 0))
+        answered = served.last_outcomes == ANSWERED
+        shed_untouched = bool(
+            np.all(rows[~answered] == -1) and np.all(counts[~answered] == 0)
+        )
         return shed_untouched and byte_identical(
-            (rows, counts), (expected_rows, expected_counts), ~shed
+            (rows, counts), (expected_rows, expected_counts), answered
         )
 
     # (a) Hotspot migration: static range vs static hash vs adaptive range.
@@ -2171,9 +2180,9 @@ def tail_reliability(
       weather served by four configurations (no reliability, deadlines only,
       hedged reads only, hedged + deadlines): exact p99/p99.9, hedge
       win/loss accounting, deadline-exceeded fractions, and the oracle check
-      over every *complete* (unmasked) answer.
+      over every ``ANSWERED`` request.
     * ``b_degradation`` — correlated whole-group outages with no spare:
-      explicit partial results (`unavailable` mask) vs stale reads from the
+      explicit partial results (``UNAVAILABLE`` outcomes) vs stale reads from the
       durable store; stale answers are themselves oracle-checked (no writes
       since the checkpoint, so stale == fresh bytes).
     * ``c_write_safety`` — quorum write waves under the same storm weather
@@ -2227,14 +2236,6 @@ def tail_reliability(
         )
         return factory(keyset, RTX_4090)
 
-    def complete_mask(served) -> np.ndarray:
-        return ~(
-            served.last_shed
-            | served.last_unavailable
-            | served.last_deadline_exceeded
-            | served.last_stale
-        )
-
     def storm_events(factor_seed: int = 2):
         return failure_schedule(
             num_shards,
@@ -2272,7 +2273,7 @@ def tail_reliability(
         metrics = served.serve_stream(stream, record_answers=True)
         latencies = np.asarray(metrics.request_latencies)
         rel_report = served.reliability.snapshot() if served.reliability else {}
-        mask = complete_mask(served)
+        outcomes = served.last_outcomes
         result.add(
             panel="a_latency_storm",
             mode=mode,
@@ -2282,9 +2283,11 @@ def tail_reliability(
             hedges=int(rel_report.get("hedges", 0)),
             hedge_wins=int(rel_report.get("hedge_wins", 0)),
             hedge_waste_ms=float(rel_report.get("hedge_waste_ms", 0.0)),
-            deadline_exceeded=int(served.last_deadline_exceeded.sum()),
-            complete_fraction=float(mask.mean()),
-            complete_answers_identical=byte_identical(served.last_answers, stream_expected, mask),
+            deadline_exceeded=int((outcomes == DEADLINE_EXCEEDED).sum()),
+            complete_fraction=float((outcomes == ANSWERED).mean()),
+            complete_answers_identical=byte_identical(
+                served.last_answers, stream_expected, outcomes == ANSWERED
+            ),
         )
 
     # (b) Correlated whole-group outages: explicit degradation, two flavors.
@@ -2313,21 +2316,21 @@ def tail_reliability(
             served = deployment(config, **serve_kwargs)
             served.inject_failures(list(outage_events))
             served.serve_stream(stream, record_answers=True)
-            mask = complete_mask(served)
+            outcomes = served.last_outcomes
             result.add(
                 panel="b_degradation",
                 mode=mode,
-                unavailable=int(served.last_unavailable.sum()),
-                stale_served=int(served.last_stale.sum()),
-                deadline_exceeded=int(served.last_deadline_exceeded.sum()),
-                complete_fraction=float(mask.mean()),
+                unavailable=int((outcomes == UNAVAILABLE).sum()),
+                stale_served=int((outcomes == STALE).sum()),
+                deadline_exceeded=int((outcomes == DEADLINE_EXCEEDED).sum()),
+                complete_fraction=float((outcomes == ANSWERED).mean()),
                 complete_answers_identical=byte_identical(
-                    served.last_answers, stream_expected, mask
+                    served.last_answers, stream_expected, outcomes == ANSWERED
                 ),
                 # No writes landed after the checkpoint, so stale bytes must
                 # equal fresh bytes wherever a stale answer was served.
                 stale_answers_identical=byte_identical(
-                    served.last_answers, stream_expected, served.last_stale
+                    served.last_answers, stream_expected, outcomes == STALE
                 ),
             )
     finally:

@@ -73,14 +73,24 @@ from repro.serve.replication import (
     SimulatedClock,
 )
 from repro.serve.router import ShardRouter
-from repro.serve.sharded import ServeConfig, ShardedIndex
+from repro.serve.sharded import (
+    ANSWERED,
+    DEADLINE_EXCEEDED,
+    SHED,
+    STALE,
+    UNAVAILABLE,
+    ServeConfig,
+    ShardedIndex,
+)
 
 __all__ = [
+    "ANSWERED",
     "AdmissionController",
     "Batch",
     "BatchPolicy",
     "BatchScheduler",
     "CacheStats",
+    "DEADLINE_EXCEEDED",
     "DOWN",
     "FailureEvent",
     "FailureInjector",
@@ -109,10 +119,13 @@ __all__ = [
     "ResultCache",
     "ServeConfig",
     "ShardRouter",
+    "SHED",
+    "STALE",
     "ShardedIndex",
     "ShedDecision",
     "SimulatedClock",
     "TenantQoS",
+    "UNAVAILABLE",
     "UNLABELED_TENANT",
     "make_partitioner",
     "queueable",

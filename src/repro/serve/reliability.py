@@ -7,9 +7,9 @@ packages the standard tail-at-scale toolkit (Dean & Barroso) for the
 simulated-clock serving stack, wired through ``ServeConfig.reliability``:
 
 * **Deadlines** — every request carries ``arrival + deadline_ms``; the
-  serving layer answers deadline-exceeded requests deterministically at
-  their deadline (latency capped, masked from oracle byte-checks) and the
-  replica layer abandons retries/restarts that cannot fit the budget.
+  serving layer answers a late request at its deadline (latency capped,
+  outcome ``DEADLINE_EXCEEDED`` even if degraded) and the replica layer
+  abandons retries/restarts that cannot fit the budget.
 * **Retry budgets** — failover retries spend from a per-shard token bucket
   (:class:`repro.serve.qos.TokenBucket` on the simulated clock) and pay
   exponential backoff with seeded jitter, replacing unbounded retry rounds.
@@ -23,9 +23,9 @@ simulated-clock serving stack, wired through ``ServeConfig.reliability``:
   set (fail-open when every breaker is open: a breaker must never cost
   availability).
 * **Graceful degradation** — when a group cannot serve within its bounds the
-  read returns an *explicit* partial result: a per-shard ``unavailable``
-  mask excluded from oracle byte-checks the way ``last_shed`` already is,
-  optionally answered stale from the last durable checkpoint.
+  read returns an *explicit* partial result: miss-shaped answers with the
+  outcome ``UNAVAILABLE``, or ``STALE`` answers from the last durable
+  checkpoint.  Oracle checks compare only ``ANSWERED`` requests.
 
 Everything runs on the deployment's :class:`SimulatedClock` with seeded
 randomness, so reliability weather is exactly replayable.

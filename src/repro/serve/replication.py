@@ -250,7 +250,7 @@ class ReplicaGroup(LazyEntries):
         self.last_read_ms: Optional[float] = None
         #: Whether the last read was abandoned as an explicit partial result
         #: (reliability layer armed; the answer is a deterministic miss the
-        #: serving layer masks out of oracle byte-checks).
+        #: serving layer completes ``UNAVAILABLE``, outside oracle checks).
         self.last_read_unavailable = False
         #: Deployment-wide reliability machinery
         #: (:class:`repro.serve.reliability.ReliabilityState`); ``None``
@@ -569,8 +569,8 @@ class ReplicaGroup(LazyEntries):
         """Abandon the read as an explicit partial result (reliability mode).
 
         The caller sees a deterministic miss-shaped answer plus
-        ``last_read_unavailable``; the serving layer masks these requests out
-        of oracle byte-checks exactly like shed ones.
+        ``last_read_unavailable``; the serving layer completes these
+        requests ``UNAVAILABLE`` (or ``STALE``), outside oracle checks.
         """
         self.last_read_unavailable = True
         self._bump("read_unavailable")
@@ -591,8 +591,10 @@ class ReplicaGroup(LazyEntries):
             )
         return fallback()
 
-    def _serve_read(self, call, num_requests: int, fallback=None):
+    def _serve_read(self, call, num_requests: int, fallback):
         """Pick a replica, failing over past transient errors, and call it.
+
+        An empty group answers ``fallback()`` without touching a replica.
 
         When a tracer is armed, every attempt emits a span on the simulated
         timeline: failed attempts as ``replica.attempt`` (failover penalty),
@@ -622,9 +624,11 @@ class ReplicaGroup(LazyEntries):
         deadline_ms = self._read_deadline_ms
         self._read_start_ms = None
         self._read_deadline_ms = None
+        if self.num_entries == 0:
+            return fallback()
         rel = self.reliability
         rel_config = rel.config if rel is not None else None
-        partial = rel is not None and rel_config.partial_results and fallback is not None
+        partial = rel is not None and rel_config.partial_results
         breakers = rel is not None and rel_config.breaker_enabled
         tracer = self.tracer
         traced = tracer.enabled
@@ -843,18 +847,6 @@ class ReplicaGroup(LazyEntries):
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
         keys = np.asarray(keys, dtype=self._key_dtype)
-        if self.num_entries == 0:
-            self.last_overhead_ms = 0.0
-            self.last_slow_factor = 1.0
-            self.last_read_ms = None
-            self.last_read_unavailable = False
-            self._read_start_ms = None
-            self._read_deadline_ms = None
-            return LookupResult(
-                row_ids=np.full(keys.shape[0], -1, dtype=np.int64),
-                match_counts=np.zeros(keys.shape[0], dtype=np.int64),
-                stats=KernelStats(name="serve.replica_point_lookup", launches=0),
-            )
 
         def miss() -> LookupResult:
             return LookupResult(
@@ -872,17 +864,6 @@ class ReplicaGroup(LazyEntries):
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
         lows = np.asarray(lows, dtype=self._key_dtype)
         highs = np.asarray(highs, dtype=self._key_dtype)
-        if self.num_entries == 0:
-            self.last_overhead_ms = 0.0
-            self.last_slow_factor = 1.0
-            self.last_read_ms = None
-            self.last_read_unavailable = False
-            self._read_start_ms = None
-            self._read_deadline_ms = None
-            return RangeLookupResult(
-                row_ids=[np.empty(0, dtype=np.uint32) for _ in range(lows.shape[0])],
-                stats=KernelStats(name="serve.replica_range_lookup", launches=0),
-            )
 
         def empty() -> RangeLookupResult:
             return RangeLookupResult(

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -39,6 +40,9 @@ from repro.serve.partition import (
     routing_keys,
 )
 from repro.workloads.keygen import KeySet
+
+if TYPE_CHECKING:  # replication imports this module
+    from repro.serve.replication import ReplicaGroup
 
 #: Factory building one shard's index from its keyset (harness signature).
 ShardFactory = Callable[[KeySet, GpuDevice], GpuIndex]
@@ -187,6 +191,10 @@ class _Shard(LazyEntries):
 class ShardRouter:
     """Range- or hash-partitioned deployment of one index type."""
 
+    #: Replica groups by shard id: none here, one per shard in
+    #: :class:`~repro.serve.replication.ReplicatedShardRouter`.
+    groups: Mapping[int, ReplicaGroup] = MappingProxyType({})
+
     def __init__(
         self,
         keys: np.ndarray,
@@ -233,6 +241,9 @@ class ShardRouter:
         #: most recent scattered call (reliability layer armed; their gather
         #: positions carry deterministic miss answers).
         self.last_unavailable_shards: List[int] = []
+        #: Shard of every key of the most recent point batch (-1 for negative
+        #: keys, which are never scattered).
+        self.last_shard_ids = np.empty(0, dtype=np.int64)
         #: Largest deployment footprint observed during a rebuild — for
         #: double-buffered rebuilds this includes the window in which both
         #: shard generations were resident.
@@ -657,6 +668,10 @@ class ShardRouter:
             launches=1,
         )
 
+    def replication_snapshot(self) -> Optional[dict]:
+        """Replica/availability report; ``None`` without replication."""
+        return None
+
     # ---------------------------------------------------------------- lookups
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
@@ -679,6 +694,7 @@ class ShardRouter:
         parts: List[KernelStats] = [self._routing_stats(num)]
         self.last_calls = []
         self.last_unavailable_shards = []
+        self.last_shard_ids = np.empty(0, dtype=np.int64)
 
         tracer = self.tracer
         scatter_span = None
@@ -699,6 +715,7 @@ class ShardRouter:
                     # Out-of-domain keys keep the (-1, 0) miss answer and are
                     # never scattered.
                     shard_ids[negative] = -1
+                self.last_shard_ids = shard_ids
                 for shard_id in np.unique(shard_ids):
                     if shard_id < 0:
                         continue

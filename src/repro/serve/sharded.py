@@ -26,7 +26,6 @@ from repro.baselines.base import (
     LookupResult,
     RangeLookupResult,
     UpdateResult,
-    sorted_lookup_results,
 )
 from repro.baselines.sorted_array import SortedArrayIndex
 from repro.gpu.device import RTX_4090, GpuDevice
@@ -49,6 +48,14 @@ from repro.serve.router import ShardFactory, ShardRouter
 from repro.store import DeploymentStore, LocalDirBackend
 from repro.workloads.keygen import KeySet
 from repro.workloads.requests import RequestStream
+
+#: Outcome codes of :attr:`ShardedIndex.last_outcomes`, one per request.
+#: A degraded answer that also missed its deadline is ``DEADLINE_EXCEEDED``.
+ANSWERED = 0  # answered in time; the only outcome compared with an oracle
+SHED = 1  # refused by admission control, never served
+DEADLINE_EXCEEDED = 2  # the client stopped waiting at its deadline
+UNAVAILABLE = 3  # no replica answered: an explicit miss-shaped partial result
+STALE = 4  # answered from the last durable state instead of a live replica
 
 
 @dataclass(frozen=True)
@@ -213,37 +220,29 @@ class ShardedIndex(GpuIndex):
 
         #: Simulated clock driving failure injection and replica recovery.
         self.clock = SimulatedClock()
+        layout = dict(
+            factory=factory or _default_factory,
+            num_shards=self.config.num_shards,
+            partitioner=self.config.partitioner,
+            key_bits=self.config.key_bits,
+            device=device,
+        )
         if self.config.replication_factor > 1:
             self.router: ShardRouter = ReplicatedShardRouter(
                 keys,
                 row_ids,
-                factory=factory or _default_factory,
-                num_shards=self.config.num_shards,
-                partitioner=self.config.partitioner,
-                key_bits=self.config.key_bits,
-                device=device,
                 replication=self.config.replication(),
                 clock=self.clock,
+                **layout,
             )
         else:
-            self.router = ShardRouter(
-                keys,
-                row_ids,
-                factory=factory or _default_factory,
-                num_shards=self.config.num_shards,
-                partitioner=self.config.partitioner,
-                key_bits=self.config.key_bits,
-                device=device,
-            )
+            self.router = ShardRouter(keys, row_ids, **layout)
         #: Tail-tolerance machinery shared by every replica group (``None``
         #: when :attr:`ServeConfig.reliability` is unset): retry budgets,
         #: hedging quantiles, circuit breakers and their counters.
         self.reliability: Optional[ReliabilityState] = None
         if self.config.reliability is not None:
             self.reliability = ReliabilityState(self.config.reliability, self.clock)
-            if isinstance(self.router, ReplicatedShardRouter):
-                for group in self.router.groups.values():
-                    group.reliability = self.reliability
         #: Failure-schedule replayer (armed by :meth:`inject_failures`).
         self.failures: Optional[FailureInjector] = None
         #: Per-tenant admission control (None = serve everything).
@@ -300,43 +299,13 @@ class ShardedIndex(GpuIndex):
             "serve_partition_keys_routed_total", kind=self.router.partitioner.kind
         )
         self._bind_group_metrics(self.metrics)
-        #: Trace ids of in-flight requests (cache-miss probes recorded before
-        #: the batch that answers the request completes the trace).
-        self._request_trace_ids = {}
-        #: Batch results awaiting their simulated completion time (serve_stream).
-        self._pending_fills = []
-        #: Per-shard device horizon: a shard executes one batch at a time, so
-        #: a batch dispatched while the previous one is still running queues
-        #: on the device (this is what makes a saturated hot shard *visible*
-        #: as latency instead of free parallelism).
-        self._device_busy_until = {}
-        #: Requests inside dispatched-but-uncompleted batches, as a heap of
-        #: ``(completion_ms, size)``.  Together with the scheduler queues this
-        #: is the backlog signal admission control sheds against.
-        self._inflight = []
-        self._inflight_count = 0
-        #: Per-request answers of the last ``serve_stream(record_answers=True)``.
+        #: Per-request answers of the last ``serve_stream(record_answers=True)``,
+        #: as ``(row_ids, match_counts)`` arrays indexed by request id
+        #: (``None`` after a stream served without recording).
         self.last_answers = None
-        #: Boolean mask of requests shed by admission control in the last
-        #: ``serve_stream(record_answers=True)`` (excluded from oracle checks).
-        self.last_shed = None
-        #: Boolean mask of requests abandoned as explicit partial results
-        #: (shard unavailable within the reliability bounds); excluded from
-        #: oracle byte-checks the same way ``last_shed`` is.
-        self.last_unavailable = None
-        #: Boolean mask of requests whose deadline expired before their batch
-        #: completed (answered deterministically at the deadline, masked).
-        self.last_deadline_exceeded = None
-        #: Boolean mask of requests answered from the last durable state
-        #: instead of a live replica (graceful degradation; masked).
-        self.last_stale = None
-        self._answer_sink = None
-        self._unavailable_sink = None
-        self._deadline_sink = None
-        self._stale_sink = None
-        #: Per-shard durable-state lookup tables for stale reads, rebuilt per
-        #: served stream (stale by contract; never fed back into the cache).
-        self._stale_tables = {}
+        #: The outcome code of every request of that stream (int8, see
+        #: :data:`ANSWERED`); oracle checks compare ``ANSWERED`` requests only.
+        self.last_outcomes = None
         self.build_stats = [
             stats
             for shard in self.router.shards
@@ -368,9 +337,8 @@ class ShardedIndex(GpuIndex):
         self.store = store
         self.router.store = store
         self.maintenance.store = store
-        if isinstance(self.router, ReplicatedShardRouter):
-            for group in self.router.groups.values():
-                group.store = store
+        for group in self.router.groups.values():
+            group.store = store
         store.checkpoint_deployment(self.router)
         return store
 
@@ -448,11 +416,6 @@ class ShardedIndex(GpuIndex):
 
     # ---------------------------------------------------------------- lookups
 
-    def _cache_probe_stats(self, num_keys: int) -> KernelStats:
-        # The cache is a host-side hash map in front of the device: pure
-        # compute, no kernel launch.
-        return KernelStats(name="serve.cache_probe", compute_ops=num_keys, launches=0)
-
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
         # Signed batches keep their dtype: the router clamps negative keys
         # below the unsigned keyspace, and an eager uint cast here would wrap
@@ -465,13 +428,22 @@ class ShardedIndex(GpuIndex):
             return self.router.point_lookup_batch(keys)
 
         cached, row_agg, counts = self.cache.probe_batch(keys)
-        parts = [self._cache_probe_stats(num)]
+        # The cache is a host-side hash map in front of the device: pure
+        # compute, no kernel launch.
+        parts = [KernelStats(name="serve.cache_probe", compute_ops=num, launches=0)]
         uncached = np.where(~cached)[0]
         if uncached.shape[0]:
             served = self.router.point_lookup_batch(keys[uncached])
             row_agg[uncached] = served.row_ids
             counts[uncached] = served.match_counts
-            self.cache.fill_batch(keys[uncached], served.row_ids, served.match_counts)
+            # Miss-shaped answers of unavailable shards never enter the cache:
+            # they would poison later fresh reads.
+            fill = ~np.isin(
+                self.router.last_shard_ids, self.router.last_unavailable_shards
+            )
+            self.cache.fill_batch(
+                keys[uncached][fill], served.row_ids[fill], served.match_counts[fill]
+            )
             parts.append(served.stats)
         stats = combine("serve.point_lookup", parts)
         return LookupResult(row_ids=row_agg, match_counts=counts, stats=stats)
@@ -520,7 +492,7 @@ class ShardedIndex(GpuIndex):
         The events replay on the simulated clock as requests arrive; only
         replicated deployments (``replication_factor > 1``) can be armed.
         """
-        if not isinstance(self.router, ReplicatedShardRouter):
+        if self.config.replication_factor < 2:
             raise ValueError(
                 "failure injection needs a replicated deployment "
                 "(ServeConfig.replication_factor > 1)"
@@ -545,11 +517,10 @@ class ShardedIndex(GpuIndex):
             self.store.tracer = self.tracer
         if self.failures is not None:
             self.failures.telemetry = metrics.telemetry
-        if isinstance(self.router, ReplicatedShardRouter):
-            for group in self.router.groups.values():
-                group.metrics = metrics
-                group.tracer = self.tracer
-                group.reliability = self.reliability
+        for group in self.router.groups.values():
+            group.metrics = metrics
+            group.tracer = self.tracer
+            group.reliability = self.reliability
 
     def _poll_failures(self, now_ms: float) -> None:
         """Advance the clock; apply due failure transitions; heal off-path."""
@@ -563,9 +534,7 @@ class ShardedIndex(GpuIndex):
 
     def replication_snapshot(self) -> Optional[dict]:
         """Replica/availability report (None for unreplicated deployments)."""
-        if isinstance(self.router, ReplicatedShardRouter):
-            return self.router.replication_snapshot()
-        return None
+        return self.router.replication_snapshot()
 
     # ----------------------------------------------------------------- memory
 
@@ -616,240 +585,193 @@ class ShardedIndex(GpuIndex):
     ) -> MetricsRegistry:
         """Serve a timed client request stream through the batching layer.
 
-        Each request is first checked against the result cache (answered at
-        host latency on a hit); the rest are coalesced per shard by the batch
-        scheduler and executed as device-sized batches.  A request's latency
-        is its queueing delay plus the device time of the batch it rode in.
-        An armed failure schedule (:meth:`inject_failures`) replays on the
-        same clock, so crashes/failovers land between requests exactly where
-        the schedule puts them.  Returns the metrics registry with
-        per-request telemetry — the deployment's own :attr:`metrics` unless a
-        separate one is passed.  With ``record_answers=True`` the per-request
-        answers are kept in :attr:`last_answers` as ``(row_ids,
-        match_counts)`` arrays indexed by request id, which is what the
-        differential availability checks compare against a single-instance
-        oracle.
+        Each request passes the stages admit → negative-key → cache →
+        schedule → execute → complete: admission control may shed it, a
+        negative key or a cache hit is answered at host latency, and every
+        other request rides a device-sized batch of its shard, so its latency
+        is its queueing delay plus the batch's device time.  An armed failure
+        schedule (:meth:`inject_failures`) replays on the same clock.
+        Returns the registry the stream recorded into: :attr:`metrics` unless
+        a separate one is passed.  With ``record_answers=True``,
+        :attr:`last_answers` holds the ``(row_ids, match_counts)`` answers by
+        request id and :attr:`last_outcomes` their outcome codes; otherwise
+        both are ``None``.
         """
-        policy = policy or BatchPolicy(
-            max_batch_size=self.config.max_batch_size,
-            max_wait_ms=self.config.max_wait_ms,
-        )
         metrics = metrics or self.metrics
         self._bind_group_metrics(metrics)
-        scheduler = BatchScheduler(policy, telemetry=metrics.telemetry)
-        tracer = self.tracer
-        telemetry = metrics.telemetry
-        self._request_trace_ids = {}
-        # Routing is computed from the *raw* stream keys: the partitioner
-        # clamps signed keys below the unsigned keyspace instead of letting a
-        # uint cast wrap them onto the top shard (the negative requests are
-        # answered host-side below and never reach a batch anyway).
-        raw_keys = np.asarray(stream.keys)
-        shard_of = self.router.partitioner.shard_of(raw_keys)
-        tenant_ids = stream.tenant_ids
-        admission = self.admission
-        # Batch results become cacheable only at the batch's simulated
-        # completion time; until then they are parked here.
-        self._pending_fills = []
-        self._answer_sink = (
-            (np.full(len(stream), -1, dtype=np.int64), np.zeros(len(stream), dtype=np.int64))
-            if record_answers
-            else None
-        )
-        shed_mask = np.zeros(len(stream), dtype=bool) if record_answers else None
-        self.last_shed = None
-        if record_answers:
-            self._unavailable_sink = np.zeros(len(stream), dtype=bool)
-            self._deadline_sink = np.zeros(len(stream), dtype=bool)
-            self._stale_sink = np.zeros(len(stream), dtype=bool)
-        else:
-            self._unavailable_sink = None
-            self._deadline_sink = None
-            self._stale_sink = None
-        self._stale_tables = {}
-        self._device_busy_until = {}
-        self._inflight = []
-        self._inflight_count = 0
-        reshard_policy = self.maintenance.reshard_policy
-        resharding = reshard_policy.enabled and self.router.supports_resharding
-        window_shards: list = []
-        window_keys: list = []
-        next_reshard_ms = reshard_policy.interval_ms if resharding else float("inf")
-
-        last_arrival = 0.0
-        for request_id, arrival_ms, key in stream:
-            last_arrival = arrival_ms
-            if telemetry.sample_interval_ms:
-                telemetry.maybe_sample(arrival_ms)
-            self._poll_failures(arrival_ms)
-            # Dispatch batches whose wait deadline has passed — even when this
-            # request itself will be answered from cache — then make their
-            # completed results visible before probing the cache.
-            self._execute_batches(
-                scheduler.poll(arrival_ms), metrics, client_ids=stream.client_ids
-            )
-            self._commit_pending_fills(arrival_ms)
-            tenant = (
-                int(tenant_ids[request_id]) if tenant_ids is not None else UNLABELED_TENANT
-            )
-            if admission is not None:
-                while self._inflight and self._inflight[0][0] <= arrival_ms:
-                    self._inflight_count -= heapq.heappop(self._inflight)[1]
-                decision = admission.admit(
-                    tenant,
-                    arrival_ms,
-                    scheduler.total_pending + self._inflight_count,
-                )
-                if not decision.admitted:
-                    metrics.record_shed(tenant, decision.reason)
-                    if tracer.enabled:
-                        tracer.emit(
-                            "admission.shed",
-                            arrival_ms,
-                            0.0,
-                            "serve",
-                            "requests",
-                            tracer.new_trace_id(),
-                            None,
-                            {
-                                "request_id": request_id,
-                                "tenant": tenant,
-                                "reason": decision.reason,
-                            },
-                        )
-                    if shed_mask is not None:
-                        shed_mask[request_id] = True
-                    continue
-            if key < 0:
-                # Signed keys below the unsigned keyspace are definitional
-                # misses, answered host-side at cache latency; they never
-                # enter a batch (batch keys are unsigned).
-                completion = arrival_ms + self.config.cache_latency_ms
-                metrics.record_request(
-                    self.config.cache_latency_ms, arrival_ms, completion
-                )
-                metrics.record_client(int(stream.client_ids[request_id]))
-                if tenant != UNLABELED_TENANT:
-                    metrics.record_tenant_request(tenant, self.config.cache_latency_ms)
-                metrics.bump("negative_key_misses")
+        run = _Stream(self, stream, policy, metrics, record_answers)
+        arrivals = stream.arrival_ms.tolist()
+        for request_id, (arrival_ms, key, tenant) in enumerate(
+            zip(arrivals, run.keys.tolist(), run.tenants)
+        ):
+            self._advance(run, arrival_ms)
+            if self.admission is not None and not self._admit(
+                run, request_id, arrival_ms, tenant
+            ):
                 continue
-            if self.cache is not None:
-                entry = self.cache.get(key, tenant=tenant if tenant >= 0 else None)
-                if entry is not None:
-                    completion = arrival_ms + self.config.cache_latency_ms
-                    metrics.record_request(self.config.cache_latency_ms, arrival_ms, completion)
-                    metrics.record_client(int(stream.client_ids[request_id]))
-                    if tenant != UNLABELED_TENANT:
-                        metrics.record_tenant_request(
-                            tenant, self.config.cache_latency_ms
-                        )
-                    metrics.bump(
-                        "cache_hits" if entry.match_count > 0 else "cache_negative_hits"
-                    )
-                    if tracer.enabled:
-                        trace_id = tracer.new_trace_id()
-                        root = tracer.emit(
-                            "request",
-                            arrival_ms,
-                            self.config.cache_latency_ms,
-                            "request",
-                            "requests",
-                            trace_id,
-                            None,
-                            {"request_id": request_id, "cache_hit": True},
-                        )
-                        tracer.emit(
-                            "cache.probe",
-                            arrival_ms,
-                            self.config.cache_latency_ms,
-                            "cache",
-                            "cache",
-                            trace_id,
-                            root.span_id,
-                            {"hit": True, "negative": entry.match_count == 0},
-                        )
-                    if self._answer_sink is not None:
-                        self._answer_sink[0][request_id] = entry.row_agg
-                        self._answer_sink[1][request_id] = entry.match_count
-                    continue
-                metrics.bump("cache_misses")
-                if tracer.enabled:
-                    # The miss probe joins the request's trace; the root span
-                    # is recorded when the batch carrying it completes.
-                    trace_id = tracer.new_trace_id()
-                    self._request_trace_ids[request_id] = trace_id
-                    tracer.emit(
-                        "cache.probe",
-                        arrival_ms,
-                        0.0,
-                        "cache",
-                        "cache",
-                        trace_id,
-                        None,
-                        {"request_id": request_id, "hit": False},
-                    )
-            due = scheduler.offer(
-                int(shard_of[request_id]), request_id, key, arrival_ms, tenant_id=tenant
-            )
-            self._execute_batches(due, metrics, client_ids=stream.client_ids)
-            if resharding:
-                window_shards.append(int(shard_of[request_id]))
-                window_keys.append(key)
-                if arrival_ms >= next_reshard_ms:
-                    shard_of = self._maybe_reshard(
-                        scheduler,
-                        metrics,
-                        stream,
-                        arrival_ms,
-                        window_shards,
-                        window_keys,
-                        shard_of,
-                    )
-                    window_shards.clear()
-                    window_keys.clear()
-                    next_reshard_ms = arrival_ms + reshard_policy.interval_ms
+            if key < 0:
+                self._answer_negative_key(run, request_id, arrival_ms)
+            elif not self._probe_cache(run, request_id, arrival_ms, key, tenant):
+                self._schedule(run, request_id, arrival_ms, key, tenant)
+        self._close_stream(run, arrivals[-1] if arrivals else 0.0)
+        return metrics
 
-        self._poll_failures(last_arrival + policy.max_wait_ms)
-        self._execute_batches(
-            scheduler.drain(last_arrival + policy.max_wait_ms),
-            metrics,
-            client_ids=stream.client_ids,
-        )
-        self._commit_pending_fills(float("inf"))
+    def _close_stream(self, run: "_Stream", last_arrival_ms: float) -> None:
+        """Drain the queues, then publish the stream's telemetry and record."""
+        end_ms = last_arrival_ms + run.scheduler.policy.max_wait_ms
+        self._poll_failures(end_ms)
+        self._execute(run, run.scheduler.drain(end_ms))
+        self._commit_fills(run, float("inf"))
+        telemetry = run.metrics.telemetry
         if self.cache is not None:
             self.cache.publish_telemetry(telemetry)
         if telemetry.sample_interval_ms:
             telemetry.sample(self.clock.now_ms)
-        if isinstance(self.router, ReplicatedShardRouter):
-            # Outages still in progress count against this stream's
-            # availability up to the point serving stopped.
-            for group in self.router.groups.values():
-                group.flush_unavailability(self.clock.now_ms)
+        # Outages still in progress count against this stream's availability
+        # up to the point serving stopped.
+        for group in self.router.groups.values():
+            group.flush_unavailability(self.clock.now_ms)
         # The caller's registry was only bound for this stream; maintenance
         # and group telemetry afterwards report to the deployment's own again.
         self._bind_group_metrics(self.metrics)
-        if self._answer_sink is not None:
-            self.last_answers = self._answer_sink
-            self.last_shed = shed_mask
-            self.last_unavailable = self._unavailable_sink
-            self.last_deadline_exceeded = self._deadline_sink
-            self.last_stale = self._stale_sink
-            self._answer_sink = None
-            self._unavailable_sink = None
-            self._deadline_sink = None
-            self._stale_sink = None
-        return metrics
+        self.last_answers = None if run.outcomes is None else (run.rows, run.counts)
+        self.last_outcomes = run.outcomes
 
-    def _maybe_reshard(
-        self,
-        scheduler: BatchScheduler,
-        metrics: MetricsRegistry,
-        stream: RequestStream,
-        now_ms: float,
-        window_shards: list,
-        window_keys: list,
-        shard_of: np.ndarray,
-    ) -> np.ndarray:
+    def _advance(self, run: "_Stream", now_ms: float) -> None:
+        """Move the stream to ``now_ms``: replay due failures, execute the
+        batches whose wait expired and make their completed results visible
+        to the cache — even when the next request is answered from cache."""
+        telemetry = run.metrics.telemetry
+        if telemetry.sample_interval_ms:
+            telemetry.maybe_sample(now_ms)
+        self._poll_failures(now_ms)
+        due = run.scheduler.poll(now_ms)
+        if due:
+            self._execute(run, due)
+        if run.pending_fills:
+            self._commit_fills(run, now_ms)
+
+    def _admit(
+        self, run: "_Stream", request_id: int, arrival_ms: float, tenant: int
+    ) -> bool:
+        """Admit stage: shed the request when admission control refuses it.
+
+        The backlog it sheds against is the requests still queued plus those
+        inside dispatched batches that have not completed yet.
+        """
+        inflight = run.inflight
+        while inflight and inflight[0][0] <= arrival_ms:
+            run.inflight_count -= heapq.heappop(inflight)[1]
+        decision = self.admission.admit(
+            tenant, arrival_ms, run.scheduler.total_pending + run.inflight_count
+        )
+        if decision.admitted:
+            return True
+        run.metrics.record_shed(tenant, decision.reason)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit(
+                "admission.shed",
+                arrival_ms,
+                0.0,
+                "serve",
+                "requests",
+                tracer.new_trace_id(),
+                None,
+                {"request_id": request_id, "tenant": tenant, "reason": decision.reason},
+            )
+        self._complete(run, request_id, SHED)
+        return False
+
+    def _answer_negative_key(self, run: "_Stream", request_id: int, arrival_ms: float) -> None:
+        """Negative-key stage: signed keys below the unsigned keyspace are
+        definitional misses, answered host-side at cache latency; they never
+        enter a batch (batch keys are unsigned)."""
+        run.metrics.bump("negative_key_misses")
+        latency_ms = self.config.cache_latency_ms
+        self._complete(
+            run, request_id, ANSWERED, arrival_ms, latency_ms, arrival_ms + latency_ms
+        )
+
+    def _probe_cache(
+        self, run: "_Stream", request_id: int, arrival_ms: float, key: int, tenant: int
+    ) -> bool:
+        """Cache stage: answer a hit at host latency; returns whether it hit."""
+        if self.cache is None:
+            return False
+        entry = self.cache.get(key, tenant=tenant if tenant >= 0 else None)
+        tracer = self.tracer
+        if entry is None:
+            run.metrics.bump("cache_misses")
+            if tracer.enabled:
+                # The miss probe joins the request's trace; the root span
+                # is recorded when the batch carrying it completes.
+                trace_id = run.trace_ids[request_id] = tracer.new_trace_id()
+                tracer.emit(
+                    "cache.probe",
+                    arrival_ms,
+                    0.0,
+                    "cache",
+                    "cache",
+                    trace_id,
+                    None,
+                    {"request_id": request_id, "hit": False},
+                )
+            return False
+        negative = entry.match_count == 0
+        run.metrics.bump("cache_negative_hits" if negative else "cache_hits")
+        latency_ms = self.config.cache_latency_ms
+        if tracer.enabled:
+            trace_id = tracer.new_trace_id()
+            root = tracer.emit(
+                "request",
+                arrival_ms,
+                latency_ms,
+                "request",
+                "requests",
+                trace_id,
+                None,
+                {"request_id": request_id, "cache_hit": True},
+            )
+            tracer.emit(
+                "cache.probe",
+                arrival_ms,
+                latency_ms,
+                "cache",
+                "cache",
+                trace_id,
+                root.span_id,
+                {"hit": True, "negative": negative},
+            )
+        self._complete(
+            run,
+            request_id,
+            ANSWERED,
+            arrival_ms,
+            latency_ms,
+            arrival_ms + latency_ms,
+            entry.row_agg,
+            entry.match_count,
+        )
+        return True
+
+    def _schedule(
+        self, run: "_Stream", request_id: int, arrival_ms: float, key: int, tenant: int
+    ) -> None:
+        """Schedule stage: queue the request on its shard, execute the
+        batches that fell due, and re-evaluate the topology every reshard
+        interval."""
+        shard_id = run.shard_of[request_id]
+        due = run.scheduler.offer(shard_id, request_id, key, arrival_ms, tenant_id=tenant)
+        if due:
+            self._execute(run, due)
+        if run.reshard_at_ms is not None:
+            run.window_shards.append(shard_id)
+            run.window_keys.append(key)
+            if arrival_ms >= run.reshard_at_ms:
+                self._reshard(run, arrival_ms)
+
+    def _reshard(self, run: "_Stream", now_ms: float) -> None:
         """Evaluate the reshard policy at an interval boundary.
 
         In-flight batches are flushed first so no queued request crosses a
@@ -858,202 +780,201 @@ class ShardedIndex(GpuIndex):
         lifecycle's version guard folds in any concurrent writes — no request
         is ever lost or misrouted (zero-downtime by construction).
         """
-        self._execute_batches(
-            scheduler.drain(now_ms), metrics, client_ids=stream.client_ids
-        )
-        self._commit_pending_fills(now_ms)
+        self._execute(run, run.scheduler.drain(now_ms))
+        self._commit_fills(run, now_ms)
         ops = self.maintenance.run_reshard(
             now_ms,
-            np.asarray(window_shards, dtype=np.int64),
-            np.asarray(window_keys, dtype=np.int64),
+            np.asarray(run.window_shards, dtype=np.int64),
+            np.asarray(run.window_keys, dtype=np.int64),
         )
+        run.window_shards.clear()
+        run.window_keys.clear()
+        run.reshard_at_ms = now_ms + self.maintenance.reshard_policy.interval_ms
         if not ops:
-            return shard_of
+            return
         # Shard ids renumber across a topology change, and split/merge swaps
         # in freshly built index generations — stale device horizons would
         # charge the new shards for batches the old ones ran.
-        self._device_busy_until = {}
-        metrics.num_shards = self.router.num_shards
+        run.busy_until.clear()
+        run.metrics.num_shards = self.router.num_shards
         if self.store is not None:
             # Shard ids (and their LSN sequences) renumbered: rebase the
             # durable namespaces on the committed topology.
             self.store.checkpoint_deployment(self.router)
-        return self.router.partitioner.shard_of(np.asarray(stream.keys))
+        run.shard_of = self.router.partitioner.shard_of(run.keys).tolist()
 
-    def _commit_pending_fills(self, now_ms: float) -> None:
+    def _commit_fills(self, run: "_Stream", now_ms: float) -> None:
         """Move completed batch results into the cache (simulated-time ordering)."""
-        if self.cache is None or not self._pending_fills:
-            return
         remaining = []
-        for completion_ms, fill_keys, row_agg, counts, fill_tenants in self._pending_fills:
+        for fill in run.pending_fills:
+            completion_ms, fill_keys, row_agg, counts, fill_tenants = fill
             if completion_ms <= now_ms:
                 self.cache.fill_batch(fill_keys, row_agg, counts, tenants=fill_tenants)
             else:
-                remaining.append((completion_ms, fill_keys, row_agg, counts, fill_tenants))
-        self._pending_fills = remaining
+                remaining.append(fill)
+        run.pending_fills = remaining
 
-    def _execute_batches(self, batches, metrics: MetricsRegistry, client_ids=None) -> None:
+    def _execute(self, run: "_Stream", batches) -> None:
+        """Execute stage: run each due batch on its shard, then complete its
+        riders.
+
+        A read the reliability layer abandoned comes back miss-shaped: its
+        riders complete ``UNAVAILABLE``, or ``STALE`` when the durable store
+        answers instead.  Neither answer enters the result cache: it would
+        poison later fresh reads.
+        """
         tracer = self.tracer
-        rel = self.reliability
-        deadline_cfg = rel.config.deadline_ms if rel is not None else 0.0
+        metrics = run.metrics
         for batch in batches:
-            shard = self.router.shards[batch.shard_id]
-            batch_keys = batch.keys.astype(self._key_dtype)
-            exec_start = max(
-                batch.dispatch_ms,
-                self._device_busy_until.get(batch.shard_id, 0.0),
-            )
-            if rel is not None and hasattr(shard.index, "begin_read"):
-                # The batch's deadline is the laxest of its riders': requests
-                # coalesce, so the read is only abandoned once *every* rider
-                # is past its budget.
-                deadline_abs = (
-                    float(batch.arrival_ms.max()) + deadline_cfg
-                    if deadline_cfg > 0
-                    else None
-                )
-                shard.index.begin_read(exec_start, deadline_abs)
-            executed_engine = None
-            if shard.index is None:
-                row_agg = np.full(batch.size, -1, dtype=np.int64)
+            shard_id = batch.shard_id
+            index = self.router.shards[shard_id].index
+            keys = batch.keys.astype(self._key_dtype)
+            start_ms = max(batch.dispatch_ms, run.busy_until.get(shard_id, 0.0))
+            engine = None
+            exec_ms = overhead_ms = 0.0
+            if index is None:
+                rows = np.full(batch.size, -1, dtype=np.int64)
                 counts = np.zeros(batch.size, dtype=np.int64)
-                exec_ms = 0.0
-            elif tracer.enabled:
-                # The batch span is the propagation context: replica reads
-                # and engine kernels recorded below it become its children.
-                # Its engine is the one that ran, known once the call returns.
-                batch_span = tracer.push_span(
-                    "batch.execute",
-                    exec_start,
-                    category="router",
-                    lane=f"shard-{batch.shard_id}",
-                    shard=batch.shard_id,
-                    batch_size=batch.size,
-                    reason=batch.reason,
-                    engine=None,
-                    epoch=getattr(shard.index, "epoch", None),
-                )
-                try:
-                    result = shard.index.point_lookup_batch(batch_keys)
-                finally:
-                    tracer.pop()
-                row_agg = result.row_ids
-                counts = result.match_counts
-                exec_ms = shard.index.lookup_time_ms(result)
-                batch_span.duration_ms = exec_ms
-                executed_engine = result.engine
-                batch_span.attributes["engine"] = executed_engine
             else:
-                result = shard.index.point_lookup_batch(batch_keys)
-                row_agg = result.row_ids
-                counts = result.match_counts
-                exec_ms = shard.index.lookup_time_ms(result)
-                executed_engine = result.engine
-            unavailable = bool(
-                getattr(shard.index, "last_read_unavailable", False)
-            )
-            stale = False
-            if unavailable:
+                if self.reliability is not None and hasattr(index, "begin_read"):
+                    # The batch's deadline is the laxest of its riders':
+                    # requests coalesce, so the read is only abandoned once
+                    # *every* rider is past its budget.
+                    index.begin_read(
+                        start_ms,
+                        float(batch.arrival_ms.max()) + run.deadline_ms
+                        if run.deadline_ms > 0
+                        else None,
+                    )
+                span = None
+                if tracer.enabled:
+                    # The batch span is the propagation context: replica
+                    # reads and engine kernels recorded below it become its
+                    # children.  Its engine is known once the call returns.
+                    span = tracer.push_span(
+                        "batch.execute",
+                        start_ms,
+                        category="router",
+                        lane=f"shard-{shard_id}",
+                        shard=shard_id,
+                        batch_size=batch.size,
+                        reason=batch.reason,
+                        engine=None,
+                        epoch=getattr(index, "epoch", None),
+                    )
+                try:
+                    result = index.point_lookup_batch(keys)
+                finally:
+                    if span is not None:
+                        tracer.pop()
+                rows, counts, engine = result.row_ids, result.match_counts, result.engine
+                exec_ms = index.lookup_time_ms(result)
+                overhead_ms = float(getattr(index, "last_overhead_ms", 0.0))
+                if span is not None:
+                    span.duration_ms = exec_ms
+                    span.attributes["engine"] = engine
+            outcome = ANSWERED
+            if getattr(index, "last_read_unavailable", False):
                 metrics.bump("requests_unavailable", batch.size)
-                if (
-                    rel is not None
-                    and rel.config.stale_reads
-                    and self.store is not None
-                ):
-                    stale_answer = self._stale_lookup(batch.shard_id, batch_keys)
-                    if stale_answer is not None:
-                        row_agg, counts = stale_answer
-                        stale = True
-                        unavailable = False
-                        metrics.bump("stale_reads_served", batch.size)
-                        rel.bump("stale_reads_served", batch.size)
-            completion_ms = exec_start + exec_ms
-            self._device_busy_until[batch.shard_id] = completion_ms
-            heapq.heappush(self._inflight, (completion_ms, batch.size))
-            self._inflight_count += batch.size
-            if self._answer_sink is not None:
-                self._answer_sink[0][batch.request_ids] = row_agg
-                self._answer_sink[1][batch.request_ids] = counts
-                if unavailable:
-                    self._unavailable_sink[batch.request_ids] = True
-                if stale:
-                    self._stale_sink[batch.request_ids] = True
-            overhead_ms = (
-                float(getattr(shard.index, "last_overhead_ms", 0.0))
-                if shard.index is not None
-                else 0.0
-            )
-            device_ms = exec_ms - overhead_ms
-            tenant_labels = batch.tenant_ids
-            for position in range(batch.size):
-                arrival = float(batch.arrival_ms[position])
-                latency = completion_ms - arrival
-                finish = completion_ms
-                if deadline_cfg > 0 and latency > deadline_cfg:
-                    # The client gave up at its deadline: its observed
-                    # latency is the deadline, deterministically, and the
-                    # late answer is masked out of the oracle check.
-                    latency = deadline_cfg
-                    finish = arrival + deadline_cfg
-                    metrics.bump("deadline_exceeded")
-                    if self._deadline_sink is not None:
-                        self._deadline_sink[batch.request_ids[position]] = True
-                metrics.record_request(latency, arrival, finish)
-                if tenant_labels is not None:
-                    tenant = int(tenant_labels[position])
-                    if tenant != UNLABELED_TENANT:
-                        metrics.record_tenant_request(tenant, latency)
-                if client_ids is not None:
-                    metrics.record_client(int(client_ids[batch.request_ids[position]]))
-            if tracer.enabled:
-                self._trace_batch_requests(
-                    tracer,
-                    batch,
-                    exec_start,
-                    completion_ms,
-                    device_ms,
-                    overhead_ms,
-                    executed_engine,
+                outcome = UNAVAILABLE
+                stale = self._stale_lookup(run, shard_id, keys)
+                if stale is not None:
+                    rows, counts = stale
+                    outcome = STALE
+                    metrics.bump("stale_reads_served", batch.size)
+                    self.reliability.bump("stale_reads_served", batch.size)
+            done_ms = start_ms + exec_ms
+            run.busy_until[shard_id] = done_ms
+            heapq.heappush(run.inflight, (done_ms, batch.size))
+            run.inflight_count += batch.size
+            for request_id, arrival_ms, row, count in zip(
+                batch.request_ids.tolist(),
+                batch.arrival_ms.tolist(),
+                rows.tolist(),
+                counts.tolist(),
+            ):
+                self._complete(
+                    run,
+                    request_id,
+                    outcome,
+                    arrival_ms,
+                    done_ms - arrival_ms,
+                    done_ms,
+                    row,
+                    count,
                 )
-            metrics.record_shard_batch(batch.shard_id, batch.size, exec_ms)
+            if tracer.enabled:
+                self._trace_riders(
+                    run, batch, start_ms, done_ms, exec_ms - overhead_ms, overhead_ms, engine
+                )
+            metrics.record_shard_batch(shard_id, batch.size, exec_ms)
             metrics.bump(f"batches_{batch.reason}")
-            if executed_engine is not None:
+            if engine is not None:
                 # Which batch engine actually ran (a compiled request may
                 # have degraded to scalar).
-                metrics.bump(f"engine_batches_{executed_engine}")
-            if self.cache is not None and not (unavailable or stale):
-                # Unavailable (miss-shaped) and stale answers never enter the
-                # result cache: they would poison later fresh reads.
-                self._pending_fills.append(
-                    (completion_ms, batch_keys, row_agg, counts, tenant_labels)
-                )
+                metrics.bump(f"engine_batches_{engine}")
+            if self.cache is not None and outcome == ANSWERED:
+                run.pending_fills.append((done_ms, keys, rows, counts, batch.tenant_ids))
 
-    def _stale_lookup(self, shard_id: int, keys: np.ndarray):
+    def _complete(
+        self,
+        run: "_Stream",
+        request_id: int,
+        outcome: int,
+        arrival_ms: float = 0.0,
+        latency_ms: float = 0.0,
+        done_ms: float = 0.0,
+        row: int = -1,
+        count: int = 0,
+    ) -> None:
+        """Complete stage, the only place a request finishes.
+
+        A served request records its latency, client and tenant; with
+        recording on, every request stores its answer and its one outcome
+        code.  A request still unanswered at its deadline completes there,
+        ``DEADLINE_EXCEEDED`` whatever its answer: the client stopped
+        waiting, so its latency is the deadline and its late answer is not
+        compared with the oracle.  A shed request records its outcome only.
+        """
+        if outcome != SHED:
+            metrics = run.metrics
+            if run.deadline_ms > 0 and latency_ms > run.deadline_ms:
+                latency_ms = run.deadline_ms
+                done_ms = arrival_ms + latency_ms
+                outcome = DEADLINE_EXCEEDED
+                metrics.bump("deadline_exceeded")
+            metrics.record_request(latency_ms, arrival_ms, done_ms)
+            tenant = run.tenants[request_id]
+            if tenant != UNLABELED_TENANT:
+                metrics.record_tenant_request(tenant, latency_ms)
+            metrics.record_client(run.client_ids[request_id])
+        if run.outcomes is not None:
+            run.rows[request_id] = row
+            run.counts[request_id] = count
+            run.outcomes[request_id] = outcome
+
+    def _stale_lookup(self, run: "_Stream", shard_id: int, keys: np.ndarray):
         """Answer a batch from the shard's last durable state (checkpoint +
         WAL tail) when every live replica is out of reach.  Returns ``(row_agg,
         match_counts)`` mirroring the live duplicate-aware aggregate
-        semantics, or ``None`` when the store has nothing for the shard."""
-        table = self._stale_tables.get(shard_id)
+        semantics, or ``None`` when stale reads are off or the store has
+        nothing for the shard."""
+        if self.store is None or not self.reliability.config.stale_reads:
+            return None
+        table = run.stale_tables.get(shard_id)
         if table is None:
             try:
                 recovery = self.store.recover_shard(shard_id)
             except (KeyError, FileNotFoundError, ValueError):
                 return None
-            order = np.argsort(recovery.keys, kind="stable")
-            sorted_keys = recovery.keys[order]
-            sorted_rows = recovery.row_ids[order].astype(np.int64)
-            rowid_prefix = np.concatenate(
-                [np.zeros(1, dtype=np.int64), np.cumsum(sorted_rows)]
+            table = run.stale_tables[shard_id] = SortedArrayIndex(
+                recovery.keys, recovery.row_ids, key_bits=self.config.key_bits
             )
-            table = (sorted_keys, rowid_prefix)
-            self._stale_tables[shard_id] = table
-        sorted_keys, rowid_prefix = table
-        return sorted_lookup_results(
-            sorted_keys, rowid_prefix, keys.astype(sorted_keys.dtype)
-        )
+        answer = table.point_lookup_batch(keys)
+        return answer.row_ids, answer.match_counts
 
-    def _trace_batch_requests(
-        self, tracer, batch, exec_start, completion_ms, device_ms, overhead_ms, engine
+    def _trace_riders(
+        self, run, batch, exec_start, completion_ms, device_ms, overhead_ms, engine
     ) -> None:
         """Emit the per-request stage spans of one completed batch, tagged
         with the ``engine`` that executed it.
@@ -1063,22 +984,21 @@ class ShardedIndex(GpuIndex):
         through :meth:`Tracer.emit` directly — this loop runs once per served
         request and dominates the traced path's cost.
         """
+        tracer = self.tracer
         emit = tracer.emit
         new_trace_id = tracer.new_trace_id
-        pending = self._request_trace_ids
+        pending = run.trace_ids
         shard_id = batch.shard_id
         size = batch.size
         dispatch_ms = batch.dispatch_ms
-        request_ids = batch.request_ids.tolist()
-        arrivals = batch.arrival_ms.tolist()
         wait_attrs = {"shard": shard_id, "reason": batch.reason}
         device_attrs = {"shard": shard_id, "batch_size": size, "engine": engine}
         failover_attrs = {"shard": shard_id}
         device_queue_ms = exec_start - dispatch_ms
         failover_start = exec_start + device_ms
-        for position in range(size):
-            request_id = request_ids[position]
-            arrival = arrivals[position]
+        for request_id, arrival in zip(
+            batch.request_ids.tolist(), batch.arrival_ms.tolist()
+        ):
             trace_id = pending.pop(request_id, None)
             if trace_id is None:
                 trace_id = new_trace_id()
@@ -1116,3 +1036,70 @@ class ShardedIndex(GpuIndex):
                     "replica.failover", failover_start, overhead_ms,
                     "replication", "requests", trace_id, root_id, failover_attrs,
                 )
+
+
+class _Stream:
+    """State of one :meth:`ShardedIndex.serve_stream` call; none of it
+    outlives the stream."""
+
+    def __init__(
+        self,
+        index: ShardedIndex,
+        stream: RequestStream,
+        policy: Optional[BatchPolicy],
+        metrics: MetricsRegistry,
+        record_answers: bool,
+    ) -> None:
+        self.metrics = metrics
+        self.scheduler = BatchScheduler(
+            policy
+            or BatchPolicy(
+                max_batch_size=index.config.max_batch_size,
+                max_wait_ms=index.config.max_wait_ms,
+            ),
+            telemetry=metrics.telemetry,
+        )
+        #: Labels of every request, by request id.
+        self.client_ids = stream.client_ids.tolist()
+        self.tenants = (
+            stream.tenant_ids.tolist()
+            if stream.tenant_ids is not None
+            else [UNLABELED_TENANT] * len(stream)
+        )
+        #: Raw stream keys: the partitioner clamps signed keys below the
+        #: unsigned keyspace, where a uint cast would wrap them.
+        self.keys = np.asarray(stream.keys)
+        self.shard_of = index.router.partitioner.shard_of(self.keys).tolist()
+        self.deadline_ms = (
+            index.reliability.config.deadline_ms if index.reliability is not None else 0.0
+        )
+        #: Next topology check (``None`` = never) and the shards and keys
+        #: scheduled since the last one.
+        reshard = index.maintenance.reshard_policy
+        self.reshard_at_ms = (
+            reshard.interval_ms
+            if reshard.enabled and index.router.supports_resharding
+            else None
+        )
+        self.window_shards = []
+        self.window_keys = []
+        #: The per-request record (``None`` unless answers are recorded).
+        self.rows = self.counts = self.outcomes = None
+        if record_answers:
+            self.rows = np.full(len(stream), -1, dtype=np.int64)
+            self.counts = np.zeros(len(stream), dtype=np.int64)
+            self.outcomes = np.full(len(stream), ANSWERED, dtype=np.int8)
+        #: Trace ids of cache misses, ended by the batch that answers them.
+        self.trace_ids = {}
+        #: Batch results, cacheable once their simulated completion passed.
+        self.pending_fills = []
+        #: Per-shard device horizon: a shard runs one batch at a time, which
+        #: makes a saturated hot shard *visible* as latency.
+        self.busy_until = {}
+        #: Heap of ``(completion_ms, size)`` of dispatched, unfinished batches
+        #: and their request total: with the queues, the backlog admission
+        #: control sheds against.
+        self.inflight = []
+        self.inflight_count = 0
+        #: Per-shard durable-state tables for stale reads.
+        self.stale_tables = {}

@@ -48,7 +48,7 @@ from repro.bench.harness import (
     rx_factory,
     sorted_array_factory,
 )
-from repro.serve import ServeConfig, ShardedIndex, TenantQoS
+from repro.serve import ANSWERED, SHED, ServeConfig, ShardedIndex, TenantQoS
 from repro.serve.router import apply_update_to_entries
 from repro.workloads.adversarial import (
     TenantSpec,
@@ -442,17 +442,19 @@ def test_differential_fuzz_replicated_traced_is_behavior_neutral():
 
 
 def _served_chunk_matches_oracle(index, oracle, stream) -> int:
-    """Serve one chunk and compare every non-shed answer to the oracle.
+    """Serve one chunk and compare every answered request to the oracle.
 
     Negative (signed) keys must come back as the deterministic miss
-    ``(-1, 0)``; shed requests are excluded from the comparison but their
-    answer slots must be untouched.  Returns the number of shed requests.
+    ``(-1, 0)``; shed requests, the only other outcome here, are excluded
+    from the comparison but their answer slots must be untouched.  Returns
+    the number of shed requests.
     """
     stream.arrival_ms += float(index.clock.now_ms) + 1.0
     index.serve_stream(stream, record_answers=True)
     row_agg, counts = index.last_answers
-    shed = index.last_shed
-    served = ~shed
+    served = index.last_outcomes == ANSWERED
+    shed = index.last_outcomes == SHED
+    assert (served | shed).all()
 
     keys = np.asarray(stream.keys)
     if np.issubdtype(keys.dtype, np.signedinteger):

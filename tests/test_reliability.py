@@ -8,9 +8,13 @@ import pytest
 from repro.bench.experiments import ALL_EXPERIMENTS, list_experiments
 from repro.bench.harness import sorted_array_factory
 from repro.serve import (
+    ANSWERED,
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
+    DEADLINE_EXCEEDED,
+    STALE,
+    UNAVAILABLE,
     CircuitBreaker,
     FailureEvent,
     ReliabilityConfig,
@@ -406,11 +410,11 @@ def test_deadline_exceeded_requests_are_capped_and_masked(keyset):
     )
     deployment = serve(keyset, stream, config)
     metrics = deployment.metrics
-    assert deployment.last_deadline_exceeded.sum() > 0
+    assert (deployment.last_outcomes == DEADLINE_EXCEEDED).sum() > 0
     assert max(metrics.request_latencies) <= 0.2 + 1e-9
-    # Complete (unmasked) answers stay byte-identical to the oracle.
+    # Answered requests stay byte-identical to the oracle.
     expected = oracle_answers(keyset, stream)
-    mask = ~deployment.last_deadline_exceeded
+    mask = deployment.last_outcomes == ANSWERED
     row_agg, counts = deployment.last_answers
     assert row_agg[mask].tobytes() == expected.row_ids[mask].tobytes()
     assert counts[mask].tobytes() == expected.match_counts[mask].tobytes()
@@ -422,8 +426,7 @@ def test_no_deadline_means_no_mask(keyset):
         num_shards=2, key_bits=32, cache_capacity=0, reliability=ReliabilityConfig()
     )
     deployment = serve(keyset, stream, config)
-    assert deployment.last_deadline_exceeded.sum() == 0
-    assert deployment.last_unavailable.sum() == 0
+    assert (deployment.last_outcomes == ANSWERED).all()
 
 
 def whole_fleet_outage(num_shards, factor, duration_ms):
@@ -454,10 +457,10 @@ def test_whole_group_outage_yields_explicit_partial_results(keyset):
     deployment = serve(
         keyset, stream, config, events=whole_fleet_outage(2, 2, duration_ms=1e6)
     )
-    assert deployment.last_unavailable.sum() == len(stream)
+    assert (deployment.last_outcomes == UNAVAILABLE).all()
     row_agg, counts = deployment.last_answers
-    assert np.all(row_agg[deployment.last_unavailable] == -1)
-    assert np.all(counts[deployment.last_unavailable] == 0)
+    assert np.all(row_agg == -1)
+    assert np.all(counts == 0)
     snapshot = deployment.metrics.snapshot()
     assert snapshot.get("requests_unavailable", 0) == len(stream)
     # The classic contract would have emergency-restarted instead.
@@ -480,14 +483,79 @@ def test_stale_reads_answer_from_the_durable_store(keyset, tmp_path):
     deployment = serve(
         keyset, stream, config, events=whole_fleet_outage(2, 2, duration_ms=1e6)
     )
-    assert deployment.last_stale.sum() == len(stream)
-    assert deployment.last_unavailable.sum() == 0
+    assert (deployment.last_outcomes == STALE).all()
     # Nothing was written after the checkpoint: stale bytes == fresh bytes.
     expected = oracle_answers(keyset, stream)
     row_agg, counts = deployment.last_answers
     assert row_agg.tobytes() == expected.row_ids.tobytes()
     assert counts.tobytes() == expected.match_counts.tobytes()
     assert deployment.metrics.snapshot().get("stale_reads_served", 0) == len(stream)
+
+
+@pytest.mark.parametrize("stale_reads", [False, True])
+def test_a_degraded_answer_past_its_deadline_is_deadline_exceeded(
+    keyset, tmp_path, stale_reads
+):
+    stream = zipf_request_stream(
+        keyset, 128, requests_per_ms=32.0, miss_fraction=0.0, seed=7
+    )
+    store = {"store_dir": str(tmp_path / "store"), "store_fsync": False}
+    config = ServeConfig(
+        num_shards=2,
+        key_bits=32,
+        cache_capacity=0,
+        replication_factor=2,
+        reliability=ReliabilityConfig(deadline_ms=0.2, stale_reads=stale_reads),
+        **(store if stale_reads else {}),
+    )
+    deployment = serve(
+        keyset, stream, config, events=whole_fleet_outage(2, 2, duration_ms=1e6)
+    )
+    # Every read is degraded, and most also miss their deadline: those
+    # read DEADLINE_EXCEEDED, the rest the degraded outcome, none both.
+    outcomes = deployment.last_outcomes
+    degraded = STALE if stale_reads else UNAVAILABLE
+    assert outcomes.dtype == np.int8
+    assert (outcomes == DEADLINE_EXCEEDED).sum() == 110
+    assert (outcomes == degraded).sum() == 18
+    # The counters count every degraded read and every missed deadline.
+    snapshot = deployment.metrics.snapshot()
+    assert snapshot["requests_unavailable"] == 128
+    assert snapshot["deadline_exceeded"] == 110
+    assert snapshot.get("stale_reads_served", 0) == (128 if stale_reads else 0)
+
+
+def test_bulk_lookups_never_cache_answers_of_unavailable_shards(keyset):
+    config = ServeConfig(
+        num_shards=2,
+        key_bits=32,
+        cache_capacity=256,
+        replication_factor=2,
+        reliability=ReliabilityConfig(),
+    )
+    deployment = ShardedIndex(keyset.keys, keyset.row_ids, config=config)
+    deployment.point_lookup_batch(keyset.keys[:192])
+    outage = [
+        FailureEvent(
+            at_ms=1.0, kind="crash", shard_id=shard, replica_id=replica, duration_ms=5.0
+        )
+        for shard in range(2)
+        for replica in range(2)
+    ]
+    deployment.inject_failures(outage)
+    deployment._poll_failures(2.0)
+    late = keyset.keys[192:208]
+    assert deployment.point_lookup_batch(late).match_counts.sum() == 0
+    # The outage ends and maintenance resyncs every replica.
+    deployment._poll_failures(10.0)
+    deployment.maintenance.run_cycle(10.0)
+    assert all(
+        replica.available
+        for group in deployment.router.groups.values()
+        for replica in group.replicas
+    )
+    assert deployment.router.point_lookup_batch(late).match_counts.sum() == 16
+    assert deployment.point_lookup_batch(late).match_counts.sum() == 16
 
 
 def test_unavailable_answers_never_poison_the_cache(keyset):

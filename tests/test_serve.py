@@ -9,6 +9,7 @@ from conftest import ground_truth_point, ground_truth_range
 from repro.bench.experiments import serving_deployment
 from repro.bench.harness import cgrxu_factory, sorted_array_factory
 from repro.serve import (
+    ANSWERED,
     BatchPolicy,
     BatchScheduler,
     FailureEvent,
@@ -943,6 +944,25 @@ def test_serve_stream_without_cache_serves_everything_on_device(keyset):
     assert snapshot["requests"] == 512
     assert sum(metrics.shard_requests.values()) == 512
     assert "cache_hits" not in snapshot
+
+
+def test_every_stream_resets_the_per_request_record(keyset):
+    index = ShardedIndex(
+        keyset.keys, keyset.row_ids, config=ServeConfig(num_shards=2, key_bits=32)
+    )
+    first = zipf_request_stream(keyset, 100, seed=22)
+    index.serve_stream(first, record_answers=True)
+    rows, counts = index.last_answers
+    assert rows.shape == counts.shape == index.last_outcomes.shape == (100,)
+    assert (index.last_outcomes == ANSWERED).all()
+
+    second = zipf_request_stream(keyset, 40, seed=23)
+    second.arrival_ms += float(index.clock.now_ms) + 1.0
+    index.serve_stream(second)
+    assert index.last_answers is None and index.last_outcomes is None
+
+    index.serve_stream(first, record_answers=True)
+    assert index.last_outcomes.shape == (100,)
 
 
 def test_serving_experiment_produces_rows():
