@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Sequence
+from typing import ClassVar, List, Optional
 
 import numpy as np
 
@@ -189,11 +189,6 @@ class GpuIndex(ABC):
         return result.num_lookups / (time_ms / 1e3) / footprint
 
     # -------------------------------------------------------------- utilities
-
-    @staticmethod
-    def _as_key_array(keys: Sequence[int], dtype=np.uint64) -> np.ndarray:
-        """Normalise a key sequence to a numpy array of the index's key dtype."""
-        return np.asarray(keys, dtype=dtype)
 
     def _unique_fraction(self, keys: np.ndarray) -> float:
         """Fraction of distinct keys in a lookup batch (drives cache modelling)."""

@@ -39,10 +39,15 @@ from repro.gpu.sort import device_radix_sort
 NODE_BYTES = 128
 #: Maximum entries per node (16 key-value or key-child pairs of 8 bytes).
 NODE_CAPACITY = 16
+#: Fraction of a leaf filled at bulk-load time (slack for inserts).
+LEAF_FILL_FACTOR = 0.55
+#: Entries per leaf at that fill.
+ENTRIES_PER_LEAF = int(NODE_CAPACITY * LEAF_FILL_FACTOR)
 
 
 class BPlusTreeIndex(GpuIndex):
-    """GPU B+-tree baseline (32-bit keys only)."""
+    """GPU B+-tree baseline (32-bit keys only), bulk-loaded with leaves
+    :data:`LEAF_FILL_FACTOR` full."""
 
     name = "B+"
     supports_point = True
@@ -60,17 +65,13 @@ class BPlusTreeIndex(GpuIndex):
         keys: np.ndarray,
         row_ids: Optional[np.ndarray] = None,
         key_bits: int = 32,
-        leaf_fill_factor: float = 0.55,
         device: GpuDevice = RTX_4090,
     ) -> None:
         super().__init__(device)
         if key_bits != 32:
             raise ValueError("the B+ baseline only supports 32-bit keys (as in the paper)")
-        if not 0.1 <= leaf_fill_factor <= 1.0:
-            raise ValueError("leaf_fill_factor must be in [0.1, 1.0]")
         self.key_bits = key_bits
         self.key_bytes = 4
-        self.leaf_fill_factor = leaf_fill_factor
 
         keys = np.asarray(keys, dtype=np.uint32)
         if row_ids is None:
@@ -99,8 +100,7 @@ class BPlusTreeIndex(GpuIndex):
     def _refresh_derived(self) -> None:
         """Recompute prefix sums and node counts after the contents changed."""
         self._rowid_prefix = np.concatenate([[0], np.cumsum(self.row_ids.astype(np.int64))])
-        self.entries_per_leaf = max(2, int(NODE_CAPACITY * self.leaf_fill_factor))
-        self.num_leaf_nodes = max(1, -(-len(self) // self.entries_per_leaf))
+        self.num_leaf_nodes = max(1, -(-len(self) // ENTRIES_PER_LEAF))
         # Internal levels with full fanout over the leaf count.
         internal = 0
         level_nodes = self.num_leaf_nodes
@@ -168,7 +168,7 @@ class BPlusTreeIndex(GpuIndex):
         # scans individual leaf nodes; each touched leaf costs a full node
         # read (this per-node overhead is why cgRX's contiguous scan edges it
         # out at low selectivities).
-        leaves_touched = np.maximum(1, -(-matched // self.entries_per_leaf) + 1)
+        leaves_touched = np.maximum(1, -(-matched // ENTRIES_PER_LEAF) + 1)
         stats = KernelStats(
             name="btree.range_lookup",
             threads=num_lookups,
@@ -233,8 +233,8 @@ class BPlusTreeIndex(GpuIndex):
             keys = np.insert(keys, positions, insert_keys)
             row_ids = np.insert(row_ids, positions, insert_row_ids)
             inserted = int(insert_keys.shape[0])
-            # Roughly one in ``entries_per_leaf`` inserts splits a leaf.
-            splits = inserted // max(2, self.entries_per_leaf)
+            # Roughly one in ``ENTRIES_PER_LEAF`` inserts splits a leaf.
+            splits = inserted // ENTRIES_PER_LEAF
             stats.threads = max(stats.threads, inserted)
             stats.bytes_read += inserted * self.height * NODE_BYTES
             stats.bytes_written += inserted * NODE_BYTES + splits * 2 * NODE_BYTES

@@ -87,11 +87,6 @@ class BucketedKeys:
         end = min(start + self.bucket_size, len(self))
         return start, end
 
-    def bucket_keys(self, bucket_id: int) -> np.ndarray:
-        """Keys stored in ``bucket_id``."""
-        start, end = self.bucket_bounds(bucket_id)
-        return self.keys[start:end]
-
     def representative_index(self, bucket_id: int) -> int:
         """Index (in the sorted array) of the bucket's representative (its last key)."""
         _, end = self.bucket_bounds(bucket_id)

@@ -128,7 +128,11 @@ class CgRXConfig:
 
 @dataclass
 class CgRXuConfig:
-    """Configuration of the node-based updatable cgRXu index (Section IV)."""
+    """Configuration of the node-based updatable cgRXu index (Section IV).
+
+    Compaction escalates a BVH refit to a rebuild at the fixed
+    :data:`repro.core.updatable.REFIT_ESCALATION_RATIO`.
+    """
 
     #: Bytes per node.  The paper evaluates nodes matching a 128-byte cache
     #: line ("1 cl") and half a cache line ("0.5 cl").
@@ -147,11 +151,6 @@ class CgRXuConfig:
     #: falling back to ``"scalar"`` without a C compiler) or ``"scalar"``
     #: (the reference).
     engine: str = "compiled"
-    #: Escalate a post-compaction BVH refit into a full rebuild once the
-    #: total node overlap area grew past this multiple of the freshly built
-    #: tree's (the Figure-1c degradation signal, applied to cgRXu's own
-    #: representative scene).
-    refit_escalation_ratio: float = 4.0
 
     def __post_init__(self) -> None:
         if self.node_bytes < 32:
@@ -160,8 +159,6 @@ class CgRXuConfig:
             raise ValueError("initial_fill must be in (0, 1]")
         if self.key_bits not in (32, 64):
             raise ValueError("key_bits must be 32 or 64")
-        if self.refit_escalation_ratio < 1.0:
-            raise ValueError("refit_escalation_ratio must be >= 1.0")
         if isinstance(self.representation, str):
             self.representation = Representation(self.representation)
         validate_engine(self.engine)

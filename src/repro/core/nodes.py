@@ -146,12 +146,6 @@ class NodeStorage:
         """The occupied rowID slots of a node (a view, not a copy)."""
         return self._row_ids[index, : self._sizes[index]]
 
-    def set_next(self, index: int, next_index: int) -> None:
-        self._next[index] = next_index
-
-    def set_max_key(self, index: int, max_key: int) -> None:
-        self._max_keys[index] = np.uint64(max_key)
-
     def view(self, index: int) -> NodeView:
         """Materialise a read-only snapshot of a node."""
         return NodeView(

@@ -44,6 +44,12 @@ from repro.rtx.traversal import RayStats
 #: estimates (the C ``point_lookup`` kernel samples with the same number).
 _DIVERGENCE_SAMPLE = 4096
 
+#: Escalate a post-compaction BVH refit into a full rebuild once the total
+#: node overlap area grew past this multiple of the freshly built tree's
+#: (the Figure-1c degradation signal, applied to cgRXu's own representative
+#: scene).  Compaction is the only refit, so no BVH stays past this ratio.
+REFIT_ESCALATION_RATIO = 4.0
+
 
 @dataclass(frozen=True)
 class IndexSnapshot:
@@ -799,7 +805,7 @@ class CgRXuIndex(GpuIndex):
         :meth:`~repro.core.representation.SceneRepresentation.reanchor_representative`)
         and the BVH is **refit** against the moved geometry rather than
         rebuilt — unless the accumulated overlap area escalates past
-        ``config.refit_escalation_ratio``, in which case the tree is rebuilt
+        :data:`REFIT_ESCALATION_RATIO`, in which case the tree is rebuilt
         and the quality baseline reset.
 
         Lookup answers are unchanged by construction (both engines walk the
@@ -840,7 +846,7 @@ class CgRXuIndex(GpuIndex):
             self.lifecycle["reanchored_representatives"] += reanchored
             stats.bytes_read += self.num_triangles * RT_TRIANGLE_RESIDUAL_BYTES
             stats.bytes_written += self.pipeline.bvh.num_nodes * RT_NODE_RESIDUAL_BYTES
-            if self.bvh_overlap_ratio() > self.config.refit_escalation_ratio:
+            if self.bvh_overlap_ratio() > REFIT_ESCALATION_RATIO:
                 self.pipeline.build_acceleration_structure()
                 self._built_overlap_area = total_overlap_area(self.pipeline.bvh)
                 self.lifecycle["bvh_rebuilds"] += 1

@@ -103,7 +103,6 @@ class BatchScheduler:
         #: into bounded-memory histograms (one vectorized bulk record).
         self.telemetry = telemetry
         self._queues: Dict[int, _ShardQueue] = {}
-        self._dispatched = 0
         self._last_arrival_ms = float("-inf")
         #: Earliest timeout deadline over the non-empty queues (``inf`` when
         #: all are empty): no batch can be due before it.
@@ -112,11 +111,6 @@ class BatchScheduler:
         #: into them (``serve_batch_queue_wait_ms`` keyed by reason).
         self._size_histogram = None
         self._wait_histograms: Dict[str, object] = {}
-
-    @property
-    def num_dispatched(self) -> int:
-        """Total number of batches dispatched so far."""
-        return self._dispatched
 
     def pending(self, shard_id: int) -> int:
         """Number of queued requests for one shard."""
@@ -213,7 +207,6 @@ class BatchScheduler:
         queue.request_ids.clear()
         queue.arrival_ms.clear()
         queue.tenant_ids.clear()
-        self._dispatched += 1
         self._next_deadline_ms = min(
             (
                 other.arrival_ms[0] + self.policy.max_wait_ms

@@ -5,28 +5,27 @@ grows cgRXu's node chains, and once buckets are several nodes deep each
 lookup pays the extra chain hops (Section IV of the paper keeps lookups fast
 precisely because the BVH is never refit — the chains are where the debt
 accumulates).  The maintenance worker periodically scans the shards and
-heals the debt through an **escalating tier policy**, always off the request
-path:
+heals the debt through **two tiers**, always off the request path:
 
 1. **compact** — fold the hottest-chained buckets of a mildly degraded
    shard back into minimal chains (``CgRXuIndex.compact_buckets``); where
-   compaction moved representative geometry the index *refits* its BVH
-   rather than rebuilding it,
-2. **refit escalation** — a shard whose accumulated refits degraded the
-   BVH's overlap quality past the configured ratio is promoted straight to
-   a rebuild, and
-3. **rebuild** — a heavily degraded shard is rebuilt from scratch; by
+   compaction moved representative geometry the index *refits* its BVH,
+   and it escalates to rebuilding the BVH itself, inside the same call,
+   once refits have degraded the tree's overlap quality too far, and
+2. **rebuild** — a heavily degraded shard is rebuilt in full; by
    default **double-buffered** (the replacement is built in the background
    and swapped in atomically, zero unavailability), optionally
-   ``stop_the_world`` (the pre-lifecycle behaviour, whose offline window is
-   recorded against availability).
+   ``stop_the_world`` on an unreplicated deployment (the pre-lifecycle
+   behaviour, whose offline window is recorded against availability).
 
 Maintenance device time is accounted per tier, separately from foreground
 lookup time.  The task model follows the taskqueue idiom: tasks are plain
 functions marked ``@queueable``, every task re-checks its precondition when
 it runs (a shard healed by an earlier task completes as a no-op, so
 duplicate enqueues are harmless), and failures are captured on the task
-record instead of being raised into the serving loop.
+record instead of being raised into the serving loop.  The queue holds only
+pending tasks, plus a count of finished ones per final status, so its
+memory is bounded by the work outstanding, not by the deployment's age.
 """
 
 from __future__ import annotations
@@ -41,6 +40,15 @@ from repro.obs.trace import NULL_TRACER
 
 #: Registry of queueable maintenance task functions, keyed by name.
 QUEUEABLE_TASKS: Dict[str, Callable] = {}
+
+#: Trim the result cache once this fraction of its entries is negative
+#: (negative entries crowd out the positive hits the cache exists for).
+NEGATIVE_TRIM_FRACTION = 0.5
+#: Merge the coldest adjacent shard pair once its *combined* load drops
+#: below this fraction of the mean per-shard load in the window.
+RESHARD_MERGE_FRACTION = 0.4
+#: Window requests needed before any reshard decision (noise floor).
+RESHARD_MIN_WINDOW_REQUESTS = 64
 
 
 def queueable(fn: Callable) -> Callable:
@@ -69,7 +77,12 @@ class MaintenanceTask:
 
 @dataclass
 class MaintenancePolicy:
-    """When shards are considered degraded and how eagerly they are healed."""
+    """When shards are considered degraded and how eagerly they are healed.
+
+    A compaction folds the router's
+    :data:`~repro.serve.router.COMPACT_MAX_BUCKETS` hottest chains, and the
+    cache is trimmed at :data:`NEGATIVE_TRIM_FRACTION`.
+    """
 
     #: Rebuild a shard once its degradation score reaches this value.  The
     #: score of cgRXu is the mean number of *extra* chain nodes per bucket, so
@@ -79,16 +92,12 @@ class MaintenancePolicy:
     #: reaches this value (the cheap first tier; set it at or above
     #: ``rebuild_threshold`` to disable incremental compaction).
     compact_threshold: float = 0.2
-    #: Hottest-chained buckets folded per compaction task.
-    compact_max_buckets: int = 64
     #: How full rebuilds swap in: ``"double_buffered"`` (background build
     #: plus atomic swap — zero unavailability, both generations briefly
     #: resident) or ``"stop_the_world"`` (shard offline during the build;
-    #: the outage window is recorded on the metrics registry).
+    #: the outage window is recorded on the metrics registry; replica groups
+    #: reject it, as they always rebuild rolling).
     rebuild_mode: str = "double_buffered"
-    #: Trim the result cache once this fraction of its entries is negative
-    #: (negative entries crowd out the positive hits the cache exists for).
-    negative_trim_fraction: float = 0.5
     #: Take a durable checkpoint of a shard (and truncate its WAL) once this
     #: many WAL records accumulated behind the previous checkpoint.  Only
     #: active when the deployment has a store attached.
@@ -102,8 +111,6 @@ class MaintenancePolicy:
                 f"unknown rebuild mode {self.rebuild_mode!r}; expected "
                 "'double_buffered' or 'stop_the_world'"
             )
-        if self.compact_max_buckets < 1:
-            raise ValueError("compact_max_buckets must be >= 1")
 
 
 @dataclass
@@ -113,7 +120,9 @@ class ReshardPolicy:
     Decisions are driven by the *observed request load* per shard over a
     rolling window (the same load-skew signal the metrics registry reports),
     not by stored entry counts: a hotspot migration leaves entry counts
-    untouched while concentrating traffic on one shard.
+    untouched while concentrating traffic on one shard.  A window of fewer
+    than :data:`RESHARD_MIN_WINDOW_REQUESTS` requests decides nothing, and
+    merges follow :data:`RESHARD_MERGE_FRACTION` down to a single shard.
     """
 
     #: Master switch; the serving loop only plans reshards when enabled.
@@ -123,33 +132,34 @@ class ReshardPolicy:
     #: Split the hottest shard once it serves more than this multiple of the
     #: mean per-shard load in the window.
     split_skew: float = 2.0
-    #: Merge the coldest adjacent shard pair once its *combined* load drops
-    #: below this fraction of the mean per-shard load.
-    merge_fraction: float = 0.4
-    #: Minimum window requests before any decision is made (noise floor).
-    min_window_requests: int = 64
     #: Never split a shard storing fewer entries than this.
     min_split_entries: int = 128
-    #: Topology bounds.
+    #: Topology ceiling for splits.
     max_shards: int = 64
-    min_shards: int = 1
 
     def __post_init__(self) -> None:
         if self.interval_ms <= 0:
             raise ValueError("interval_ms must be > 0")
         if self.split_skew <= 1.0:
             raise ValueError("split_skew must be > 1")
-        if self.merge_fraction < 0.0:
-            raise ValueError("merge_fraction must be >= 0")
-        if self.min_shards < 1 or self.max_shards < self.min_shards:
-            raise ValueError("need 1 <= min_shards <= max_shards")
+        if self.max_shards < 1:
+            raise ValueError("max_shards must be >= 1")
 
 
 class MaintenanceQueue:
-    """FIFO of maintenance tasks with pending-duplicate suppression."""
+    """FIFO of pending maintenance tasks with duplicate suppression.
+
+    A task that reaches a final status leaves the queue at the next
+    :meth:`settle` and is only counted under that status.
+    """
 
     def __init__(self) -> None:
+        #: Pending tasks, oldest first.
         self.tasks: List[MaintenanceTask] = []
+        #: Tasks ever enqueued.
+        self.enqueued = 0
+        #: Tasks that left the queue, per final status.
+        self.finished: Dict[str, int] = {"done": 0, "skipped": 0, "failed": 0}
 
     def enqueue(self, name: str, shard_id: int, now_ms: float) -> Optional[MaintenanceTask]:
         """Queue a task unless the same (name, shard) is already pending."""
@@ -160,13 +170,18 @@ class MaintenanceQueue:
                 return None
         task = MaintenanceTask(name=name, shard_id=int(shard_id), enqueued_at_ms=float(now_ms))
         self.tasks.append(task)
+        self.enqueued += 1
         return task
 
-    def pending(self) -> List[MaintenanceTask]:
-        return [task for task in self.tasks if task.status == "pending"]
-
-    def by_status(self, status: str) -> List[MaintenanceTask]:
-        return [task for task in self.tasks if task.status == status]
+    def settle(self) -> None:
+        """Drop every task that reached a final status, counting it there."""
+        pending = []
+        for task in self.tasks:
+            if task.status == "pending":
+                pending.append(task)
+            else:
+                self.finished[task.status] += 1
+        self.tasks = pending
 
 
 # --------------------------------------------------------------------------
@@ -185,23 +200,19 @@ def compact_shard(worker: "MaintenanceWorker", task: MaintenanceTask) -> Optiona
     """
     if worker.degradation_of(task.shard_id) < worker.policy.compact_threshold:
         return None
-    return worker.router.compact_shard(
-        task.shard_id, worker.policy.compact_max_buckets
-    )
+    return worker.router.compact_shard(task.shard_id)
 
 
 @queueable
 def rebuild_shard(worker: "MaintenanceWorker", task: MaintenanceTask) -> Optional[KernelStats]:
-    """Tier 3: rebuild a heavily degraded shard from its authoritative arrays.
+    """Tier 2: rebuild a heavily degraded shard from its authoritative arrays.
 
     Double-buffered by default: the replacement is built while the live
     index keeps serving, then swapped in atomically.  Idempotent: if the
-    shard is no longer degraded (and its BVH quality no longer escalated)
-    when the task runs, it completes without doing any work.
+    shard is no longer degraded when the task runs, it completes without
+    doing any work.
     """
-    if worker.degradation_of(task.shard_id) < worker.policy.rebuild_threshold and not (
-        worker.needs_bvh_rebuild(task.shard_id)
-    ):
+    if worker.degradation_of(task.shard_id) < worker.policy.rebuild_threshold:
         return None
     return worker.router.rebuild_shard(task.shard_id, mode=worker.policy.rebuild_mode)
 
@@ -246,7 +257,7 @@ def trim_negative_cache(worker: "MaintenanceWorker", task: MaintenanceTask) -> O
     """
     if worker.cache is None:
         return None
-    if worker.cache.negative_fraction < worker.policy.negative_trim_fraction:
+    if worker.cache.negative_fraction < NEGATIVE_TRIM_FRACTION:
         return None
     worker.cache.invalidate_negative()
     # Host-side work only: report a zero-cost kernel so the task counts as done.
@@ -337,35 +348,17 @@ class MaintenanceWorker:
             return 0.0
         return float(shard.index.degradation_score())
 
-    def needs_bvh_rebuild(self, shard_id: int) -> bool:
-        """Refit escalation: the shard's BVH overlap quality crossed its limit.
-
-        Incremental compaction heals chains with refits rather than BVH
-        rebuilds; once the refit debt (tracked as overlap-area growth)
-        passes the index's ``refit_escalation_ratio`` the shard is promoted
-        straight to the rebuild tier.
-        """
-        index = self.router.shards[int(shard_id)].index
-        ratio_of = getattr(index, "bvh_overlap_ratio", None)
-        threshold = getattr(getattr(index, "config", None), "refit_escalation_ratio", None)
-        if not callable(ratio_of) or threshold is None:
-            return False
-        return float(ratio_of()) > float(threshold)
-
     def scan(self, now_ms: float = 0.0) -> List[MaintenanceTask]:
         """Enqueue tiered healing for degraded shards and a trim for a stale cache.
 
-        Escalating policy per shard: heavy degradation (or escalated refit
-        debt) queues a full rebuild; mild degradation queues incremental
-        compaction of the hottest-chained buckets.
+        Escalating policy per shard: heavy degradation queues a full
+        rebuild; mild degradation queues incremental compaction of the
+        hottest-chained buckets.
         """
         enqueued: List[MaintenanceTask] = []
         for shard in self.router.shards:
             degradation = self.degradation_of(shard.shard_id)
-            if (
-                degradation >= self.policy.rebuild_threshold
-                or self.needs_bvh_rebuild(shard.shard_id)
-            ):
+            if degradation >= self.policy.rebuild_threshold:
                 task = self.queue.enqueue("rebuild_shard", shard.shard_id, now_ms)
                 if task is not None:
                     enqueued.append(task)
@@ -389,7 +382,7 @@ class MaintenanceWorker:
         if (
             self.cache is not None
             and len(self.cache) > 0
-            and self.cache.negative_fraction >= self.policy.negative_trim_fraction
+            and self.cache.negative_fraction >= NEGATIVE_TRIM_FRACTION
         ):
             # The cache is deployment-wide, not per shard: use -1 as shard id.
             task = self.queue.enqueue("trim_negative_cache", -1, now_ms)
@@ -403,7 +396,7 @@ class MaintenanceWorker:
         """Execute every pending task, capturing failures on the task record."""
         executed: List[MaintenanceTask] = []
         self.now_ms = float(now_ms)
-        for task in self.queue.pending():
+        for task in list(self.queue.tasks):
             body = QUEUEABLE_TASKS[task.name]
             task.attempts += 1
             try:
@@ -441,7 +434,6 @@ class MaintenanceWorker:
                     if (
                         task.name == "rebuild_shard"
                         and self.policy.rebuild_mode == "stop_the_world"
-                        and not self._shard_is_replicated(task.shard_id)
                     ):
                         # The shard had no index for the duration of the
                         # build: that is a real outage, unlike the
@@ -450,12 +442,8 @@ class MaintenanceWorker:
             task.status = "done" if task.work is not None else "skipped"
             task.completed_at_ms = float(now_ms)
             executed.append(task)
+        self.queue.settle()
         return executed
-
-    def _shard_is_replicated(self, shard_id: int) -> bool:
-        """Replica groups rebuild rolling, so they never go offline."""
-        index = self.router.shards[int(shard_id)].index
-        return callable(getattr(index, "recovering_replicas", None))
 
     def run_cycle(self, now_ms: float = 0.0) -> List[MaintenanceTask]:
         """One background iteration: scan, then drain the queue."""
@@ -481,7 +469,7 @@ class MaintenanceWorker:
         if not policy.enabled or not getattr(router, "supports_resharding", False):
             return []
         window_shards = np.asarray(window_shards)
-        if window_shards.shape[0] < policy.min_window_requests:
+        if window_shards.shape[0] < RESHARD_MIN_WINDOW_REQUESTS:
             return []
         num_shards = router.num_shards
         loads = np.bincount(window_shards, minlength=num_shards).astype(np.float64)
@@ -495,10 +483,10 @@ class MaintenanceWorker:
             hot_keys = np.sort(np.asarray(window_keys)[window_shards == hottest])
             split_key = int(hot_keys[hot_keys.shape[0] // 2])
             return [("split", hottest, split_key)]
-        if num_shards > max(policy.min_shards, 1):
+        if num_shards > 1:
             pair_loads = loads[:-1] + loads[1:]
             coldest = int(np.argmin(pair_loads))
-            if pair_loads[coldest] <= policy.merge_fraction * mean:
+            if pair_loads[coldest] <= RESHARD_MERGE_FRACTION * mean:
                 return [("merge", coldest, None)]
         return []
 
@@ -564,10 +552,10 @@ class MaintenanceWorker:
 
     def snapshot(self) -> dict:
         report = {
-            "tasks_enqueued": len(self.queue.tasks),
-            "tasks_done": len(self.queue.by_status("done")),
-            "tasks_skipped": len(self.queue.by_status("skipped")),
-            "tasks_failed": len(self.queue.by_status("failed")),
+            "tasks_enqueued": self.queue.enqueued,
+            "tasks_done": self.queue.finished["done"],
+            "tasks_skipped": self.queue.finished["skipped"],
+            "tasks_failed": self.queue.finished["failed"],
             "rebuilds_performed": self.rebuilds_performed,
             "compactions_performed": self.compactions_performed,
             "resyncs_performed": self.resyncs_performed,

@@ -9,7 +9,7 @@ simulated-clock serving stack, wired through ``ServeConfig.reliability``:
 * **Deadlines** — every request carries ``arrival + deadline_ms``; the
   serving layer answers a late request at its deadline (latency capped,
   outcome ``DEADLINE_EXCEEDED`` even if degraded) and the replica layer
-  abandons retries/restarts that cannot fit the budget.
+  abandons retries that cannot fit the budget.
 * **Retry budgets** — failover retries spend from a per-shard token bucket
   (:class:`repro.serve.qos.TokenBucket` on the simulated clock) and pay
   exponential backoff with seeded jitter, replacing unbounded retry rounds.
@@ -19,13 +19,17 @@ simulated-clock serving stack, wired through ``ServeConfig.reliability``:
   accounted, and hedge win/loss counters plus ``replica.hedge`` spans record
   the outcome.
 * **Circuit breakers** — per-replica ``closed -> open -> half-open`` state
-  driven by error and slowness rates, filtering the read-balancer candidate
-  set (fail-open when every breaker is open: a breaker must never cost
+  driven by error rates (a slow replica that keeps answering is the hedge's
+  business, not the breaker's), filtering the read-balancer candidate set
+  (fail-open when every breaker is open: a breaker must never cost
   availability).
-* **Graceful degradation** — when a group cannot serve within its bounds the
-  read returns an *explicit* partial result: miss-shaped answers with the
-  outcome ``UNAVAILABLE``, or ``STALE`` answers from the last durable
-  checkpoint.  Oracle checks compare only ``ANSWERED`` requests.
+* **Graceful degradation** — when a group cannot serve within its bounds,
+  including a group with no replica up at all, the read returns an
+  *explicit* partial result: miss-shaped answers with the outcome
+  ``UNAVAILABLE``, or ``STALE`` answers from the last durable checkpoint.
+  An armed layer never restarts a replica on the read path; recovery runs
+  off-path in maintenance.  Oracle checks compare only ``ANSWERED``
+  requests.
 
 Everything runs on the deployment's :class:`SimulatedClock` with seeded
 randomness, so reliability weather is exactly replayable.
@@ -47,10 +51,21 @@ BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half_open"
 
+#: Each retry's backoff is this multiple of the previous one.
+RETRY_BACKOFF_FACTOR = 2.0
+#: Never hedge earlier than this (keeps cold histograms from hedging every
+#: read).
+HEDGE_FLOOR_MS = 0.05
+
 
 @dataclass(frozen=True)
 class ReliabilityConfig:
-    """Knobs of the request reliability layer (``ServeConfig.reliability``)."""
+    """Knobs of the request reliability layer (``ServeConfig.reliability``).
+
+    Arming the layer is its only switch: an armed deployment always consults
+    its breakers and answers a read it cannot serve within these bounds as
+    an explicit partial result.
+    """
 
     #: Per-request deadline from arrival (simulated ms); requests whose batch
     #: completes later are answered deadline-exceeded at exactly the
@@ -61,9 +76,8 @@ class ReliabilityConfig:
     retry_budget: float = 8.0
     #: Retry-budget refill rate (tokens per simulated ms).
     retry_refill_per_ms: float = 0.5
-    #: First-retry backoff; doubles (``retry_backoff_factor``) per retry.
+    #: First-retry backoff; doubles (:data:`RETRY_BACKOFF_FACTOR`) per retry.
     retry_backoff_base_ms: float = 0.05
-    retry_backoff_factor: float = 2.0
     #: Jitter fraction: each backoff is scaled by ``1 + jitter * u`` with a
     #: seeded uniform draw, decorrelating retry storms deterministically.
     retry_jitter: float = 0.5
@@ -72,35 +86,19 @@ class ReliabilityConfig:
     hedge_quantile: float = 0.0
     #: Reads observed before the histogram is trusted for hedging.
     hedge_min_samples: int = 64
-    #: Never hedge earlier than this (keeps cold histograms from hedging
-    #: every read).
-    hedge_floor_ms: float = 0.05
-    #: Arm per-replica circuit breakers.
-    breaker_enabled: bool = True
     #: Outcome window per replica breaker.
     breaker_window: int = 16
     #: Outcomes observed before a breaker may trip.
     breaker_min_samples: int = 8
-    #: Bad-outcome fraction of the window that trips the breaker open.
+    #: Error fraction of the window that trips the breaker open.
     breaker_failure_threshold: float = 0.5
     #: Time a tripped breaker stays open before probing (half-open).
     breaker_open_ms: float = 2.0
     #: Consecutive half-open probe successes that close the breaker.
     breaker_probe_reads: int = 2
-    #: Count reads slower than this quantile of the online histogram as bad
-    #: breaker outcomes (0 = errors only).
-    breaker_slow_quantile: float = 0.0
-    #: Return explicit partial results (``unavailable`` mask) when a read
-    #: cannot be served within its bounds; ``False`` keeps the PR-2
-    #: never-fail semantics (forced/emergency restarts).
-    partial_results: bool = True
     #: Answer unavailable shard reads (stale) from the last durable
     #: checkpoint + WAL tail when a store is attached.
     stale_reads: bool = False
-    #: Allow whole-group emergency snapshot restarts on the read path even
-    #: with partial results armed (off: a fully-down group degrades to an
-    #: unavailable answer and recovers off-path via maintenance).
-    allow_emergency_restart: bool = False
     #: Seed of the jitter streams (per-shard, decorrelated).
     seed: int = 0
 
@@ -111,8 +109,8 @@ class ReliabilityConfig:
             raise ValueError("retry_budget must be >= 1")
         if self.retry_refill_per_ms < 0.0:
             raise ValueError("retry_refill_per_ms must be >= 0")
-        if self.retry_backoff_base_ms < 0.0 or self.retry_backoff_factor < 1.0:
-            raise ValueError("retry backoff must be non-negative and non-shrinking")
+        if self.retry_backoff_base_ms < 0.0:
+            raise ValueError("retry_backoff_base_ms must be >= 0")
         if self.retry_jitter < 0.0:
             raise ValueError("retry_jitter must be >= 0")
         if not 0.0 <= self.hedge_quantile < 1.0:
@@ -127,15 +125,13 @@ class ReliabilityConfig:
             raise ValueError("breaker_open_ms must be >= 0")
         if self.breaker_probe_reads < 1:
             raise ValueError("breaker_probe_reads must be >= 1")
-        if not 0.0 <= self.breaker_slow_quantile < 1.0:
-            raise ValueError("breaker_slow_quantile must be in [0, 1)")
 
 
 class CircuitBreaker:
     """Per-replica ``closed -> open -> half-open`` breaker on the simulated clock.
 
-    Outcomes (errors, and optionally slow reads) feed a bounded window; when
-    the bad fraction crosses the threshold the breaker opens and the replica
+    Read outcomes (error or success) feed a bounded window; when the error
+    fraction crosses the threshold the breaker opens and the replica
     leaves the read-balancer candidate set.  After ``breaker_open_ms`` it
     half-opens: probe reads are admitted, and ``breaker_probe_reads``
     consecutive successes close it again — any probe failure re-opens it.
@@ -178,7 +174,7 @@ class CircuitBreaker:
         return True
 
     def record(self, now_ms: float, ok: bool) -> None:
-        """Feed one read outcome (``ok=False`` for errors or slow reads)."""
+        """Feed one read outcome (``ok=False`` for an error)."""
         if self.state == BREAKER_OPEN:
             return  # fail-open reads while tripped don't feed the window
         if self.state == BREAKER_HALF_OPEN:
@@ -268,7 +264,7 @@ class ReliabilityState:
         """Exponential backoff of the ``retry_index``-th retry, seeded jitter."""
         config = self.config
         backoff = config.retry_backoff_base_ms * (
-            config.retry_backoff_factor ** max(0, int(retry_index) - 1)
+            RETRY_BACKOFF_FACTOR ** max(0, int(retry_index) - 1)
         )
         if config.retry_jitter > 0.0:
             backoff *= 1.0 + config.retry_jitter * float(self._rng(shard_id).random())
@@ -284,26 +280,11 @@ class ReliabilityState:
         if self.read_latency.count < config.hedge_min_samples:
             return float("inf")
         return max(
-            config.hedge_floor_ms,
+            HEDGE_FLOOR_MS,
             float(self.read_latency.percentile(config.hedge_quantile * 100.0)),
         )
 
-    def slow_threshold_ms(self) -> float:
-        """Service time past which a read counts as a bad breaker outcome."""
-        config = self.config
-        if config.breaker_slow_quantile <= 0.0:
-            return float("inf")
-        if self.read_latency.count < config.hedge_min_samples:
-            return float("inf")
-        return float(self.read_latency.percentile(config.breaker_slow_quantile * 100.0))
-
     # ---------------------------------------------------------------- report
-
-    def breaker_states(self) -> Dict[str, str]:
-        return {
-            f"{shard}:{replica}": breaker.state
-            for (shard, replica), breaker in sorted(self._breakers.items())
-        }
 
     def snapshot(self) -> dict:
         threshold = self.hedge_threshold_ms()

@@ -10,11 +10,12 @@ authoritative entry arrays.
   (round-robin or least-loaded) and *fail over*: a replica throwing a
   transient error is skipped at a small detection penalty, and a group whose
   replicas are all down performs an emergency restart (snapshot rebuild) so
-  answers are never lost — only latency is.
-* **Writes** fan out to every up replica and are acknowledged once a quorum
-  (majority by default) applied them.  Every update batch is appended to the
-  group's *apply log* with a monotone LSN; replicas that were down during a
-  write lag behind and are barred from serving reads until they catch up.
+  answers are never lost — only latency is.  With the reliability layer
+  armed, such a read returns an explicit partial result instead.
+* **Writes** fan out to every up replica and are acknowledged once a
+  majority of the replicas applied them.  Every update batch is appended to
+  the group's *apply log* with a monotone LSN; replicas that were down during
+  a write lag behind and are barred from serving reads until they catch up.
 * **Catch-up** replays the apply log when the outage was short, and falls
   back to a full snapshot resync (rebuild from the authoritative arrays,
   which track live-index semantics via ``export_entries``) when the log was
@@ -83,15 +84,16 @@ class SimulatedClock:
 
 @dataclass(frozen=True)
 class ReplicationConfig:
-    """How a shard's replica group is sized and operated."""
+    """How a shard's replica group is sized and operated.
+
+    A write is acknowledged once a majority of the replicas applied it
+    (:attr:`quorum`).
+    """
 
     #: Number of replicas per shard.
     replication_factor: int = 3
     #: Read-balancing policy: ``"round_robin"`` or ``"least_loaded"``.
     read_policy: str = "round_robin"
-    #: Replicas that must apply a write before it counts as acknowledged
-    #: (majority of the replication factor when ``None``).
-    write_quorum: Optional[int] = None
     #: Apply-log records retained for catch-up; a replica lagging further
     #: behind is resynced from a full snapshot instead of log replay.
     log_capacity: int = 64
@@ -117,18 +119,12 @@ class ReplicationConfig:
                 f"unknown read_policy {self.read_policy!r}; "
                 "expected 'round_robin' or 'least_loaded'"
             )
-        if self.write_quorum is not None and not (
-            1 <= self.write_quorum <= self.replication_factor
-        ):
-            raise ValueError("write_quorum must be within [1, replication_factor]")
         if self.log_capacity < 0:
             raise ValueError("log_capacity must be >= 0")
 
     @property
     def quorum(self) -> int:
-        """Effective write quorum (majority unless configured explicitly)."""
-        if self.write_quorum is not None:
-            return self.write_quorum
+        """Write quorum: a majority of the replication factor."""
         return self.replication_factor // 2 + 1
 
 
@@ -577,8 +573,7 @@ class ReplicaGroup(LazyEntries):
         self._bump(f"read_unavailable_{reason}")
         if self.metrics is not None:
             self.metrics.bump("reads_unavailable")
-        if self.reliability is not None:
-            self.reliability.bump("read_unavailable")
+        self.reliability.bump("read_unavailable")
         if traced:
             tracer.record_span(
                 "replica.unavailable",
@@ -610,8 +605,9 @@ class ReplicaGroup(LazyEntries):
         jittered retries, per-replica circuit breakers filtering the
         candidate set, a deadline budget armed via :meth:`begin_read`, and
         online-quantile read hedging; reads that cannot be served within
-        those bounds return an explicit unavailable answer via ``fallback``.
-        Without it, the only change from the classic semantics is that
+        those bounds, or that find no replica up, return an explicit
+        unavailable answer via ``fallback`` and never restart a replica.
+        Without it, a group with no replica up emergency-restarts one, and
         all-replicas-erroring rounds are *bounded*
         (``ReplicationConfig.max_failover_rounds``) by a forced restart
         instead of spinning until the error supply drains.
@@ -627,9 +623,6 @@ class ReplicaGroup(LazyEntries):
         if self.num_entries == 0:
             return fallback()
         rel = self.reliability
-        rel_config = rel.config if rel is not None else None
-        partial = rel is not None and rel_config.partial_results
-        breakers = rel is not None and rel_config.breaker_enabled
         tracer = self.tracer
         traced = tracer.enabled
         base_ms = 0.0
@@ -639,19 +632,12 @@ class ReplicaGroup(LazyEntries):
         if start_ms is None:
             start_ms = base_ms if traced else self.clock.now_ms
         now_ms = self.clock.now_ms
-
-        def out_of_time(extra_ms: float) -> bool:
-            return (
-                deadline_ms is not None
-                and start_ms + self.last_overhead_ms + extra_ms > deadline_ms
-            )
-
         tried: List[int] = []
         rounds = 0
         retries = 0
         while True:
             candidates = self._read_candidates(exclude=tried)
-            if breakers and candidates:
+            if rel is not None and candidates:
                 admitted = [
                     replica
                     for replica in candidates
@@ -669,7 +655,7 @@ class ReplicaGroup(LazyEntries):
                 if tried:  # every available replica errored this round
                     rounds += 1
                     if rounds >= self.config.max_failover_rounds:
-                        if partial:
+                        if rel is not None:
                             return self._give_up(
                                 "rounds", fallback, traced, tracer, base_ms
                             )
@@ -678,13 +664,9 @@ class ReplicaGroup(LazyEntries):
                     tried = []
                     continue
                 # No replica is available at all.
-                if partial and not rel_config.allow_emergency_restart:
+                if rel is not None:
                     return self._give_up(
                         "no_replicas", fallback, traced, tracer, base_ms
-                    )
-                if partial and out_of_time(self.config.restart_penalty_ms):
-                    return self._give_up(
-                        "deadline", fallback, traced, tracer, base_ms
                     )
                 if traced:
                     tracer.record_span(
@@ -717,11 +699,10 @@ class ReplicaGroup(LazyEntries):
                 self.last_overhead_ms += self.config.failover_penalty_ms
                 if self.metrics is not None:
                     self.metrics.record_failover(self.config.failover_penalty_ms)
-                if breakers:
+                if rel is not None:
                     rel.breaker(self.shard_id, replica.replica_id).record(
                         now_ms, False
                     )
-                if rel is not None:
                     retries += 1
                     if rel.budget(self.shard_id).take(now_ms):
                         rel.bump("retries")
@@ -730,11 +711,13 @@ class ReplicaGroup(LazyEntries):
                         rel.bump("retry_budget_exhausted")
                         if self.metrics is not None:
                             self.metrics.bump("retry_budget_exhausted")
-                        if partial:
-                            return self._give_up(
-                                "retry_budget", fallback, traced, tracer, base_ms
-                            )
-                    if partial and out_of_time(self.config.failover_penalty_ms):
+                        return self._give_up(
+                            "retry_budget", fallback, traced, tracer, base_ms
+                        )
+                    next_attempt_ms = (
+                        start_ms + self.last_overhead_ms + self.config.failover_penalty_ms
+                    )
+                    if deadline_ms is not None and next_attempt_ms > deadline_ms:
                         return self._give_up(
                             "deadline", fallback, traced, tracer, base_ms
                         )
@@ -769,10 +752,9 @@ class ReplicaGroup(LazyEntries):
                     )
                     if self.metrics is not None:
                         self.metrics.record_hedge(hedge_won)
-                    if breakers:
-                        rel.breaker(
-                            self.shard_id, hedge_replica.replica_id
-                        ).record(now_ms, True)
+                    rel.breaker(self.shard_id, hedge_replica.replica_id).record(
+                        now_ms, True
+                    )
                     if traced:
                         tracer.record_span(
                             "replica.hedge",
@@ -788,10 +770,9 @@ class ReplicaGroup(LazyEntries):
                         )
                     self.last_read_ms = effective_ms
                 rel.observe_read(effective_ms)
-                if breakers:
-                    rel.breaker(self.shard_id, replica.replica_id).record(
-                        now_ms, service_ms <= rel.slow_threshold_ms()
-                    )
+                # Breakers count errors only: a read that answered is a
+                # success however slow it was.
+                rel.breaker(self.shard_id, replica.replica_id).record(now_ms, True)
             replica.reads_served += int(num_requests)
             replica.busy_ms += service_ms
             self._bump("reads", num_requests)
@@ -834,13 +815,8 @@ class ReplicaGroup(LazyEntries):
             for replica in self._read_candidates(exclude=tried)
             if replica.replica_id != primary.replica_id
             and replica.pending_transient == 0
+            and rel.breaker(self.shard_id, replica.replica_id).allow(now_ms)
         ]
-        if rel is not None and rel.config.breaker_enabled:
-            peers = [
-                replica
-                for replica in peers
-                if rel.breaker(self.shard_id, replica.replica_id).allow(now_ms)
-            ]
         if not peers:
             return None
         return min(peers, key=lambda r: (r.busy_ms * r.slow_factor, r.replica_id))
@@ -1217,16 +1193,18 @@ class ReplicatedShardRouter(ShardRouter):
         self._build_shard(shard)
 
     def rebuild_shard(self, shard_id: int, mode: str = "double_buffered") -> KernelStats:
-        """Reload the shard's replica group in place (both modes).
+        """Reload the shard's replica group in place.
 
         A replica group is inherently double-buffered: each replica rebuilds
         from the authoritative snapshot while its peers keep serving reads,
         so there is never an offline window and no second full shard copy to
-        buffer — ``stop_the_world`` is accepted for interface compatibility
-        but cannot make a replicated shard unavailable.
+        buffer.  ``stop_the_world`` cannot take a replicated shard offline,
+        so it is rejected rather than silently rebuilt rolling.
         """
-        if mode not in ("double_buffered", "stop_the_world"):
-            raise ValueError(f"unknown rebuild mode {mode!r}")
+        if mode != "double_buffered":
+            raise ValueError(
+                f"replica groups rebuild rolling (double_buffered), not {mode!r}"
+            )
         shard = self.shards[int(shard_id)]
         if shard.pending_rebuild:
             self.abort_shard_rebuild(shard_id)  # superseded two-phase rebuild

@@ -47,6 +47,9 @@ if TYPE_CHECKING:  # replication imports this module
 #: Factory building one shard's index from its keyset (harness signature).
 ShardFactory = Callable[[KeySet, GpuDevice], GpuIndex]
 
+#: Hottest-chained buckets one :meth:`ShardRouter.compact_shard` folds.
+COMPACT_MAX_BUCKETS = 64
+
 
 def apply_update_to_entries(
     keys: np.ndarray,
@@ -405,13 +408,14 @@ class ShardRouter:
         )
         return combine(f"serve.rebuild_shard_{shard_id}", build_stats)
 
-    def compact_shard(self, shard_id: int, max_buckets: int = 64) -> Optional[KernelStats]:
+    def compact_shard(self, shard_id: int) -> Optional[KernelStats]:
         """Compact the hottest-chained buckets of one shard.
 
-        The cheap first maintenance tier: fold the longest node chains of a
-        chain-based index (cgRXu, or every replica of a cgRXu replica group)
-        back into minimal chains.  ``None`` when the shard is empty, its
-        index type has no chains, or no bucket is chained at all.
+        The cheap first maintenance tier: fold the :data:`COMPACT_MAX_BUCKETS`
+        longest node chains of a chain-based index (cgRXu, or every replica of
+        a cgRXu replica group) back into minimal chains.  ``None`` when the
+        shard is empty, its index type has no chains, or no bucket is chained
+        at all.
         """
         shard = self.shards[int(shard_id)]
         index = shard.index
@@ -426,7 +430,7 @@ class ShardRouter:
         if chained.size == 0:
             return None
         hottest = chained[np.argsort(lengths[chained], kind="stable")[::-1]]
-        return compact(hottest[: int(max_buckets)])
+        return compact(hottest[:COMPACT_MAX_BUCKETS])
 
     # --------------------------------------------------------------- resharding
 

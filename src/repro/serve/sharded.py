@@ -57,10 +57,19 @@ DEADLINE_EXCEEDED = 2  # the client stopped waiting at its deadline
 UNAVAILABLE = 3  # no replica answered: an explicit miss-shaped partial result
 STALE = 4  # answered from the last durable state instead of a live replica
 
+#: Host-side latency charged to a request answered without the device: a
+#: cache hit or a negative key.
+CACHE_LATENCY_MS = 0.01
+
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Configuration of a served deployment."""
+    """Configuration of a served deployment.
+
+    A stream's batches follow :attr:`max_batch_size` and :attr:`max_wait_ms`,
+    a request answered without the device costs :data:`CACHE_LATENCY_MS`, and
+    a replicated shard acknowledges writes at a majority of its replicas.
+    """
 
     #: Number of index shards.
     num_shards: int = 4
@@ -80,19 +89,14 @@ class ServeConfig:
     #: a shard's hottest-chained buckets (the cheap first tier; set it at or
     #: above ``rebuild_threshold`` to disable incremental compaction).
     compact_threshold: float = 0.2
-    #: Hottest-chained buckets folded per compaction task.
-    compact_max_buckets: int = 64
     #: How full shard rebuilds swap in: ``"double_buffered"`` (background
-    #: build + atomic swap, zero unavailability) or ``"stop_the_world"``.
+    #: build + atomic swap, zero unavailability) or ``"stop_the_world"``
+    #: (unreplicated deployments only).
     rebuild_mode: str = "double_buffered"
-    #: Host-side latency charged to a request answered from cache.
-    cache_latency_ms: float = 0.01
     #: Replicas per shard (1 = unreplicated, the plain shard router).
     replication_factor: int = 1
     #: Read-balancing policy across a shard's replicas.
     read_policy: str = "round_robin"
-    #: Write quorum per shard (majority of the replicas when ``None``).
-    write_quorum: Optional[int] = None
     #: Apply-log records retained per shard for replica catch-up.
     log_capacity: int = 64
     #: Arm the request tracer: every served request, batch execution,
@@ -120,9 +124,6 @@ class ServeConfig:
     #: Split the hottest shard once its windowed load exceeds this multiple
     #: of the mean per-shard load.
     reshard_split_skew: float = 2.0
-    #: Merge the coldest adjacent pair once its combined load drops below
-    #: this fraction of the mean per-shard load.
-    reshard_merge_fraction: float = 0.4
     #: Topology ceiling for splits.
     reshard_max_shards: int = 64
     #: Never split a shard storing fewer entries than this.
@@ -167,7 +168,6 @@ class ServeConfig:
         return ReplicationConfig(
             replication_factor=self.replication_factor,
             read_policy=self.read_policy,
-            write_quorum=self.write_quorum,
             log_capacity=self.log_capacity,
         )
 
@@ -212,6 +212,9 @@ class ShardedIndex(GpuIndex):
                     "dynamic resharding is not supported on replicated "
                     "deployments"
                 )
+        replicated = self.config.replication_factor > 1
+        if replicated and self.config.rebuild_mode == "stop_the_world":
+            raise ValueError("replica groups rebuild rolling (double_buffered) only")
 
         keys = np.asarray(keys, dtype=self._key_dtype)
         if row_ids is None:
@@ -266,7 +269,6 @@ class ShardedIndex(GpuIndex):
             policy=MaintenancePolicy(
                 rebuild_threshold=self.config.rebuild_threshold,
                 compact_threshold=self.config.compact_threshold,
-                compact_max_buckets=self.config.compact_max_buckets,
                 rebuild_mode=self.config.rebuild_mode,
                 checkpoint_wal_records=self.config.checkpoint_wal_records,
             ),
@@ -275,7 +277,6 @@ class ShardedIndex(GpuIndex):
                 enabled=self.config.reshard,
                 interval_ms=self.config.reshard_interval_ms,
                 split_skew=self.config.reshard_split_skew,
-                merge_fraction=self.config.reshard_merge_fraction,
                 min_split_entries=self.config.reshard_min_split_entries,
                 max_shards=self.config.reshard_max_shards,
             ),
@@ -579,7 +580,6 @@ class ShardedIndex(GpuIndex):
     def serve_stream(
         self,
         stream: RequestStream,
-        policy: Optional[BatchPolicy] = None,
         metrics: Optional[MetricsRegistry] = None,
         record_answers: bool = False,
     ) -> MetricsRegistry:
@@ -588,9 +588,11 @@ class ShardedIndex(GpuIndex):
         Each request passes the stages admit → negative-key → cache →
         schedule → execute → complete: admission control may shed it, a
         negative key or a cache hit is answered at host latency, and every
-        other request rides a device-sized batch of its shard, so its latency
-        is its queueing delay plus the batch's device time.  An armed failure
-        schedule (:meth:`inject_failures`) replays on the same clock.
+        other request rides a batch of its shard, dispatched at
+        ``ServeConfig.max_batch_size`` requests or ``max_wait_ms`` after the
+        oldest arrived, so its latency is its queueing delay plus the batch's
+        device time.  An armed failure schedule (:meth:`inject_failures`)
+        replays on the same clock.
         Returns the registry the stream recorded into: :attr:`metrics` unless
         a separate one is passed.  With ``record_answers=True``,
         :attr:`last_answers` holds the ``(row_ids, match_counts)`` answers by
@@ -599,7 +601,7 @@ class ShardedIndex(GpuIndex):
         """
         metrics = metrics or self.metrics
         self._bind_group_metrics(metrics)
-        run = _Stream(self, stream, policy, metrics, record_answers)
+        run = _Stream(self, stream, metrics, record_answers)
         arrivals = stream.arrival_ms.tolist()
         for request_id, (arrival_ms, key, tenant) in enumerate(
             zip(arrivals, run.keys.tolist(), run.tenants)
@@ -688,7 +690,7 @@ class ShardedIndex(GpuIndex):
         definitional misses, answered host-side at cache latency; they never
         enter a batch (batch keys are unsigned)."""
         run.metrics.bump("negative_key_misses")
-        latency_ms = self.config.cache_latency_ms
+        latency_ms = CACHE_LATENCY_MS
         self._complete(
             run, request_id, ANSWERED, arrival_ms, latency_ms, arrival_ms + latency_ms
         )
@@ -720,7 +722,7 @@ class ShardedIndex(GpuIndex):
             return False
         negative = entry.match_count == 0
         run.metrics.bump("cache_negative_hits" if negative else "cache_hits")
-        latency_ms = self.config.cache_latency_ms
+        latency_ms = CACHE_LATENCY_MS
         if tracer.enabled:
             trace_id = tracer.new_trace_id()
             root = tracer.emit(
@@ -1046,14 +1048,12 @@ class _Stream:
         self,
         index: ShardedIndex,
         stream: RequestStream,
-        policy: Optional[BatchPolicy],
         metrics: MetricsRegistry,
         record_answers: bool,
     ) -> None:
         self.metrics = metrics
         self.scheduler = BatchScheduler(
-            policy
-            or BatchPolicy(
+            BatchPolicy(
                 max_batch_size=index.config.max_batch_size,
                 max_wait_ms=index.config.max_wait_ms,
             ),

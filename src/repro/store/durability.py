@@ -37,6 +37,9 @@ from repro.store.checkpoint import CheckpointStore
 from repro.store.wal import ShardWal, WalRecord
 
 MANIFEST = "manifest.json"
+#: Checkpoint generations kept per shard: the latest, plus one to fall back
+#: to when the latest is corrupt.
+RETAIN_CHECKPOINTS = 2
 
 
 def replay_records(
@@ -95,16 +98,15 @@ class ShardRecovery:
 
 
 class DeploymentStore:
-    """Per-shard WALs and checkpoints of one served deployment."""
+    """Per-shard WALs and checkpoints of one served deployment, keeping
+    :data:`RETAIN_CHECKPOINTS` checkpoint generations per shard."""
 
     def __init__(
         self,
         backend: StorageBackend,
-        retain_checkpoints: int = 2,
         key_bits: int = 64,
     ) -> None:
         self.backend = backend
-        self.retain_checkpoints = int(retain_checkpoints)
         self.key_bits = int(key_bits)
         #: Telemetry / span sinks; the deployment points these at its own.
         self.metrics = None
@@ -145,7 +147,7 @@ class DeploymentStore:
             self._checkpoints[shard_id] = CheckpointStore(
                 self.backend,
                 f"{self.shard_prefix(shard_id)}/checkpoint",
-                retain=self.retain_checkpoints,
+                retain=RETAIN_CHECKPOINTS,
             )
         return self._checkpoints[shard_id]
 

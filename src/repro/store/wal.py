@@ -51,10 +51,6 @@ class WalRecord:
     insert_row_ids: np.ndarray
     delete_keys: np.ndarray
 
-    @property
-    def num_changes(self) -> int:
-        return int(self.insert_keys.shape[0] + self.delete_keys.shape[0])
-
 
 @dataclass
 class WalReadResult:

@@ -60,14 +60,6 @@ class RequestStream:
             return 0.0
         return float(self.arrival_ms[-1] - self.arrival_ms[0])
 
-    @property
-    def offered_load_per_ms(self) -> float:
-        """Average request arrival rate of the stream."""
-        duration = self.duration_ms
-        if duration <= 0.0:
-            return float("inf") if len(self) else 0.0
-        return len(self) / duration
-
 
 def zipf_request_stream(
     keyset: KeySet,

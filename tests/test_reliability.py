@@ -217,6 +217,22 @@ def test_transient_errors_trip_the_replica_breaker(keyset):
     assert group.replicas[0].pending_transient > 0
 
 
+def test_a_slow_replica_that_keeps_answering_never_opens_its_breaker(keyset):
+    group = make_group(
+        keyset,
+        reliability=ReliabilityConfig(breaker_window=4, breaker_min_samples=2),
+    )
+    # Warm, so a latency-based trip rule would have a threshold to cross.
+    warm(group.reliability, value_ms=0.001)
+    group.set_slow(0, 8.0)
+    for _ in range(200):
+        group.point_lookup_batch(keyset.keys[:8])
+    # Breakers count errors only; slowness is the hedge's business.
+    breaker = group.reliability.breaker(0, 0)
+    assert breaker.opens == 0 and breaker.state == BREAKER_CLOSED
+    assert group.replicas[0].reads_served == 100 * 8
+
+
 # --------------------------------------------------------------------------
 # Bounded failover rounds (satellite bug fix)
 # --------------------------------------------------------------------------
@@ -465,6 +481,29 @@ def test_whole_group_outage_yields_explicit_partial_results(keyset):
     assert snapshot.get("requests_unavailable", 0) == len(stream)
     # The classic contract would have emergency-restarted instead.
     assert deployment.replication_snapshot().get("emergency_restarts", 0) == 0
+
+
+def test_a_group_with_no_replica_up_gives_up_before_its_deadline(keyset):
+    stream = zipf_request_stream(
+        keyset, 128, requests_per_ms=32.0, miss_fraction=0.0, seed=7
+    )
+    config = ServeConfig(
+        num_shards=2,
+        key_bits=32,
+        cache_capacity=0,
+        replication_factor=2,
+        reliability=ReliabilityConfig(deadline_ms=0.2),
+    )
+    deployment = serve(
+        keyset, stream, config, events=whole_fleet_outage(2, 2, duration_ms=1e6)
+    )
+    # Nothing can be restarted on the read path, so every read gives up
+    # for want of a replica, never by waiting out its deadline budget.
+    replication = deployment.replication_snapshot()
+    assert replication["read_unavailable"] > 0
+    assert replication["read_unavailable_no_replicas"] == replication["read_unavailable"]
+    assert replication.get("read_unavailable_deadline", 0) == 0
+    assert replication.get("emergency_restarts", 0) == 0
 
 
 def test_stale_reads_answer_from_the_durable_store(keyset, tmp_path):

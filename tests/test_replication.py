@@ -778,6 +778,24 @@ def test_served_stream_under_failures_matches_oracle(keyset):
     assert "replica_skew" in snapshot
 
 
+def test_replica_groups_reject_stop_the_world_rebuilds(keyset):
+    with pytest.raises(ValueError, match="double_buffered"):
+        ShardedIndex(
+            keyset.keys,
+            config=ServeConfig(replication_factor=2, rebuild_mode="stop_the_world"),
+        )
+    router = ReplicatedShardRouter(
+        keyset.keys,
+        keyset.row_ids,
+        factory=sorted_array_factory(),
+        num_shards=2,
+        key_bits=32,
+        replication=ReplicationConfig(replication_factor=2),
+    )
+    with pytest.raises(ValueError, match="double_buffered"):
+        router.rebuild_shard(0, mode="stop_the_world")
+
+
 def test_unreplicated_deployment_rejects_failure_injection(keyset):
     config = ServeConfig(num_shards=2, partitioner="range", key_bits=32)
     index = ShardedIndex(keyset.keys, keyset.row_ids, config=config)

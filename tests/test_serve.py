@@ -8,6 +8,7 @@ import pytest
 from conftest import ground_truth_point, ground_truth_range
 from repro.bench.experiments import serving_deployment
 from repro.bench.harness import cgrxu_factory, sorted_array_factory
+from repro.gpu.kernels import KernelStats
 from repro.serve import (
     ANSWERED,
     BatchPolicy,
@@ -845,6 +846,46 @@ def test_maintenance_captures_errors_instead_of_raising(keyset):
         assert "device fell off the bus" in task.error
     finally:
         QUEUEABLE_TASKS.pop("explode", None)
+
+
+def test_maintenance_queue_holds_only_pending_tasks(keyset):
+    router = ShardRouter(
+        keyset.keys,
+        keyset.row_ids,
+        factory=sorted_array_factory(),
+        num_shards=2,
+        key_bits=32,
+    )
+    worker = MaintenanceWorker(router, policy=MaintenancePolicy(max_attempts=2))
+
+    @queueable
+    def host_noop(worker, task):
+        return KernelStats(name="serve.host_noop", launches=0)
+
+    @queueable
+    def explode(worker, task):
+        raise RuntimeError("device fell off the bus")
+
+    statuses = {"done": 0, "skipped": 0}
+    try:
+        for cycle in range(50):
+            worker.queue.enqueue("host_noop", -1, now_ms=cycle)  # done
+            worker.queue.enqueue("trim_negative_cache", -1, now_ms=cycle)  # no cache
+            # Pending while it retries, so every other enqueue is suppressed.
+            worker.queue.enqueue("explode", -1, now_ms=cycle)
+            for task in worker.run_pending(now_ms=cycle):
+                statuses[task.status] += 1
+            assert all(task.status == "pending" for task in worker.queue.tasks)
+            assert len(worker.queue.tasks) == (1 if cycle % 2 == 0 else 0)
+    finally:
+        QUEUEABLE_TASKS.pop("host_noop", None)
+        QUEUEABLE_TASKS.pop("explode", None)
+    snapshot = worker.snapshot()
+    assert statuses == {"done": 50, "skipped": 50}
+    assert snapshot["tasks_enqueued"] == 50 + 50 + 25
+    assert snapshot["tasks_done"] == 50
+    assert snapshot["tasks_skipped"] == 50
+    assert snapshot["tasks_failed"] == 25
 
 
 def test_sharded_index_update_triggers_background_rebuild(keyset):
