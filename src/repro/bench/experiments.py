@@ -1280,8 +1280,9 @@ def hotpath(
 
     Unlike every other experiment (which reports simulated GPU time), this one
     measures how long the reproduction itself takes to answer batches — the
-    repo's wall-clock perf trajectory.  One cgRXu index is built per workload
-    and queried under the scalar reference and the compiled engine (best of
+    repo's wall-clock perf trajectory.  One index is built per workload (a
+    cgRXu index in panels a–d, the static cgRX index in panel e) and queried
+    under the scalar reference and the compiled engine (best of
     ``repeats``); every row carries an ``identical`` flag proving the compiled
     engine returned byte-identical answers *and* identical instrumentation
     counters.
@@ -1296,6 +1297,10 @@ def hotpath(
     pass over 10M-key batches would dominate the run without adding
     information); compiled answers the full ``scaling_batch`` and must agree
     byte-for-byte with the scalar oracle on the sampled batch.
+    Panel ``e_cgrx_point`` times cgRX point batches in the shape of the
+    benchmark's bulk-point workload: a cgRX index over the first scaling
+    size's keys and 2,048-key batches with 10% misses, the scalar reference
+    again on the ``scalar_sample``-key head of the batch.
 
     ``quick=True`` shrinks the workload for CI smoke runs.
     """
@@ -1454,6 +1459,28 @@ def hotpath(
                 scalar_result, scale_index.point_lookup_batch(sample)
             ),
         )
+
+    # (e) cgRX point batches in the bulk-point shape.
+    cgrx_keyset = generate_keys(
+        scaling_sizes[0], uniformity=0.8, key_bits=key_bits, seed=seed + 3
+    )
+    cgrx = CgRXIndex(cgrx_keyset.keys, cgrx_keyset.row_ids, CgRXConfig(key_bits=key_bits))
+    lookups = hit_miss_lookups(cgrx_keyset, 2048, miss_fraction=0.1, seed=seed + 5)
+    sample = lookups[:scalar_sample]
+    scalar_s, scalar_result = timed(cgrx, "scalar", lambda: cgrx.point_lookup_batch(sample))
+    compiled_s, _ = timed(cgrx, "compiled", lambda: cgrx.point_lookup_batch(lookups))
+    scalar_ns = scalar_s / max(1, sample.shape[0]) * 1e9
+    compiled_ns = compiled_s / max(1, lookups.shape[0]) * 1e9
+    result.add(
+        panel="e_cgrx_point",
+        num_keys=scaling_sizes[0],
+        batch_size=int(lookups.shape[0]),
+        scalar_ns_per_key=scalar_ns,
+        compiled_ns_per_key=compiled_ns,
+        compiled_speedup=scalar_ns / compiled_ns,
+        arena_mib=cgrx.compiled_buffers_bytes() / float(1 << 20),
+        identical=point_identical(scalar_result, cgrx.point_lookup_batch(sample)),
+    )
     return result
 
 

@@ -4,9 +4,10 @@ cgRX supports linear and binary search over buckets stored in row layout
 (interleaved key-rowID pairs) or column layout (two parallel arrays).  The
 paper reports that binary search on a row layout wins both for tiny (4) and
 huge (65,536) buckets, so that is the default.  The actual result values come
-from :class:`~repro.core.bucketing.BucketedKeys`; this module only computes
-how much *work* the configured strategy performs, which is what the cost
-model needs.
+from :class:`~repro.core.index.CgRXIndex`'s search of
+:class:`~repro.core.bucketing.BucketedKeys`; this module only computes how
+much *work* the configured strategy performs, which is what the cost model
+needs.
 """
 
 from __future__ import annotations
@@ -64,10 +65,9 @@ class BucketSearchModel:
         """Work of locating a key inside a bucket.
 
         ``entries_scanned`` is the number of entries the duplicate-aware scan
-        actually touched (reported by
-        :meth:`repro.core.bucketing.BucketedKeys.scan_point`), which bounds
-        the linear-search cost and the trailing duplicate scan of the binary
-        search.
+        actually touched (reported by the post-filter of
+        :class:`repro.core.index.CgRXIndex`), which bounds the linear-search
+        cost and the trailing duplicate scan of the binary search.
         """
         bucket_size = max(1, int(bucket_size))
         entries_scanned = max(1, int(entries_scanned))

@@ -1,10 +1,14 @@
-"""Compiled node-chain kernels for cgRXu lookups, updates and compaction.
+"""Compiled point batches of both cgRX indexes, and cgRXu's node-chain
+kernels for range lookups, updates and compaction.
 
-The compiled tier runs a whole point batch — routing, one chain walk per
-key and the kernel record's reductions — and a whole range batch's chain
-walks in one fused C loop each over the
-:class:`~repro.core.nodes.NodeStorage` slabs, and a whole update batch in
-one C call, using the kernel library of :mod:`repro.rtx.compiled`.  A
+A point batch of either index is one ``point_lookup`` C call over buffers
+bound once per index (:class:`CompiledPointBatch`): routing, then per key a
+chain walk over cgRXu's :class:`~repro.core.nodes.NodeStorage` slabs or a
+binary search of the located bucket of cgRX's
+:class:`~repro.core.bucketing.BucketedKeys` (read in place), and the kernel
+record's reductions.  The compiled tier also runs a whole cgRXu range
+batch's chain walks in one fused C loop and a whole update batch in one C
+call, using the kernel library of :mod:`repro.rtx.compiled`.  A
 compaction pass is two C calls around the re-anchor decisions, which stay
 in Python: :func:`chain_tails` reports each selected chain's node count,
 entry count and last key, and :func:`compact_chains` re-packs the chains
@@ -23,7 +27,10 @@ changes — an update that split nodes, a compaction, or linked-region growth
 that moved the slabs: deletes and split-free inserts edit the slabs the
 packed tables already point into.
 
-The walks mirror the scalar reference exactly — the point walk
+The kernels mirror the scalar reference exactly — the bucket search
+``CgRXIndex._post_filter`` (scan count from the bucket start through the
+first larger key, duplicate runs spilling into later buckets, a run that
+starts before the located bucket is a miss), the point walk
 ``CgRXuIndex._collect`` (skip rule, per-node ``searchsorted`` window,
 entries-touched accounting, cross-bucket duplicate-group continuation) and
 the range walk ``CgRXuIndex._range_lookup_batch_scalar`` (empty nodes
@@ -42,15 +49,18 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.obs import profile as _profile
 from repro.rtx.compiled import (
     Arena,
     ChainTablesStruct,
     NodeSlabsStruct,
     PointBatchStruct,
+    SortedBucketsStruct,
     address,
     check_shapes,
     library,
 )
+from repro.rtx.traversal import RayStats
 
 
 class CompiledChainTables:
@@ -100,9 +110,11 @@ class CompiledPointBatch:
     """The buffers of one index's compiled point batches, bound once.
 
     Keys in, routed buckets and ray visits in (for a representation that
-    routes its keys itself), answers out, the kernel's reductions and the
-    distinct-count scratch all live here; their pointers sit in one
-    :class:`PointBatchStruct` next to the chain and BVH table pointers, so a
+    routes its keys itself), answers out (rowID aggregate, match count and
+    entries touched per key), the kernel's reductions and the distinct-count
+    scratch all live here.  Their pointers sit in one
+    :class:`PointBatchStruct` next to the index's table pointers (cgRXu's
+    chain tables or cgRX's bucketed keys) and the BVH table pointers, so a
     batch is one ``point_lookup`` call that converts nothing.  The buffers
     start at the first batch's size and grow geometrically only when a batch
     exceeds them; :meth:`bind` re-points the table fields without touching
@@ -122,25 +134,46 @@ class CompiledPointBatch:
         self.struct = PointBatchStruct(reductions=address(self.reductions))
         #: Address of :attr:`struct`, passed to every kernel call.
         self.ref = ctypes.addressof(self.struct)
-        #: ``(chain tables, BVH tables, route params)`` the struct points at;
-        #: held so the memory behind those pointers stays alive.
+        #: ``(tables, BVH tables, route params)`` the struct points at; held
+        #: so the memory behind those pointers stays alive.
         self.bound: Tuple = (None, None, None)
+        #: The :class:`SortedBucketsStruct` over bound bucketed keys.
+        self._buckets = None
         self._reserve(0)
 
-    def bind(self, chain: CompiledChainTables, bvh=None, params=None) -> None:
-        """Point the struct at these tables: ``bvh`` and ``params`` for the
-        fused routing, both ``None`` when the caller routes the keys."""
-        bound_chain, bound_bvh, bound_params = self.bound
-        if bound_chain is chain and bound_bvh is bvh and bound_params is params:
+    def bind(self, tables, bvh=None, params=None) -> None:
+        """Point the struct at ``tables`` — a cgRXu index's
+        :class:`CompiledChainTables` or a cgRX index's
+        :class:`~repro.core.bucketing.BucketedKeys` — and at ``bvh`` and
+        ``params`` for the fused routing, both ``None`` when the caller
+        routes the keys."""
+        bound_tables, bound_bvh, bound_params = self.bound
+        if bound_tables is tables and bound_bvh is bvh and bound_params is params:
             return
         if (bvh is None) != (params is None):
             raise ValueError("fused routing needs both the BVH tables and the route params")
-        if chain.key_dtype != self.key_dtype:
-            raise ValueError(f"chain tables of {chain.key_dtype} keys, batch of {self.key_dtype}")
-        self.struct.chain = chain.ref
+        chain = isinstance(tables, CompiledChainTables)
+        key_dtype = tables.key_dtype if chain else tables.keys.dtype
+        if key_dtype != self.key_dtype:
+            raise ValueError(f"tables of {key_dtype} keys, batch of {self.key_dtype}")
+        if chain:
+            self.struct.chain = tables.ref
+            self.struct.sorted = None
+        else:
+            if tables.row_ids.dtype != np.uint32:
+                raise ValueError("bucketed rowIDs must be uint32")
+            self._buckets = SortedBucketsStruct(
+                keys=address(tables.keys),
+                row_ids=address(tables.row_ids),
+                num_entries=len(tables),
+                bucket_size=tables.bucket_size,
+                key_is_64=int(key_dtype.itemsize == 8),
+            )
+            self.struct.chain = None
+            self.struct.sorted = ctypes.addressof(self._buckets)
         self.struct.bvh = None if bvh is None else bvh.ref
         self.struct.route = None if params is None else ctypes.addressof(params)
-        self.bound = (chain, bvh, params)
+        self.bound = (tables, bvh, params)
 
     @property
     def fused(self) -> bool:
@@ -151,7 +184,7 @@ class CompiledPointBatch:
         self.keys = np.empty(capacity, dtype=self.key_dtype)
         #: Bucket ids and ray visits of keys the caller routed.
         self.routing = np.empty((2, capacity), dtype=np.int64)
-        self.answers = np.empty((2, capacity), dtype=np.int64)
+        self.answers = np.empty((3, capacity), dtype=np.int64)
         self.scratch = np.empty(2 * capacity, dtype=np.uint64)
         struct = self.struct
         struct.keys = address(self.keys)
@@ -159,6 +192,7 @@ class CompiledPointBatch:
         struct.ray_nodes = address(self.routing[1])
         struct.row_ids = address(self.answers[0])
         struct.matches = address(self.answers[1])
+        struct.scanned = address(self.answers[2])
         struct.scratch = address(self.scratch)
         self.capacity = capacity
 
@@ -172,13 +206,14 @@ class CompiledPointBatch:
 
     def run(
         self, keys: np.ndarray, bucket_ids: np.ndarray = None, ray_nodes: np.ndarray = None
-    ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
         """One ``point_lookup`` call over ``keys``.
 
         ``bucket_ids`` and ``ray_nodes`` are required exactly when the
         struct is not :attr:`fused`.  Returns fresh ``(row_ids,
-        match_counts)`` arrays and the :attr:`REDUCTIONS` values.  Requires
-        the kernel library.
+        match_counts, entries)`` arrays — ``entries`` per key is cgRXu's
+        entries touched or cgRX's entries scanned — and the
+        :attr:`REDUCTIONS` values.  Requires the kernel library.
         """
         num_keys = int(keys.shape[0])
         check_shapes((keys, (num_keys,)))
@@ -189,7 +224,7 @@ class CompiledPointBatch:
             or caller_routed != (ray_nodes is not None)
         ):
             raise ValueError(
-                "run needs bound chain tables, and bucket ids with their ray "
+                "run needs bound tables, and bucket ids with their ray "
                 "visits exactly when the routing is not fused"
             )
         if num_keys > self.capacity:
@@ -200,8 +235,37 @@ class CompiledPointBatch:
             self.routing[0, :num_keys] = bucket_ids
             self.routing[1, :num_keys] = ray_nodes
         library().point_lookup(self.ref, num_keys)
-        row_ids, match_counts = self.answers[:, :num_keys].copy()
-        return row_ids, match_counts, self.reductions.tolist()
+        row_ids, match_counts, entries = self.answers[:, :num_keys].copy()
+        return row_ids, match_counts, entries, self.reductions.tolist()
+
+    def lookup(
+        self, keys: np.ndarray, tables, representation, pipeline
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, RayStats, List[int]]:
+        """One point batch of an index: :meth:`bind` to its ``tables`` and,
+        when its ``representation`` fuses the routing, to its
+        ``pipeline``'s current BVH tables; then :meth:`run`, after the
+        representation's own routing calls unless the routing is fused.
+
+        Fused rays are counted as a separate routing call would count them:
+        in the pipeline's statistics and in the profiler's
+        ``compiled_locate`` series.  Returns :meth:`run`'s arrays, the
+        batch's ray statistics and the :attr:`REDUCTIONS` values.
+        """
+        params = representation.compiled_route_params()
+        self.bind(tables, None if params is None else pipeline.compiled_tables(), params)
+        if not self.fused:
+            ray_stats = RayStats()
+            bucket_ids, ray_visits = representation.locate_bucket_batch(keys, ray_stats)
+            *answers, reductions = self.run(keys, bucket_ids, ray_visits)
+            return (*answers, ray_stats, reductions)
+        *answers, reductions = self.run(keys)
+        rays, ray_nodes, tests, hits, deepest = reductions[:5]
+        ray_stats = RayStats().add_totals(rays, ray_nodes, tests, hits)
+        pipeline.record_rays(ray_stats)
+        prof = _profile.profiler()
+        if prof is not None:
+            prof.observe_wavefront("compiled_locate", deepest, int(keys.shape[0]), ray_nodes)
+        return (*answers, ray_stats, reductions)
 
 
 def range_walk_batch(

@@ -4,7 +4,12 @@
 mapping, the raytracing pipeline and one of the two scene representations,
 and exposes the :class:`~repro.baselines.base.GpuIndex` interface (batched
 point lookups, batched range lookups, rebuild-based updates and
-memory-footprint reporting).
+memory-footprint reporting).  A point lookup is the paper's two steps: rays
+locate the key's bucket, then a binary search of that bucket post-filters
+it.  Under the compiled engine a whole point batch is one C call
+(:class:`~repro.core.compiled.CompiledPointBatch`); the scalar engine, the
+reference, routes key by key and post-filters with binary searches of the
+whole sorted array.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from repro.baselines.base import (
     LookupResult,
     RangeLookupResult,
     UpdateResult,
+    delete_one_per_key,
 )
 from repro.core.bucket_search import BucketSearchModel
 from repro.core.bucketing import BucketedKeys
@@ -31,7 +37,7 @@ from repro.gpu.cost_model import RT_NODE_RESIDUAL_BYTES, RT_TRIANGLE_RESIDUAL_BY
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats
 from repro.gpu.memory import MemoryFootprint
-from repro.gpu.simt import divergence_factor
+from repro.gpu.simt import divergence_factor, divergence_from_pacing
 from repro.rtx.bvh import BvhBuildConfig
 from repro.rtx.pipeline import RaytracingPipeline
 from repro.rtx.traversal import RayStats
@@ -41,7 +47,13 @@ _DIVERGENCE_SAMPLE = 4096
 
 
 class CgRXIndex(GpuIndex):
-    """Coarse-granular raytraced index (the paper's contribution)."""
+    """Coarse-granular raytraced index (the paper's contribution).
+
+    A point lookup fires rays to locate the key's bucket, then searches
+    that bucket.  The compiled engine (the default) answers a whole point
+    batch in one ``point_lookup`` C call; the scalar engine is the
+    reference.  Updates rebuild the index.
+    """
 
     name = "cgRX"
     supports_point = True
@@ -74,6 +86,9 @@ class CgRXIndex(GpuIndex):
         )
         #: Build generation, bumped by the snapshot lifecycle on replacement.
         self.epoch = 0
+        #: Buffers of the compiled point batches, bound once (lazy; kept
+        #: across rebuilds, which re-point them).
+        self._point_batch = None
         self._build(keys, row_ids)
 
     # ------------------------------------------------------------------ build
@@ -100,11 +115,17 @@ class CgRXIndex(GpuIndex):
             layout=self.config.bucket_layout,
             key_bytes=self.config.key_bytes,
         )
-        # Prefix sums over rowIDs let batched lookups aggregate duplicate
-        # groups without per-lookup slicing.
+        # Prefix sums over rowIDs let the scalar post-filter aggregate
+        # duplicate groups without per-lookup slicing.
         self._rowid_prefix = np.concatenate(
             [[0], np.cumsum(self.bucketed.row_ids.astype(np.int64))]
         )
+        # The device bytes behind the kernel record's two cache fractions:
+        # the rays read the BVH and the vertex buffer, the bucket searches
+        # the key-rowID array.  Neither changes until the next build.
+        footprint = self.memory_footprint()
+        self._ray_footprint_bytes = footprint.get("bvh") + footprint.get("vertex_buffer")
+        self._data_footprint_bytes = footprint.get("key_rowid_array")
 
         num_triangles = self.representation.triangle_count()
         bvh_bytes = self.pipeline.bvh.memory_footprint_bytes()
@@ -117,23 +138,22 @@ class CgRXIndex(GpuIndex):
     # ---------------------------------------------------------------- lookups
 
     def _locate_buckets(
-        self, keys: np.ndarray
-    ) -> Tuple[np.ndarray, RayStats, Sequence[int], str]:
-        """Run the raytracing stage for a batch of keys.
+        self, keys: np.ndarray, engine: str
+    ) -> Tuple[np.ndarray, RayStats, Sequence[int]]:
+        """Run the raytracing stage for a batch of keys on ``engine``.
 
-        Returns the bucketID per key (:data:`MISS` for out-of-range keys), the
-        aggregated ray statistics, a sample of per-lookup work used for the
-        divergence estimate and the engine that ran.  The compiled engine
-        runs the optimized representation's whole ray sequence in one C call
-        (the naive one in one megakernel call per stage); counters and
+        Returns the bucketID per key (:data:`MISS` for keys above the
+        largest representative), the aggregated ray statistics and a sample
+        of per-lookup work used for the divergence estimate.  The compiled
+        engine runs the optimized representation's whole ray sequence in one
+        C call (the naive one in one megakernel call per stage); counters and
         samples are identical to the scalar loop.
         """
         stats = RayStats()
         sample_every = max(1, keys.shape[0] // _DIVERGENCE_SAMPLE)
-        engine = resolve_engine(self.config.engine, self.pipeline)
         if engine == "compiled":
             bucket_ids, ray_nodes = self.representation.locate_bucket_batch(keys, stats)
-            return bucket_ids, stats, ray_nodes[::sample_every], engine
+            return bucket_ids, stats, ray_nodes[::sample_every]
         bucket_ids = np.empty(keys.shape[0], dtype=np.int64)
         work_sample: List[int] = []
         previous_nodes = 0
@@ -142,47 +162,80 @@ class CgRXIndex(GpuIndex):
             if position % sample_every == 0:
                 work_sample.append(stats.nodes_visited - previous_nodes)
             previous_nodes = stats.nodes_visited
-        return bucket_ids, stats, work_sample, engine
+        return bucket_ids, stats, work_sample
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        """Batched point lookups: raytracing stage followed by a bucket-scan kernel."""
+        """Batched point lookups: the raytracing stage locates each key's
+        bucket, then the bucket search post-filters it.
+
+        The compiled engine runs both stages and the kernel record's
+        reductions in one ``point_lookup`` C call over buffers bound once
+        per index (the naive representation routes with its own calls
+        first).  The scalar engine routes key by key and post-filters with
+        :meth:`_post_filter`, the reference.  Answers and counters are
+        identical; ``LookupResult.engine`` names the engine that ran.
+        """
         keys = np.asarray(keys, dtype=self.bucketed.keys.dtype)
-        num_lookups = keys.shape[0]
-        bucket_ids, ray_stats, work_sample, engine = self._locate_buckets(keys)
+        num_lookups = int(keys.shape[0])
+        if resolve_engine(self.config.engine, self.pipeline) == "compiled":
+            if self._point_batch is None:
+                from repro.core import compiled as core_compiled
 
-        sorted_keys = self.bucketed.keys
-        left = np.searchsorted(sorted_keys, keys, side="left")
-        right = np.searchsorted(sorted_keys, keys, side="right")
-        starts = np.where(bucket_ids >= 0, bucket_ids * self.bucketed.bucket_size, 0)
-
-        located = bucket_ids >= 0
-        # A lookup is a hit when matches exist and the scan starting at the
-        # located bucket reaches them going forward.
-        hit = located & (left < right) & (starts <= left)
-        row_agg = np.where(
-            hit, self._rowid_prefix[right] - self._rowid_prefix[left], -1
-        ).astype(np.int64)
-        match_counts = np.where(hit, right - left, 0).astype(np.int64)
-
-        # The scan touches everything from the bucket start to the first key
-        # larger than the target (misses included); out-of-range misses touch
-        # nothing.
-        scan_end = np.where(left < right, right, left)
-        entries_scanned = np.where(
-            located, np.maximum(scan_end - starts + 1, 1), 0
-        ).astype(np.int64)
-
+                self._point_batch = core_compiled.CompiledPointBatch(keys.dtype)
+            row_agg, match_counts, entries_scanned, ray_stats, reductions = (
+                self._point_batch.lookup(keys, self.bucketed, self.representation, self.pipeline)
+            )
+            paced, work, distinct = reductions[7:]
+            divergence = divergence_from_pacing(paced, work)
+            unique_fraction = distinct / num_lookups if num_lookups else 1.0
+            engine = "compiled"
+        else:
+            bucket_ids, ray_stats, work_sample = self._locate_buckets(keys, "scalar")
+            row_agg, match_counts, entries_scanned = self._post_filter(keys, bucket_ids)
+            divergence = divergence_factor(work_sample)
+            unique_fraction = self._unique_fraction(keys)
+            engine = "scalar"
         stats = self._lookup_stats(
-            name="cgrx.point_lookup",
-            keys=keys,
-            ray_stats=ray_stats,
-            entries_scanned=entries_scanned,
-            work_sample=work_sample,
+            "cgrx.point_lookup",
+            num_lookups,
+            ray_stats,
+            entries_scanned,
+            divergence,
+            unique_fraction,
             range_mode=False,
         )
         return LookupResult(
             row_ids=row_agg, match_counts=match_counts, stats=stats, engine=engine
         )
+
+    def _post_filter(
+        self, keys: np.ndarray, bucket_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The scalar bucket search of located keys, the reference of the
+        compiled kernel: ``(rowID aggregates, match counts, entries
+        scanned)``.
+
+        A lookup is a hit when matches exist and the scan starting at the
+        located bucket reaches them going forward; a match run that starts
+        before the bucket is a miss.  The scan touches everything from the
+        bucket start through the first key larger than the target, misses
+        included (one entry past the array end when the run ends the array).
+        An unlocated key (:data:`MISS`) touches nothing.
+        """
+        sorted_keys = self.bucketed.keys
+        left = np.searchsorted(sorted_keys, keys, side="left")
+        right = np.searchsorted(sorted_keys, keys, side="right")
+        located = bucket_ids >= 0
+        starts = np.where(located, bucket_ids * self.bucketed.bucket_size, 0)
+        hit = located & (left < right) & (starts <= left)
+        row_agg = np.where(
+            hit, self._rowid_prefix[right] - self._rowid_prefix[left], -1
+        ).astype(np.int64)
+        match_counts = np.where(hit, right - left, 0).astype(np.int64)
+        entries_scanned = np.where(
+            located, np.maximum(right - starts + 1, 1), 0
+        ).astype(np.int64)
+        return row_agg, match_counts, entries_scanned
 
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
         """Batched range lookups: locate the lower bound, then scan forward."""
@@ -191,7 +244,9 @@ class CgRXIndex(GpuIndex):
         if lows.shape != highs.shape:
             raise ValueError("lows and highs must have the same shape")
 
-        bucket_ids, ray_stats, work_sample, _ = self._locate_buckets(lows)
+        bucket_ids, ray_stats, work_sample = self._locate_buckets(
+            lows, resolve_engine(self.config.engine, self.pipeline)
+        )
         sorted_keys = self.bucketed.keys
         first = np.searchsorted(sorted_keys, lows, side="left")
         stop = np.searchsorted(sorted_keys, highs, side="right")
@@ -212,11 +267,12 @@ class CgRXIndex(GpuIndex):
             entries_scanned[position] = max(1, end - int(starts[position]) + 1)
 
         stats = self._lookup_stats(
-            name="cgrx.range_lookup",
-            keys=lows,
-            ray_stats=ray_stats,
-            entries_scanned=entries_scanned,
-            work_sample=work_sample,
+            "cgrx.range_lookup",
+            int(lows.shape[0]),
+            ray_stats,
+            entries_scanned,
+            divergence_factor(work_sample),
+            self._unique_fraction(lows),
             range_mode=True,
         )
         return RangeLookupResult(row_ids=row_ids, stats=stats)
@@ -224,14 +280,16 @@ class CgRXIndex(GpuIndex):
     def _lookup_stats(
         self,
         name: str,
-        keys: np.ndarray,
+        num_lookups: int,
         ray_stats: RayStats,
         entries_scanned: np.ndarray,
-        work_sample: Sequence[int],
+        divergence: float,
+        unique_fraction: float,
         range_mode: bool,
     ) -> KernelStats:
-        """Assemble the kernel record of a lookup batch."""
-        num_lookups = int(keys.shape[0])
+        """Assemble the kernel record of a lookup batch (shared by both
+        engines) from its ray statistics, per-lookup scanned entries, warp
+        divergence and fraction of distinct keys."""
         stats = KernelStats(name=name, threads=num_lookups, launches=2)
 
         # Raytracing stage: the traversal itself is charged to the RT cores;
@@ -269,16 +327,12 @@ class CgRXIndex(GpuIndex):
         stats.bytes_read += num_lookups * self.config.key_bytes
         stats.bytes_written += num_lookups * 8
 
-        stats.divergence = divergence_factor(work_sample)
+        stats.divergence = divergence
         # Cache behaviour differs per structure: the (small) acceleration
         # structure serves the rays, the (large) key-rowID array serves the
         # bucket searches.  Weight the two hit rates by their traffic.
-        unique = self._unique_fraction(keys)
-        footprint = self.memory_footprint()
-        ray_hit = self.cost_model.cache_hit_fraction(
-            footprint.get("bvh") + footprint.get("vertex_buffer"), unique
-        )
-        data_hit = self.cost_model.cache_hit_fraction(footprint.get("key_rowid_array"), unique)
+        ray_hit = self.cost_model.cache_hit_fraction(self._ray_footprint_bytes, unique_fraction)
+        data_hit = self.cost_model.cache_hit_fraction(self._data_footprint_bytes, unique_fraction)
         data_bytes = max(1, stats.total_bytes - ray_bytes)
         stats.cache_hit_fraction = (ray_hit * ray_bytes + data_hit * data_bytes) / (
             ray_bytes + data_bytes
@@ -298,24 +352,10 @@ class CgRXIndex(GpuIndex):
         row_ids = self.bucketed.row_ids
 
         deleted = 0
-        if delete_keys is not None and len(delete_keys) > 0:
-            delete_keys = np.asarray(delete_keys, dtype=keys.dtype)
-            keep = np.ones(keys.shape[0], dtype=bool)
-            positions = np.searchsorted(keys, delete_keys, side="left")
-            for target, position in zip(delete_keys, positions):
-                position = int(position)
-                # Delete the first still-present duplicate of the target key.
-                while (
-                    position < keys.shape[0]
-                    and keys[position] == target
-                    and not keep[position]
-                ):
-                    position += 1
-                if position < keys.shape[0] and keys[position] == target:
-                    keep[position] = False
-                    deleted += 1
-            keys = keys[keep]
-            row_ids = row_ids[keep]
+        if delete_keys is not None:
+            keys, row_ids, deleted = delete_one_per_key(
+                keys, row_ids, np.asarray(delete_keys, dtype=keys.dtype)
+            )
 
         inserted = 0
         if insert_keys is not None and len(insert_keys) > 0:
@@ -375,8 +415,13 @@ class CgRXIndex(GpuIndex):
         return footprint
 
     def compiled_buffers_bytes(self) -> int:
-        """Host bytes held by the compiled tier's arenas (0 when unused)."""
-        return self.pipeline.compiled_buffers_bytes()
+        """Host bytes held by the compiled tier: the pipeline's quantized
+        BVH node tables and this index's point-batch buffers (0 when
+        unused)."""
+        total = self.pipeline.compiled_buffers_bytes()
+        if self._point_batch is not None:
+            total += self._point_batch.nbytes
+        return total
 
     # ------------------------------------------------------------ conveniences
 

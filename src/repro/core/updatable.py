@@ -351,27 +351,17 @@ class CgRXuIndex(GpuIndex):
 
         The call routes the keys (the optimized representation's fused
         routing; the naive representation routes with its own calls first),
-        walks the chains and reduces what the kernel record needs.  Its rays
-        are counted in the pipeline's statistics and, with a profiler, in
-        the same series a separate routing call would feed.
+        walks the chains and reduces what the kernel record needs.
         """
         num_lookups = int(keys.shape[0])
-        batch = self._bound_point_batch()
-        if batch.fused:
-            row_ids, match_counts, reductions = batch.run(keys)
-        else:
-            ray_stats = RayStats()
-            bucket_ids, ray_visits = self.representation.locate_bucket_batch(keys, ray_stats)
-            row_ids, match_counts, reductions = batch.run(keys, bucket_ids, ray_visits)
-        rays, ray_nodes, tests, hits, deepest, chain_nodes, entries, paced, work, distinct = (
-            reductions
+        if self._point_batch is None:
+            from repro.core import compiled as core_compiled
+
+            self._point_batch = core_compiled.CompiledPointBatch(self._key_dtype)
+        row_ids, match_counts, _, ray_stats, reductions = self._point_batch.lookup(
+            keys, self._compiled_chain_tables(), self.representation, self.pipeline
         )
-        prof = _profile.profiler()
-        if batch.fused:
-            ray_stats = RayStats().add_totals(rays, ray_nodes, tests, hits)
-            self.pipeline.record_rays(ray_stats)
-            if prof is not None:
-                prof.observe_wavefront("compiled_locate", deepest, num_lookups, ray_nodes)
+        chain_nodes, entries, paced, work, distinct = reductions[5:]
         stats = self._point_lookup_stats(
             num_lookups,
             ray_stats,
@@ -380,27 +370,12 @@ class CgRXuIndex(GpuIndex):
             divergence_from_pacing(paced, work),
             distinct / num_lookups if num_lookups else 1.0,
         )
+        prof = _profile.profiler()
         if prof is not None:
             prof.observe_chain_walk("compiled", chain_nodes, num_lookups)
         return LookupResult(
             row_ids=row_ids, match_counts=match_counts, stats=stats, engine="compiled"
         )
-
-    def _bound_point_batch(self):
-        """The index's compiled point batch, pointed at the current chain
-        tables and, for fused routing, the current BVH tables."""
-        batch = self._point_batch
-        if batch is None:
-            from repro.core import compiled as core_compiled
-
-            batch = self._point_batch = core_compiled.CompiledPointBatch(self._key_dtype)
-        params = self.representation.compiled_route_params()
-        batch.bind(
-            self._compiled_chain_tables(),
-            None if params is None else self.pipeline.compiled_tables(),
-            params,
-        )
-        return batch
 
     # ------------------------------------------------------- chain tables
 

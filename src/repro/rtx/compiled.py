@@ -13,13 +13,18 @@ reference oracle:
   ray sequence of ``OptimizedRepresentation.locate_bucket`` per key inside
   one C call: key slicing, the row ray, the next-row and leftmost-in-row
   rays, the next-plane ray with its first row and leftmost representative,
-  the float32 hit-point grid snap and the primitive remap.  A cgRXu point
-  batch goes further: ``point_lookup`` runs that routing and the chain walk
-  per key in one C call, writes the rowID aggregate and match count, and
+  the float32 hit-point grid snap and the primitive remap.  A point batch
+  of either index goes further: ``point_lookup`` runs that routing and,
+  per key, cgRXu's chain walk or cgRX's static-bucket search (a binary
+  search of the located bucket of the sorted key array, galloping over
+  duplicate runs that spill into later buckets) in one C call.  It writes
+  the rowID aggregate, the match count and the entries touched, and
   reduces what the batch's kernel record needs (ray totals, chain nodes,
   entries, the divergence sample's warp pacing, the distinct-key count).
-  The naive representation routes with its own calls and hands its bucket
-  ids and ray visits to the same entry.
+  Each key is routed one key ahead of its bucket search, and its bucket's
+  lines are prefetched in between, so they load while the next key's rays
+  run.  The naive representation routes with its own calls and hands its
+  bucket ids and ray visits to the same entry.
 * **BVH build.**  :func:`build_bvh_median` is the ``median``-split builder of
   :func:`repro.rtx.bvh.build_bvh` in C, with identical output arrays.
 * **cgRXu node chains.**  The point batch, the range walk, the update
@@ -43,14 +48,15 @@ reference oracle:
   byte buffer rebuilt in place across build/refit epochs; the scene's
   centroids, primitive indices and flip flags are aliased, not copied.  The
   table pointers are gathered into one C struct when an epoch is packed, so
-  a kernel call converts only its per-batch arrays.  A cgRXu index's point
-  batches go further: their key, answer, reduction and scratch buffers are
-  owned by the index, and their pointers sit in one ``PointBatch`` struct
-  next to the chain- and BVH-table pointers, which are re-pointed when those
-  tables are repacked or rebuilt.  The buffers grow geometrically, only
-  when a batch exceeds them, so a call converts nothing.  Arenas and batch
-  buffers are host memory, reported by ``compiled_buffers_bytes()`` and
-  never in a simulated-device footprint.
+  a kernel call converts only its per-batch arrays.  Point batches go
+  further: their key, answer, reduction and scratch buffers are owned by
+  the index, and their pointers sit in one ``PointBatch`` struct next to
+  the BVH-table pointers and the chain-table pointers (cgRXu) or the
+  sorted key and rowID arrays, read in place (cgRX).  Those are re-pointed
+  when the tables are repacked or rebuilt.  The buffers grow geometrically,
+  only when a batch exceeds them, so a call converts nothing.  Arenas and
+  batch buffers are host memory, reported by ``compiled_buffers_bytes()``
+  and never in a simulated-device footprint.
 
 The kernels are C compiled at first use with the system C compiler into a
 cached shared library and bound through :mod:`ctypes` (no Python dependency
@@ -266,18 +272,31 @@ typedef struct {
     int32_t key_is_64;
 } NodeSlabs;
 
-/* One index's cgRXu point batches (PointBatch): the tables a batch reads and
-   the batch buffers, bound once per index.  route == NULL means the caller
-   routed the keys itself and filled buckets / ray_nodes. */
+/* cgRX's sorted key-rowID array in fixed-size buckets (BucketedKeys), read
+   in place. */
+typedef struct {
+    const void* keys;
+    const uint32_t* row_ids;
+    int64_t num_entries;
+    int64_t bucket_size;
+    int32_t key_is_64;
+} SortedBuckets;
+
+/* One index's point batches (PointBatch): the tables a batch reads and the
+   batch buffers, bound once per index.  Exactly one of chain (cgRXu's node
+   chains) and sorted (cgRX's static buckets) is set.  route == NULL means
+   the caller routed the keys itself and filled buckets / ray_nodes. */
 typedef struct {
     const BvhTables* bvh;
     const RouteParams* route;
     const ChainTables* chain;
+    const SortedBuckets* sorted;
     const void* keys;
     const int64_t* buckets;
     const int64_t* ray_nodes;
     int64_t* row_ids;
     int64_t* matches;
+    int64_t* scanned;
     uint64_t* scratch;
     int64_t* reductions;
 } PointBatch;
@@ -578,6 +597,94 @@ static void walk_point(const ChainTables* C, uint64_t target, int64_t bucket, in
     out[3] = touched;
 }
 
+/* First position in [lo, hi) of sorted keys whose key exceeds target (hi
+   when none does). */
+static inline int64_t upper_bound(const void* keys, int is_64, int64_t lo, int64_t hi,
+                                  uint64_t target)
+{
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (key_at(keys, is_64, mid) <= target) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+}
+
+/* First position in [lo, hi) of sorted keys whose key is at least target. */
+static inline int64_t lower_bound(const void* keys, int is_64, int64_t lo, int64_t hi,
+                                  uint64_t target)
+{
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (key_at(keys, is_64, mid) < target) lo = mid + 1; else hi = mid;
+    }
+    return lo;
+}
+
+/* cgRX's post-filter of one key from its located bucket (CgRXIndex.
+   _post_filter): out gets rowID sum, matches, 0 (no chain nodes) and
+   entries scanned.  A binary search inside the bucket finds the first key
+   above the target; a run reaching the bucket's end spills into later
+   buckets and is followed by galloping.  The scan counts every entry from
+   the bucket start through that first larger key (one past the array end
+   when the run ends the array).  A match run that starts before the bucket
+   is a miss, as in the reference; no bucket (-1) scans nothing. */
+static void search_bucket(const SortedBuckets* S, uint64_t target, int64_t bucket,
+                          int64_t* out)
+{
+    const void* keys = S->keys;
+    const int is_64 = S->key_is_64;
+    const int64_t n = S->num_entries;
+    out[0] = out[1] = out[2] = out[3] = 0;
+    if (bucket < 0) return;
+    const int64_t start = bucket * S->bucket_size;
+    if (start >= n) { out[3] = 1; return; }
+    const int64_t end = start + S->bucket_size < n ? start + S->bucket_size : n;
+    int64_t right = upper_bound(keys, is_64, start, end, target);
+    /* right == lo: every key so far is at most the target; double the
+       window until one exceeds it or the array ends. */
+    for (int64_t lo = end, step = S->bucket_size; right == lo && lo < n; step *= 2) {
+        const int64_t hi = lo + step < n ? lo + step : n;
+        right = upper_bound(keys, is_64, lo, hi, target);
+        lo = hi;
+    }
+    out[3] = right - start + 1;
+    if (right == start || key_at(keys, is_64, right - 1) != target) return;
+    const int64_t left = lower_bound(keys, is_64, start, right, target);
+    if (left == start && start > 0 && key_at(keys, is_64, start - 1) == target) return;
+    int64_t rsum = 0;
+    for (int64_t i = left; i < right; i++) rsum += (int64_t)S->row_ids[i];
+    out[0] = rsum;
+    out[1] = right - left;
+}
+
+/* Prefetch what search_bucket reads first for a key routed to bucket: its
+   keys, up to 8 cache lines (a whole bucket of the default 32 keys), and
+   its first rowIDs. */
+static inline void prefetch_bucket(const SortedBuckets* S, int64_t bucket)
+{
+    const int64_t start = bucket * S->bucket_size;
+    if (bucket < 0 || start >= S->num_entries) return;
+    const int64_t width = S->key_is_64 ? 8 : 4;
+    const int64_t remaining = S->num_entries - start;
+    const int64_t count = S->bucket_size < remaining ? S->bucket_size : remaining;
+    const int64_t bytes = count * width < 512 ? count * width : 512;
+    const char* first = (const char*)S->keys + start * width;
+    for (int64_t offset = 0; offset < bytes; offset += 64) __builtin_prefetch(first + offset);
+    __builtin_prefetch(S->row_ids + start);
+}
+
+/* Key k's bucket and ray visits: routed here, or the caller's. */
+static inline int64_t locate_key(const PointBatch* B, int is_64, int64_t k, int64_t* kn,
+                                 RayTotals* c)
+{
+    if (!B->route) {
+        *kn = B->ray_nodes[k];
+        return B->buckets[k];
+    }
+    *kn = 0;
+    return route_key(B->bvh, B->route, key_at(B->keys, is_64, k), kn, c);
+}
+
 /* Number of distinct values among keys[0, n) (np.unique(keys).size): a
    bottom-up merge sort of a copy, in scratch (2n slots). */
 static int64_t count_distinct(const void* keys, int is_64, int64_t n, uint64_t* scratch)
@@ -610,32 +717,44 @@ static int64_t count_distinct(const void* keys, int is_64, int64_t n, uint64_t* 
     return distinct;
 }
 
-/* A whole cgRXu point batch (CgRXuIndex.point_lookup_batch): per key the
-   fused routing (or the caller's buckets and ray visits) and the chain walk,
-   writing the rowID aggregate (-1 without a match) and the match count.
+/* A whole point batch (CgRXuIndex / CgRXIndex.point_lookup_batch): per key
+   the fused routing (or the caller's buckets and ray visits), then the chain
+   walk or the bucket search, writing the rowID aggregate (-1 without a
+   match), the match count and the entries touched or scanned.
    reductions: rays, ray node visits, triangle tests, hits, the deepest
-   per-key ray visits, chain nodes, entries touched, the warp-paced and the
-   plain work of the divergence sample (every max(1, n / 4096)-th key, in
-   32-lane warps; gpu.simt.divergence_factor), and the distinct keys. */
+   per-key ray visits, chain nodes, entries, the warp-paced and the plain
+   work (ray and chain node visits) of the divergence sample (every
+   max(1, n / 4096)-th key, in 32-lane warps; gpu.simt.divergence_factor),
+   and the distinct keys. */
 void point_lookup(const PointBatch* B, int64_t num_keys)
 {
     const ChainTables* C = B->chain;
+    const SortedBuckets* S = B->sorted;
+    const int is_64 = C ? C->key_is_64 : S->key_is_64;
     const int64_t sample_every = num_keys / 4096 > 1 ? num_keys / 4096 : 1;
     RayTotals c = {0, 0, 0, 0};
     int64_t deepest = 0, chain_nodes = 0, entries = 0;
     int64_t paced = 0, sampled = 0, warp_max = 0, lanes = 0;
+    /* Each key is located one key ahead of its search, so the bucket lines
+       prefetched after locating it load while the next key's rays run. */
+    int64_t next_kn = 0, next_bucket = 0;
+    if (num_keys > 0) {
+        next_bucket = locate_key(B, is_64, 0, &next_kn, &c);
+        if (S) prefetch_bucket(S, next_bucket);
+    }
     for (int64_t k = 0; k < num_keys; k++) {
-        const uint64_t key = key_at(B->keys, C->key_is_64, k);
-        int64_t bucket, kn = 0, walk[4];
-        if (B->route) {
-            bucket = route_key(B->bvh, B->route, key, &kn, &c);
-        } else {
-            bucket = B->buckets[k];
-            kn = B->ray_nodes[k];
+        const int64_t bucket = next_bucket, kn = next_kn;
+        if (k + 1 < num_keys) {
+            next_bucket = locate_key(B, is_64, k + 1, &next_kn, &c);
+            if (S) prefetch_bucket(S, next_bucket);
         }
-        walk_point(C, key, bucket, walk);
+        const uint64_t key = key_at(B->keys, is_64, k);
+        int64_t walk[4];
+        if (C) walk_point(C, key, bucket, walk);
+        else search_bucket(S, key, bucket, walk);
         B->row_ids[k] = walk[1] ? walk[0] : -1;
         B->matches[k] = walk[1];
+        B->scanned[k] = walk[3];
         if (kn > deepest) deepest = kn;
         chain_nodes += walk[2];
         entries += walk[3];
@@ -657,7 +776,7 @@ void point_lookup(const PointBatch* B, int64_t num_keys)
     r[6] = entries;
     r[7] = paced;
     r[8] = sampled;
-    r[9] = count_distinct(B->keys, C->key_is_64, num_keys, B->scratch);
+    r[9] = count_distinct(B->keys, is_64, num_keys, B->scratch);
 }
 
 /* cgRXu forward range walk (CgRXuIndex._range_lookup_batch_scalar): rows of
@@ -1144,6 +1263,18 @@ class ChainTablesStruct(ctypes.Structure):
     ]
 
 
+class SortedBucketsStruct(ctypes.Structure):
+    """Mirror of the C ``SortedBuckets`` struct."""
+
+    _fields_ = [
+        ("keys", ctypes.c_void_p),
+        ("row_ids", ctypes.c_void_p),
+        ("num_entries", ctypes.c_int64),
+        ("bucket_size", ctypes.c_int64),
+        ("key_is_64", ctypes.c_int32),
+    ]
+
+
 class PointBatchStruct(ctypes.Structure):
     """Mirror of the C ``PointBatch`` struct."""
 
@@ -1151,11 +1282,13 @@ class PointBatchStruct(ctypes.Structure):
         ("bvh", ctypes.c_void_p),
         ("route", ctypes.c_void_p),
         ("chain", ctypes.c_void_p),
+        ("sorted", ctypes.c_void_p),
         ("keys", ctypes.c_void_p),
         ("buckets", ctypes.c_void_p),
         ("ray_nodes", ctypes.c_void_p),
         ("row_ids", ctypes.c_void_p),
         ("matches", ctypes.c_void_p),
+        ("scanned", ctypes.c_void_p),
         ("scratch", ctypes.c_void_p),
         ("reductions", ctypes.c_void_p),
     ]

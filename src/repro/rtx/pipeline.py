@@ -195,7 +195,7 @@ class RaytracingPipeline:
 
     def record_rays(self, stats: RayStats) -> None:
         """Count the rays of a compiled kernel that routes on its own (the
-        fused cgRXu point batch) like those fired through this pipeline: in
+        fused point batch) like those fired through this pipeline: in
         the engine's and the lifetime statistics."""
         self._require_engine().stats.merge(stats)
         self.lifetime_stats.merge(stats)

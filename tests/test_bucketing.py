@@ -1,4 +1,5 @@
-"""Tests for the bucketed key-rowID storage and the bucket-search cost model."""
+"""Tests for the bucketed key-rowID storage, the paper's running example
+through a cgRX index's lookups, and the bucket-search cost model."""
 
 from __future__ import annotations
 
@@ -7,7 +8,8 @@ import pytest
 
 from repro.core.bucket_search import BucketSearchModel
 from repro.core.bucketing import BucketedKeys
-from repro.core.config import BucketLayout, SearchStrategy
+from repro.core.config import BucketLayout, CgRXConfig, SearchStrategy
+from repro.core.index import CgRXIndex
 
 
 @pytest.fixture
@@ -67,45 +69,60 @@ class TestBucketGeometry:
 
 
 class TestScans:
-    def test_point_scan_hit_in_bucket(self, paper_buckets):
+    """The paper's running example through a cgRX index with buckets of 3
+    (Figure 4): every case on both engines."""
+
+    @pytest.fixture
+    def paper_indexes(self, paper_example_keys, paper_example_rowids):
+        return [
+            CgRXIndex(
+                paper_example_keys,
+                paper_example_rowids,
+                CgRXConfig(bucket_size=3, engine=engine),
+            )
+            for engine in ("scalar", "compiled")
+        ]
+
+    @staticmethod
+    def points(indexes, keys):
+        keys = np.asarray(keys, dtype=np.uint64)
+        return [index.point_lookup_batch(keys) for index in indexes]
+
+    @staticmethod
+    def ranges(indexes, low, high):
+        bounds = np.asarray([low], dtype=np.uint64), np.asarray([high], dtype=np.uint64)
+        return [sorted(index.range_lookup_batch(*bounds).row_ids[0].tolist()) for index in indexes]
+
+    def test_point_scan_hit_in_bucket(self, paper_indexes):
         # Figure 4: key 2 lives in bucket 0 at rowID 3.
-        result = paper_buckets.scan_point(0, 2)
-        assert result.hit
-        assert list(result.row_ids) == [3]
-        assert result.aggregate() == 3
+        for result in self.points(paper_indexes, [2]):
+            assert result.row_ids.tolist() == [3]
+            assert result.match_counts.tolist() == [1]
 
-    def test_point_scan_miss_reports_entries_touched(self, paper_buckets):
-        result = paper_buckets.scan_point(0, 3)
-        assert not result.hit
-        assert result.aggregate() == -1
-        assert result.entries_scanned >= 1
+    def test_point_scan_miss_reports_entries_touched(self, paper_indexes):
+        # 3 falls between stored keys, 1 below the smallest, 23 above the
+        # largest (no bucket).
+        for result in self.points(paper_indexes, [3, 1, 23]):
+            assert result.row_ids.tolist() == [-1, -1, -1]
+            assert result.match_counts.tolist() == [0, 0, 0]
+        index = paper_indexes[0]
+        keys = np.asarray([3, 1, 23], dtype=np.uint64)
+        _, _, scanned = index._post_filter(keys, np.asarray([0, 0, -1]))
+        # Bucket 0 up to the first larger key: 2 and 4 for key 3, 2 for key 1.
+        assert scanned.tolist() == [2, 1, 0]
 
-    def test_point_scan_collects_duplicates_across_buckets(self, paper_buckets):
+    def test_point_scan_collects_duplicates_across_buckets(self, paper_indexes):
         # Key 19 occurs five times, spanning buckets 2 and 3 (Figure 6).
-        result = paper_buckets.scan_point(2, 19)
-        assert result.hit
-        assert sorted(result.row_ids) == sorted([6, 9, 10, 4, 11])
-        assert result.entries_scanned >= 5
+        for result in self.points(paper_indexes, [19]):
+            assert result.match_counts.tolist() == [5]
+            assert result.row_ids.tolist() == [6 + 9 + 10 + 4 + 11]
 
-    def test_range_scan_matches_bounds(self, paper_buckets):
-        result = paper_buckets.scan_range(0, 4, 18)
-        expected = {7, 1, 8, 2, 0, 12}  # rowIDs of keys 4,5,6,12,17,18
-        assert set(int(r) for r in result.row_ids) == expected
+    def test_range_scan_matches_bounds(self, paper_indexes):
+        # rowIDs of keys 4, 5, 6, 12, 17 and 18.
+        assert self.ranges(paper_indexes, 4, 18) == [[0, 1, 2, 7, 8, 12]] * 2
 
-    def test_range_scan_empty_result(self, paper_buckets):
-        result = paper_buckets.scan_range(1, 13, 16)
-        assert result.row_ids.size == 0
-
-    def test_range_scan_rejects_inverted_bounds(self, paper_buckets):
-        with pytest.raises(ValueError):
-            paper_buckets.scan_range(0, 10, 5)
-
-    def test_range_scan_starting_before_bucket_is_clamped(self, paper_buckets):
-        # A scan for [0, 100] starting at bucket 2 only sees entries from
-        # bucket 2 onwards (the identified bucket is where the scan starts).
-        result = paper_buckets.scan_range(2, 0, 100)
-        start, _ = paper_buckets.bucket_bounds(2)
-        assert result.row_ids.size == len(paper_buckets) - start
+    def test_range_scan_empty_result(self, paper_indexes):
+        assert self.ranges(paper_indexes, 13, 16) == [[], []]
 
 
 class TestBucketSearchModel:
@@ -152,16 +169,13 @@ class TestBucketSearchModel:
 @pytest.mark.parametrize("range_mode", [False, True])
 def test_cgrx_search_cost_totals_match_the_per_lookup_loop(range_mode):
     """The bucket-search stage totals equal summing the model per lookup."""
-    from repro.core.index import CgRXIndex
     from repro.gpu.kernels import KernelStats
     from repro.rtx.traversal import RayStats
 
     rng = np.random.default_rng(7)
     index = CgRXIndex(np.unique(rng.integers(0, 1 << 40, 3000, dtype=np.uint64)))
     scanned = rng.integers(-2, 80, size=500)
-    stats = index._lookup_stats(
-        "probe", index.bucketed.keys[:500], RayStats(), scanned, [1], range_mode
-    )
+    stats = index._lookup_stats("probe", 500, RayStats(), scanned, 1.0, 1.0, range_mode)
     reference = KernelStats()
     for count in scanned:
         if count <= 0:

@@ -11,8 +11,9 @@ once per slab growth, chain tables patched only on splits) and partitions
 its batch exactly like the scalar per-bucket ranges, the C compaction leaves
 slabs, free list, bounds and counters as the scalar one does, the cgRXu point
 batch matches the scalar engine at every batch size and through the index
-lifecycle over buffers bound once, each hot index
-path is one C call per batch, quantized AABBs are
+lifecycle over buffers bound once, so does the cgRX point batch at every
+batch size (and its bucket search on any caller-routed bucket), each hot
+index path is one C call per batch, quantized AABBs are
 rounded conservatively outward, shard-local arenas are rebuilt in place, the
 kernel build is safe under concurrency and corruption, and a fallback to the
 scalar engine is loud.
@@ -43,7 +44,7 @@ from repro.rtx import compiled
 from repro.rtx.bvh import BvhBuildConfig, build_bvh, build_bvh_python
 from repro.rtx.scene import TriangleScene, VertexBuffer
 from repro.rtx.traversal import RayStats, TraversalEngine
-from repro.workloads.keygen import generate_keys
+from repro.workloads.keygen import KeySet, generate_keys
 from repro.workloads.lookups import hit_miss_lookups, range_lookups
 from repro.workloads.requests import zipf_request_stream
 from repro.workloads.updates import update_waves
@@ -559,7 +560,7 @@ def test_one_c_call_per_hot_path_batch(count_calls):
     count_calls.clear()
 
     cgrx.point_lookup_batch(lookups)
-    assert count_calls == {"locate_optimized": 1}
+    assert count_calls == {"point_lookup": 1}
     count_calls.clear()
     assert rx.point_lookup_batch(lookups).engine == "compiled"
     assert count_calls == {"trace_axis_all": 1}
@@ -1244,14 +1245,14 @@ def test_point_batch_caches_the_footprint_per_structural_change(monkeypatch):
 @requires_backend
 def test_point_batch_returns_fresh_arrays():
     keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=119)
-    index = CgRXuIndex(keyset.keys, keyset.row_ids)
-    first = index.point_lookup_batch(keyset.keys[:40])
-    row_ids, match_counts = first.row_ids.copy(), first.match_counts.copy()
-    index.point_lookup_batch(keyset.keys[40:80][::-1])
-    assert first.row_ids.tobytes() == row_ids.tobytes()
-    assert first.match_counts.tobytes() == match_counts.tobytes()
-    for array in (first.row_ids, first.match_counts):
-        assert not np.shares_memory(array, index._point_batch.answers)
+    for index in (CgRXuIndex(keyset.keys, keyset.row_ids), CgRXIndex(keyset.keys, keyset.row_ids)):
+        first = index.point_lookup_batch(keyset.keys[:40])
+        row_ids, match_counts = first.row_ids.copy(), first.match_counts.copy()
+        index.point_lookup_batch(keyset.keys[40:80][::-1])
+        assert first.row_ids.tobytes() == row_ids.tobytes()
+        assert first.match_counts.tobytes() == match_counts.tobytes()
+        for array in (first.row_ids, first.match_counts):
+            assert not np.shares_memory(array, index._point_batch.answers)
 
 
 @requires_backend
@@ -1314,6 +1315,165 @@ def test_point_batch_feeds_the_profiler_series_of_its_stages():
     assert any('kernel="compiled_locate"' in line for line in fused)
     assert any("core_chain_walk_length" in line for line in fused)
     assert fused == [line.replace('engine="scalar"', 'engine="compiled"') for line in staged]
+
+
+# --------------------------------------------------------------------------
+# cgRX point batches: routing and bucket search in the same C call
+# --------------------------------------------------------------------------
+
+
+def duplicate_heavy(keyset) -> KeySet:
+    """``keyset`` without its 64 smallest keys (so 0 and the keys below lie
+    under the smallest stored key), plus 40 copies of every 97th key and 600
+    of one key: runs that spill into later buckets at every tested bucket
+    size."""
+    kept = np.sort(keyset.keys)[64:]
+    keys = np.concatenate([kept, np.repeat(kept[::97], 40), np.repeat(kept[1000], 600)])
+    return KeySet(
+        keys=keys,
+        row_ids=np.random.default_rng(130).permutation(keys.shape[0]).astype(np.uint32),
+        key_bits=keyset.key_bits,
+    )
+
+
+def cgrx_twins(keyset, representation: str, bucket_size: int):
+    return [
+        CgRXIndex(
+            keyset.keys,
+            keyset.row_ids,
+            CgRXConfig(
+                key_bits=keyset.key_bits,
+                representation=representation,
+                bucket_size=bucket_size,
+                engine=engine,
+            ),
+            device=SMALL_L2,
+        )
+        for engine in ("scalar", "compiled")
+    ]
+
+
+@requires_backend
+@pytest.mark.parametrize("bucket_size", [4, 32, 256])
+@pytest.mark.parametrize("key_bits", [32, 64])
+@pytest.mark.parametrize("representation", ["naive", "optimized"])
+def test_cgrx_point_batch_matches_scalar_at_every_batch_size(
+    key_bits, representation, bucket_size
+):
+    keyset = duplicate_heavy(generate_keys(2048, uniformity=0.5, key_bits=key_bits, seed=131))
+    scalar, comp = cgrx_twins(keyset, representation, bucket_size)
+    rng = np.random.default_rng(132)
+    for size in (0, 1, 3, 31, 32, 33, 4096, 8192, 12289):
+        keys = point_batch(keyset, size, rng)
+        assert_point_engines_identical(scalar, comp, keys)
+    # Every key of a run spilling over buckets, and the keys around it.
+    runs = np.unique(keyset.keys)
+    assert_point_engines_identical(scalar, comp, runs)
+    assert_point_engines_identical(scalar, comp, runs[1:] - 1)
+
+
+@requires_backend
+@pytest.mark.parametrize("key_bits", [32, 64])
+def test_cgrx_caller_routed_batch_matches_the_post_filter(key_bits):
+    """Any bucket id, including one that starts after the first match of
+    its key (a miss that still scans to the run's end), one past the last
+    bucket and -1 (no bucket), gets the scalar post-filter's answers and
+    scan counts."""
+    from repro.core.compiled import CompiledPointBatch
+    from repro.gpu.simt import divergence_factor, divergence_from_pacing
+
+    keyset = duplicate_heavy(generate_keys(2048, uniformity=0.5, key_bits=key_bits, seed=133))
+    index = CgRXIndex(keyset.keys, keyset.row_ids, CgRXConfig(key_bits=key_bits, bucket_size=4))
+    bucketed = index.bucketed
+    rng = np.random.default_rng(134)
+    keys = point_batch(keyset, 9000, rng)
+    first = np.searchsorted(bucketed.keys, keys, side="left")
+    correct = np.minimum(first // bucketed.bucket_size, bucketed.num_buckets - 1)
+    bucket_ids = np.select(
+        [rng.random(keys.shape[0]) < p for p in (0.3, 0.5, 0.6, 0.65)],
+        [
+            correct + 1,
+            np.maximum(correct - 1, 0),
+            np.full(keys.shape[0], bucketed.num_buckets + 2),
+            np.full(keys.shape[0], -1),
+        ],
+        rng.integers(0, bucketed.num_buckets, size=keys.shape[0]),
+    ).astype(np.int64)
+    ray_nodes = rng.integers(0, 60, size=keys.shape[0])
+
+    batch = CompiledPointBatch(bucketed.keys.dtype)
+    batch.bind(bucketed)
+    *answers, reductions = batch.run(keys, bucket_ids, ray_nodes)
+    expected = index._post_filter(keys, bucket_ids)
+    for got, want in zip(answers, expected):
+        assert got.tobytes() == want.tobytes()
+    # Runs that go on in the bucket after their first match's: a miss that
+    # still scans to the run's end.
+    right = np.searchsorted(bucketed.keys, keys, side="right")
+    late = (bucket_ids == correct + 1) & (right > bucket_ids * bucketed.bucket_size)
+    assert late.sum() > 100
+    assert (expected[1][late] == 0).all() and (expected[2][late] > 1).all()
+
+    values = dict(zip(CompiledPointBatch.REDUCTIONS, reductions))
+    assert values["deepest_ray_nodes"] == ray_nodes.max()
+    assert values["distinct_keys"] == np.unique(keys).size
+    assert values["chain_nodes"] == 0 and values["entries"] == expected[2].sum()
+    assert divergence_from_pacing(values["paced_work"], values["sampled_work"]) == (
+        divergence_factor(ray_nodes[:: keys.shape[0] // 4096])
+    )
+
+
+@requires_backend
+def test_cgrx_point_batch_buffers_grow_with_batches_not_with_rebuilds():
+    """A rebuild re-points the bound struct at the new bucketed keys and BVH
+    tables; only a batch larger than the buffers grows them."""
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=32, seed=135)
+    index = CgRXIndex(keyset.keys, keyset.row_ids, CgRXConfig(key_bits=32))
+    rng = np.random.default_rng(136)
+    index.point_lookup_batch(keyset.keys[:1])
+    batch = index._point_batch
+    assert index.compiled_buffers_bytes() == (
+        index.pipeline.compiled_buffers_bytes() + batch.nbytes
+    )
+    largest = 1
+    for step in range(60):
+        if step % 12 == 0:
+            index.update_batch(insert_keys=rng.choice(keyset.keys, size=24))
+        size = int(rng.integers(1, 48))
+        grows = size > batch.capacity
+        buffers = batch.keys, batch.answers, batch.scratch
+        largest = max(largest, size)
+        index.point_lookup_batch(rng.choice(keyset.keys, size=size))
+        assert largest <= batch.capacity <= 2 * largest
+        if not grows:
+            assert batch.keys is buffers[0]
+            assert batch.answers is buffers[1] and batch.scratch is buffers[2]
+    assert index._point_batch is batch
+    assert batch.bound[0] is index.bucketed
+    assert batch.bound[1] is index.pipeline.compiled_tables()
+
+
+@requires_backend
+def test_cgrx_point_batch_feeds_the_profiler_series_of_its_routing():
+    """The fused routing feeds the ``rtx_wavefront_*`` series what a
+    separate routing call would."""
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=137)
+    keys = point_batch(keyset, 700, np.random.default_rng(138))
+    fused_index, staged_index = (CgRXIndex(keyset.keys, keyset.row_ids) for _ in range(2))
+
+    def series(run) -> list:
+        profile = enable_profiling()
+        try:
+            run()
+        finally:
+            disable_profiling()
+        lines = profile.registry.exposition().splitlines()
+        return [line for line in lines if "rtx_wavefront" in line]
+
+    fused = series(lambda: fused_index.point_lookup_batch(keys))
+    staged = series(lambda: staged_index.representation.locate_bucket_batch(keys, RayStats()))
+    assert any('kernel="compiled_locate"' in line for line in fused)
+    assert fused == staged
 
 
 @requires_backend

@@ -10,7 +10,10 @@ whole-process-kills replicas (recovered from the on-disk WAL + checkpoints)
 and which is randomly cold-restarted from disk mid-sequence — answers must
 be byte-identical after every recovery.  The oracle is the authoritative
 entry array maintained with the shared update-application helpers; any
-implementation whose answers drift from it fails the fuzz.
+implementation whose answers drift from it fails the fuzz.  A second cgRX
+run, on both engines at bucket sizes 4 and 32, draws its keys from a
+256-value space above zero, so duplicate runs spill over buckets and lookups
+fall below the smallest stored key.
 
 Answer comparison is implementation-agnostic but exact:
 
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -62,6 +66,10 @@ from repro.workloads.keygen import KeySet
 KEYSPACE = 1 << 16
 #: Keys in this range are never inserted: guaranteed misses.
 MISS_BASE = 1 << 24
+#: The duplicate-heavy cgRX fuzz's keys: 256 values, so the initial 1,024
+#: keys hold about four copies of each, and most gap lookups fall below the
+#: smallest stored key.
+DENSE_KEYSPACE = (1 << 10, (1 << 10) + (1 << 8))
 
 FACTORIES = {
     "SA": sorted_array_factory,
@@ -77,6 +85,8 @@ FACTORIES = {
     # degraded answers are part of the same parity contract — safe to fuzz
     # unconditionally.
     "cgRX[compiled]": lambda: cgrx_factory(32, engine="compiled"),
+    "cgRX(4)": lambda: cgrx_factory(4),
+    "cgRX(4)[scalar]": lambda: cgrx_factory(4, engine="scalar"),
     "cgRXu": lambda: cgrxu_factory(128),  # default engine (compiled)
     "cgRXu[scalar]": lambda: cgrxu_factory(128, engine="scalar"),
     "cgRXu[compiled]": lambda: cgrxu_factory(128, engine="compiled"),
@@ -218,10 +228,11 @@ class SubjectUnderTest:
             self.rebuild(oracle)
 
 
-def _absent_keys(rng, oracle: Oracle, count: int) -> np.ndarray:
-    """Keys guaranteed (high range) or likely-then-verified absent (gaps)."""
+def _absent_keys(rng, oracle: Oracle, count: int, top: int = KEYSPACE) -> np.ndarray:
+    """Keys guaranteed (high range) or likely-then-verified absent (gaps
+    below ``top``)."""
     high = rng.integers(MISS_BASE, MISS_BASE * 2, size=count, dtype=np.uint64)
-    gaps = rng.integers(0, KEYSPACE, size=count, dtype=np.uint64)
+    gaps = rng.integers(0, top, size=count, dtype=np.uint64)
     candidates = np.concatenate([high, gaps]).astype(np.uint32)
     absent = candidates[~np.isin(candidates, oracle.keys)]
     return absent[:count]
@@ -233,9 +244,11 @@ def run_fuzz(
     steps: int = 24,
     initial_keys: int = 1024,
     tracing: bool = False,
+    keyspace: Tuple[int, int] = (0, KEYSPACE),
 ):
+    low, top = keyspace
     rng = np.random.default_rng(seed)
-    keys = rng.integers(0, KEYSPACE, size=initial_keys, dtype=np.uint64).astype(np.uint32)
+    keys = rng.integers(low, top, size=initial_keys, dtype=np.uint64).astype(np.uint32)
     next_row = initial_keys
     row_ids = np.arange(initial_keys, dtype=np.uint32)
 
@@ -281,7 +294,7 @@ def run_fuzz(
             subject.cold_restart()
             injector = subject.index.inject_failures(make_weather(step))
             probe = np.concatenate(
-                [np.unique(oracle.keys), _absent_keys(rng, oracle, 8)]
+                [np.unique(oracle.keys), _absent_keys(rng, oracle, 8, top)]
             ).astype(np.uint32)
             result = subject.index.point_lookup_batch(probe)
             expected_agg, expected_counts = oracle.point(probe)
@@ -317,7 +330,7 @@ def run_fuzz(
                 if oracle.keys.size
                 else np.empty(0, dtype=np.uint32)
             )
-            lookups = np.concatenate([live, _absent_keys(rng, oracle, max(1, num // 4))])
+            lookups = np.concatenate([live, _absent_keys(rng, oracle, max(1, num // 4), top)])
             rng.shuffle(lookups)
             lookups = lookups.astype(np.uint32)
             result = subject.index.point_lookup_batch(lookups)
@@ -334,7 +347,7 @@ def run_fuzz(
             if not subject.supports_range:
                 continue
             num = int(rng.integers(1, 8))
-            bounds = rng.integers(0, KEYSPACE, size=(num, 2), dtype=np.uint64).astype(np.uint32)
+            bounds = rng.integers(0, top, size=(num, 2), dtype=np.uint64).astype(np.uint32)
             lows = np.minimum(bounds[:, 0], bounds[:, 1])
             highs = np.maximum(bounds[:, 0], bounds[:, 1])
             result = subject.index.range_lookup_batch(lows, highs)
@@ -346,7 +359,7 @@ def run_fuzz(
                 )
         else:
             num_inserts = int(rng.integers(0, 48))
-            insert_keys = rng.integers(0, KEYSPACE, size=num_inserts, dtype=np.uint64).astype(
+            insert_keys = rng.integers(low, top, size=num_inserts, dtype=np.uint64).astype(
                 np.uint32
             )
             insert_rows = np.arange(next_row, next_row + num_inserts, dtype=np.uint32)
@@ -361,7 +374,7 @@ def run_fuzz(
                     delete_parts.append(
                         np.full(oracle.live_count(int(key)), key, dtype=np.uint32)
                     )
-            misses = _absent_keys(rng, oracle, 3)
+            misses = _absent_keys(rng, oracle, 3, top)
             delete_parts.append(misses[~np.isin(misses, insert_keys)])
             delete_keys = (
                 np.concatenate(delete_parts) if delete_parts else np.empty(0, dtype=np.uint32)
@@ -374,7 +387,7 @@ def run_fuzz(
     # Closing sweep: every live key (and a miss batch) answers identically;
     # range-only subjects sweep the full keyspace instead.
     if subject.supports_point:
-        probe = np.concatenate([np.unique(oracle.keys), _absent_keys(rng, oracle, 16)])
+        probe = np.concatenate([np.unique(oracle.keys), _absent_keys(rng, oracle, 16, top)])
         result = subject.index.point_lookup_batch(probe)
         expected_agg, expected_counts = oracle.point(probe)
         np.testing.assert_array_equal(result.row_ids, expected_agg)
@@ -393,6 +406,15 @@ def run_fuzz(
 @pytest.mark.parametrize("config_name", CONFIGS)
 def test_differential_fuzz(config_name):
     run_fuzz(config_name, seed=20250729)
+
+
+@pytest.mark.parametrize("config_name", ["cgRX", "cgRX[scalar]", "cgRX(4)", "cgRX(4)[scalar]"])
+def test_differential_fuzz_cgrx_duplicate_heavy(config_name):
+    """cgRX's bucket search on about four copies of every key and lookups
+    below the smallest stored key: runs spill over buckets of 4 and 32."""
+    _, oracle = run_fuzz(config_name, seed=20261017, keyspace=DENSE_KEYSPACE)
+    assert np.unique(oracle.keys, return_counts=True)[1].max() >= 4
+    assert oracle.keys.min() >= DENSE_KEYSPACE[0]
 
 
 def test_differential_fuzz_replicated_sees_failures():

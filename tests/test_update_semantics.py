@@ -145,3 +145,37 @@ def test_cgrxu_direct_update_matches_the_pinned_semantics():
     result = index.point_lookup_batch(np.asarray([40], dtype=np.uint32))
     assert int(result.match_counts[0]) == 2
     assert int(result.row_ids[0]) == 1040 + 8888
+
+
+@pytest.mark.parametrize("key_bits", [32, 64])
+def test_cgrx_rebuild_deletes_one_entry_per_delete_instance(key_bits):
+    """cgRX's rebuild applies the shared delete rule: each delete instance
+    removes the earliest still-present duplicate of its key, and absent keys
+    and instances beyond a key's stored copies remove nothing."""
+    from repro.core.config import CgRXConfig
+    from repro.core.index import CgRXIndex
+
+    base = 1 << 40 if key_bits == 64 else 1 << 20
+    keys = (base + np.asarray([40, 5, 9, 40, 12, 5, 40, 9, 5, 40, 60])).astype(
+        np.uint64 if key_bits == 64 else np.uint32
+    )
+    rows = np.arange(100, 100 + keys.shape[0], dtype=np.uint32)
+    index = CgRXIndex(keys, rows, CgRXConfig(key_bits=key_bits, bucket_size=2))
+    # Two more 9s than stored; 13 and 77 are absent.
+    delete_keys = (base + np.asarray([5, 9, 9, 9, 13, 40, 40, 5, 9, 77])).astype(keys.dtype)
+
+    # The model: the build's stable sorted order, one removal per instance.
+    order = np.argsort(keys, kind="stable")
+    entries = list(zip(keys[order].tolist(), rows[order].tolist()))
+    deleted = 0
+    for target in delete_keys.tolist():
+        for position, (key, _) in enumerate(entries):
+            if key == target:
+                del entries[position]
+                deleted += 1
+                break
+
+    update = index.update_batch(delete_keys=delete_keys)
+    live_keys, live_rows = index.export_entries()
+    assert (update.inserted, update.deleted) == (0, deleted) == (0, 6)
+    assert list(zip(live_keys.tolist(), live_rows.tolist())) == entries
