@@ -1,13 +1,15 @@
-"""Compiled point batches of both cgRX indexes, and cgRXu's node-chain
-kernels for range lookups, updates and compaction.
+"""Compiled point batches of both cgRX indexes, and cgRXu's range batches
+and node-chain kernels for updates and compaction.
 
 A point batch of either index is one ``point_lookup`` C call over buffers
-bound once per index (:class:`CompiledPointBatch`): routing, then per key a
+bound once per index (:class:`CompiledLookupBatch`): routing, then per key a
 chain walk over cgRXu's :class:`~repro.core.nodes.NodeStorage` slabs or a
 binary search of the located bucket of cgRX's
 :class:`~repro.core.bucketing.BucketedKeys` (read in place), and the kernel
-record's reductions.  The compiled tier also runs a whole cgRXu range
-batch's chain walks in one fused C loop and a whole update batch in one C
+record's reductions.  A cgRXu range batch is one ``range_lookup`` call over
+the same buffers: routing of each range's low, the forward chain walk, the
+rows of every range in one flat buffer with per-range offsets, and the
+reductions.  The compiled tier also runs a whole update batch in one C
 call, using the kernel library of :mod:`repro.rtx.compiled`.  A
 compaction pass is two C calls around the re-anchor decisions, which stay
 in Python: :func:`chain_tails` reports each selected chain's node count,
@@ -53,8 +55,8 @@ from repro.obs import profile as _profile
 from repro.rtx.compiled import (
     Arena,
     ChainTablesStruct,
+    LookupBatchStruct,
     NodeSlabsStruct,
-    PointBatchStruct,
     SortedBucketsStruct,
     address,
     check_shapes,
@@ -106,19 +108,25 @@ class CompiledChainTables:
         return self.slabs[0] is storage.keys_matrix and self.slabs[4] is storage.next_array
 
 
-class CompiledPointBatch:
-    """The buffers of one index's compiled point batches, bound once.
+class CompiledLookupBatch:
+    """The buffers of one index's compiled point and range batches, bound
+    once.
 
-    Keys in, routed buckets and ray visits in (for a representation that
-    routes its keys itself), answers out (rowID aggregate, match count and
-    entries touched per key), the kernel's reductions and the distinct-count
+    Keys in (a point batch's keys or a range batch's lows), range highs in,
+    routed buckets and ray visits in (for a representation that routes its
+    keys itself), point answers out (rowID aggregate, match count and
+    entries touched per key), range rows out (one flat buffer with
+    per-range offsets), the kernel's reductions and the distinct-count
     scratch all live here.  Their pointers sit in one
-    :class:`PointBatchStruct` next to the index's table pointers (cgRXu's
+    :class:`LookupBatchStruct` next to the index's table pointers (cgRXu's
     chain tables or cgRX's bucketed keys) and the BVH table pointers, so a
-    batch is one ``point_lookup`` call that converts nothing.  The buffers
-    start at the first batch's size and grow geometrically only when a batch
-    exceeds them; :meth:`bind` re-points the table fields without touching
-    them.
+    batch is one ``point_lookup`` or ``range_lookup`` call that converts
+    nothing.  The buffers are sized by the first batch that needs them —
+    the highs, offsets and rows by the first range batch, so a point-only
+    index holds none — and grow geometrically only when a batch's keys,
+    ranges or rows exceed them (a range batch that overflows the rows
+    buffer runs once more after the growth); :meth:`bind` re-points the
+    table fields without touching them.
     """
 
     #: Names of the kernel's reductions, in the order it writes them.
@@ -131,7 +139,7 @@ class CompiledPointBatch:
         self.key_dtype = np.dtype(key_dtype)
         self.capacity = 0
         self.reductions = np.zeros(len(self.REDUCTIONS), dtype=np.int64)
-        self.struct = PointBatchStruct(reductions=address(self.reductions))
+        self.struct = LookupBatchStruct(reductions=address(self.reductions))
         #: Address of :attr:`struct`, passed to every kernel call.
         self.ref = ctypes.addressof(self.struct)
         #: ``(tables, BVH tables, route params)`` the struct points at; held
@@ -140,6 +148,8 @@ class CompiledPointBatch:
         #: The :class:`SortedBucketsStruct` over bound bucketed keys.
         self._buckets = None
         self._reserve(0)
+        self._reserve_ranges(0)
+        self._reserve_rows(0)
 
     def bind(self, tables, bvh=None, params=None) -> None:
         """Point the struct at ``tables`` — a cgRXu index's
@@ -196,13 +206,52 @@ class CompiledPointBatch:
         struct.scratch = address(self.scratch)
         self.capacity = capacity
 
+    def _reserve_ranges(self, capacity: int) -> None:
+        self.highs = np.empty(capacity, dtype=self.key_dtype)
+        self.offsets = np.empty(capacity + 1, dtype=np.int64)
+        self.struct.highs = address(self.highs)
+        self.struct.offsets = address(self.offsets)
+
+    def _reserve_rows(self, capacity: int) -> None:
+        self.rows = np.empty(capacity, dtype=np.uint32)
+        self.struct.rows = address(self.rows)
+        self.struct.rows_capacity = capacity
+
     @property
     def nbytes(self) -> int:
         """Host bytes held by the batch buffers."""
         return sum(
             array.nbytes
-            for array in (self.keys, self.routing, self.answers, self.scratch, self.reductions)
+            for array in (
+                self.keys, self.highs, self.routing, self.answers, self.offsets,
+                self.scratch, self.rows, self.reductions,
+            )
         )
+
+    def _load(self, keys: np.ndarray, bucket_ids, ray_nodes) -> int:
+        """Copy a batch's keys, and the caller's routing when the struct is
+        not :attr:`fused`, into the buffers (grown first when the batch
+        exceeds them).  Returns the batch size."""
+        num_keys = int(keys.shape[0])
+        check_shapes((keys, (num_keys,)))
+        caller_routed = bucket_ids is not None
+        if (
+            self.bound[0] is None
+            or caller_routed == self.fused
+            or caller_routed != (ray_nodes is not None)
+        ):
+            raise ValueError(
+                "a batch needs bound tables, and bucket ids with their ray "
+                "visits exactly when the routing is not fused"
+            )
+        if num_keys > self.capacity:
+            self._reserve(max(num_keys, 2 * self.capacity))
+        self.keys[:num_keys] = keys
+        if caller_routed:
+            check_shapes((bucket_ids, (num_keys,)), (ray_nodes, (num_keys,)))
+            self.routing[0, :num_keys] = bucket_ids
+            self.routing[1, :num_keys] = ray_nodes
+        return num_keys
 
     def run(
         self, keys: np.ndarray, bucket_ids: np.ndarray = None, ray_nodes: np.ndarray = None
@@ -215,50 +264,85 @@ class CompiledPointBatch:
         entries touched or cgRX's entries scanned — and the
         :attr:`REDUCTIONS` values.  Requires the kernel library.
         """
-        num_keys = int(keys.shape[0])
-        check_shapes((keys, (num_keys,)))
-        caller_routed = bucket_ids is not None
-        if (
-            self.bound[0] is None
-            or caller_routed == self.fused
-            or caller_routed != (ray_nodes is not None)
-        ):
-            raise ValueError(
-                "run needs bound tables, and bucket ids with their ray "
-                "visits exactly when the routing is not fused"
-            )
-        if num_keys > self.capacity:
-            self._reserve(max(num_keys, 2 * self.capacity))
-        self.keys[:num_keys] = keys
-        if caller_routed:
-            check_shapes((bucket_ids, (num_keys,)), (ray_nodes, (num_keys,)))
-            self.routing[0, :num_keys] = bucket_ids
-            self.routing[1, :num_keys] = ray_nodes
+        num_keys = self._load(keys, bucket_ids, ray_nodes)
         library().point_lookup(self.ref, num_keys)
         row_ids, match_counts, entries = self.answers[:, :num_keys].copy()
         return row_ids, match_counts, entries, self.reductions.tolist()
 
+    def run_ranges(
+        self,
+        lows: np.ndarray,
+        highs: np.ndarray,
+        bucket_ids: np.ndarray = None,
+        ray_nodes: np.ndarray = None,
+    ) -> Tuple[List[np.ndarray], int, List[int]]:
+        """One ``range_lookup`` call over the ranges ``[lows, highs]`` of
+        bound cgRXu chain tables.
+
+        ``bucket_ids`` and ``ray_nodes`` route the lows exactly when the
+        struct is not :attr:`fused`.  When the ranges need more rows than
+        the rows buffer holds, it grows and the call runs once more.
+        Returns each range's rows in walk order (views of one fresh copy of
+        the flat rows, never of the buffer), the total row count and the
+        :attr:`REDUCTIONS` values (``distinct_keys`` counts the lows).
+        Requires the kernel library.
+        """
+        if not isinstance(self.bound[0], CompiledChainTables):
+            raise ValueError("range batches walk bound cgRXu chain tables")
+        num_ranges = self._load(lows, bucket_ids, ray_nodes)
+        check_shapes((highs, (num_ranges,)))
+        if num_ranges > self.highs.shape[0]:
+            self._reserve_ranges(max(num_ranges, 2 * self.highs.shape[0]))
+        self.highs[:num_ranges] = highs
+        lib = library()
+        needed = lib.range_lookup(self.ref, num_ranges)
+        if needed > self.rows.shape[0]:
+            self._reserve_rows(max(needed, 2 * self.rows.shape[0]))
+            lib.range_lookup(self.ref, num_ranges)
+        rows = self.rows[:needed].copy()
+        bounds = self.offsets[: num_ranges + 1].tolist()
+        per_range = [rows[start:end] for start, end in zip(bounds, bounds[1:])]
+        return per_range, needed, self.reductions.tolist()
+
     def lookup(
         self, keys: np.ndarray, tables, representation, pipeline
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, RayStats, List[int]]:
-        """One point batch of an index: :meth:`bind` to its ``tables`` and,
-        when its ``representation`` fuses the routing, to its
-        ``pipeline``'s current BVH tables; then :meth:`run`, after the
-        representation's own routing calls unless the routing is fused.
+        """One point batch of an index: :meth:`run` through
+        :meth:`_run_routed`.  Returns :meth:`run`'s arrays, the batch's ray
+        statistics and the :attr:`REDUCTIONS` values."""
+        return self._run_routed(self.run, keys, (), tables, representation, pipeline)
+
+    def lookup_ranges(
+        self, lows: np.ndarray, highs: np.ndarray, tables, representation, pipeline
+    ) -> Tuple[List[np.ndarray], int, RayStats, List[int]]:
+        """One range batch of a cgRXu index: :meth:`run_ranges` through
+        :meth:`_run_routed`.  Returns its rows per range and total, the
+        batch's ray statistics and the :attr:`REDUCTIONS` values."""
+        return self._run_routed(
+            self.run_ranges, lows, (highs,), tables, representation, pipeline
+        )
+
+    def _run_routed(
+        self, run, keys: np.ndarray, inputs: tuple, tables, representation, pipeline
+    ):
+        """:meth:`bind` to an index's ``tables`` and, when its
+        ``representation`` fuses the routing, to its ``pipeline``'s current
+        BVH tables; then ``run(keys, *inputs)``, after the representation's
+        own routing calls unless the routing is fused.
 
         Fused rays are counted as a separate routing call would count them:
         in the pipeline's statistics and in the profiler's
-        ``compiled_locate`` series.  Returns :meth:`run`'s arrays, the
-        batch's ray statistics and the :attr:`REDUCTIONS` values.
+        ``compiled_locate`` series.  Returns ``run``'s values with the
+        batch's ray statistics inserted before the reductions.
         """
         params = representation.compiled_route_params()
         self.bind(tables, None if params is None else pipeline.compiled_tables(), params)
         if not self.fused:
             ray_stats = RayStats()
-            bucket_ids, ray_visits = representation.locate_bucket_batch(keys, ray_stats)
-            *answers, reductions = self.run(keys, bucket_ids, ray_visits)
+            routing = representation.locate_bucket_batch(keys, ray_stats)
+            *answers, reductions = run(keys, *inputs, *routing)
             return (*answers, ray_stats, reductions)
-        *answers, reductions = self.run(keys)
+        *answers, reductions = run(keys, *inputs)
         rays, ray_nodes, tests, hits, deepest = reductions[:5]
         ray_stats = RayStats().add_totals(rays, ray_nodes, tests, hits)
         pipeline.record_rays(ray_stats)
@@ -266,47 +350,6 @@ class CompiledPointBatch:
         if prof is not None:
             prof.observe_wavefront("compiled_locate", deepest, int(keys.shape[0]), ray_nodes)
         return (*answers, ray_stats, reductions)
-
-
-def range_walk_batch(
-    tables: CompiledChainTables,
-    bucket_ids: np.ndarray,
-    lows: np.ndarray,
-    highs: np.ndarray,
-    capacity: int,
-) -> Tuple[List[np.ndarray], int, int, int, int]:
-    """Fused forward range walk for a whole batch of ranges.
-
-    Rows land in one flat array in scalar walk order with per-query
-    offsets; ``capacity`` sizes that array, and a walk that needs more is
-    rerun once into an exactly sized one.  Returns ``(rows per query, total
-    rows, nodes visited, entries touched, distinct lows)``.  Requires the
-    kernel library.
-    """
-    lib = library()
-    lows = np.ascontiguousarray(lows, dtype=tables.key_dtype)
-    highs = np.ascontiguousarray(highs, dtype=tables.key_dtype)
-    bucket_ids = np.ascontiguousarray(bucket_ids, dtype=np.int64)
-    num_queries = int(lows.shape[0])
-    check_shapes(
-        (lows, (num_queries,)), (highs, (num_queries,)), (bucket_ids, (num_queries,))
-    )
-    offsets = np.empty(num_queries + 1, dtype=np.int64)
-    scratch = np.empty(2 * num_queries, dtype=np.uint64)
-    totals = np.empty(3, dtype=np.int64)
-    rows = np.empty(max(int(capacity), 1), dtype=np.uint32)
-    for _ in range(2):
-        needed = lib.range_walk(
-            tables.ref, num_queries, address(lows), address(highs), address(bucket_ids),
-            address(rows), rows.shape[0], address(offsets), address(scratch), address(totals),
-        )
-        if needed <= rows.shape[0]:
-            break
-        rows = np.empty(needed, dtype=np.uint32)
-    bounds = offsets.tolist()
-    results = [rows[start:end] for start, end in zip(bounds, bounds[1:])]
-    nodes, entries, distinct = totals.tolist()
-    return results, int(needed), nodes, entries, distinct
 
 
 def apply_updates_batch(

@@ -7,7 +7,7 @@ point lookups, batched range lookups, rebuild-based updates and
 memory-footprint reporting).  A point lookup is the paper's two steps: rays
 locate the key's bucket, then a binary search of that bucket post-filters
 it.  Under the compiled engine a whole point batch is one C call
-(:class:`~repro.core.compiled.CompiledPointBatch`); the scalar engine, the
+(:class:`~repro.core.compiled.CompiledLookupBatch`); the scalar engine, the
 reference, routes key by key and post-filters with binary searches of the
 whole sorted array.
 """
@@ -29,6 +29,7 @@ from repro.core.bucket_search import BucketSearchModel
 from repro.core.bucketing import BucketedKeys
 from repro.core.config import CgRXConfig, Representation, resolve_engine
 from repro.core.key_mapping import KeyMapping
+from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
 from repro.core.naive import NaiveRepresentation
 from repro.core.optimized import OptimizedRepresentation
 from repro.core.representation import MISS
@@ -88,7 +89,7 @@ class CgRXIndex(GpuIndex):
         self.epoch = 0
         #: Buffers of the compiled point batches, bound once (lazy; kept
         #: across rebuilds, which re-point them).
-        self._point_batch = None
+        self._lookup_batch = None
         self._build(keys, row_ids)
 
     # ------------------------------------------------------------------ build
@@ -173,17 +174,18 @@ class CgRXIndex(GpuIndex):
         per index (the naive representation routes with its own calls
         first).  The scalar engine routes key by key and post-filters with
         :meth:`_post_filter`, the reference.  Answers and counters are
-        identical; ``LookupResult.engine`` names the engine that ran.
+        identical; ``LookupResult.engine`` names the engine that ran.  A
+        negative (signed-dtype) key is a miss (:mod:`repro.core.keyspace`).
         """
-        keys = np.asarray(keys, dtype=self.bucketed.keys.dtype)
+        keys, negative = unsigned_points(keys, self.bucketed.keys.dtype)
         num_lookups = int(keys.shape[0])
         if resolve_engine(self.config.engine, self.pipeline) == "compiled":
-            if self._point_batch is None:
+            if self._lookup_batch is None:
                 from repro.core import compiled as core_compiled
 
-                self._point_batch = core_compiled.CompiledPointBatch(keys.dtype)
+                self._lookup_batch = core_compiled.CompiledLookupBatch(keys.dtype)
             row_agg, match_counts, entries_scanned, ray_stats, reductions = (
-                self._point_batch.lookup(keys, self.bucketed, self.representation, self.pipeline)
+                self._lookup_batch.lookup(keys, self.bucketed, self.representation, self.pipeline)
             )
             paced, work, distinct = reductions[7:]
             divergence = divergence_from_pacing(paced, work)
@@ -204,8 +206,9 @@ class CgRXIndex(GpuIndex):
             unique_fraction,
             range_mode=False,
         )
-        return LookupResult(
-            row_ids=row_agg, match_counts=match_counts, stats=stats, engine=engine
+        return mark_misses(
+            LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats, engine=engine),
+            negative,
         )
 
     def _post_filter(
@@ -238,11 +241,12 @@ class CgRXIndex(GpuIndex):
         return row_agg, match_counts, entries_scanned
 
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
-        """Batched range lookups: locate the lower bound, then scan forward."""
-        lows = np.asarray(lows, dtype=self.bucketed.keys.dtype)
-        highs = np.asarray(highs, dtype=self.bucketed.keys.dtype)
-        if lows.shape != highs.shape:
-            raise ValueError("lows and highs must have the same shape")
+        """Batched range lookups: locate the lower bound, then scan forward.
+
+        A negative low clamps to 0 and a range with a negative high matches
+        nothing (:mod:`repro.core.keyspace`).
+        """
+        lows, highs = unsigned_ranges(lows, highs, self.bucketed.keys.dtype)
 
         bucket_ids, ray_stats, work_sample = self._locate_buckets(
             lows, resolve_engine(self.config.engine, self.pipeline)
@@ -419,8 +423,8 @@ class CgRXIndex(GpuIndex):
         BVH node tables and this index's point-batch buffers (0 when
         unused)."""
         total = self.pipeline.compiled_buffers_bytes()
-        if self._point_batch is not None:
-            total += self._point_batch.nbytes
+        if self._lookup_batch is not None:
+            total += self._lookup_batch.nbytes
         return total
 
     # ------------------------------------------------------------ conveniences

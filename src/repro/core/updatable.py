@@ -23,6 +23,7 @@ from repro.baselines.base import (
 from repro.core.bucketing import BucketedKeys
 from repro.core.config import CgRXuConfig, Representation, resolve_engine
 from repro.core.key_mapping import KeyMapping
+from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
 from repro.core.naive import NaiveRepresentation
 from repro.core.nodes import NO_NEXT, NodeStorage
 from repro.core.optimized import OptimizedRepresentation
@@ -97,7 +98,7 @@ class CgRXuIndex(GpuIndex):
         self.config = config or CgRXuConfig()
         self.name = self.config.describe()
 
-        self._key_dtype = np.uint32 if self.config.key_bits == 32 else np.uint64
+        self._key_dtype = np.dtype(np.uint32 if self.config.key_bits == 32 else np.uint64)
         keys = np.asarray(keys, dtype=self._key_dtype)
         if row_ids is None:
             row_ids = np.arange(keys.shape[0], dtype=np.uint32)
@@ -166,14 +167,12 @@ class CgRXuIndex(GpuIndex):
         self._compiled_chain = None
         #: Shard-local arena backing the compiled chain tables (lazy).
         self._compiled_arena = None
-        #: Buffers of the compiled point batches, bound once (lazy).
-        self._point_batch = None
+        #: Buffers of the compiled point and range batches, bound once
+        #: (lazy; see :meth:`_compiled_lookup_batch`).
+        self._lookup_batch = None
         #: ``(inputs, memory_footprint().total_bytes)``; see
         #: :meth:`_device_footprint_bytes`.
         self._footprint_cache: Optional[Tuple[tuple, int]] = None
-        #: Largest row count a compiled range walk has needed: the next
-        #: walk's output buffer starts this large.
-        self._range_rows_hint = 0
 
         #: Storage-lifecycle version: bumped by every compaction pass and by
         #: building from a snapshot, so the serving layer can tell rebuilt
@@ -298,12 +297,13 @@ class CgRXuIndex(GpuIndex):
 
         The ``compiled`` engine makes one C call per batch; results and
         counters are byte-identical to the scalar reference path, and
-        ``LookupResult.engine`` names the engine that ran.
+        ``LookupResult.engine`` names the engine that ran.  A negative
+        (signed-dtype) key is a miss (:mod:`repro.core.keyspace`).
         """
-        keys = np.asarray(keys, dtype=self._key_dtype)
+        keys, negative = unsigned_points(keys, self._key_dtype)
         if resolve_engine(self.config.engine, self.pipeline) == "scalar":
-            return self._point_lookup_batch_scalar(keys)
-        return self._point_lookup_batch_compiled(keys)
+            return mark_misses(self._point_lookup_batch_scalar(keys), negative)
+        return mark_misses(self._point_lookup_batch_compiled(keys), negative)
 
     def _point_lookup_batch_scalar(self, keys: np.ndarray) -> LookupResult:
         """Reference path: one key and one ray at a time."""
@@ -347,18 +347,14 @@ class CgRXuIndex(GpuIndex):
 
     def _point_lookup_batch_compiled(self, keys: np.ndarray) -> LookupResult:
         """Batch path: one ``point_lookup`` C call over buffers bound once
-        per index (:class:`~repro.core.compiled.CompiledPointBatch`).
+        per index (:class:`~repro.core.compiled.CompiledLookupBatch`).
 
         The call routes the keys (the optimized representation's fused
         routing; the naive representation routes with its own calls first),
         walks the chains and reduces what the kernel record needs.
         """
         num_lookups = int(keys.shape[0])
-        if self._point_batch is None:
-            from repro.core import compiled as core_compiled
-
-            self._point_batch = core_compiled.CompiledPointBatch(self._key_dtype)
-        row_ids, match_counts, _, ray_stats, reductions = self._point_batch.lookup(
+        row_ids, match_counts, _, ray_stats, reductions = self._compiled_lookup_batch().lookup(
             keys, self._compiled_chain_tables(), self.representation, self.pipeline
         )
         chain_nodes, entries, paced, work, distinct = reductions[5:]
@@ -376,6 +372,15 @@ class CgRXuIndex(GpuIndex):
         return LookupResult(
             row_ids=row_ids, match_counts=match_counts, stats=stats, engine="compiled"
         )
+
+    def _compiled_lookup_batch(self):
+        """The buffers of this index's compiled point and range batches,
+        created by the first compiled batch."""
+        if self._lookup_batch is None:
+            from repro.core import compiled as core_compiled
+
+            self._lookup_batch = core_compiled.CompiledLookupBatch(self._key_dtype)
+        return self._lookup_batch
 
     # ------------------------------------------------------- chain tables
 
@@ -442,11 +447,18 @@ class CgRXuIndex(GpuIndex):
         return stats
 
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
-        """Batched range lookups: locate the lower bound, then walk chains forward."""
-        lows = np.asarray(lows, dtype=self._key_dtype)
-        highs = np.asarray(highs, dtype=self._key_dtype)
-        if lows.shape != highs.shape:
-            raise ValueError("lows and highs must have the same shape")
+        """Batched range lookups: locate the lower bound, then walk chains forward.
+
+        The ``compiled`` engine makes one ``range_lookup`` C call per batch
+        over buffers bound once per index: it routes every low, walks the
+        chains to the first key above the range's high and reduces what the
+        kernel record needs.  Each range's rows are a view of one fresh
+        copy of the call's flat rows.  Results and counters are
+        byte-identical to the scalar reference path.  A negative low clamps
+        to 0 and a range with a negative high matches nothing
+        (:mod:`repro.core.keyspace`).
+        """
+        lows, highs = unsigned_ranges(lows, highs, self._key_dtype)
         if resolve_engine(self.config.engine, self.pipeline) == "scalar":
             return self._range_lookup_batch_scalar(lows, highs)
         return self._range_lookup_batch_compiled(lows, highs)
@@ -504,28 +516,21 @@ class CgRXuIndex(GpuIndex):
     def _range_lookup_batch_compiled(
         self, lows: np.ndarray, highs: np.ndarray
     ) -> RangeLookupResult:
-        """Batch path: fused lower-bound routing plus the C forward walk
-        (rows in one flat array with per-query offsets)."""
-        from repro.core import compiled as core_compiled
-
+        """Batch path: one ``range_lookup`` C call over the buffers of
+        :meth:`_compiled_lookup_batch` (the naive representation routes the
+        lows with its own calls first)."""
         num_queries = int(lows.shape[0])
-        ray_stats = RayStats()
-        bucket_ids, _ = self.representation.locate_bucket_batch(lows, ray_stats)
-        results, total_results, total_nodes, total_entries, distinct = (
-            core_compiled.range_walk_batch(
-                self._compiled_chain_tables(),
-                bucket_ids,
-                lows,
-                highs,
-                max(self._range_rows_hint, 8 * num_queries),
+        results, total_results, ray_stats, reductions = (
+            self._compiled_lookup_batch().lookup_ranges(
+                lows, highs, self._compiled_chain_tables(), self.representation, self.pipeline
             )
         )
-        self._range_rows_hint = max(self._range_rows_hint, total_results)
+        chain_nodes, entries, _, _, distinct = reductions[5:]
         stats = self._range_lookup_stats(
             num_queries,
             ray_stats,
-            total_nodes,
-            total_entries,
+            chain_nodes,
+            entries,
             total_results,
             distinct / num_queries if num_queries else 1.0,
         )
@@ -1041,14 +1046,14 @@ class CgRXuIndex(GpuIndex):
         """Host bytes held by the compiled tier's shard-local arenas.
 
         Covers the pipeline's quantized BVH node tables, this index's packed
-        chain tables and its point-batch buffers; zero when the compiled
-        tier has never run.
+        chain tables and its point- and range-batch buffers; zero when the
+        compiled tier has never run.
         """
         total = self.pipeline.compiled_buffers_bytes()
         if self._compiled_arena is not None:
             total += self._compiled_arena.capacity_bytes
-        if self._point_batch is not None:
-            total += self._point_batch.nbytes
+        if self._lookup_batch is not None:
+            total += self._lookup_batch.nbytes
         return total
 
     # ------------------------------------------------------------ conveniences

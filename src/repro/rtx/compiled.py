@@ -23,11 +23,16 @@ reference oracle:
   entries, the divergence sample's warp pacing, the distinct-key count).
   Each key is routed one key ahead of its bucket search, and its bucket's
   lines are prefetched in between, so they load while the next key's rays
-  run.  The naive representation routes with its own calls and hands its
-  bucket ids and ray visits to the same entry.
+  run.  A cgRXu range batch is one ``range_lookup`` call: per range the
+  same routing of its low, then the forward chain walk to the first key
+  above its high, the rows of every range in one flat buffer with
+  per-range offsets, and the range record's reductions (ray totals, chain
+  nodes, entries, the distinct lows).  The naive representation routes
+  with its own calls and hands its bucket ids and ray visits to either
+  entry.
 * **BVH build.**  :func:`build_bvh_median` is the ``median``-split builder of
   :func:`repro.rtx.bvh.build_bvh` in C, with identical output arrays.
-* **cgRXu node chains.**  The point batch, the range walk, the update
+* **cgRXu node chains.**  The point and range batches, the update
   apply (deletes, inserts, node splits and linked-node allocation) and
   compaction run over the live ``NodeStorage`` slabs.  A compaction pass is
   two calls: ``chain_tails`` reports each selected chain's nodes, entries
@@ -48,15 +53,16 @@ reference oracle:
   byte buffer rebuilt in place across build/refit epochs; the scene's
   centroids, primitive indices and flip flags are aliased, not copied.  The
   table pointers are gathered into one C struct when an epoch is packed, so
-  a kernel call converts only its per-batch arrays.  Point batches go
-  further: their key, answer, reduction and scratch buffers are owned by
-  the index, and their pointers sit in one ``PointBatch`` struct next to
-  the BVH-table pointers and the chain-table pointers (cgRXu) or the
-  sorted key and rowID arrays, read in place (cgRX).  Those are re-pointed
-  when the tables are repacked or rebuilt.  The buffers grow geometrically,
-  only when a batch exceeds them, so a call converts nothing.  Arenas and
-  batch buffers are host memory, reported by ``compiled_buffers_bytes()``
-  and never in a simulated-device footprint.
+  a kernel call converts only its per-batch arrays.  Point and range
+  batches go further: their key, range-high, answer, row, offset, reduction
+  and scratch buffers are owned by the index, and their pointers sit in one
+  ``LookupBatch`` struct next to the BVH-table pointers and the chain-table
+  pointers (cgRXu) or the sorted key and rowID arrays, read in place
+  (cgRX).  Those are re-pointed when the tables are repacked or rebuilt.
+  The buffers grow geometrically, only when a batch's keys, ranges or rows
+  exceed them, so a call converts nothing.  Arenas and batch buffers are
+  host memory, reported by ``compiled_buffers_bytes()`` and never in a
+  simulated-device footprint.
 
 The kernels are C compiled at first use with the system C compiler into a
 cached shared library and bound through :mod:`ctypes` (no Python dependency
@@ -282,24 +288,30 @@ typedef struct {
     int32_t key_is_64;
 } SortedBuckets;
 
-/* One index's point batches (PointBatch): the tables a batch reads and the
-   batch buffers, bound once per index.  Exactly one of chain (cgRXu's node
-   chains) and sorted (cgRX's static buckets) is set.  route == NULL means
-   the caller routed the keys itself and filled buckets / ray_nodes. */
+/* One index's lookup batches (LookupBatch): the tables a batch reads and
+   the batch buffers, bound once per index.  Exactly one of chain (cgRXu's
+   node chains) and sorted (cgRX's static buckets) is set.  route == NULL
+   means the caller routed the keys itself and filled buckets / ray_nodes.
+   keys holds a point batch's keys or a range batch's lows; highs, rows
+   (rows_capacity slots) and offsets serve range batches only. */
 typedef struct {
     const BvhTables* bvh;
     const RouteParams* route;
     const ChainTables* chain;
     const SortedBuckets* sorted;
     const void* keys;
+    const void* highs;
     const int64_t* buckets;
     const int64_t* ray_nodes;
     int64_t* row_ids;
     int64_t* matches;
     int64_t* scanned;
+    uint32_t* rows;
+    int64_t* offsets;
     uint64_t* scratch;
     int64_t* reductions;
-} PointBatch;
+    int64_t rows_capacity;
+} LookupBatch;
 
 typedef struct { int64_t rays, nodes, triangle_tests, hits; } RayTotals;
 
@@ -674,7 +686,7 @@ static inline void prefetch_bucket(const SortedBuckets* S, int64_t bucket)
 }
 
 /* Key k's bucket and ray visits: routed here, or the caller's. */
-static inline int64_t locate_key(const PointBatch* B, int is_64, int64_t k, int64_t* kn,
+static inline int64_t locate_key(const LookupBatch* B, int is_64, int64_t k, int64_t* kn,
                                  RayTotals* c)
 {
     if (!B->route) {
@@ -717,6 +729,25 @@ static int64_t count_distinct(const void* keys, int is_64, int64_t n, uint64_t* 
     return distinct;
 }
 
+/* Write a batch's reductions in CompiledLookupBatch.REDUCTIONS order, the
+   last one the distinct keys among keys[0, n). */
+static void reduce_batch(const LookupBatch* B, int is_64, int64_t n, const RayTotals* c,
+                         int64_t deepest, int64_t chain_nodes, int64_t entries,
+                         int64_t paced, int64_t sampled)
+{
+    int64_t* r = B->reductions;
+    r[0] = c->rays;
+    r[1] = c->nodes;
+    r[2] = c->triangle_tests;
+    r[3] = c->hits;
+    r[4] = deepest;
+    r[5] = chain_nodes;
+    r[6] = entries;
+    r[7] = paced;
+    r[8] = sampled;
+    r[9] = count_distinct(B->keys, is_64, n, B->scratch);
+}
+
 /* A whole point batch (CgRXuIndex / CgRXIndex.point_lookup_batch): per key
    the fused routing (or the caller's buckets and ray visits), then the chain
    walk or the bucket search, writing the rowID aggregate (-1 without a
@@ -726,7 +757,7 @@ static int64_t count_distinct(const void* keys, int is_64, int64_t n, uint64_t* 
    work (ray and chain node visits) of the divergence sample (every
    max(1, n / 4096)-th key, in 32-lane warps; gpu.simt.divergence_factor),
    and the distinct keys. */
-void point_lookup(const PointBatch* B, int64_t num_keys)
+void point_lookup(const LookupBatch* B, int64_t num_keys)
 {
     const ChainTables* C = B->chain;
     const SortedBuckets* S = B->sorted;
@@ -766,35 +797,33 @@ void point_lookup(const PointBatch* B, int64_t num_keys)
         }
     }
     paced += lanes * warp_max;
-    int64_t* r = B->reductions;
-    r[0] = c.rays;
-    r[1] = c.nodes;
-    r[2] = c.triangle_tests;
-    r[3] = c.hits;
-    r[4] = deepest;
-    r[5] = chain_nodes;
-    r[6] = entries;
-    r[7] = paced;
-    r[8] = sampled;
-    r[9] = count_distinct(B->keys, is_64, num_keys, B->scratch);
+    reduce_batch(B, is_64, num_keys, &c, deepest, chain_nodes, entries, paced, sampled);
 }
 
-/* cgRXu forward range walk (CgRXuIndex._range_lookup_batch_scalar): rows of
-   every query in walk order into one flat array, offsets (num_queries + 1)
-   per query.  Writes at most `capacity` rows and returns the number needed.
-   totals: nodes visited, entries touched, distinct lows (sorted in scratch,
-   2 * num_queries slots). */
-int64_t range_walk(const ChainTables* C, int64_t num_queries, const void* lows,
-                   const void* highs, const int64_t* buckets, uint32_t* rows,
-                   int64_t capacity, int64_t* offsets, uint64_t* scratch, int64_t* totals)
+/* A whole cgRXu range batch (CgRXuIndex.range_lookup_batch): per range the
+   fused routing of its low (or the caller's bucket and ray visits), a MISS
+   starting at the overflow bucket, then the forward walk of
+   CgRXuIndex._range_lookup_batch_scalar: empty nodes skipped, max(1, right
+   - left) entries touched per node, rows in walk order, stop at the first
+   key above high.  The rows of every range go into one flat buffer (at most
+   rows_capacity written), offsets[q] to offsets[q + 1] bounding range q's.
+   Returns the number of rows needed.  reductions: as point_lookup's, with
+   no divergence sample (0, 0) and the distinct lows. */
+int64_t range_lookup(const LookupBatch* B, int64_t num_ranges)
 {
-    int64_t written = 0, nodes = 0, entries = 0;
-    offsets[0] = 0;
-    for (int64_t q = 0; q < num_queries; q++) {
-        const uint64_t low = key_at(lows, C->key_is_64, q);
-        const uint64_t high = key_at(highs, C->key_is_64, q);
-        const int64_t bucket = buckets[q] < 0 ? C->overflow_bucket : buckets[q];
-        for (int64_t pos = C->starts[bucket]; pos < C->order_len; pos++) {
+    const ChainTables* C = B->chain;
+    const int is_64 = C->key_is_64;
+    RayTotals c = {0, 0, 0, 0};
+    int64_t deepest = 0, nodes = 0, entries = 0, written = 0;
+    B->offsets[0] = 0;
+    for (int64_t q = 0; q < num_ranges; q++) {
+        int64_t kn = 0;
+        const int64_t bucket = locate_key(B, is_64, q, &kn, &c);
+        if (kn > deepest) deepest = kn;
+        const uint64_t low = key_at(B->keys, is_64, q);
+        const uint64_t high = key_at(B->highs, is_64, q);
+        for (int64_t pos = C->starts[bucket < 0 ? C->overflow_bucket : bucket];
+             pos < C->order_len; pos++) {
             const int64_t node = C->order[pos];
             nodes++;
             const int32_t size = C->sizes[node];
@@ -802,22 +831,20 @@ int64_t range_walk(const ChainTables* C, int64_t num_queries, const void* lows,
             const int64_t base = node * (int64_t)C->capacity;
             int64_t left = 0, right = 0;
             for (int32_t i = 0; i < size; i++) {
-                const uint64_t value = key_at(C->keys, C->key_is_64, base + i);
+                const uint64_t value = key_at(C->keys, is_64, base + i);
                 left += value < low;
                 right += value <= high;
             }
             entries += right - left > 1 ? right - left : 1;
             for (int64_t i = left; i < right; i++) {
-                if (written < capacity) rows[written] = C->row_ids[base + i];
+                if (written < B->rows_capacity) B->rows[written] = C->row_ids[base + i];
                 written++;
             }
             if (right < (int64_t)size) break;
         }
-        offsets[q + 1] = written;
+        B->offsets[q + 1] = written;
     }
-    totals[0] = nodes;
-    totals[1] = entries;
-    totals[2] = count_distinct(lows, C->key_is_64, num_queries, scratch);
+    reduce_batch(B, is_64, num_ranges, &c, deepest, nodes, entries, 0, 0);
     return written;
 }
 
@@ -1275,8 +1302,8 @@ class SortedBucketsStruct(ctypes.Structure):
     ]
 
 
-class PointBatchStruct(ctypes.Structure):
-    """Mirror of the C ``PointBatch`` struct."""
+class LookupBatchStruct(ctypes.Structure):
+    """Mirror of the C ``LookupBatch`` struct."""
 
     _fields_ = [
         ("bvh", ctypes.c_void_p),
@@ -1284,13 +1311,17 @@ class PointBatchStruct(ctypes.Structure):
         ("chain", ctypes.c_void_p),
         ("sorted", ctypes.c_void_p),
         ("keys", ctypes.c_void_p),
+        ("highs", ctypes.c_void_p),
         ("buckets", ctypes.c_void_p),
         ("ray_nodes", ctypes.c_void_p),
         ("row_ids", ctypes.c_void_p),
         ("matches", ctypes.c_void_p),
         ("scanned", ctypes.c_void_p),
+        ("rows", ctypes.c_void_p),
+        ("offsets", ctypes.c_void_p),
         ("scratch", ctypes.c_void_p),
         ("reductions", ctypes.c_void_p),
+        ("rows_capacity", ctypes.c_int64),
     ]
 
 
@@ -1322,7 +1353,7 @@ def _bind(lib: ctypes.CDLL) -> None:
         "trace_axis_all": ([p, i32, i64, p, p, p, i64, p, p, p, p], i64),
         "locate_optimized": ([p, p, i64, p, p, p], None),
         "point_lookup": ([p, i64], None),
-        "range_walk": ([p, i64, p, p, p, p, i64, p, p, p], i64),
+        "range_lookup": ([p, i64], i64),
         "apply_updates": ([p, i64, p, p, p, p, p, p, p, p], i64),
         "chain_tails": ([p, i64, p, p, p, p], None),
         "compact_chains": ([p, i64, p, p, p, p, p, p, p], i64),

@@ -18,33 +18,10 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.core.keyspace import negative_key_mask, routing_keys
+
 #: Knuth's multiplicative constant (golden-ratio reciprocal in 64 bits).
 _FIBONACCI_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-
-
-def routing_keys(keys: np.ndarray) -> np.ndarray:
-    """Map client keys into the deployment's unsigned routing keyspace.
-
-    The stored keyspace is unsigned, so a negative (signed-dtype) client key
-    sorts *below* every stored key.  A plain ``astype(np.uint64)`` would wrap
-    it to the top of the keyspace instead and route it to the wrong shard
-    relative to the index's order; clamping to zero keeps the routing order
-    consistent (the request lands on the lowest shard, where it misses).
-    Unsigned inputs pass through bit-identically.
-    """
-    keys = np.asarray(keys)
-    if np.issubdtype(keys.dtype, np.signedinteger):
-        return np.maximum(keys, 0).astype(np.uint64)
-    return keys.astype(np.uint64)
-
-
-def negative_key_mask(keys: np.ndarray) -> "np.ndarray | None":
-    """Mask of out-of-domain (negative) keys; ``None`` for unsigned input."""
-    keys = np.asarray(keys)
-    if np.issubdtype(keys.dtype, np.signedinteger):
-        mask = keys < 0
-        return mask if bool(mask.any()) else None
-    return None
 
 
 def empty_range_mask(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:

@@ -30,15 +30,11 @@ from repro.baselines.base import (
     cancel_opposing_updates,
     delete_one_per_key,
 )
+from repro.core.keyspace import negative_key_mask, unsigned_points, unsigned_ranges
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats, combine
 from repro.obs.trace import NULL_TRACER
-from repro.serve.partition import (
-    Partitioner,
-    make_partitioner,
-    negative_key_mask,
-    routing_keys,
-)
+from repro.serve.partition import Partitioner, make_partitioner
 from repro.workloads.keygen import KeySet
 
 if TYPE_CHECKING:  # replication imports this module
@@ -686,12 +682,7 @@ class ShardRouter:
         Casting them instead would wrap them to the top of the keyspace and —
         for 32-bit deployments — alias real stored keys.
         """
-        raw = np.asarray(keys)
-        negative = negative_key_mask(raw)
-        if negative is not None:
-            keys = np.where(negative, 0, raw).astype(self._key_dtype)
-        else:
-            keys = np.asarray(raw, dtype=self._key_dtype)
+        keys, negative = unsigned_points(keys, self._key_dtype)
         num = int(keys.shape[0])
         row_agg = np.full(num, -1, dtype=np.int64)
         counts = np.zeros(num, dtype=np.int64)
@@ -760,18 +751,18 @@ class ShardRouter:
         return LookupResult(row_ids=row_agg, match_counts=counts, stats=stats)
 
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
-        """Scatter range lookups to overlapping shards and concatenate results.
+        """Scatter range lookups to overlapping shards and gather each
+        range's rows in shard order.
 
         Negative endpoints clamp to the bottom of the unsigned keyspace: a
         range whose high end is negative matches nothing, one that straddles
-        zero behaves like ``[0, high]``.
+        zero behaves like ``[0, high]``.  A range one shard answers gets
+        that shard's array as it is; only a range with rows from two or more
+        shards is concatenated.
         """
         lows_raw = np.asarray(lows)
         highs_raw = np.asarray(highs)
-        if lows_raw.shape != highs_raw.shape:
-            raise ValueError("lows and highs must have the same shape")
-        lows = routing_keys(lows_raw).astype(self._key_dtype)
-        highs = routing_keys(highs_raw).astype(self._key_dtype)
+        lows, highs = unsigned_ranges(lows_raw, highs_raw, self._key_dtype)
         num = int(lows.shape[0])
         parts: List[KernelStats] = [self._routing_stats(num)]
         self.last_calls = []
@@ -801,7 +792,7 @@ class ShardRouter:
                 partitioner=self.partitioner.kind,
                 kind="range",
             )
-        collected: List[List[np.ndarray]] = [[] for _ in range(num)]
+        row_ids: List[Optional[np.ndarray]] = [None] * num
         try:
             for shard_id in sorted(per_shard):
                 shard = self.shards[shard_id]
@@ -809,9 +800,12 @@ class ShardRouter:
                     continue
                 positions = per_shard[shard_id]
                 result = shard.index.range_lookup_batch(lows[positions], highs[positions])
-                for offset, position in enumerate(positions):
-                    if result.row_ids[offset].shape[0]:
-                        collected[position].append(result.row_ids[offset])
+                for position, rows in zip(positions.tolist(), result.row_ids):
+                    if rows.shape[0]:
+                        held = row_ids[position]
+                        row_ids[position] = (
+                            rows if held is None else np.concatenate((held, rows))
+                        )
                 parts.append(result.stats)
                 self.last_calls.append(ShardCall(shard_id, len(positions), result.stats))
                 if getattr(shard.index, "last_read_unavailable", False):
@@ -834,8 +828,7 @@ class ShardRouter:
                 tracer.pop()
 
         row_ids = [
-            np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint32)
-            for pieces in collected
+            np.empty(0, dtype=np.uint32) if rows is None else rows for rows in row_ids
         ]
         stats = combine("serve.range_lookup", parts)
         return RangeLookupResult(row_ids=row_ids, stats=stats)

@@ -174,6 +174,54 @@ def test_update_batch_rejects_negative_keys(keyset):
         index.update_batch(delete_keys=np.array([-3], dtype=np.int64))
 
 
+@pytest.mark.parametrize("key_bits", [32, 64])
+@pytest.mark.parametrize("engine", ["scalar", "compiled"])
+@pytest.mark.parametrize("kind", ["cgrx", "cgrxu"])
+def test_bare_index_answers_signed_keys_like_one_shard(kind, engine, key_bits):
+    """A bare cgRX or cgRXu index applies the router's rule: a negative
+    point key is a miss, a negative low clamps to 0 and a range with a
+    negative high matches nothing.  Unclamped, -1 wrapped onto the largest
+    key of the key type, which is stored here."""
+    from repro.bench.harness import cgrx_factory, cgrxu_factory, sharded_factory
+    from repro.workloads.keygen import KeySet
+
+    dtype = np.uint32 if key_bits == 32 else np.uint64
+    top = np.iinfo(dtype).max
+    rng = np.random.default_rng(59)
+    middle = rng.integers(8, 1 << min(key_bits - 1, 40), size=600, dtype=np.int64)
+    stored = np.unique(np.concatenate([[0, 5, 7], middle]).astype(dtype))
+    stored = np.concatenate([stored, [top]]).astype(dtype)
+    keyset = KeySet(
+        keys=stored,
+        row_ids=rng.permutation(stored.shape[0]).astype(np.uint32),
+        key_bits=key_bits,
+    )
+    factory = (cgrx_factory if kind == "cgrx" else cgrxu_factory)(engine=engine)
+    bare = factory(keyset)
+    served = sharded_factory(inner=factory, num_shards=1)(keyset)
+    signed = stored[:-1].astype(np.int64)
+
+    points = np.concatenate([[-1, 5, -(2**40), 0, -7, 6], signed[::7]]).astype(np.int64)
+    expected = served.point_lookup_batch(points)
+    result = bare.point_lookup_batch(points)
+    assert result.row_ids.tobytes() == expected.row_ids.tobytes()
+    assert result.match_counts.tobytes() == expected.match_counts.tobytes()
+    assert result.row_ids[[0, 2, 4]].tolist() == [-1, -1, -1]
+    assert result.match_counts[[0, 1, 3]].tolist() == [0, 1, 1]
+
+    lows = np.concatenate([[-3, -3, -100, 5, -1, 6], signed[::11]]).astype(np.int64)
+    highs = np.concatenate([[6, -1, -50, 4, 0, 7], signed[::11] + 1000]).astype(np.int64)
+    expected = served.range_lookup_batch(lows, highs)
+    result = bare.range_lookup_batch(lows, highs)
+    assert [rows.tobytes() for rows in result.row_ids] == [
+        rows.tobytes() for rows in expected.row_ids
+    ]
+    rows_of = dict(zip(stored.tolist(), keyset.row_ids.tolist()))
+    assert sorted(result.row_ids[0].tolist()) == sorted(rows_of[key] for key in (0, 5))
+    assert [result.row_ids[i].shape[0] for i in (1, 2, 3)] == [0, 0, 0]
+    assert result.row_ids[4].tolist() == [rows_of[0]]
+
+
 # --------------------------------------------------------------------------
 # Bugfix 2: extreme percentiles answer from the exact extrema
 # --------------------------------------------------------------------------

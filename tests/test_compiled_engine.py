@@ -5,7 +5,7 @@ same workloads through ``engine="compiled"`` (the default) and asserts
 **byte-identical results and identical instrumentation counters** — plus the
 compiled-tier-specific contracts: the C BVH builder's arrays equal the
 Python builder's, the closest-hit and all-hits megakernels, fused point
-routing and the C range walk match the scalar procedures ray for ray and key
+routing and the C range batch match the scalar procedures ray for ray and key
 for key, the C update apply leaves the node slabs byte-identical (resuming
 once per slab growth, chain tables patched only on splits) and partitions
 its batch exactly like the scalar per-bucket ranges, the C compaction leaves
@@ -449,7 +449,7 @@ def test_fused_routing_matches_scalar_locate_bucket(kind, key_bits, scaled, coun
 
 
 # --------------------------------------------------------------------------
-# C range walk vs the scalar range walk
+# The C range batch vs the scalar range walk
 # --------------------------------------------------------------------------
 
 
@@ -463,14 +463,19 @@ def apply_wave(index, wave) -> None:
 
 @requires_backend
 @pytest.mark.parametrize("key_bits", [32, 64])
-def test_c_range_walk_matches_scalar_through_updates_and_compaction(key_bits):
+@pytest.mark.parametrize("representation", ["naive", "optimized"])
+def test_c_range_lookup_parity_through_updates_and_compaction(key_bits, representation):
     keyset = generate_keys(2048, uniformity=0.5, key_bits=key_bits, seed=91)
     indexes = {
         engine: CgRXuIndex(
-            keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=key_bits, engine=engine)
+            keyset.keys,
+            keyset.row_ids,
+            CgRXuConfig(key_bits=key_bits, representation=representation, engine=engine),
         )
         for engine in ("scalar", "compiled")
     }
+    empty = np.empty(0, dtype=keyset.keys.dtype)
+    assert_range_identical(*(index.range_lookup_batch(empty, empty) for index in indexes.values()))
     rng = np.random.default_rng(92)
 
     def check(label: str) -> None:
@@ -488,6 +493,9 @@ def test_c_range_walk_matches_scalar_through_updates_and_compaction(key_bits):
         scalar = indexes["scalar"].range_lookup_batch(lows, highs)
         fast = indexes["compiled"].range_lookup_batch(lows, highs)
         assert_range_identical(scalar, fast), label
+        pipelines = [index.pipeline for index in indexes.values()]
+        assert_stats_identical(*(pipeline.lifetime_stats for pipeline in pipelines))
+        assert_stats_identical(*(pipeline._engine.stats for pipeline in pipelines))
 
     check("fresh")
     for number, wave in enumerate(
@@ -509,7 +517,7 @@ def test_c_range_walk_matches_scalar_through_updates_and_compaction(key_bits):
 
 
 @requires_backend
-def test_c_range_walk_matches_scalar_across_shards():
+def test_c_range_lookup_matches_scalar_across_shards():
     from repro.bench.harness import cgrxu_factory, sharded_factory
 
     keyset = generate_keys(4096, uniformity=0.6, key_bits=64, seed=94)
@@ -527,19 +535,27 @@ def test_c_range_walk_matches_scalar_across_shards():
 
 
 @requires_backend
-def test_c_range_walk_regrows_a_small_buffer():
-    from repro.core import compiled as core_compiled
-
+def test_c_range_lookup_regrows_a_one_row_buffer(count_calls):
+    """A batch needing more rows than the bound buffer holds regrows it and
+    runs once more, with the scalar reference's answers and counters."""
     keyset = generate_keys(1024, uniformity=0.5, key_bits=32, seed=96)
     index = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32))
+    scalar = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32, engine="scalar"))
     lows, highs = range_lookups(keyset, count=16, expected_hits=50, seed=97)
-    reference = index.range_lookup_batch(lows, highs)
-    bucket_ids, _ = index.representation.locate_bucket_batch(lows, RayStats())
-    rows, total, _, _, distinct = core_compiled.range_walk_batch(
-        index._compiled_chain_tables(), bucket_ids, lows, highs, capacity=3
-    )
+    lows[3] = lows[5]  # a repeated low: 15 distinct
+    index.range_lookup_batch(lows[:1], highs[:1])
+    batch = index._lookup_batch
+    batch._reserve_rows(1)
+    assert batch.rows.shape == (1,)
+    reference = scalar.range_lookup_batch(lows, highs)
+    count_calls.clear()
+    assert_range_identical(reference, index.range_lookup_batch(lows, highs))
+    assert count_calls == {"range_lookup": 2}
+    assert batch.rows.shape == (reference.total_matches,) and reference.total_matches > 16
+    rows, total, reductions = batch.run_ranges(lows, highs)
+    values = dict(zip(batch.REDUCTIONS, reductions))
     assert total == reference.total_matches
-    assert distinct == np.unique(lows).size
+    assert values["distinct_keys"] == np.unique(lows).size == 15
     assert [r.tobytes() for r in rows] == [r.tobytes() for r in reference.row_ids]
 
 
@@ -556,7 +572,7 @@ def test_one_c_call_per_hot_path_batch(count_calls):
     cgrx = CgRXIndex(keyset.keys, keyset.row_ids)
     cgrxu = CgRXuIndex(keyset.keys, keyset.row_ids)
     rx = RXIndex(keyset.keys, keyset.row_ids)
-    cgrxu.range_lookup_batch(lows, highs)  # sizes the range walk's buffer
+    cgrxu.range_lookup_batch(lows, highs)  # sizes the range batch's rows buffer
     count_calls.clear()
 
     cgrx.point_lookup_batch(lookups)
@@ -569,7 +585,7 @@ def test_one_c_call_per_hot_path_batch(count_calls):
     assert count_calls == {"point_lookup": 1}
     count_calls.clear()
     cgrxu.range_lookup_batch(lows, highs)
-    assert count_calls == {"locate_optimized": 1, "range_walk": 1}
+    assert count_calls == {"range_lookup": 1}
     count_calls.clear()
     cgrxu.update_batch(insert_keys=lookups[:48], delete_keys=keyset.keys[::64])
     assert count_calls == {"apply_updates": 1}
@@ -1244,6 +1260,8 @@ def test_point_batch_caches_the_footprint_per_structural_change(monkeypatch):
 
 @requires_backend
 def test_point_batch_returns_fresh_arrays():
+    from repro.bench.harness import cgrxu_factory, sharded_factory
+
     keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=119)
     for index in (CgRXuIndex(keyset.keys, keyset.row_ids), CgRXIndex(keyset.keys, keyset.row_ids)):
         first = index.point_lookup_batch(keyset.keys[:40])
@@ -1252,7 +1270,35 @@ def test_point_batch_returns_fresh_arrays():
         assert first.row_ids.tobytes() == row_ids.tobytes()
         assert first.match_counts.tobytes() == match_counts.tobytes()
         for array in (first.row_ids, first.match_counts):
-            assert not np.shares_memory(array, index._point_batch.answers)
+            assert not np.shares_memory(array, index._lookup_batch.answers)
+
+    # Range batches, on a bare index and through a 4-shard router: a later
+    # batch leaves an earlier answer as it was, and no answer shares memory
+    # with a bound rows buffer.  Two ranges span shards.
+    lows, highs = range_lookups(keyset, count=48, expected_hits=30, seed=119)
+    stored = np.sort(keyset.keys)
+    lows = np.concatenate([lows, stored[[400, 0]]])
+    highs = np.concatenate([highs, stored[[1200, -1]]])
+    bare = CgRXuIndex(keyset.keys, keyset.row_ids)
+    served = sharded_factory(inner=cgrxu_factory(), num_shards=4, partitioner="range")(keyset)
+    for deployment, indexes in (
+        (bare, [bare]),
+        (served, [shard.index for shard in served.router.shards]),
+    ):
+        first = deployment.range_lookup_batch(lows, highs)
+        rows = [array.copy() for array in first.row_ids]
+        deployment.range_lookup_batch(highs[::-1] - 40, highs[::-1])
+        assert [array.tobytes() for array in first.row_ids] == [array.tobytes() for array in rows]
+        assert sum(array.shape[0] for array in rows) > 1000 and rows[-1].shape == (2048,)
+        buffers = [index._lookup_batch.rows for index in indexes]
+        for array in first.row_ids:
+            assert not any(np.shares_memory(array, buffer) for buffer in buffers)
+    # The router hands a range one shard answers that shard's array (a view
+    # of the shard call's rows), and concatenates only the spanning ones.
+    spans = np.subtract(*served.router.partitioner.shard_span_batch(lows, highs)[::-1])
+    assert spans.max() == 3
+    for array, span in zip(first.row_ids, spans):
+        assert (array.base is None) == (span > 0)
 
 
 @requires_backend
@@ -1262,10 +1308,11 @@ def test_point_batch_buffers_grow_with_batches_not_with_repacks():
     keyset = generate_keys(2048, uniformity=0.5, key_bits=32, seed=120)
     index = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32))
     rng = np.random.default_rng(121)
-    largest = repacks = 0
+    largest = most_ranges = most_rows = repacks = 0
     index.point_lookup_batch(keyset.keys[:1])
-    batch = index._point_batch
-    for _ in range(200):
+    batch = index._lookup_batch
+    assert batch.highs.size == batch.offsets.size - 1 == batch.rows.size == 0
+    for step in range(200):
         tables = index._compiled_chain_tables()
         inserts = rng.choice(keyset.keys, size=24)
         index.update_batch(insert_keys=inserts, delete_keys=rng.choice(keyset.keys, size=8))
@@ -1273,16 +1320,52 @@ def test_point_batch_buffers_grow_with_batches_not_with_repacks():
         size = int(rng.integers(1, 48))
         grows = size > batch.capacity
         buffers = batch.keys, batch.answers, batch.scratch
+        ranges = batch.highs, batch.offsets
         largest = max(largest, size)
-        index.point_lookup_batch(rng.choice(keyset.keys, size=size))
+        if step % 2:
+            index.point_lookup_batch(rng.choice(keyset.keys, size=size))
+            assert all(now is before for now, before in zip((batch.highs, batch.offsets), ranges))
+        else:
+            lows = np.sort(rng.choice(keyset.keys, size=size))
+            highs = lows + rng.integers(0, 1 << 22, size=size).astype(lows.dtype)
+            rows_before = batch.rows
+            total = index.range_lookup_batch(lows, highs).total_matches
+            if total <= rows_before.shape[0]:
+                assert batch.rows is rows_before
+            most_rows = max(most_rows, total)
+            assert most_rows <= batch.rows.shape[0] <= 2 * most_rows
+            if size <= ranges[0].shape[0]:
+                assert batch.highs is ranges[0] and batch.offsets is ranges[1]
+            most_ranges = max(most_ranges, size)
+            assert most_ranges <= batch.highs.shape[0] <= 2 * most_ranges
         assert largest <= batch.capacity <= 2 * largest
         if not grows:
-            assert batch.keys is buffers[0]
-            assert batch.answers is buffers[1] and batch.scratch is buffers[2]
+            assert all(now is before for now, before in zip(
+                (batch.keys, batch.answers, batch.scratch), buffers
+            ))
+        assert index.compiled_buffers_bytes() == (
+            index.pipeline.compiled_buffers_bytes()
+            + index._compiled_arena.capacity_bytes
+            + batch.nbytes
+        )
+        assert batch.nbytes >= batch.rows.nbytes + batch.highs.nbytes + batch.offsets.nbytes
     assert repacks > 100
-    assert index._point_batch is batch
+    assert most_rows > 100
+    assert index._lookup_batch is batch
     assert batch.bound[0] is index._compiled_chain_tables()
     assert batch.bound[1] is index.pipeline.compiled_tables()
+
+
+def profiled_series(run) -> list:
+    """The ``rtx_wavefront_*`` and ``core_chain_*`` exposition lines of a
+    profiler enabled while ``run()`` runs."""
+    profile = enable_profiling()
+    try:
+        run()
+    finally:
+        disable_profiling()
+    lines = profile.registry.exposition().splitlines()
+    return [line for line in lines if "rtx_wavefront" in line or "core_chain" in line]
 
 
 @requires_backend
@@ -1290,23 +1373,11 @@ def test_point_batch_feeds_the_profiler_series_of_its_stages():
     """The routing's ``rtx_wavefront_*`` series and the chain walk's
     ``core_chain_*`` series get what a separate routing call plus the walk
     would give them."""
-    from repro.obs.profile import disable_profiling, enable_profiling
-
     keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=122)
     keys = point_batch(keyset, 700, np.random.default_rng(123))
     fused_index, staged_index = (CgRXuIndex(keyset.keys, keyset.row_ids) for _ in range(2))
-
-    def series(run) -> list:
-        profile = enable_profiling()
-        try:
-            run()
-        finally:
-            disable_profiling()
-        lines = profile.registry.exposition().splitlines()
-        return [line for line in lines if "rtx_wavefront" in line or "core_chain" in line]
-
-    fused = series(lambda: fused_index.point_lookup_batch(keys))
-    staged = series(
+    fused = profiled_series(lambda: fused_index.point_lookup_batch(keys))
+    staged = profiled_series(
         lambda: (
             staged_index.representation.locate_bucket_batch(keys, RayStats()),
             staged_index._point_lookup_batch_scalar(keys),
@@ -1315,6 +1386,26 @@ def test_point_batch_feeds_the_profiler_series_of_its_stages():
     assert any('kernel="compiled_locate"' in line for line in fused)
     assert any("core_chain_walk_length" in line for line in fused)
     assert fused == [line.replace('engine="scalar"', 'engine="compiled"') for line in staged]
+
+
+@requires_backend
+def test_range_batch_feeds_the_profiler_series_of_its_routing():
+    """The fused range batch's routing feeds the ``rtx_wavefront_*`` series
+    what a separate routing call plus the scalar walk would feed them."""
+    keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=124)
+    lows = point_batch(keyset, 300, np.random.default_rng(125))
+    top = np.iinfo(lows.dtype).max
+    highs = np.where(lows > top - 4096, top, lows + 4096).astype(lows.dtype)
+    fused_index, staged_index = (CgRXuIndex(keyset.keys, keyset.row_ids) for _ in range(2))
+    fused = profiled_series(lambda: fused_index.range_lookup_batch(lows, highs))
+    staged = profiled_series(
+        lambda: (
+            staged_index.representation.locate_bucket_batch(lows, RayStats()),
+            staged_index._range_lookup_batch_scalar(lows, highs),
+        )
+    )
+    assert any('kernel="compiled_locate"' in line for line in fused)
+    assert fused == staged
 
 
 # --------------------------------------------------------------------------
@@ -1379,7 +1470,7 @@ def test_cgrx_caller_routed_batch_matches_the_post_filter(key_bits):
     its key (a miss that still scans to the run's end), one past the last
     bucket and -1 (no bucket), gets the scalar post-filter's answers and
     scan counts."""
-    from repro.core.compiled import CompiledPointBatch
+    from repro.core.compiled import CompiledLookupBatch
     from repro.gpu.simt import divergence_factor, divergence_from_pacing
 
     keyset = duplicate_heavy(generate_keys(2048, uniformity=0.5, key_bits=key_bits, seed=133))
@@ -1401,7 +1492,7 @@ def test_cgrx_caller_routed_batch_matches_the_post_filter(key_bits):
     ).astype(np.int64)
     ray_nodes = rng.integers(0, 60, size=keys.shape[0])
 
-    batch = CompiledPointBatch(bucketed.keys.dtype)
+    batch = CompiledLookupBatch(bucketed.keys.dtype)
     batch.bind(bucketed)
     *answers, reductions = batch.run(keys, bucket_ids, ray_nodes)
     expected = index._post_filter(keys, bucket_ids)
@@ -1414,7 +1505,7 @@ def test_cgrx_caller_routed_batch_matches_the_post_filter(key_bits):
     assert late.sum() > 100
     assert (expected[1][late] == 0).all() and (expected[2][late] > 1).all()
 
-    values = dict(zip(CompiledPointBatch.REDUCTIONS, reductions))
+    values = dict(zip(CompiledLookupBatch.REDUCTIONS, reductions))
     assert values["deepest_ray_nodes"] == ray_nodes.max()
     assert values["distinct_keys"] == np.unique(keys).size
     assert values["chain_nodes"] == 0 and values["entries"] == expected[2].sum()
@@ -1431,7 +1522,7 @@ def test_cgrx_point_batch_buffers_grow_with_batches_not_with_rebuilds():
     index = CgRXIndex(keyset.keys, keyset.row_ids, CgRXConfig(key_bits=32))
     rng = np.random.default_rng(136)
     index.point_lookup_batch(keyset.keys[:1])
-    batch = index._point_batch
+    batch = index._lookup_batch
     assert index.compiled_buffers_bytes() == (
         index.pipeline.compiled_buffers_bytes() + batch.nbytes
     )
@@ -1448,7 +1539,7 @@ def test_cgrx_point_batch_buffers_grow_with_batches_not_with_rebuilds():
         if not grows:
             assert batch.keys is buffers[0]
             assert batch.answers is buffers[1] and batch.scratch is buffers[2]
-    assert index._point_batch is batch
+    assert index._lookup_batch is batch
     assert batch.bound[0] is index.bucketed
     assert batch.bound[1] is index.pipeline.compiled_tables()
 
@@ -1460,18 +1551,10 @@ def test_cgrx_point_batch_feeds_the_profiler_series_of_its_routing():
     keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=137)
     keys = point_batch(keyset, 700, np.random.default_rng(138))
     fused_index, staged_index = (CgRXIndex(keyset.keys, keyset.row_ids) for _ in range(2))
-
-    def series(run) -> list:
-        profile = enable_profiling()
-        try:
-            run()
-        finally:
-            disable_profiling()
-        lines = profile.registry.exposition().splitlines()
-        return [line for line in lines if "rtx_wavefront" in line]
-
-    fused = series(lambda: fused_index.point_lookup_batch(keys))
-    staged = series(lambda: staged_index.representation.locate_bucket_batch(keys, RayStats()))
+    fused = profiled_series(lambda: fused_index.point_lookup_batch(keys))
+    staged = profiled_series(
+        lambda: staged_index.representation.locate_bucket_batch(keys, RayStats())
+    )
     assert any('kernel="compiled_locate"' in line for line in fused)
     assert fused == staged
 
@@ -1655,7 +1738,7 @@ def test_compiled_arena_reported_outside_the_device_footprint():
 
     arena_bytes = served.maintenance.snapshot()["compiled_arena_bytes"]
     assert arena_bytes == sum(index.compiled_buffers_bytes() for index in shards) > 0
-    batch_bytes = [index._point_batch.nbytes for index in shards]
+    batch_bytes = [index._lookup_batch.nbytes for index in shards]
     assert all(batch_bytes)
     assert arena_bytes == sum(batch_bytes) + sum(
         index.pipeline.compiled_buffers_bytes() + index._compiled_arena.capacity_bytes
