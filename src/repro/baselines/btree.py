@@ -30,6 +30,7 @@ from repro.baselines.base import (
     UpdateResult,
     sorted_lookup_results,
 )
+from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats
 from repro.gpu.memory import MemoryFootprint
@@ -131,7 +132,7 @@ class BPlusTreeIndex(GpuIndex):
     # ---------------------------------------------------------------- lookups
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        keys = np.asarray(keys, dtype=np.uint32)
+        keys, negative = unsigned_points(keys, np.uint32)
         row_agg, match_counts = sorted_lookup_results(self.keys, self._rowid_prefix, keys)
 
         num_lookups = int(keys.shape[0])
@@ -148,13 +149,12 @@ class BPlusTreeIndex(GpuIndex):
         )
         # The address-divergence bottleneck makes B+ insensitive to skew.
         stats.cache_hit_fraction = 0.0
-        return LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats)
+        return mark_misses(
+            LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats), negative
+        )
 
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
-        lows = np.asarray(lows, dtype=np.uint32)
-        highs = np.asarray(highs, dtype=np.uint32)
-        if lows.shape != highs.shape:
-            raise ValueError("lows and highs must have the same shape")
+        lows, highs = unsigned_ranges(lows, highs, np.uint32)
 
         first = np.searchsorted(self.keys, lows, side="left")
         stop = np.searchsorted(self.keys, highs, side="right")

@@ -19,6 +19,7 @@ from repro.baselines.base import (
     delete_one_per_key,
     sorted_lookup_results,
 )
+from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats
 from repro.gpu.memory import MemoryFootprint
@@ -82,18 +83,17 @@ class FullScanIndex(GpuIndex):
         )
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        keys = np.asarray(keys, dtype=self.keys.dtype)
+        keys, negative = unsigned_points(keys, self.keys.dtype)
         row_agg, match_counts = sorted_lookup_results(
             self._sorted_keys, self._rowid_prefix, keys
         )
         stats = self._scan_stats("fullscan.point_lookup", int(keys.shape[0]), int(match_counts.sum()))
-        return LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats)
+        return mark_misses(
+            LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats), negative
+        )
 
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
-        lows = np.asarray(lows, dtype=self.keys.dtype)
-        highs = np.asarray(highs, dtype=self.keys.dtype)
-        if lows.shape != highs.shape:
-            raise ValueError("lows and highs must have the same shape")
+        lows, highs = unsigned_ranges(lows, highs, self.keys.dtype)
         first = np.searchsorted(self._sorted_keys, lows, side="left")
         stop = np.searchsorted(self._sorted_keys, highs, side="right")
         row_ids: List[np.ndarray] = [

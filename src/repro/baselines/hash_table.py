@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.baselines.base import GpuIndex, LookupResult, UpdateResult
+from repro.core.keyspace import mark_misses, unsigned_points
 from repro.gpu.cost_model import UNCOALESCED_ACCESS_BYTES
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats
@@ -177,7 +178,7 @@ class HashTableIndex(GpuIndex):
     # ---------------------------------------------------------------- lookups
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        keys = np.asarray(keys, dtype=self._key_dtype)
+        keys, negative = unsigned_points(keys, self._key_dtype)
         num_lookups = int(keys.shape[0])
         row_agg = np.full(num_lookups, -1, dtype=np.int64)
         match_counts = np.zeros(num_lookups, dtype=np.int64)
@@ -210,7 +211,9 @@ class HashTableIndex(GpuIndex):
         stats.cache_hit_fraction = self.cost_model.cache_hit_fraction(
             self.memory_footprint().total_bytes, self._unique_fraction(keys)
         )
-        return LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats)
+        return mark_misses(
+            LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats), negative
+        )
 
     # ---------------------------------------------------------------- updates
 

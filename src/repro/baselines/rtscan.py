@@ -27,6 +27,7 @@ from repro.baselines.base import (
     UnsupportedOperation,
 )
 from repro.core.key_mapping import KeyMapping
+from repro.core.keyspace import unsigned_ranges
 from repro.gpu.accel import accel_build_stats, triangle_generation_stats
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats
@@ -96,10 +97,7 @@ class RTScanIndex(GpuIndex):
         raise UnsupportedOperation("RTScan (RTc1) does not support point lookups")
 
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
-        lows = np.asarray(lows, dtype=np.uint32)
-        highs = np.asarray(highs, dtype=np.uint32)
-        if lows.shape != highs.shape:
-            raise ValueError("lows and highs must have the same shape")
+        lows, highs = unsigned_ranges(lows, highs, np.uint32)
 
         first = np.searchsorted(self.keys, lows, side="left")
         stop = np.searchsorted(self.keys, highs, side="right")

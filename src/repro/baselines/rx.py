@@ -24,6 +24,7 @@ from repro.baselines.base import (
 )
 from repro.core.config import resolve_engine, validate_engine
 from repro.core.key_mapping import KeyMapping
+from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
 from repro.gpu.accel import accel_build_stats, accel_refit_stats, triangle_generation_stats
 from repro.gpu.cost_model import RT_NODE_RESIDUAL_BYTES, RT_TRIANGLE_RESIDUAL_BYTES
 from repro.gpu.device import RTX_4090, GpuDevice
@@ -115,7 +116,7 @@ class RXIndex(GpuIndex):
     # ---------------------------------------------------------------- lookups
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        keys = np.asarray(keys, dtype=self._key_dtype)
+        keys, negative = unsigned_points(keys, self._key_dtype)
         num_lookups = int(keys.shape[0])
         row_agg = np.full(num_lookups, -1, dtype=np.int64)
         match_counts = np.zeros(num_lookups, dtype=np.int64)
@@ -155,43 +156,35 @@ class RXIndex(GpuIndex):
                 match_counts = batch.hit_counts.astype(np.int64)
                 row_agg = np.where(match_counts > 0, aggregates, -1)
             work_sample = [int(nodes) for nodes in batch.nodes_visited[::sample_every]]
-            stats = self._ray_lookup_stats(
-                "rx.point_lookup", num_lookups, ray_stats, work_sample, keys
-            )
-            return LookupResult(
-                row_ids=row_agg, match_counts=match_counts, stats=stats, engine=engine
-            )
-
-        for position in range(num_lookups):
-            origin = (
-                float(xs[position]) - 0.5,
-                float(ys[position]) * self.mapping.y_scale,
-                float(zs[position]) * self.mapping.z_scale,
-            )
-            # The ray is limited to a single grid cell so neighbouring keys
-            # cannot produce false positives.
-            hits = self.pipeline.cast_axis_all(0, origin, tmax=1.0, stats=ray_stats)
-            if hits:
-                row_agg[position] = sum(
-                    int(self.row_ids[hit.primitive_index]) for hit in hits
+        else:
+            for position in range(num_lookups):
+                origin = (
+                    float(xs[position]) - 0.5,
+                    float(ys[position]) * self.mapping.y_scale,
+                    float(zs[position]) * self.mapping.z_scale,
                 )
-                match_counts[position] = len(hits)
-            if position % sample_every == 0:
-                work_sample.append(ray_stats.nodes_visited - previous_nodes)
-            previous_nodes = ray_stats.nodes_visited
+                # The ray is limited to a single grid cell so neighbouring
+                # keys cannot produce false positives.
+                hits = self.pipeline.cast_axis_all(0, origin, tmax=1.0, stats=ray_stats)
+                if hits:
+                    row_agg[position] = sum(
+                        int(self.row_ids[hit.primitive_index]) for hit in hits
+                    )
+                    match_counts[position] = len(hits)
+                if position % sample_every == 0:
+                    work_sample.append(ray_stats.nodes_visited - previous_nodes)
+                previous_nodes = ray_stats.nodes_visited
 
         stats = self._ray_lookup_stats(
             "rx.point_lookup", num_lookups, ray_stats, work_sample, keys
         )
-        return LookupResult(
-            row_ids=row_agg, match_counts=match_counts, stats=stats, engine="scalar"
+        return mark_misses(
+            LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats, engine=engine),
+            negative,
         )
 
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
-        lows = np.asarray(lows, dtype=self._key_dtype)
-        highs = np.asarray(highs, dtype=self._key_dtype)
-        if lows.shape != highs.shape:
-            raise ValueError("lows and highs must have the same shape")
+        lows, highs = unsigned_ranges(lows, highs, self._key_dtype)
 
         ray_stats = RayStats()
         results: List[np.ndarray] = []

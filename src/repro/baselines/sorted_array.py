@@ -20,6 +20,7 @@ from repro.baselines.base import (
     UpdateResult,
     sorted_lookup_results,
 )
+from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
 from repro.gpu.cost_model import UNCOALESCED_ACCESS_BYTES
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats
@@ -68,7 +69,7 @@ class SortedArrayIndex(GpuIndex):
     # ---------------------------------------------------------------- lookups
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        keys = np.asarray(keys, dtype=self.keys.dtype)
+        keys, negative = unsigned_points(keys, self.keys.dtype)
         row_agg, match_counts = sorted_lookup_results(self.keys, self._rowid_prefix, keys)
 
         num_lookups = int(keys.shape[0])
@@ -90,13 +91,12 @@ class SortedArrayIndex(GpuIndex):
         stats.cache_hit_fraction = self.cost_model.cache_hit_fraction(
             self.memory_footprint().total_bytes, self._unique_fraction(keys)
         )
-        return LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats)
+        return mark_misses(
+            LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats), negative
+        )
 
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
-        lows = np.asarray(lows, dtype=self.keys.dtype)
-        highs = np.asarray(highs, dtype=self.keys.dtype)
-        if lows.shape != highs.shape:
-            raise ValueError("lows and highs must have the same shape")
+        lows, highs = unsigned_ranges(lows, highs, self.keys.dtype)
 
         first = np.searchsorted(self.keys, lows, side="left")
         stop = np.searchsorted(self.keys, highs, side="right")

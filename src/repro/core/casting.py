@@ -4,14 +4,15 @@ The lookup procedures of cgRX fire axis-aligned rays from positions described
 in *grid* coordinates (the integer coordinates produced by the key mapping).
 :class:`SceneCaster` translates those grid positions into scene coordinates
 (applying the y/z scaling), fires the rays through the raytracing pipeline's
-fast axis path and snaps hit positions back onto the grid.
+fast axis path and snaps hit positions back onto the grid.  These are the
+rays of the scalar ``locate_bucket`` procedures; a compiled batch routes in
+one C call instead (``SceneRepresentation.locate_bucket_batch``), with the
+same origins and the same snap.
 """
 
 from __future__ import annotations
 
 from typing import Optional
-
-import numpy as np
 
 from repro.core.key_mapping import KeyMapping
 from repro.rtx.geometry import HitRecord
@@ -39,7 +40,6 @@ class SceneCaster:
         from_x: float,
         grid_y: float,
         grid_z: float,
-        tmax: float = float("inf"),
         stats: Optional[RayStats] = None,
     ) -> HitRecord:
         """Ray along +x starting just before grid column ``from_x`` in row (y, z)."""
@@ -48,7 +48,7 @@ class SceneCaster:
             float(grid_y) * self._mapping.y_scale,
             float(grid_z) * self._mapping.z_scale,
         )
-        return self._pipeline.cast_axis_closest(0, origin, tmax, stats)
+        return self._pipeline.cast_axis_closest(0, origin, float("inf"), stats)
 
     def y_cast(
         self,
@@ -87,60 +87,3 @@ class SceneCaster:
     def hit_grid_z(self, hit: HitRecord) -> int:
         """Grid plane of a hit."""
         return self._mapping.scene_z_to_grid(hit.z)
-
-    # --------------------------------------------------------- compiled batches
-    #
-    # The batch variants fire one megakernel call for a whole array of grid
-    # positions; origins are computed with the same float operations as the
-    # scalar methods, so hits and ray counters are identical per ray.
-
-    def _origins(self, x, y, z) -> "np.ndarray":
-        xs, ys, zs = np.broadcast_arrays(
-            np.asarray(x, dtype=np.float64),
-            np.asarray(y, dtype=np.float64),
-            np.asarray(z, dtype=np.float64),
-        )
-        return np.stack([xs, ys, zs], axis=1)
-
-    def x_cast_batch(
-        self, from_x, grid_y, grid_z, tmax=None, stats: Optional[RayStats] = None
-    ):
-        """Batched :meth:`x_cast`: one +x ray per grid position."""
-        origins = self._origins(
-            np.asarray(from_x, dtype=np.float64) - RAY_START_OFFSET,
-            np.asarray(grid_y, dtype=np.float64) * self._mapping.y_scale,
-            np.asarray(grid_z, dtype=np.float64) * self._mapping.z_scale,
-        )
-        return self._pipeline.cast_axis_closest_batch(0, origins, tmax, stats)
-
-    def y_cast_batch(self, grid_x, from_y, grid_z, stats: Optional[RayStats] = None):
-        """Batched :meth:`y_cast`."""
-        origins = self._origins(
-            np.asarray(grid_x, dtype=np.float64),
-            (np.asarray(from_y, dtype=np.float64) - RAY_START_OFFSET)
-            * self._mapping.y_scale,
-            np.asarray(grid_z, dtype=np.float64) * self._mapping.z_scale,
-        )
-        return self._pipeline.cast_axis_closest_batch(1, origins, None, stats)
-
-    def z_cast_batch(self, grid_x, grid_y, from_z, stats: Optional[RayStats] = None):
-        """Batched :meth:`z_cast`."""
-        origins = self._origins(
-            np.asarray(grid_x, dtype=np.float64),
-            np.asarray(grid_y, dtype=np.float64) * self._mapping.y_scale,
-            (np.asarray(from_z, dtype=np.float64) - RAY_START_OFFSET)
-            * self._mapping.z_scale,
-        )
-        return self._pipeline.cast_axis_closest_batch(2, origins, None, stats)
-
-    def hit_grid_y_batch(self, points: "np.ndarray") -> "np.ndarray":
-        """Grid rows of batched hit points (same rounding as :meth:`hit_grid_y`)."""
-        return np.round(
-            points[:, 1].astype(np.float64) / self._mapping.y_scale
-        ).astype(np.int64)
-
-    def hit_grid_z_batch(self, points: "np.ndarray") -> "np.ndarray":
-        """Grid planes of batched hit points."""
-        return np.round(
-            points[:, 2].astype(np.float64) / self._mapping.z_scale
-        ).astype(np.int64)

@@ -1,8 +1,9 @@
 """Compiled point batches of both cgRX indexes, and cgRXu's range batches
 and node-chain kernels for updates and compaction.
 
-A point batch of either index is one ``point_lookup`` C call over buffers
-bound once per index (:class:`CompiledLookupBatch`): routing, then per key a
+A point batch of either index, under either scene representation, is one
+``point_lookup`` C call over buffers bound once per index
+(:class:`CompiledLookupBatch`): routing, then per key a
 chain walk over cgRXu's :class:`~repro.core.nodes.NodeStorage` slabs or a
 binary search of the located bucket of cgRX's
 :class:`~repro.core.bucketing.BucketedKeys` (read in place), and the kernel
@@ -113,20 +114,19 @@ class CompiledLookupBatch:
     once.
 
     Keys in (a point batch's keys or a range batch's lows), range highs in,
-    routed buckets and ray visits in (for a representation that routes its
-    keys itself), point answers out (rowID aggregate, match count and
-    entries touched per key), range rows out (one flat buffer with
-    per-range offsets), the kernel's reductions and the distinct-count
-    scratch all live here.  Their pointers sit in one
-    :class:`LookupBatchStruct` next to the index's table pointers (cgRXu's
-    chain tables or cgRX's bucketed keys) and the BVH table pointers, so a
-    batch is one ``point_lookup`` or ``range_lookup`` call that converts
-    nothing.  The buffers are sized by the first batch that needs them —
-    the highs, offsets and rows by the first range batch, so a point-only
-    index holds none — and grow geometrically only when a batch's keys,
-    ranges or rows exceed them (a range batch that overflows the rows
-    buffer runs once more after the growth); :meth:`bind` re-points the
-    table fields without touching them.
+    point answers out (rowID aggregate, match count and entries touched per
+    key), range rows out (one flat buffer with per-range offsets), the
+    kernel's reductions and the distinct-count scratch all live here.
+    Their pointers sit in one :class:`LookupBatchStruct` next to the
+    index's table pointers (cgRXu's chain tables or cgRX's bucketed keys),
+    the BVH table pointers and the representation's route params, so a
+    batch is one ``point_lookup`` or ``range_lookup`` call that routes its
+    keys and converts nothing.  The buffers are sized by the first batch
+    that needs them — the highs, offsets and rows by the first range
+    batch, so a point-only index holds none — and grow geometrically only
+    when a batch's keys, ranges or rows exceed them (a range batch that
+    overflows the rows buffer runs once more after the growth);
+    :meth:`bind` re-points the table fields without touching them.
     """
 
     #: Names of the kernel's reductions, in the order it writes them.
@@ -151,17 +151,14 @@ class CompiledLookupBatch:
         self._reserve_ranges(0)
         self._reserve_rows(0)
 
-    def bind(self, tables, bvh=None, params=None) -> None:
+    def bind(self, tables, bvh, params) -> None:
         """Point the struct at ``tables`` — a cgRXu index's
         :class:`CompiledChainTables` or a cgRX index's
-        :class:`~repro.core.bucketing.BucketedKeys` — and at ``bvh`` and
-        ``params`` for the fused routing, both ``None`` when the caller
-        routes the keys."""
+        :class:`~repro.core.bucketing.BucketedKeys` — and at the ``bvh``
+        tables and route ``params`` of the fused routing."""
         bound_tables, bound_bvh, bound_params = self.bound
         if bound_tables is tables and bound_bvh is bvh and bound_params is params:
             return
-        if (bvh is None) != (params is None):
-            raise ValueError("fused routing needs both the BVH tables and the route params")
         chain = isinstance(tables, CompiledChainTables)
         key_dtype = tables.key_dtype if chain else tables.keys.dtype
         if key_dtype != self.key_dtype:
@@ -181,25 +178,16 @@ class CompiledLookupBatch:
             )
             self.struct.chain = None
             self.struct.sorted = ctypes.addressof(self._buckets)
-        self.struct.bvh = None if bvh is None else bvh.ref
-        self.struct.route = None if params is None else ctypes.addressof(params)
+        self.struct.bvh = bvh.ref
+        self.struct.route = ctypes.addressof(params)
         self.bound = (tables, bvh, params)
-
-    @property
-    def fused(self) -> bool:
-        """Whether the kernel routes the keys itself (route params bound)."""
-        return self.bound[2] is not None
 
     def _reserve(self, capacity: int) -> None:
         self.keys = np.empty(capacity, dtype=self.key_dtype)
-        #: Bucket ids and ray visits of keys the caller routed.
-        self.routing = np.empty((2, capacity), dtype=np.int64)
         self.answers = np.empty((3, capacity), dtype=np.int64)
         self.scratch = np.empty(2 * capacity, dtype=np.uint64)
         struct = self.struct
         struct.keys = address(self.keys)
-        struct.buckets = address(self.routing[0])
-        struct.ray_nodes = address(self.routing[1])
         struct.row_ids = address(self.answers[0])
         struct.matches = address(self.answers[1])
         struct.scanned = address(self.answers[2])
@@ -223,73 +211,51 @@ class CompiledLookupBatch:
         return sum(
             array.nbytes
             for array in (
-                self.keys, self.highs, self.routing, self.answers, self.offsets,
-                self.scratch, self.rows, self.reductions,
+                self.keys, self.highs, self.answers, self.offsets, self.scratch,
+                self.rows, self.reductions,
             )
         )
 
-    def _load(self, keys: np.ndarray, bucket_ids, ray_nodes) -> int:
-        """Copy a batch's keys, and the caller's routing when the struct is
-        not :attr:`fused`, into the buffers (grown first when the batch
+    def _load(self, keys: np.ndarray) -> int:
+        """Copy a batch's keys into the buffers (grown first when the batch
         exceeds them).  Returns the batch size."""
         num_keys = int(keys.shape[0])
         check_shapes((keys, (num_keys,)))
-        caller_routed = bucket_ids is not None
-        if (
-            self.bound[0] is None
-            or caller_routed == self.fused
-            or caller_routed != (ray_nodes is not None)
-        ):
-            raise ValueError(
-                "a batch needs bound tables, and bucket ids with their ray "
-                "visits exactly when the routing is not fused"
-            )
+        if self.bound[0] is None:
+            raise ValueError("a batch needs bound tables")
         if num_keys > self.capacity:
             self._reserve(max(num_keys, 2 * self.capacity))
         self.keys[:num_keys] = keys
-        if caller_routed:
-            check_shapes((bucket_ids, (num_keys,)), (ray_nodes, (num_keys,)))
-            self.routing[0, :num_keys] = bucket_ids
-            self.routing[1, :num_keys] = ray_nodes
         return num_keys
 
-    def run(
-        self, keys: np.ndarray, bucket_ids: np.ndarray = None, ray_nodes: np.ndarray = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
+    def run(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
         """One ``point_lookup`` call over ``keys``.
 
-        ``bucket_ids`` and ``ray_nodes`` are required exactly when the
-        struct is not :attr:`fused`.  Returns fresh ``(row_ids,
-        match_counts, entries)`` arrays — ``entries`` per key is cgRXu's
-        entries touched or cgRX's entries scanned — and the
-        :attr:`REDUCTIONS` values.  Requires the kernel library.
+        Returns fresh ``(row_ids, match_counts, entries)`` arrays —
+        ``entries`` per key is cgRXu's entries touched or cgRX's entries
+        scanned — and the :attr:`REDUCTIONS` values.  Requires the kernel
+        library.
         """
-        num_keys = self._load(keys, bucket_ids, ray_nodes)
+        num_keys = self._load(keys)
         library().point_lookup(self.ref, num_keys)
         row_ids, match_counts, entries = self.answers[:, :num_keys].copy()
         return row_ids, match_counts, entries, self.reductions.tolist()
 
     def run_ranges(
-        self,
-        lows: np.ndarray,
-        highs: np.ndarray,
-        bucket_ids: np.ndarray = None,
-        ray_nodes: np.ndarray = None,
+        self, lows: np.ndarray, highs: np.ndarray
     ) -> Tuple[List[np.ndarray], int, List[int]]:
         """One ``range_lookup`` call over the ranges ``[lows, highs]`` of
         bound cgRXu chain tables.
 
-        ``bucket_ids`` and ``ray_nodes`` route the lows exactly when the
-        struct is not :attr:`fused`.  When the ranges need more rows than
-        the rows buffer holds, it grows and the call runs once more.
-        Returns each range's rows in walk order (views of one fresh copy of
-        the flat rows, never of the buffer), the total row count and the
-        :attr:`REDUCTIONS` values (``distinct_keys`` counts the lows).
-        Requires the kernel library.
+        When the ranges need more rows than the rows buffer holds, it grows
+        and the call runs once more.  Returns each range's rows in walk
+        order (views of one fresh copy of the flat rows, never of the
+        buffer), the total row count and the :attr:`REDUCTIONS` values
+        (``distinct_keys`` counts the lows).  Requires the kernel library.
         """
         if not isinstance(self.bound[0], CompiledChainTables):
             raise ValueError("range batches walk bound cgRXu chain tables")
-        num_ranges = self._load(lows, bucket_ids, ray_nodes)
+        num_ranges = self._load(lows)
         check_shapes((highs, (num_ranges,)))
         if num_ranges > self.highs.shape[0]:
             self._reserve_ranges(max(num_ranges, 2 * self.highs.shape[0]))
@@ -325,23 +291,16 @@ class CompiledLookupBatch:
     def _run_routed(
         self, run, keys: np.ndarray, inputs: tuple, tables, representation, pipeline
     ):
-        """:meth:`bind` to an index's ``tables`` and, when its
-        ``representation`` fuses the routing, to its ``pipeline``'s current
-        BVH tables; then ``run(keys, *inputs)``, after the representation's
-        own routing calls unless the routing is fused.
+        """:meth:`bind` to an index's ``tables``, its ``pipeline``'s current
+        BVH tables and its ``representation``'s route params, then
+        ``run(keys, *inputs)``.
 
-        Fused rays are counted as a separate routing call would count them:
-        in the pipeline's statistics and in the profiler's
+        The routed rays are counted as a separate routing call would count
+        them: in the pipeline's statistics and in the profiler's
         ``compiled_locate`` series.  Returns ``run``'s values with the
         batch's ray statistics inserted before the reductions.
         """
-        params = representation.compiled_route_params()
-        self.bind(tables, None if params is None else pipeline.compiled_tables(), params)
-        if not self.fused:
-            ray_stats = RayStats()
-            routing = representation.locate_bucket_batch(keys, ray_stats)
-            *answers, reductions = run(keys, *inputs, *routing)
-            return (*answers, ray_stats, reductions)
+        self.bind(tables, pipeline.compiled_tables(), representation.compiled_route_params())
         *answers, reductions = run(keys, *inputs)
         rays, ray_nodes, tests, hits, deepest = reductions[:5]
         ray_stats = RayStats().add_totals(rays, ray_nodes, tests, hits)

@@ -146,9 +146,8 @@ class CgRXIndex(GpuIndex):
         Returns the bucketID per key (:data:`MISS` for keys above the
         largest representative), the aggregated ray statistics and a sample
         of per-lookup work used for the divergence estimate.  The compiled
-        engine runs the optimized representation's whole ray sequence in one
-        C call (the naive one in one megakernel call per stage); counters and
-        samples are identical to the scalar loop.
+        engine runs the representation's whole ray sequence in one C call;
+        counters and samples are identical to the scalar loop.
         """
         stats = RayStats()
         sample_every = max(1, keys.shape[0] // _DIVERGENCE_SAMPLE)
@@ -171,9 +170,9 @@ class CgRXIndex(GpuIndex):
 
         The compiled engine runs both stages and the kernel record's
         reductions in one ``point_lookup`` C call over buffers bound once
-        per index (the naive representation routes with its own calls
-        first).  The scalar engine routes key by key and post-filters with
-        :meth:`_post_filter`, the reference.  Answers and counters are
+        per index, under either representation.  The scalar engine routes
+        key by key and post-filters with :meth:`_post_filter`, the
+        reference.  Answers and counters are
         identical; ``LookupResult.engine`` names the engine that ran.  A
         negative (signed-dtype) key is a miss (:mod:`repro.core.keyspace`).
         """

@@ -3,8 +3,8 @@
 Stored keys are unsigned, so a negative (signed-dtype) client key sorts
 *below* every stored key.  A plain cast would wrap it to the top of the
 keyspace instead and, at 32 bits, alias a stored key.  Every lookup
-boundary — the bare cgRX and cgRXu indexes and the sharded router —
-applies one rule: a negative point key is a miss, a negative range low
+boundary — each bare index (cgRX, cgRXu and every baseline) and the sharded
+router — applies one rule: a negative point key is a miss, a negative range low
 clamps to 0 and a range whose high end is negative matches nothing.
 Unsigned inputs are told apart by their dtype kind alone and pass through
 without a scan of their values.

@@ -62,6 +62,7 @@ class NaiveRepresentation(SceneRepresentation):
         self.row_marker_offset = num_buckets
         #: Slot offset of the plane-marker section.
         self.plane_marker_offset = num_buckets * (1 + int(self.multi_line))
+        self.marker_lanes = (MARKER_X, MARKER_Y)
 
         scene_y = rep_y.astype(np.float64) * mapping.y_scale
         scene_z = rep_z.astype(np.float64) * mapping.z_scale
@@ -140,96 +141,3 @@ class NaiveRepresentation(SceneRepresentation):
         # fallback so a traversal bug surfaces as a wrong result in tests
         # instead of an exception.
         return MISS
-
-    # ---------------------------------------------------------- batched lookups
-
-    def locate_bucket_batch(self, keys: np.ndarray, stats=None):
-        """Batched Algorithm 2: stage-synchronous batched rays.
-
-        Fires exactly the rays :meth:`locate_bucket` would fire per key, one
-        megakernel call per stage.  Returns ``(bucket_ids, nodes_visited)``;
-        ``stats`` accumulates identical ray totals.
-        """
-        keys = np.asarray(keys)
-        num_keys = int(keys.shape[0])
-        out = np.full(num_keys, MISS, dtype=np.int64)
-        nodes = np.zeros(num_keys, dtype=np.int64)
-        if num_keys == 0:
-            return out, nodes
-
-        mapping = self.mapping
-        caster = self.caster
-        keys64 = keys.astype(np.uint64)
-        below = keys64 < np.uint64(self.min_representative)
-        in_range = keys64 <= np.uint64(self.max_representative)
-        out[below] = 0
-
-        kx = mapping.x_of(keys64).astype(np.int64)
-        ky = mapping.y_of(keys64).astype(np.int64)
-        kz = mapping.z_of(keys64).astype(np.int64)
-
-        # Ray 1: along +x in the key's own row.
-        todo = np.nonzero(in_range & ~below)[0]
-        if todo.size == 0:
-            return out, nodes
-        same_row = caster.x_cast_batch(kx[todo], ky[todo], kz[todo], stats=stats)
-        nodes[todo] += same_row.nodes_visited
-        resolved = same_row.hit
-        out[todo[resolved]] = same_row.primitive_index[resolved]
-        pending = todo[~resolved]
-
-        # Rays 2+3: next populated row via the x = -1 marker lane.
-        if self.multi_line and pending.size:
-            next_row = caster.y_cast_batch(
-                np.full(pending.size, MARKER_X),
-                ky[pending] + 1,
-                kz[pending],
-                stats=stats,
-            )
-            nodes[pending] += next_row.nodes_visited
-            hit = np.nonzero(next_row.hit)[0]
-            if hit.size:
-                hit_keys = pending[hit]
-                row_y = caster.hit_grid_y_batch(next_row.point)[hit]
-                leftmost = caster.x_cast_batch(
-                    np.zeros(hit.size, dtype=np.int64), row_y, kz[hit_keys], stats=stats
-                )
-                nodes[hit_keys] += leftmost.nodes_visited
-                found = leftmost.hit
-                out[hit_keys[found]] = leftmost.primitive_index[found]
-            pending = pending[~next_row.hit]
-
-        # Rays 3-5: next populated plane via the x = -1, y = -1 marker lane.
-        if self.multi_plane and pending.size:
-            next_plane = caster.z_cast_batch(
-                np.full(pending.size, MARKER_X),
-                np.full(pending.size, MARKER_Y),
-                kz[pending] + 1,
-                stats=stats,
-            )
-            nodes[pending] += next_plane.nodes_visited
-            planed = np.nonzero(next_plane.hit)[0]
-            if planed.size:
-                plane_keys = pending[planed]
-                plane_z = caster.hit_grid_z_batch(next_plane.point)[planed]
-                next_row = caster.y_cast_batch(
-                    np.full(planed.size, MARKER_X),
-                    np.zeros(planed.size, dtype=np.int64),
-                    plane_z,
-                    stats=stats,
-                )
-                nodes[plane_keys] += next_row.nodes_visited
-                hit = np.nonzero(next_row.hit)[0]
-                if hit.size:
-                    hit_keys = plane_keys[hit]
-                    row_y = caster.hit_grid_y_batch(next_row.point)[hit]
-                    leftmost = caster.x_cast_batch(
-                        np.zeros(hit.size, dtype=np.int64),
-                        row_y,
-                        plane_z[hit],
-                        stats=stats,
-                    )
-                    nodes[hit_keys] += leftmost.nodes_visited
-                    found = leftmost.hit
-                    out[hit_keys[found]] = leftmost.primitive_index[found]
-        return out, nodes

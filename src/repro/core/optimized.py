@@ -31,11 +31,6 @@ from repro.rtx.traversal import RayStats
 class OptimizedRepresentation(SceneRepresentation):
     """Moved/auxiliary representatives serve as implicit row and plane markers."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        #: Compiled routing constants (built on first use).
-        self._route_params = None
-        super().__init__(*args, **kwargs)
-
     # ------------------------------------------------------------ construction
 
     def _build_scene(self) -> None:
@@ -89,6 +84,7 @@ class OptimizedRepresentation(SceneRepresentation):
         #: Slot offsets of the auxiliary sections (used by primitive remapping).
         self.row_marker_offset = num_buckets
         self.plane_marker_offset = 2 * num_buckets
+        self.marker_lanes = (x_max, y_max)
 
         scene_y = rep_y.astype(np.float64) * mapping.y_scale
         scene_z = rep_z.astype(np.float64) * mapping.z_scale
@@ -195,33 +191,3 @@ class OptimizedRepresentation(SceneRepresentation):
 
         # Defensive fallback, unreachable for keys inside the indexed range.
         return MISS
-
-    # ---------------------------------------------------------- batched lookups
-
-    def compiled_route_params(self):
-        if self._route_params is None:
-            from repro.rtx import compiled
-
-            self._route_params = compiled.route_params(
-                self.mapping,
-                self.min_representative,
-                self.max_representative,
-                self.multi_line,
-                self.multi_plane,
-                self.row_marker_offset,
-                self.plane_marker_offset,
-            )
-        return self._route_params
-
-    def locate_bucket_batch(self, keys: np.ndarray, stats=None):
-        """Batched point routing: every key fires exactly the rays
-        :meth:`locate_bucket` would fire, the whole sequence in one C call.
-
-        Returns ``(bucket_ids, nodes_visited)`` with :data:`MISS` for
-        out-of-range keys and the per-key BVH node visits used for divergence
-        sampling; ``stats`` accumulates the identical ray totals.  Requires
-        the compiled tier (callers resolve the engine first).
-        """
-        return self.pipeline.route_optimized_batch(
-            self.compiled_route_params(), np.asarray(keys), stats
-        )

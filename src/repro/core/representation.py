@@ -1,4 +1,13 @@
-"""Base class shared by the naive and optimized scene representations."""
+"""Base class shared by the naive and optimized scene representations.
+
+Both representations locate a key's bucket with the same ray sequence: a
+row ray, then a next-row ray or a next-plane ray with its first row, then a
+leftmost ray.  They differ in the triangles they place and in the lanes
+their next-row and next-plane rays run along (``marker_lanes``).  Each
+keeps its own scalar ``locate_bucket``, the paper's procedure and the
+reference; the compiled batch routing (``locate_bucket_batch``) is one C
+routine for both, parameterised by those lanes.
+"""
 
 from __future__ import annotations
 
@@ -20,9 +29,15 @@ class SceneRepresentation(ABC):
     """A strategy for materialising bucket representatives as triangles.
 
     Subclasses build the triangles into the pipeline's vertex buffer at
-    construction time and implement the ray-firing sequence that maps a
-    lookup key to its bucketID.
+    construction time, setting the slot offsets of their marker sections
+    and their :attr:`marker_lanes`, and implement the ray-firing sequence
+    that maps a lookup key to its bucketID.
     """
+
+    #: Grid ``(x, y)`` of the lanes the discovery rays run along: the
+    #: next-row rays along column x, the next-plane ray along row (x, y).
+    #: Set by :meth:`_build_scene`.
+    marker_lanes: tuple
 
     def __init__(
         self,
@@ -34,6 +49,8 @@ class SceneRepresentation(ABC):
         self.mapping = mapping
         self.pipeline = pipeline
         self.num_buckets = bucketed.num_buckets
+        #: Compiled routing constants (built on first use).
+        self._route_params = None
 
         representatives = bucketed.representatives()
         min_rep = int(representatives[0])
@@ -61,17 +78,42 @@ class SceneRepresentation(ABC):
         key.  ``stats`` accumulates the ray-traversal work of the lookup.
         """
 
-    @abstractmethod
-    def locate_bucket_batch(self, keys, stats: Optional[RayStats] = None):
-        """Batched :meth:`locate_bucket` on the compiled kernels:
-        ``(bucket_ids, nodes_visited)`` arrays with results and counters
-        identical to the per-key procedure."""
-
     def compiled_route_params(self):
         """The :class:`~repro.rtx.compiled.RouteParams` of this
-        representation's routing fused into one C loop, or ``None`` when
-        :meth:`locate_bucket_batch` routes with calls of its own."""
-        return None
+        representation's routing, built on first use."""
+        if self._route_params is None:
+            from repro.rtx.compiled import RouteParams
+
+            mapping = self.mapping
+            lane_x, lane_y = self.marker_lanes
+            self._route_params = RouteParams(
+                min_rep=int(self.min_representative),
+                max_rep=int(self.max_representative),
+                lane_x=int(lane_x),
+                lane_y=int(lane_y),
+                row_marker_offset=int(self.row_marker_offset),
+                plane_marker_offset=int(self.plane_marker_offset),
+                y_scale=float(mapping.y_scale),
+                z_scale=float(mapping.z_scale),
+                x_bits=int(mapping.x_bits),
+                y_bits=int(mapping.y_bits),
+                z_bits=int(mapping.z_bits),
+                multi_line=int(self.multi_line),
+                multi_plane=int(self.multi_plane),
+            )
+        return self._route_params
+
+    def locate_bucket_batch(self, keys, stats: Optional[RayStats] = None):
+        """Batched :meth:`locate_bucket`: every key fires exactly the rays
+        :meth:`locate_bucket` would fire, the whole sequence in one C call.
+
+        Returns ``(bucket_ids, nodes_visited)`` with :data:`MISS` for keys
+        above the largest representative and the per-key BVH node visits
+        used for divergence sampling; ``stats`` accumulates the identical
+        ray totals.  Requires the compiled tier (callers resolve the engine
+        first).
+        """
+        return self.pipeline.route_batch(self.compiled_route_params(), keys, stats)
 
     # ------------------------------------------------------------ maintenance
 

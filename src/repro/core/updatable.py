@@ -349,8 +349,7 @@ class CgRXuIndex(GpuIndex):
         """Batch path: one ``point_lookup`` C call over buffers bound once
         per index (:class:`~repro.core.compiled.CompiledLookupBatch`).
 
-        The call routes the keys (the optimized representation's fused
-        routing; the naive representation routes with its own calls first),
+        The call routes the keys (either representation's fused routing),
         walks the chains and reduces what the kernel record needs.
         """
         num_lookups = int(keys.shape[0])
@@ -517,8 +516,8 @@ class CgRXuIndex(GpuIndex):
         self, lows: np.ndarray, highs: np.ndarray
     ) -> RangeLookupResult:
         """Batch path: one ``range_lookup`` C call over the buffers of
-        :meth:`_compiled_lookup_batch` (the naive representation routes the
-        lows with its own calls first)."""
+        :meth:`_compiled_lookup_batch`, routing the lows of either
+        representation."""
         num_queries = int(lows.shape[0])
         results, total_results, ray_stats, reductions = (
             self._compiled_lookup_batch().lookup_ranges(

@@ -27,7 +27,7 @@ from repro.rtx.scene import BuildFlags, TriangleScene, VertexBuffer
 from repro.rtx.bvh import Bvh, BvhBuildConfig, BvhNode, build_bvh
 from repro.rtx.traversal import RayStats, TraversalEngine
 from repro.rtx.refit import refit_bvh
-from repro.rtx.pipeline import LaunchResult, RaytracingPipeline
+from repro.rtx.pipeline import RaytracingPipeline
 
 __all__ = [
     "Aabb",
@@ -47,6 +47,5 @@ __all__ = [
     "RayStats",
     "TraversalEngine",
     "refit_bvh",
-    "LaunchResult",
     "RaytracingPipeline",
 ]

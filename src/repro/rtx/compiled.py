@@ -5,15 +5,18 @@ paths in :mod:`repro.rtx.traversal` and :mod:`repro.core` stay the
 reference oracle:
 
 * **Traversal megakernel.**  One loop per ray runs traversal-pop, slab test,
-  leaf intersection and stack-push back to back.  Closest-hit batches
-  (:func:`trace_axis_closest_batch`) tighten the ray's ``t`` on every hit;
-  all-hits batches (:func:`trace_axis_all_batch`, RX point lookups) run the
-  same loop in collect mode, appending every hit to a caller buffer.
-* **Fused point routing.**  :func:`locate_optimized_batch` runs the whole
-  ray sequence of ``OptimizedRepresentation.locate_bucket`` per key inside
-  one C call: key slicing, the row ray, the next-row and leftmost-in-row
-  rays, the next-plane ray with its first row and leftmost representative,
-  the float32 hit-point grid snap and the primitive remap.  A point batch
+  leaf intersection and stack-push back to back.  The routing below runs it
+  in closest-hit mode, tightening the ray's ``t`` on every hit; all-hits
+  batches (:func:`trace_axis_all_batch`, RX point lookups) run the same loop
+  in collect mode, appending every hit to a caller buffer.
+* **Fused point routing.**  :func:`locate_keys_batch` runs the whole ray
+  sequence of either scene representation's ``locate_bucket`` per key
+  inside one C call: key slicing, the row ray, the next-row and
+  leftmost-in-row rays, the next-plane ray with its first row and leftmost
+  representative, the float32 hit-point grid snap and the primitive remap.
+  The two representations differ only in the lanes their next-row and
+  next-plane rays run along (``RouteParams``: the naive markers at x = -1
+  and y = -1, the optimized terminators at xmax and ymax).  A point batch
   of either index goes further: ``point_lookup`` runs that routing and,
   per key, cgRXu's chain walk or cgRX's static-bucket search (a binary
   search of the located bucket of the sorted key array, galloping over
@@ -27,9 +30,7 @@ reference oracle:
   same routing of its low, then the forward chain walk to the first key
   above its high, the rows of every range in one flat buffer with
   per-range offsets, and the range record's reductions (ray totals, chain
-  nodes, entries, the distinct lows).  The naive representation routes
-  with its own calls and hands its bucket ids and ray visits to either
-  entry.
+  nodes, entries, the distinct lows).
 * **BVH build.**  :func:`build_bvh_median` is the ``median``-split builder of
   :func:`repro.rtx.bvh.build_bvh` in C, with identical output arrays.
 * **cgRXu node chains.**  The point and range batches, the update
@@ -234,10 +235,13 @@ typedef struct {
     double tolerance;
 } BvhTables;
 
-/* Constants of OptimizedRepresentation.locate_bucket (see RouteParams). */
+/* Constants of a representation's locate_bucket (see RouteParams): lane_x
+   is the grid x of the column the next-row and next-plane rays run along,
+   lane_y the grid y of the next-plane ray's row (the naive representation's
+   markers at -1, the optimized one's terminators at xmax and ymax). */
 typedef struct {
     uint64_t min_rep, max_rep;
-    int64_t x_max, y_max;
+    int64_t lane_x, lane_y;
     int64_t row_marker_offset, plane_marker_offset;
     double y_scale, z_scale;
     int32_t x_bits, y_bits, z_bits;
@@ -290,10 +294,9 @@ typedef struct {
 
 /* One index's lookup batches (LookupBatch): the tables a batch reads and
    the batch buffers, bound once per index.  Exactly one of chain (cgRXu's
-   node chains) and sorted (cgRX's static buckets) is set.  route == NULL
-   means the caller routed the keys itself and filled buckets / ray_nodes.
-   keys holds a point batch's keys or a range batch's lows; highs, rows
-   (rows_capacity slots) and offsets serve range batches only. */
+   node chains) and sorted (cgRX's static buckets) is set.  keys holds a
+   point batch's keys or a range batch's lows; highs, rows (rows_capacity
+   slots) and offsets serve range batches only. */
 typedef struct {
     const BvhTables* bvh;
     const RouteParams* route;
@@ -301,8 +304,6 @@ typedef struct {
     const SortedBuckets* sorted;
     const void* keys;
     const void* highs;
-    const int64_t* buckets;
-    const int64_t* ray_nodes;
     int64_t* row_ids;
     int64_t* matches;
     int64_t* scanned;
@@ -415,32 +416,6 @@ static int trace_ray(const BvhTables* T, int axis, double o, double ca, double c
     return has;
 }
 
-/* Closest hits of a batch of +axis rays.  origins is (R, 3); t enters as
-   tmax and leaves as the hit distance; ints is (2, R): best triangle, node
-   visits.  totals: rays, nodes, triangle tests, hits. */
-void trace_axis_closest(const BvhTables* T, int32_t axis, int64_t num_rays,
-                        const double* origins, double* t, uint8_t* hit,
-                        int64_t* ints, int64_t* totals)
-{
-    const int perp_a = PERP_A[axis], perp_b = PERP_B[axis];
-    int64_t nodes = 0, tests_total = 0, hits = 0;
-    for (int64_t r = 0; r < num_rays; r++) {
-        const double* origin = origins + 3 * r;
-        int64_t visits, tests;
-        const int has = trace_ray(T, axis, origin[axis], origin[perp_a], origin[perp_b],
-                                  &t[r], &ints[r], &visits, &tests, NULL);
-        hit[r] = (uint8_t)has;
-        ints[num_rays + r] = visits;
-        nodes += visits;
-        tests_total += tests;
-        hits += has;
-    }
-    totals[0] = num_rays;
-    totals[1] = nodes;
-    totals[2] = tests_total;
-    totals[3] = hits;
-}
-
 /* All hits of a batch of +axis rays, ray by ray in traversal order, into
    the (capacity)-long hit_rays / hit_t / hit_tri arrays; visits gets the
    per-ray node visits.  Returns the number of hits found (more than
@@ -505,7 +480,10 @@ static inline int64_t remap(const BvhTables* T, const RouteParams* P, int64_t tr
     return prim;
 }
 
-/* OptimizedRepresentation.locate_bucket for one in-range key. */
+/* A representation's locate_bucket for one in-range key.  The naive
+   representation has no flipped triangles, and its row-ray and leftmost
+   hits start at x >= -0.5, past its markers, so neither the flip test nor
+   the remap changes its answers. */
 static int64_t route(const BvhTables* T, const RouteParams* P, int64_t kx, int64_t ky,
                      int64_t kz, int64_t* kn, RayTotals* c)
 {
@@ -516,7 +494,7 @@ static int64_t route(const BvhTables* T, const RouteParams* P, int64_t kx, int64
         return remap(T, P, tri);
     /* Ray 2 (+ ray 3 on a front face): the next populated row. */
     if (P->multi_line &&
-        cast(T, 1, (double)P->x_max, ((double)(ky + 1) - 0.5) * P->y_scale,
+        cast(T, 1, (double)P->lane_x, ((double)(ky + 1) - 0.5) * P->y_scale,
              (double)kz * P->z_scale, &tri, kn, c)) {
         if (T->flipped[tri]) return remap(T, P, tri);
         const int64_t row_y = snap(T->centroids[3 * tri + 1], P->y_scale);
@@ -528,10 +506,10 @@ static int64_t route(const BvhTables* T, const RouteParams* P, int64_t kx, int64
     /* Rays 3-5: the next populated plane, its first row, and that row's
        leftmost representative. */
     if (P->multi_plane &&
-        cast(T, 2, (double)P->x_max, (double)P->y_max * P->y_scale,
+        cast(T, 2, (double)P->lane_x, (double)P->lane_y * P->y_scale,
              ((double)(kz + 1) - 0.5) * P->z_scale, &tri, kn, c)) {
         const int64_t plane_z = snap(T->centroids[3 * tri + 2], P->z_scale);
-        if (cast(T, 1, (double)P->x_max, (0.0 - 0.5) * P->y_scale,
+        if (cast(T, 1, (double)P->lane_x, (0.0 - 0.5) * P->y_scale,
                  (double)plane_z * P->z_scale, &tri, kn, c)) {
             if (T->flipped[tri]) return remap(T, P, tri);
             const int64_t row_y = snap(T->centroids[3 * tri + 1], P->y_scale);
@@ -543,7 +521,7 @@ static int64_t route(const BvhTables* T, const RouteParams* P, int64_t kx, int64
     return -1;
 }
 
-/* OptimizedRepresentation.locate_bucket for one key: -1 (MISS) above the
+/* A representation's locate_bucket for one key: -1 (MISS) above the
    largest representative, 0 below the smallest. */
 static int64_t route_key(const BvhTables* T, const RouteParams* P, uint64_t key,
                          int64_t* kn, RayTotals* c)
@@ -561,8 +539,8 @@ static int64_t route_key(const BvhTables* T, const RouteParams* P, uint64_t key,
 
 /* Bucket ids (-1 = MISS) and per-key node visits for a key batch: out is
    (2, num_keys).  totals: rays, nodes, triangle tests, hits. */
-void locate_optimized(const BvhTables* T, const RouteParams* P, int64_t num_keys,
-                      const uint64_t* keys, int64_t* out, int64_t* totals)
+void locate_keys(const BvhTables* T, const RouteParams* P, int64_t num_keys,
+                 const uint64_t* keys, int64_t* out, int64_t* totals)
 {
     RayTotals c = {0, 0, 0, 0};
     for (int64_t k = 0; k < num_keys; k++) {
@@ -685,14 +663,10 @@ static inline void prefetch_bucket(const SortedBuckets* S, int64_t bucket)
     __builtin_prefetch(S->row_ids + start);
 }
 
-/* Key k's bucket and ray visits: routed here, or the caller's. */
+/* Key k's bucket; *kn gets its ray visits. */
 static inline int64_t locate_key(const LookupBatch* B, int is_64, int64_t k, int64_t* kn,
                                  RayTotals* c)
 {
-    if (!B->route) {
-        *kn = B->ray_nodes[k];
-        return B->buckets[k];
-    }
     *kn = 0;
     return route_key(B->bvh, B->route, key_at(B->keys, is_64, k), kn, c);
 }
@@ -749,9 +723,9 @@ static void reduce_batch(const LookupBatch* B, int is_64, int64_t n, const RayTo
 }
 
 /* A whole point batch (CgRXuIndex / CgRXIndex.point_lookup_batch): per key
-   the fused routing (or the caller's buckets and ray visits), then the chain
-   walk or the bucket search, writing the rowID aggregate (-1 without a
-   match), the match count and the entries touched or scanned.
+   the fused routing, then the chain walk or the bucket search, writing the
+   rowID aggregate (-1 without a match), the match count and the entries
+   touched or scanned.
    reductions: rays, ray node visits, triangle tests, hits, the deepest
    per-key ray visits, chain nodes, entries, the warp-paced and the plain
    work (ray and chain node visits) of the divergence sample (every
@@ -801,11 +775,10 @@ void point_lookup(const LookupBatch* B, int64_t num_keys)
 }
 
 /* A whole cgRXu range batch (CgRXuIndex.range_lookup_batch): per range the
-   fused routing of its low (or the caller's bucket and ray visits), a MISS
-   starting at the overflow bucket, then the forward walk of
-   CgRXuIndex._range_lookup_batch_scalar: empty nodes skipped, max(1, right
-   - left) entries touched per node, rows in walk order, stop at the first
-   key above high.  The rows of every range go into one flat buffer (at most
+   fused routing of its low, a MISS starting at the overflow bucket, then
+   the forward walk of CgRXuIndex._range_lookup_batch_scalar: empty nodes
+   skipped, max(1, right - left) entries touched per node, rows in walk
+   order, stop at the first key above high.  The rows of every range go into one flat buffer (at most
    rows_capacity written), offsets[q] to offsets[q + 1] bounding range q's.
    Returns the number of rows needed.  reductions: as point_lookup's, with
    no divergence sample (0, 0) and the distinct lows. */
@@ -1253,13 +1226,13 @@ class BvhTablesStruct(ctypes.Structure):
 
 class RouteParams(ctypes.Structure):
     """Mirror of the C ``RouteParams`` struct: the constants of one
-    representation's point routing (see :func:`locate_optimized_batch`)."""
+    representation's point routing (see :func:`locate_keys_batch`)."""
 
     _fields_ = [
         ("min_rep", ctypes.c_uint64),
         ("max_rep", ctypes.c_uint64),
-        ("x_max", ctypes.c_int64),
-        ("y_max", ctypes.c_int64),
+        ("lane_x", ctypes.c_int64),
+        ("lane_y", ctypes.c_int64),
         ("row_marker_offset", ctypes.c_int64),
         ("plane_marker_offset", ctypes.c_int64),
         ("y_scale", ctypes.c_double),
@@ -1312,8 +1285,6 @@ class LookupBatchStruct(ctypes.Structure):
         ("sorted", ctypes.c_void_p),
         ("keys", ctypes.c_void_p),
         ("highs", ctypes.c_void_p),
-        ("buckets", ctypes.c_void_p),
-        ("ray_nodes", ctypes.c_void_p),
         ("row_ids", ctypes.c_void_p),
         ("matches", ctypes.c_void_p),
         ("scanned", ctypes.c_void_p),
@@ -1349,9 +1320,8 @@ def _bind(lib: ctypes.CDLL) -> None:
     """Declare the kernels' signatures (pointers travel as ``c_void_p``)."""
     p, i32, i64 = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64
     signatures = {
-        "trace_axis_closest": ([p, i32, i64, p, p, p, p, p], None),
         "trace_axis_all": ([p, i32, i64, p, p, p, i64, p, p, p, p], i64),
-        "locate_optimized": ([p, p, i64, p, p, p], None),
+        "locate_keys": ([p, p, i64, p, p, p], None),
         "point_lookup": ([p, i64], None),
         "range_lookup": ([p, i64], i64),
         "apply_updates": ([p, i64, p, p, p, p, p, p, p, p], i64),
@@ -1689,37 +1659,6 @@ class CompiledBvhTables:
 
 
 @dataclass
-class AxisClosestBatch:
-    """Closest-hit results of a batch of axis-aligned rays."""
-
-    #: Per-ray hit flag.
-    hit: np.ndarray
-    #: Per-ray hit distance (meaningless where ``hit`` is False).
-    t: np.ndarray
-    #: Per-ray primitive index (-1 for misses).
-    primitive_index: np.ndarray
-    #: Per-ray front-face flag.
-    front_face: np.ndarray
-    #: Per-ray hit point (the triangle centre, float32 like the scalar path;
-    #: zeros where the ray missed).
-    point: np.ndarray
-    #: Per-ray BVH nodes visited (for divergence sampling).
-    nodes_visited: np.ndarray
-
-    @classmethod
-    def empty(cls, num_rays: int) -> "AxisClosestBatch":
-        """``num_rays`` misses that visited no node."""
-        return cls(
-            hit=np.zeros(num_rays, dtype=bool),
-            t=np.full(num_rays, np.inf, dtype=np.float64),
-            primitive_index=np.full(num_rays, -1, dtype=np.int64),
-            front_face=np.ones(num_rays, dtype=bool),
-            point=np.zeros((num_rays, 3), dtype=np.float32),
-            nodes_visited=np.zeros(num_rays, dtype=np.int64),
-        )
-
-
-@dataclass
 class AxisAllBatch:
     """All-hits results of a batch of axis-aligned rays (flattened, ragged).
 
@@ -1755,47 +1694,6 @@ class AxisAllBatch:
             hit_counts=np.zeros(num_rays, dtype=np.int64),
             nodes_visited=np.zeros(num_rays, dtype=np.int64),
         )
-
-
-def trace_axis_closest_batch(
-    tables: CompiledBvhTables,
-    axis: int,
-    origins: np.ndarray,
-    tmax: np.ndarray,
-    stats,
-):
-    """Closest hits of a +``axis`` ray batch through the compiled megakernel.
-
-    Requires the kernel library and usable ``tables`` (callers check both,
-    see ``TraversalEngine._compiled_ready``).  Results, per-ray node visits
-    and ``stats`` totals are bit-identical to the scalar oracle.
-    """
-    origins = np.ascontiguousarray(origins, dtype=np.float64)
-    num_rays = int(origins.shape[0])
-    best_t = np.array(tmax, dtype=np.float64)
-    check_shapes((origins, (num_rays, 3)), (best_t, (num_rays,)))
-    hit = np.empty(num_rays, dtype=bool)
-    ints = np.empty((2, num_rays), dtype=np.int64)
-    totals = np.empty(4, dtype=np.int64)
-    _LIBRARY.trace_axis_closest(
-        tables.ref, axis, num_rays, address(origins), address(best_t), address(hit),
-        address(ints), address(totals),
-    )
-    best_tri, nodes_visited = ints
-    stats.add_totals(*totals.tolist())
-    _observe_traversal("compiled_axis_closest", nodes_visited, totals)
-
-    point = np.zeros((num_rays, 3), dtype=np.float32)
-    if totals[3]:
-        point[hit] = tables.centroids[best_tri[hit]].astype(np.float32)
-    return AxisClosestBatch(
-        hit=hit,
-        t=best_t,
-        primitive_index=np.where(hit, tables.primitive_indices[best_tri], -1).astype(np.int64),
-        front_face=np.where(hit, ~tables.flipped[best_tri], True),
-        point=point,
-        nodes_visited=nodes_visited,
-    )
 
 
 def trace_axis_all_batch(
@@ -1862,50 +1760,23 @@ def _observe_traversal(kernel: str, nodes_visited: np.ndarray, totals: np.ndarra
         prof.observe_wavefront(kernel, iterations, num_rays, int(totals[1]))
 
 
-def route_params(
-    mapping,
-    min_rep: int,
-    max_rep: int,
-    multi_line: bool,
-    multi_plane: bool,
-    row_marker_offset: int,
-    plane_marker_offset: int,
-) -> RouteParams:
-    """The :class:`RouteParams` of an optimized representation."""
-    return RouteParams(
-        min_rep=int(min_rep),
-        max_rep=int(max_rep),
-        x_max=int(mapping.x_max),
-        y_max=int(mapping.y_max),
-        row_marker_offset=int(row_marker_offset),
-        plane_marker_offset=int(plane_marker_offset),
-        y_scale=float(mapping.y_scale),
-        z_scale=float(mapping.z_scale),
-        x_bits=int(mapping.x_bits),
-        y_bits=int(mapping.y_bits),
-        z_bits=int(mapping.z_bits),
-        multi_line=int(bool(multi_line)),
-        multi_plane=int(bool(multi_plane)),
-    )
-
-
-def locate_optimized_batch(
+def locate_keys_batch(
     tables: CompiledBvhTables, params: RouteParams, keys: np.ndarray, stats
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The optimized representation's whole point-routing ray sequence in
-    one C call.
+    """A scene representation's whole point-routing ray sequence in one C
+    call.
 
     Requires the kernel library and usable ``tables``.  Returns
     ``(bucket_ids, nodes_visited)`` exactly as
-    ``OptimizedRepresentation.locate_bucket_batch`` does; ``stats``
-    accumulates the exact ray totals.
+    ``SceneRepresentation.locate_bucket_batch`` does; ``stats`` accumulates
+    the exact ray totals.
     """
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
     num_keys = int(keys.shape[0])
     check_shapes((keys, (num_keys,)))
     out = np.empty((2, num_keys), dtype=np.int64)
     totals = np.empty(4, dtype=np.int64)
-    _LIBRARY.locate_optimized(
+    _LIBRARY.locate_keys(
         tables.ref, ctypes.addressof(params), num_keys, address(keys), address(out),
         address(totals),
     )

@@ -7,34 +7,27 @@ programming model at the granularity the paper needs:
 * write triangles into a vertex buffer,
 * ``build_acceleration_structure()`` (``optixAccelBuild``),
 * ``update_acceleration_structure()`` (refit-only update),
-* fire rays individually (``cast_closest`` / ``cast_all``) or as a batch
-  launch, and
+* fire axis-aligned rays one at a time (``cast_axis_closest`` /
+  ``cast_axis_all``), as one compiled all-hits batch
+  (``cast_axis_all_batch``) or as a scene representation's whole point
+  routing in one compiled call (``route_batch``), and
 * query the device memory footprint of buffer plus BVH.
 
-Every ray fired through the pipeline is counted; the per-launch counters are
-what the GPU cost model consumes.
+Every ray fired through the pipeline is counted in ``lifetime_stats``, and
+in the caller's statistics, which the GPU cost model consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.rtx.bvh import Bvh, BvhBuildConfig, build_bvh
-from repro.rtx.geometry import HitRecord, Ray
+from repro.rtx.geometry import HitRecord
 from repro.rtx.refit import refit_bvh
 from repro.rtx.scene import BuildFlags, TriangleScene, VertexBuffer
 from repro.rtx.traversal import RayStats, TraversalEngine
-
-
-@dataclass
-class LaunchResult:
-    """Result of a batched ray launch: per-ray hit records plus work counters."""
-
-    hits: List[HitRecord] = field(default_factory=list)
-    stats: RayStats = field(default_factory=RayStats)
 
 
 class RaytracingPipeline:
@@ -111,26 +104,6 @@ class RaytracingPipeline:
 
     # -------------------------------------------------------------- traversal
 
-    def cast_closest(self, ray: Ray, stats: Optional[RayStats] = None) -> HitRecord:
-        """Fire a single ray and return its closest hit."""
-        engine = self._require_engine()
-        local = RayStats()
-        record = engine.trace_closest(ray, local)
-        if stats is not None:
-            stats.merge(local)
-        self.lifetime_stats.merge(local)
-        return record
-
-    def cast_all(self, ray: Ray, stats: Optional[RayStats] = None) -> List[HitRecord]:
-        """Fire a single ray and return all hits along it, nearest first."""
-        engine = self._require_engine()
-        local = RayStats()
-        records = engine.trace_all(ray, local)
-        if stats is not None:
-            stats.merge(local)
-        self.lifetime_stats.merge(local)
-        return records
-
     def cast_axis_closest(
         self,
         axis: int,
@@ -163,26 +136,6 @@ class RaytracingPipeline:
         self.lifetime_stats.merge(local)
         return records
 
-    def cast_axis_closest_batch(
-        self,
-        axis: int,
-        origins: np.ndarray,
-        tmax: Optional[np.ndarray] = None,
-        stats: Optional[RayStats] = None,
-    ):
-        """Fire a batch of axis-aligned rays through the compiled megakernel.
-
-        Returns a :class:`~repro.rtx.compiled.AxisClosestBatch`; counters and
-        hits are identical to calling :meth:`cast_axis_closest` per ray.
-        """
-        engine = self._require_engine()
-        local = RayStats()
-        result = engine.trace_axis_closest_batch(axis, origins, tmax, local)
-        if stats is not None:
-            stats.merge(local)
-        self.lifetime_stats.merge(local)
-        return result
-
     def compiled_ready(self) -> bool:
         """Whether the compiled kernels can serve the current tree (records
         the fallback reason when they cannot)."""
@@ -195,17 +148,19 @@ class RaytracingPipeline:
 
     def record_rays(self, stats: RayStats) -> None:
         """Count the rays of a compiled kernel that routes on its own (the
-        fused point batch) like those fired through this pipeline: in
-        the engine's and the lifetime statistics."""
-        self._require_engine().stats.merge(stats)
+        fused point and range batches) like those fired through this
+        pipeline, in the lifetime statistics."""
         self.lifetime_stats.merge(stats)
 
-    def route_optimized_batch(self, params, keys: np.ndarray, stats: Optional[RayStats] = None):
-        """An optimized representation's whole point routing in one compiled
-        call (see :meth:`TraversalEngine.route_optimized_batch`)."""
-        engine = self._require_engine()
+    def route_batch(self, params, keys: np.ndarray, stats: Optional[RayStats] = None):
+        """A scene representation's whole point routing in one compiled
+        call: ``(bucket_ids, nodes_visited)`` (see
+        :func:`repro.rtx.compiled.locate_keys_batch`).  Requires the
+        compiled tier (callers resolve the engine first)."""
+        from repro.rtx import compiled
+
         local = RayStats()
-        result = engine.route_optimized_batch(params, keys, local)
+        result = compiled.locate_keys_batch(self.compiled_tables(), params, keys, local)
         if stats is not None:
             stats.merge(local)
         self.lifetime_stats.merge(local)
@@ -226,13 +181,6 @@ class RaytracingPipeline:
         if stats is not None:
             stats.merge(local)
         self.lifetime_stats.merge(local)
-        return result
-
-    def launch_closest(self, rays: Sequence[Ray]) -> LaunchResult:
-        """Fire a batch of rays (one simulated thread each) and collect closest hits."""
-        result = LaunchResult()
-        for ray in rays:
-            result.hits.append(self.cast_closest(ray, result.stats))
         return result
 
     def _require_engine(self) -> TraversalEngine:

@@ -119,8 +119,6 @@ class TraversalEngine:
         self._vertices = bvh.scene.vertices
         self._primitive_indices = bvh.scene.primitive_indices
         self._flipped = bvh.scene.flipped
-        #: Aggregate statistics over all rays traced by this engine.
-        self.stats = RayStats()
         self._fast_tables: Optional[tuple] = None
         self._node_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: Shard-local arena for the compiled tier's quantized node tables;
@@ -170,22 +168,6 @@ class TraversalEngine:
             return False
         return True
 
-    def route_optimized_batch(self, params, keys: np.ndarray, stats: RayStats):
-        """The optimized representation's point routing in one compiled call.
-
-        Returns ``(bucket_ids, nodes_visited)`` (see
-        :func:`repro.rtx.compiled.locate_optimized_batch`); ``stats`` and
-        the engine's own counters accumulate the exact ray totals.  Requires
-        the compiled tier (callers resolve the engine first).
-        """
-        from repro.rtx import compiled
-
-        delta = RayStats()
-        result = compiled.locate_optimized_batch(self.compiled_tables(), params, keys, delta)
-        stats.merge(delta)
-        self.stats.merge(delta)
-        return result
-
     def compiled_buffers_bytes(self) -> int:
         """Arena bytes held by the compiled tier (0 until the first compiled batch)."""
         if self._compiled_arena is None:
@@ -209,7 +191,6 @@ class TraversalEngine:
         record = HitRecord()
         if bvh.num_nodes == 0:
             stats.misses += 1
-            self.stats.merge(stats)
             return record
 
         node_min, node_max = self.node_bounds()
@@ -260,7 +241,6 @@ class TraversalEngine:
             stats.hits += 1
         else:
             stats.misses += 1
-        self.stats.merge(stats)
         return record
 
     def trace_all(self, ray: Ray, stats: Optional[RayStats] = None) -> List[HitRecord]:
@@ -277,7 +257,6 @@ class TraversalEngine:
         hits: List[HitRecord] = []
         if bvh.num_nodes == 0:
             stats.misses += 1
-            self.stats.merge(stats)
             return hits
 
         node_min, node_max = self.node_bounds()
@@ -323,7 +302,6 @@ class TraversalEngine:
             stats.hits += 1
         else:
             stats.misses += 1
-        self.stats.merge(stats)
         return hits
 
     # ------------------------------------------------------ fast axis-aligned path
@@ -374,7 +352,6 @@ class TraversalEngine:
         stats.rays_cast += 1
         if self._bvh.num_nodes == 0:
             stats.misses += 1
-            self.stats.merge(stats)
             return []
 
         (
@@ -465,15 +442,12 @@ class TraversalEngine:
                 stats.hits += 1
             else:
                 stats.misses += 1
-            self.stats.merge(stats)
             return collected
 
         if best_record is not None:
             stats.hits += 1
-            self.stats.merge(stats)
             return [best_record]
         stats.misses += 1
-        self.stats.merge(stats)
         return []
 
     def trace_axis_closest(
@@ -501,52 +475,6 @@ class TraversalEngine:
 
     # --------------------------------------------------------- compiled batches
 
-    def _trace_axis_batch(self, axis, origins, tmax, collect_all, stats):
-        """Shared batch entry: a whole axis-ray batch in one compiled call.
-
-        An empty batch or an empty tree is answered here (every ray a miss);
-        anything else requires the compiled tier, which callers resolve
-        first (see :func:`repro.core.config.resolve_engine`).
-        """
-        from repro.rtx import compiled
-
-        origins = np.asarray(origins, dtype=np.float64)
-        num_rays = int(origins.shape[0])
-        if tmax is None:
-            tmax = np.full(num_rays, np.inf, dtype=np.float64)
-        delta = RayStats()
-        if num_rays == 0 or self._bvh.num_nodes == 0:
-            delta.rays_cast += num_rays
-            delta.misses += num_rays
-            result_type = compiled.AxisAllBatch if collect_all else compiled.AxisClosestBatch
-            result = result_type.empty(num_rays)
-        else:
-            kernel = (
-                compiled.trace_axis_all_batch
-                if collect_all
-                else compiled.trace_axis_closest_batch
-            )
-            result = kernel(self.compiled_tables(), axis, origins, tmax, delta)
-        if stats is not None:
-            stats.merge(delta)
-        self.stats.merge(delta)
-        return result
-
-    def trace_axis_closest_batch(
-        self,
-        axis: int,
-        origins: np.ndarray,
-        tmax: Optional[np.ndarray] = None,
-        stats: Optional[RayStats] = None,
-    ):
-        """Closest hits of a batch of +``axis`` rays (compiled megakernel).
-
-        Returns a :class:`~repro.rtx.compiled.AxisClosestBatch`; hit records,
-        per-ray node visits and ``stats`` totals are identical to calling
-        :meth:`trace_axis_closest` per ray.
-        """
-        return self._trace_axis_batch(axis, origins, tmax, False, stats)
-
     def trace_axis_all_batch(
         self,
         axis: int,
@@ -557,9 +485,24 @@ class TraversalEngine:
         """All hits of a batch of +``axis`` rays (megakernel in collect mode).
 
         Returns a :class:`~repro.rtx.compiled.AxisAllBatch` with hits grouped
-        by ray and sorted by distance, matching :meth:`trace_axis_all`.
+        by ray and sorted by distance, matching :meth:`trace_axis_all`.  An
+        empty batch or an empty tree is answered here (every ray a miss);
+        anything else requires the compiled tier, which callers resolve
+        first (see :func:`repro.core.config.resolve_engine`).
         """
-        return self._trace_axis_batch(axis, origins, tmax, True, stats)
+        from repro.rtx import compiled
+
+        origins = np.asarray(origins, dtype=np.float64)
+        num_rays = int(origins.shape[0])
+        if tmax is None:
+            tmax = np.full(num_rays, np.inf, dtype=np.float64)
+        if stats is None:
+            stats = RayStats()
+        if num_rays == 0 or self._bvh.num_nodes == 0:
+            stats.rays_cast += num_rays
+            stats.misses += num_rays
+            return compiled.AxisAllBatch.empty(num_rays)
+        return compiled.trace_axis_all_batch(self.compiled_tables(), axis, origins, tmax, stats)
 
 
 #: For each ray axis, the two perpendicular axes checked by the fast path.

@@ -16,6 +16,17 @@ import numpy as np
 import pytest
 
 from conftest import ground_truth_point, ground_truth_range
+from repro.baselines import (
+    BPlusTreeIndex,
+    FullScanIndex,
+    HashTableIndex,
+    RTScanIndex,
+    RXIndex,
+    SortedArrayIndex,
+)
+from repro.bench import harness
+from repro.core.index import CgRXIndex
+from repro.core.updatable import CgRXuIndex
 from repro.obs import LogBucketHistogram
 from repro.serve import (
     ANSWERED,
@@ -174,15 +185,37 @@ def test_update_batch_rejects_negative_keys(keyset):
         index.update_batch(delete_keys=np.array([-3], dtype=np.int64))
 
 
-@pytest.mark.parametrize("key_bits", [32, 64])
-@pytest.mark.parametrize("engine", ["scalar", "compiled"])
-@pytest.mark.parametrize("kind", ["cgrx", "cgrxu"])
+#: Every bare index by kind: its class and its factory.  The factories of
+#: the indexes that run on both engines take one.
+BARE_INDEXES = {
+    "cgrx": (CgRXIndex, harness.cgrx_factory),
+    "cgrxu": (CgRXuIndex, harness.cgrxu_factory),
+    "rx": (RXIndex, harness.rx_factory),
+    "sa": (SortedArrayIndex, harness.sorted_array_factory),
+    "btree": (BPlusTreeIndex, harness.btree_factory),
+    "ht": (HashTableIndex, harness.hash_table_factory),
+    "rtscan": (RTScanIndex, harness.rtscan_factory),
+    "fullscan": (FullScanIndex, harness.fullscan_factory),
+}
+
+
+def bare_index_cases():
+    """``(kind, engine, key_bits)`` of every bare index at each key width it
+    supports, on both engines where it has them (``None`` where not)."""
+    for kind, (index_cls, _) in BARE_INDEXES.items():
+        engines = ("scalar", "compiled") if kind in ("cgrx", "cgrxu", "rx") else (None,)
+        for engine in engines:
+            for key_bits in (32, 64) if index_cls.supports_64bit else (32,):
+                label = "-".join(str(part) for part in (kind, engine, key_bits) if part)
+                yield pytest.param(kind, engine, key_bits, id=label)
+
+
+@pytest.mark.parametrize("kind, engine, key_bits", bare_index_cases())
 def test_bare_index_answers_signed_keys_like_one_shard(kind, engine, key_bits):
-    """A bare cgRX or cgRXu index applies the router's rule: a negative
-    point key is a miss, a negative low clamps to 0 and a range with a
-    negative high matches nothing.  Unclamped, -1 wrapped onto the largest
-    key of the key type, which is stored here."""
-    from repro.bench.harness import cgrx_factory, cgrxu_factory, sharded_factory
+    """Every bare index applies the router's rule to the operations it
+    supports: a negative point key is a miss, a negative low clamps to 0 and
+    a range with a negative high matches nothing.  Unclamped, -1 wrapped
+    onto the largest key of the key type, which is stored here."""
     from repro.workloads.keygen import KeySet
 
     dtype = np.uint32 if key_bits == 32 else np.uint64
@@ -196,18 +229,22 @@ def test_bare_index_answers_signed_keys_like_one_shard(kind, engine, key_bits):
         row_ids=rng.permutation(stored.shape[0]).astype(np.uint32),
         key_bits=key_bits,
     )
-    factory = (cgrx_factory if kind == "cgrx" else cgrxu_factory)(engine=engine)
+    index_cls, make_factory = BARE_INDEXES[kind]
+    factory = make_factory() if engine is None else make_factory(engine=engine)
     bare = factory(keyset)
-    served = sharded_factory(inner=factory, num_shards=1)(keyset)
+    served = harness.sharded_factory(inner=factory, num_shards=1)(keyset)
     signed = stored[:-1].astype(np.int64)
 
-    points = np.concatenate([[-1, 5, -(2**40), 0, -7, 6], signed[::7]]).astype(np.int64)
-    expected = served.point_lookup_batch(points)
-    result = bare.point_lookup_batch(points)
-    assert result.row_ids.tobytes() == expected.row_ids.tobytes()
-    assert result.match_counts.tobytes() == expected.match_counts.tobytes()
-    assert result.row_ids[[0, 2, 4]].tolist() == [-1, -1, -1]
-    assert result.match_counts[[0, 1, 3]].tolist() == [0, 1, 1]
+    if index_cls.supports_point:
+        points = np.concatenate([[-1, 5, -(2**40), 0, -7, 6], signed[::7]]).astype(np.int64)
+        expected = served.point_lookup_batch(points)
+        result = bare.point_lookup_batch(points)
+        assert result.row_ids.tobytes() == expected.row_ids.tobytes()
+        assert result.match_counts.tobytes() == expected.match_counts.tobytes()
+        assert result.row_ids[[0, 2, 4]].tolist() == [-1, -1, -1]
+        assert result.match_counts[[0, 1, 3]].tolist() == [0, 1, 1]
+    if not index_cls.supports_range:
+        return
 
     lows = np.concatenate([[-3, -3, -100, 5, -1, 6], signed[::11]]).astype(np.int64)
     highs = np.concatenate([[6, -1, -50, 4, 0, 7], signed[::11] + 1000]).astype(np.int64)

@@ -28,6 +28,7 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 GATED = (
     "table_1",
     "figure_9",
+    "figure_10",
     "figure_17",
     "serving",
     "availability",

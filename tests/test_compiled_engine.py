@@ -4,16 +4,15 @@ The scalar paths remain the reference oracle.  Everything here drives the
 same workloads through ``engine="compiled"`` (the default) and asserts
 **byte-identical results and identical instrumentation counters** — plus the
 compiled-tier-specific contracts: the C BVH builder's arrays equal the
-Python builder's, the closest-hit and all-hits megakernels, fused point
-routing and the C range batch match the scalar procedures ray for ray and key
-for key, the C update apply leaves the node slabs byte-identical (resuming
+Python builder's, the all-hits megakernel, the fused point routing of both
+scene representations and the C range batch match the scalar procedures ray
+for ray and key for key, the C update apply leaves the node slabs byte-identical (resuming
 once per slab growth, chain tables patched only on splits) and partitions
 its batch exactly like the scalar per-bucket ranges, the C compaction leaves
 slabs, free list, bounds and counters as the scalar one does, the cgRXu point
 batch matches the scalar engine at every batch size and through the index
 lifecycle over buffers bound once, so does the cgRX point batch at every
-batch size (and its bucket search on any caller-routed bucket), each hot
-index path is one C call per batch, quantized AABBs are
+batch size, each hot index path is one C call per batch, quantized AABBs are
 rounded conservatively outward, shard-local arenas are rebuilt in place, the
 kernel build is safe under concurrency and corruption, and a fallback to the
 scalar engine is loud.
@@ -131,35 +130,6 @@ def build_engines(points, flipped=None, leaf_size=4):
     return engines
 
 
-@requires_backend
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_megakernel_axis_closest_matches_scalar(axis, rng):
-    points = [tuple(point) for point in rng.integers(0, 25, size=(150, 3))]
-    flips = list(rng.random(len(points)) < 0.3)
-    scalar_engine, batch_engine = build_engines(points, flips)
-    origins = rng.integers(0, 25, size=(96, 3)).astype(np.float64)
-    origins[:, axis] -= 0.5
-    tmax = np.where(rng.random(96) < 0.5, np.inf, rng.uniform(0.0, 30.0, 96))
-
-    scalar_stats = RayStats()
-    hits = []
-    for origin, limit in zip(origins, tmax):
-        local = RayStats()
-        hits.append(scalar_engine.trace_axis_closest(axis, tuple(origin), float(limit), stats=local))
-        scalar_stats.merge(local)
-    batch_stats = RayStats()
-    batch = batch_engine.trace_axis_closest_batch(axis, origins, tmax, stats=batch_stats)
-
-    assert dataclasses.asdict(scalar_stats) == dataclasses.asdict(batch_stats)
-    for position, record in enumerate(hits):
-        assert bool(record) == bool(batch.hit[position])
-        if record:
-            assert record.primitive_index == batch.primitive_index[position]
-            assert record.t == batch.t[position]
-            assert record.front_face == bool(batch.front_face[position])
-            assert np.array_equal(record.point, batch.point[position])
-
-
 def scalar_all_hits(engine, axis, origins, tmax):
     """Per-ray scalar ``trace_axis_all`` hits and their merged counters."""
     stats = RayStats()
@@ -206,7 +176,6 @@ def test_megakernel_axis_all_matches_scalar(axis, rng):
 
     assert any(len(hits) > 1 for hits in scalar_hits)
     assert_stats_identical(scalar_stats, batch_stats)
-    assert_stats_identical(scalar_engine.stats, batch_engine.stats)
     assert_all_hits_identical(scalar_hits, batch)
 
 
@@ -231,14 +200,6 @@ def test_c_axis_all_regrows_a_small_buffer(rng, count_calls):
     assert_all_hits_identical(scalar_hits, batch)
 
 
-def test_megakernel_empty_scene_falls_back_cleanly():
-    engine = TraversalEngine(build_bvh(TriangleScene.from_triangles([])))
-    stats = RayStats()
-    batch = engine.trace_axis_closest_batch(0, np.zeros((3, 3)), stats=stats)
-    assert not batch.hit.any()
-    assert stats.misses == 3 and stats.rays_cast == 3
-
-
 def test_axis_all_batch_empty_scene_and_empty_batch():
     # Both are answered without the C kernels, so no backend is needed.
     empty_scene = TraversalEngine(build_bvh(TriangleScene.from_triangles([])))
@@ -246,14 +207,12 @@ def test_axis_all_batch_empty_scene_and_empty_batch():
     every = empty_scene.trace_axis_all_batch(2, np.zeros((4, 3)), stats=stats)
     assert every.hit_counts.tolist() == [0, 0, 0, 0] and every.ray.shape == (0,)
     assert stats.misses == 4 and stats.rays_cast == 4
-    assert empty_scene.stats.misses == 4
 
     _, engine = build_engines([(1, 1, 1), (2, 2, 2)])
     stats = RayStats()
     empty = engine.trace_axis_all_batch(1, np.zeros((0, 3)), stats=stats)
     assert empty.hit_counts.shape == (0,) and empty.ray.shape == (0,)
-    assert engine.trace_axis_closest_batch(1, np.zeros((0, 3)), stats=stats).hit.shape == (0,)
-    assert stats.rays_cast == 0 and engine.stats.rays_cast == 0
+    assert stats.rays_cast == 0
 
 
 # --------------------------------------------------------------------------
@@ -413,39 +372,47 @@ ROUTING_SCENES = ("single_line", "multi_line", "multi_plane")
 @pytest.mark.parametrize("key_bits", [32, 64])
 @pytest.mark.parametrize("scaled", [True, False])
 def test_fused_routing_matches_scalar_locate_bucket(kind, key_bits, scaled, count_calls):
-    rng = np.random.default_rng([ROUTING_SCENES.index(kind), key_bits, int(scaled)])
-    keys = routing_keys(kind, key_bits, rng)
-    index = CgRXIndex(
-        keys,
-        config=CgRXConfig(
-            key_bits=key_bits, scaled_mapping=scaled, bucket_size=3, engine="compiled"
-        ),
-    )
-    representation = index.representation
-    if kind == "single_line":
-        assert not representation.multi_line
-    elif kind == "multi_line" and key_bits == 64:
-        assert representation.multi_line and not representation.multi_plane
-    elif kind == "multi_plane" and key_bits == 64:
-        assert representation.multi_plane
-    probes = probe_keys(index, rng)
+    """Both representations route with one C routine: the naive one along
+    its marker lanes at x = -1 and y = -1, the optimized one along xmax and
+    ymax, where flipped triangles answer the next-row rays."""
+    for name in ("naive", "optimized"):
+        rng = np.random.default_rng([ROUTING_SCENES.index(kind), key_bits, int(scaled)])
+        keys = routing_keys(kind, key_bits, rng)
+        index = CgRXIndex(
+            keys,
+            config=CgRXConfig(
+                key_bits=key_bits,
+                scaled_mapping=scaled,
+                bucket_size=3,
+                representation=name,
+                engine="compiled",
+            ),
+        )
+        representation = index.representation
+        if kind == "single_line":
+            assert not representation.multi_line
+        elif kind == "multi_line" and key_bits == 64:
+            assert representation.multi_line and not representation.multi_plane
+        elif kind == "multi_plane" and key_bits == 64:
+            assert representation.multi_plane
+        probes = probe_keys(index, rng)
 
-    scalar_stats = RayStats()
-    scalar_buckets = []
-    scalar_nodes = []
-    for key in probes:
-        local = RayStats()
-        scalar_buckets.append(representation.locate_bucket(int(key), local))
-        scalar_nodes.append(local.nodes_visited)
-        scalar_stats.merge(local)
+        scalar_stats = RayStats()
+        scalar_buckets = []
+        scalar_nodes = []
+        for key in probes:
+            local = RayStats()
+            scalar_buckets.append(representation.locate_bucket(int(key), local))
+            scalar_nodes.append(local.nodes_visited)
+            scalar_stats.merge(local)
 
-    fused_stats = RayStats()
-    count_calls.clear()
-    buckets, nodes = representation.locate_bucket_batch(probes, fused_stats)
-    assert count_calls == {"locate_optimized": 1}
-    assert buckets.tolist() == scalar_buckets
-    assert nodes.tolist() == scalar_nodes
-    assert_stats_identical(scalar_stats, fused_stats)
+        fused_stats = RayStats()
+        count_calls.clear()
+        buckets, nodes = representation.locate_bucket_batch(probes, fused_stats)
+        assert count_calls == {"locate_keys": 1}, name
+        assert buckets.tolist() == scalar_buckets, name
+        assert nodes.tolist() == scalar_nodes, name
+        assert_stats_identical(scalar_stats, fused_stats)
 
 
 # --------------------------------------------------------------------------
@@ -495,7 +462,6 @@ def test_c_range_lookup_parity_through_updates_and_compaction(key_bits, represen
         assert_range_identical(scalar, fast), label
         pipelines = [index.pipeline for index in indexes.values()]
         assert_stats_identical(*(pipeline.lifetime_stats for pipeline in pipelines))
-        assert_stats_identical(*(pipeline._engine.stats for pipeline in pipelines))
 
     check("fresh")
     for number, wave in enumerate(
@@ -572,21 +538,27 @@ def test_one_c_call_per_hot_path_batch(count_calls):
     cgrx = CgRXIndex(keyset.keys, keyset.row_ids)
     cgrxu = CgRXuIndex(keyset.keys, keyset.row_ids)
     rx = RXIndex(keyset.keys, keyset.row_ids)
-    cgrxu.range_lookup_batch(lows, highs)  # sizes the range batch's rows buffer
+    naive_cgrx = CgRXIndex(keyset.keys, keyset.row_ids, CgRXConfig(representation="naive"))
+    naive_cgrxu = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(representation="naive"))
+    assert naive_cgrx.representation.multi_line and naive_cgrxu.representation.multi_line
+    for index in (cgrxu, naive_cgrxu):
+        index.range_lookup_batch(lows, highs)  # sizes the range batch's rows buffer
     count_calls.clear()
 
-    cgrx.point_lookup_batch(lookups)
-    assert count_calls == {"point_lookup": 1}
-    count_calls.clear()
+    for index in (cgrx, naive_cgrx):
+        index.point_lookup_batch(lookups)
+        assert count_calls == {"point_lookup": 1}
+        count_calls.clear()
     assert rx.point_lookup_batch(lookups).engine == "compiled"
     assert count_calls == {"trace_axis_all": 1}
     count_calls.clear()
-    cgrxu.point_lookup_batch(lookups)
-    assert count_calls == {"point_lookup": 1}
-    count_calls.clear()
-    cgrxu.range_lookup_batch(lows, highs)
-    assert count_calls == {"range_lookup": 1}
-    count_calls.clear()
+    for index in (naive_cgrxu, cgrxu):
+        index.point_lookup_batch(lookups)
+        assert count_calls == {"point_lookup": 1}
+        count_calls.clear()
+        index.range_lookup_batch(lows, highs)
+        assert count_calls == {"range_lookup": 1}
+        count_calls.clear()
     cgrxu.update_batch(insert_keys=lookups[:48], delete_keys=keyset.keys[::64])
     assert count_calls == {"apply_updates": 1}
     count_calls.clear()
@@ -1143,13 +1115,12 @@ def point_batch(keyset, size: int, rng) -> np.ndarray:
 
 
 def assert_point_engines_identical(scalar, comp, keys) -> None:
-    """Same answers, kernel record, pipeline lifetime and engine ray stats."""
+    """Same answers, kernel record and pipeline lifetime ray stats."""
     expected = scalar.point_lookup_batch(keys)
     result = comp.point_lookup_batch(keys)
     assert (expected.engine, result.engine) == ("scalar", "compiled")
     assert_point_identical(expected, result)
     assert_stats_identical(scalar.pipeline.lifetime_stats, comp.pipeline.lifetime_stats)
-    assert_stats_identical(scalar.pipeline._engine.stats, comp.pipeline._engine.stats)
 
 
 #: An L2 far smaller than the test indexes, so a kernel record's cache
@@ -1464,57 +1435,6 @@ def test_cgrx_point_batch_matches_scalar_at_every_batch_size(
 
 
 @requires_backend
-@pytest.mark.parametrize("key_bits", [32, 64])
-def test_cgrx_caller_routed_batch_matches_the_post_filter(key_bits):
-    """Any bucket id, including one that starts after the first match of
-    its key (a miss that still scans to the run's end), one past the last
-    bucket and -1 (no bucket), gets the scalar post-filter's answers and
-    scan counts."""
-    from repro.core.compiled import CompiledLookupBatch
-    from repro.gpu.simt import divergence_factor, divergence_from_pacing
-
-    keyset = duplicate_heavy(generate_keys(2048, uniformity=0.5, key_bits=key_bits, seed=133))
-    index = CgRXIndex(keyset.keys, keyset.row_ids, CgRXConfig(key_bits=key_bits, bucket_size=4))
-    bucketed = index.bucketed
-    rng = np.random.default_rng(134)
-    keys = point_batch(keyset, 9000, rng)
-    first = np.searchsorted(bucketed.keys, keys, side="left")
-    correct = np.minimum(first // bucketed.bucket_size, bucketed.num_buckets - 1)
-    bucket_ids = np.select(
-        [rng.random(keys.shape[0]) < p for p in (0.3, 0.5, 0.6, 0.65)],
-        [
-            correct + 1,
-            np.maximum(correct - 1, 0),
-            np.full(keys.shape[0], bucketed.num_buckets + 2),
-            np.full(keys.shape[0], -1),
-        ],
-        rng.integers(0, bucketed.num_buckets, size=keys.shape[0]),
-    ).astype(np.int64)
-    ray_nodes = rng.integers(0, 60, size=keys.shape[0])
-
-    batch = CompiledLookupBatch(bucketed.keys.dtype)
-    batch.bind(bucketed)
-    *answers, reductions = batch.run(keys, bucket_ids, ray_nodes)
-    expected = index._post_filter(keys, bucket_ids)
-    for got, want in zip(answers, expected):
-        assert got.tobytes() == want.tobytes()
-    # Runs that go on in the bucket after their first match's: a miss that
-    # still scans to the run's end.
-    right = np.searchsorted(bucketed.keys, keys, side="right")
-    late = (bucket_ids == correct + 1) & (right > bucket_ids * bucketed.bucket_size)
-    assert late.sum() > 100
-    assert (expected[1][late] == 0).all() and (expected[2][late] > 1).all()
-
-    values = dict(zip(CompiledLookupBatch.REDUCTIONS, reductions))
-    assert values["deepest_ray_nodes"] == ray_nodes.max()
-    assert values["distinct_keys"] == np.unique(keys).size
-    assert values["chain_nodes"] == 0 and values["entries"] == expected[2].sum()
-    assert divergence_from_pacing(values["paced_work"], values["sampled_work"]) == (
-        divergence_factor(ray_nodes[:: keys.shape[0] // 4096])
-    )
-
-
-@requires_backend
 def test_cgrx_point_batch_buffers_grow_with_batches_not_with_rebuilds():
     """A rebuild re-points the bound struct at the new bucketed keys and BVH
     tables; only a batch larger than the buffers grows them."""
@@ -1546,17 +1466,21 @@ def test_cgrx_point_batch_buffers_grow_with_batches_not_with_rebuilds():
 
 @requires_backend
 def test_cgrx_point_batch_feeds_the_profiler_series_of_its_routing():
-    """The fused routing feeds the ``rtx_wavefront_*`` series what a
-    separate routing call would."""
+    """The fused routing of either representation feeds the
+    ``rtx_wavefront_*`` series what a separate routing call would."""
     keyset = generate_keys(2048, uniformity=0.5, key_bits=64, seed=137)
     keys = point_batch(keyset, 700, np.random.default_rng(138))
-    fused_index, staged_index = (CgRXIndex(keyset.keys, keyset.row_ids) for _ in range(2))
-    fused = profiled_series(lambda: fused_index.point_lookup_batch(keys))
-    staged = profiled_series(
-        lambda: staged_index.representation.locate_bucket_batch(keys, RayStats())
-    )
-    assert any('kernel="compiled_locate"' in line for line in fused)
-    assert fused == staged
+    for representation in ("naive", "optimized"):
+        config = CgRXConfig(key_bits=64, representation=representation)
+        fused_index, staged_index = (
+            CgRXIndex(keyset.keys, keyset.row_ids, config) for _ in range(2)
+        )
+        fused = profiled_series(lambda: fused_index.point_lookup_batch(keys))
+        staged = profiled_series(
+            lambda: staged_index.representation.locate_bucket_batch(keys, RayStats())
+        )
+        assert any('kernel="compiled_locate"' in line for line in fused)
+        assert fused == staged, representation
 
 
 @requires_backend

@@ -3,7 +3,8 @@
 A seeded fuzzer drives random operation sequences — bulk build, point-lookup
 batches, range-lookup batches, update batches and **bucket compaction**
 (cgRXu's incremental maintenance, which must never change an answer) —
-against every baseline, ``CgRXuIndex``, a plain ``ShardedIndex`` deployment,
+against every baseline, ``CgRXIndex`` and ``CgRXuIndex`` (both scene
+representations), a plain ``ShardedIndex`` deployment,
 a *replicated* ``ShardedIndex`` with failure injection running on the
 simulated clock, and a *durable* replicated deployment whose weather also
 whole-process-kills replicas (recovered from the on-disk WAL + checkpoints)
@@ -87,9 +88,13 @@ FACTORIES = {
     "cgRX[compiled]": lambda: cgrx_factory(32, engine="compiled"),
     "cgRX(4)": lambda: cgrx_factory(4),
     "cgRX(4)[scalar]": lambda: cgrx_factory(4, engine="scalar"),
+    # The naive representation routes through the same C routine as the
+    # optimized one, along its own marker lanes.
+    "cgRX[naive]": lambda: cgrx_factory(32, representation="naive"),
     "cgRXu": lambda: cgrxu_factory(128),  # default engine (compiled)
     "cgRXu[scalar]": lambda: cgrxu_factory(128, engine="scalar"),
     "cgRXu[compiled]": lambda: cgrxu_factory(128, engine="compiled"),
+    "cgRXu[naive]": lambda: cgrxu_factory(128, representation="naive"),
 }
 
 CONFIGS = list(FACTORIES) + ["sharded", "replicated", "durable"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.rtx.bvh import BvhBuildConfig, build_bvh
-from repro.rtx.geometry import Ray, make_key_triangle
+from repro.rtx.geometry import make_key_triangle
 from repro.rtx.pipeline import RaytracingPipeline
 from repro.rtx.refit import refit_bvh, total_overlap_area
 from repro.rtx.scene import TriangleScene, VertexBuffer
@@ -73,14 +73,14 @@ class TestPipeline:
         pipeline = RaytracingPipeline()
         pipeline.vertex_buffer.write_key_triangle(0, 1.0, 0.0, 0.0)
         with pytest.raises(RuntimeError):
-            pipeline.cast_closest(Ray(origin=[0, 0, 0], direction=[1, 0, 0]))
+            pipeline.cast_axis_closest(0, (0.0, 0.0, 0.0))
         with pytest.raises(RuntimeError):
             _ = pipeline.bvh
 
     def test_build_and_cast(self):
         pipeline = make_pipeline([(3, 0, 0), (7, 0, 0)])
         assert pipeline.is_built
-        hit = pipeline.cast_closest(Ray(origin=[-0.5, 0.0, 0.0], direction=[1.0, 0.0, 0.0]))
+        hit = pipeline.cast_axis_closest(0, (-0.5, 0.0, 0.0))
         assert hit and hit.primitive_index == 0
         assert pipeline.build_count == 1
 
@@ -98,18 +98,6 @@ class TestPipeline:
         assert pipeline.lifetime_stats.rays_cast == 2
         assert pipeline.lifetime_stats.hits == 1
         assert pipeline.lifetime_stats.misses == 1
-
-    def test_launch_closest_batches_rays(self):
-        pipeline = make_pipeline([(3, 0, 0), (7, 1, 0)])
-        rays = [
-            Ray(origin=[-0.5, 0.0, 0.0], direction=[1.0, 0.0, 0.0]),
-            Ray(origin=[-0.5, 1.0, 0.0], direction=[1.0, 0.0, 0.0]),
-            Ray(origin=[-0.5, 2.0, 0.0], direction=[1.0, 0.0, 0.0]),
-        ]
-        result = pipeline.launch_closest(rays)
-        assert len(result.hits) == 3
-        assert result.stats.rays_cast == 3
-        assert result.stats.hits == 2
 
     def test_update_requires_prior_build(self):
         pipeline = RaytracingPipeline()

@@ -52,7 +52,6 @@ class TestClosestHit:
         assert stats.nodes_visited > 0
         assert stats.triangle_tests > 0
         assert stats.hits == 1
-        assert engine.stats.rays_cast == 1
 
     def test_trace_all_returns_sorted_hits(self):
         engine = build_engine([(5, 0, 0), (2, 0, 0), (8, 0, 0), (3, 1, 0)])
