@@ -30,7 +30,7 @@ from repro.baselines.base import (
     UpdateResult,
     sorted_lookup_results,
 )
-from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
+from repro.core.keyspace import drop_negative_points, scatter_answers, unsigned_ranges
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats
 from repro.gpu.memory import MemoryFootprint
@@ -132,7 +132,7 @@ class BPlusTreeIndex(GpuIndex):
     # ---------------------------------------------------------------- lookups
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        keys, negative = unsigned_points(keys, np.uint32)
+        keys, negative = drop_negative_points(keys, np.uint32)
         row_agg, match_counts = sorted_lookup_results(self.keys, self._rowid_prefix, keys)
 
         num_lookups = int(keys.shape[0])
@@ -149,7 +149,7 @@ class BPlusTreeIndex(GpuIndex):
         )
         # The address-divergence bottleneck makes B+ insensitive to skew.
         stats.cache_hit_fraction = 0.0
-        return mark_misses(
+        return scatter_answers(
             LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats), negative
         )
 

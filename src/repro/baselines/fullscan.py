@@ -19,7 +19,7 @@ from repro.baselines.base import (
     delete_one_per_key,
     sorted_lookup_results,
 )
-from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
+from repro.core.keyspace import drop_negative_points, scatter_answers, unsigned_ranges
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats
 from repro.gpu.memory import MemoryFootprint
@@ -83,12 +83,12 @@ class FullScanIndex(GpuIndex):
         )
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        keys, negative = unsigned_points(keys, self.keys.dtype)
+        keys, negative = drop_negative_points(keys, self.keys.dtype)
         row_agg, match_counts = sorted_lookup_results(
             self._sorted_keys, self._rowid_prefix, keys
         )
         stats = self._scan_stats("fullscan.point_lookup", int(keys.shape[0]), int(match_counts.sum()))
-        return mark_misses(
+        return scatter_answers(
             LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats), negative
         )
 

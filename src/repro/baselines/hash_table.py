@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.baselines.base import GpuIndex, LookupResult, UpdateResult
-from repro.core.keyspace import mark_misses, unsigned_points
+from repro.core.keyspace import drop_negative_points, scatter_answers
 from repro.gpu.cost_model import UNCOALESCED_ACCESS_BYTES
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats
@@ -178,7 +178,7 @@ class HashTableIndex(GpuIndex):
     # ---------------------------------------------------------------- lookups
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        keys, negative = unsigned_points(keys, self._key_dtype)
+        keys, negative = drop_negative_points(keys, self._key_dtype)
         num_lookups = int(keys.shape[0])
         row_agg = np.full(num_lookups, -1, dtype=np.int64)
         match_counts = np.zeros(num_lookups, dtype=np.int64)
@@ -211,7 +211,7 @@ class HashTableIndex(GpuIndex):
         stats.cache_hit_fraction = self.cost_model.cache_hit_fraction(
             self.memory_footprint().total_bytes, self._unique_fraction(keys)
         )
-        return mark_misses(
+        return scatter_answers(
             LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats), negative
         )
 

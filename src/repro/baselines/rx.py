@@ -24,7 +24,7 @@ from repro.baselines.base import (
 )
 from repro.core.config import resolve_engine, validate_engine
 from repro.core.key_mapping import KeyMapping
-from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
+from repro.core.keyspace import drop_negative_points, scatter_answers, unsigned_ranges
 from repro.gpu.accel import accel_build_stats, accel_refit_stats, triangle_generation_stats
 from repro.gpu.cost_model import RT_NODE_RESIDUAL_BYTES, RT_TRIANGLE_RESIDUAL_BYTES
 from repro.gpu.device import RTX_4090, GpuDevice
@@ -116,7 +116,7 @@ class RXIndex(GpuIndex):
     # ---------------------------------------------------------------- lookups
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        keys, negative = unsigned_points(keys, self._key_dtype)
+        keys, negative = drop_negative_points(keys, self._key_dtype)
         num_lookups = int(keys.shape[0])
         row_agg = np.full(num_lookups, -1, dtype=np.int64)
         match_counts = np.zeros(num_lookups, dtype=np.int64)
@@ -178,7 +178,7 @@ class RXIndex(GpuIndex):
         stats = self._ray_lookup_stats(
             "rx.point_lookup", num_lookups, ray_stats, work_sample, keys
         )
-        return mark_misses(
+        return scatter_answers(
             LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats, engine=engine),
             negative,
         )

@@ -20,7 +20,7 @@ from repro.baselines.base import (
     UpdateResult,
     sorted_lookup_results,
 )
-from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
+from repro.core.keyspace import drop_negative_points, scatter_answers, unsigned_ranges
 from repro.gpu.cost_model import UNCOALESCED_ACCESS_BYTES
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats
@@ -69,7 +69,7 @@ class SortedArrayIndex(GpuIndex):
     # ---------------------------------------------------------------- lookups
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        keys, negative = unsigned_points(keys, self.keys.dtype)
+        keys, negative = drop_negative_points(keys, self.keys.dtype)
         row_agg, match_counts = sorted_lookup_results(self.keys, self._rowid_prefix, keys)
 
         num_lookups = int(keys.shape[0])
@@ -91,7 +91,7 @@ class SortedArrayIndex(GpuIndex):
         stats.cache_hit_fraction = self.cost_model.cache_hit_fraction(
             self.memory_footprint().total_bytes, self._unique_fraction(keys)
         )
-        return mark_misses(
+        return scatter_answers(
             LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats), negative
         )
 

@@ -12,12 +12,13 @@ needs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.config import BucketLayout, SearchStrategy
 from repro.gpu.cost_model import UNCOALESCED_ACCESS_BYTES
-from repro.gpu.simt import COOPERATIVE_GROUP_SIZE, cooperative_scan_steps
+from repro.gpu.simt import COOPERATIVE_GROUP_SIZE
 
 
 @dataclass
@@ -61,48 +62,54 @@ class BucketSearchModel:
             return max(self.entry_bytes, UNCOALESCED_ACCESS_BYTES)
         return max(self.key_bytes, UNCOALESCED_ACCESS_BYTES)
 
-    def point_search(self, bucket_size: int, entries_scanned: int) -> BucketSearchCost:
-        """Work of locating a key inside a bucket.
+    def searches(
+        self, entries_scanned: np.ndarray, bucket_size: int, range_mode: bool
+    ) -> BucketSearchCost:
+        """Total work of one search per element of ``entries_scanned``, in
+        exact integer arithmetic.
 
-        ``entries_scanned`` is the number of entries the duplicate-aware scan
-        actually touched (reported by the post-filter of
-        :class:`repro.core.index.CgRXIndex`), which bounds the linear-search
-        cost and the trailing duplicate scan of the binary search.
+        A point search (``range_mode`` false) locates its key inside a bucket
+        of ``bucket_size`` entries; a range lookup runs a cooperative scan,
+        which ignores ``bucket_size``.  Each element is the number of entries
+        the duplicate-aware scan touched (reported by the post-filter of
+        :class:`repro.core.index.CgRXIndex`), at least 1: it bounds a linear
+        scan, the trailing duplicate scan of a binary search and the range
+        scan.
         """
-        bucket_size = max(1, int(bucket_size))
-        entries_scanned = max(1, int(entries_scanned))
-
+        scanned = np.maximum(np.asarray(entries_scanned, dtype=np.int64), 1)
+        searches = int(scanned.size)
+        group = self.group_size
+        if range_mode:
+            # A 16-thread group per lookup loads neighbouring entries
+            # coalesced, a whole group-wide step at a time.
+            touched = int((-(-scanned // group) * group).sum())
+            return BucketSearchCost(bytes_read=touched * self.entry_bytes, compute_ops=touched)
         if self.strategy is SearchStrategy.LINEAR:
-            # A cooperative linear scan reads neighbouring entries coalesced.
-            steps = cooperative_scan_steps(entries_scanned, self.group_size)
-            touched = min(entries_scanned, steps * self.group_size)
-            bytes_read = touched * self.entry_bytes + self.rowid_bytes
-            compute_ops = touched
-        else:
-            probes = max(1, math.ceil(math.log2(bucket_size + 1)))
-            # Duplicates (entries beyond the bucket) are resolved by a
-            # coalesced cooperative scan after the binary search found the
-            # first match.
-            trailing = max(0, entries_scanned - bucket_size)
-            trailing_steps = cooperative_scan_steps(trailing, self.group_size)
-            bytes_read = (
-                probes * self._probe_bytes()
-                + trailing_steps * self.group_size * self.entry_bytes
-                + self.rowid_bytes
+            # A cooperative linear scan reads neighbouring entries coalesced;
+            # its ceil(scanned / group) steps cover exactly the scanned ones.
+            touched = int(scanned.sum())
+            return BucketSearchCost(
+                bytes_read=touched * self.entry_bytes + searches * self.rowid_bytes,
+                compute_ops=touched,
             )
-            compute_ops = probes + trailing_steps * self.group_size
+        bucket_size = max(1, int(bucket_size))
+        # ceil(log2(bucket_size + 1)) probes.
+        probes = bucket_size.bit_length()
+        # Duplicates (entries beyond the bucket) are resolved by a coalesced
+        # cooperative scan after the binary search found the first match.
+        trailing = np.maximum(scanned - bucket_size, 0)
+        trailing_entries = int((-(-trailing // group) * group).sum())
+        return BucketSearchCost(
+            bytes_read=searches * (probes * self._probe_bytes() + self.rowid_bytes)
+            + trailing_entries * self.entry_bytes,
+            compute_ops=searches * probes + trailing_entries,
+        )
 
-        return BucketSearchCost(bytes_read=bytes_read, compute_ops=compute_ops)
+    def point_search(self, bucket_size: int, entries_scanned: int) -> BucketSearchCost:
+        """Work of locating a key inside a bucket (see :meth:`searches`)."""
+        return self.searches(np.array([entries_scanned]), bucket_size, range_mode=False)
 
     def range_scan(self, entries_scanned: int) -> BucketSearchCost:
-        """Work of the cooperative scan answering a range lookup.
-
-        The scan always runs as a separate kernel with a 16-thread group per
-        lookup, loading neighbouring entries coalesced.
-        """
-        entries_scanned = max(1, int(entries_scanned))
-        steps = cooperative_scan_steps(entries_scanned, self.group_size)
-        touched = steps * self.group_size
-        bytes_read = touched * self.entry_bytes
-        compute_ops = touched
-        return BucketSearchCost(bytes_read=bytes_read, compute_ops=compute_ops)
+        """Work of the cooperative scan answering a range lookup (see
+        :meth:`searches`)."""
+        return self.searches(np.array([entries_scanned]), 1, range_mode=True)

@@ -185,7 +185,8 @@ class CompiledLookupBatch:
     def _reserve(self, capacity: int) -> None:
         self.keys = np.empty(capacity, dtype=self.key_dtype)
         self.answers = np.empty((3, capacity), dtype=np.int64)
-        self.scratch = np.empty(2 * capacity, dtype=np.uint64)
+        # The distinct-key count's hash table: up to 4 slots per key.
+        self.scratch = np.empty(4 * capacity, dtype=np.uint64)
         struct = self.struct
         struct.keys = address(self.keys)
         struct.row_ids = address(self.answers[0])

@@ -40,7 +40,7 @@ class BucketLayout(str, Enum):
 #: Valid batch execution engines.  ``"compiled"`` (the default) answers each
 #: hot index path — point routing, cgRXu chain and range walks, closest-hit
 #: and all-hits axis-ray traversal — with one call into runtime-compiled C
-#: kernels over quantized cache-blocked node tables; ``"scalar"`` keeps the
+#: kernels over one 32-byte record per BVH node; ``"scalar"`` keeps the
 #: original one-key/one-ray-at-a-time reference paths.  Both produce
 #: byte-identical results and identical instrumentation counters; without a
 #: C compiler, ``"compiled"`` degrades to ``"scalar"`` with a

@@ -29,7 +29,7 @@ from repro.core.bucket_search import BucketSearchModel
 from repro.core.bucketing import BucketedKeys
 from repro.core.config import CgRXConfig, Representation, resolve_engine
 from repro.core.key_mapping import KeyMapping
-from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
+from repro.core.keyspace import drop_negative_points, scatter_answers, unsigned_ranges
 from repro.core.naive import NaiveRepresentation
 from repro.core.optimized import OptimizedRepresentation
 from repro.core.representation import MISS
@@ -176,7 +176,7 @@ class CgRXIndex(GpuIndex):
         identical; ``LookupResult.engine`` names the engine that ran.  A
         negative (signed-dtype) key is a miss (:mod:`repro.core.keyspace`).
         """
-        keys, negative = unsigned_points(keys, self.bucketed.keys.dtype)
+        keys, negative = drop_negative_points(keys, self.bucketed.keys.dtype)
         num_lookups = int(keys.shape[0])
         if resolve_engine(self.config.engine, self.pipeline) == "compiled":
             if self._lookup_batch is None:
@@ -205,7 +205,7 @@ class CgRXIndex(GpuIndex):
             unique_fraction,
             range_mode=False,
         )
-        return mark_misses(
+        return scatter_answers(
             LookupResult(row_ids=row_agg, match_counts=match_counts, stats=stats, engine=engine),
             negative,
         )
@@ -307,24 +307,14 @@ class CgRXIndex(GpuIndex):
         )
         stats.bytes_read += ray_bytes
 
-        # Bucket-search stage: a cooperative-group kernel per batch.  The
-        # per-lookup cost depends only on the scanned entry count, so it is
-        # evaluated once per distinct count.
-        search_bytes = 0
-        search_ops = 0
-        bucket_size = self.bucketed.bucket_size
-        scanned_values, scanned_counts = np.unique(
-            entries_scanned[entries_scanned > 0], return_counts=True
+        # Bucket-search stage: a cooperative-group kernel per batch, priced
+        # per lookup from its scanned entry count.  An unlocated key (0
+        # scanned) searches nothing.
+        search = self.search_model.searches(
+            entries_scanned[entries_scanned > 0], self.bucketed.bucket_size, range_mode
         )
-        for scanned, count in zip(scanned_values.tolist(), scanned_counts.tolist()):
-            if range_mode:
-                cost = self.search_model.range_scan(scanned)
-            else:
-                cost = self.search_model.point_search(bucket_size, scanned)
-            search_bytes += cost.bytes_read * count
-            search_ops += cost.compute_ops * count
-        stats.bytes_read += search_bytes
-        stats.compute_ops += search_ops
+        stats.bytes_read += search.bytes_read
+        stats.compute_ops += search.compute_ops
 
         # Each lookup reads its key and writes an aggregated result.
         stats.bytes_read += num_lookups * self.config.key_bytes
@@ -418,9 +408,8 @@ class CgRXIndex(GpuIndex):
         return footprint
 
     def compiled_buffers_bytes(self) -> int:
-        """Host bytes held by the compiled tier: the pipeline's quantized
-        BVH node tables and this index's point-batch buffers (0 when
-        unused)."""
+        """Host bytes held by the compiled tier: the pipeline's BVH node
+        records and this index's point-batch buffers (0 when unused)."""
         total = self.pipeline.compiled_buffers_bytes()
         if self._lookup_batch is not None:
             total += self._lookup_batch.nbytes

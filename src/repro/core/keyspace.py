@@ -5,9 +5,12 @@ Stored keys are unsigned, so a negative (signed-dtype) client key sorts
 keyspace instead and, at 32 bits, alias a stored key.  Every lookup
 boundary — each bare index (cgRX, cgRXu and every baseline) and the sharded
 router — applies one rule: a negative point key is a miss, a negative range low
-clamps to 0 and a range whose high end is negative matches nothing.
-Unsigned inputs are told apart by their dtype kind alone and pass through
-without a scan of their values.
+clamps to 0 and a range whose high end is negative matches nothing.  A
+negative point key costs nothing: a bare index answers the batch without
+it (:func:`drop_negative_points`, :func:`scatter_answers`), and the
+router sends it to no shard (:func:`unsigned_points`).  Unsigned inputs
+are told apart by their dtype kind alone and pass through without a scan
+of their values.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ def negative_key_mask(keys: np.ndarray) -> "np.ndarray | None":
 
 def unsigned_points(keys, key_dtype) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Point keys in ``key_dtype``, each negative key replaced by 0, and
-    the mask of the negative ones (``None`` when there are none): their
-    answers are misses (:func:`mark_misses`)."""
+    the mask of the negative ones (``None`` when there are none): the
+    router routes the whole batch and sends the masked keys to no shard."""
     keys = np.asarray(keys)
     negative = negative_key_mask(keys) if keys.dtype.kind == "i" else None
     if negative is not None:
@@ -53,12 +56,30 @@ def unsigned_points(keys, key_dtype) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     return np.asarray(keys, dtype=key_dtype), negative
 
 
-def mark_misses(result, negative: Optional[np.ndarray]):
-    """Answer the keys ``negative`` masks (see :func:`unsigned_points`) as
-    misses in the point ``result``, in place; returns ``result``."""
+def drop_negative_points(keys, key_dtype) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Point keys in ``key_dtype`` with every negative key left out, and
+    the mask of the negative ones over the whole batch (``None`` when there
+    are none).  A bare index looks up the kept keys alone and hands its
+    result to :func:`scatter_answers`."""
+    keys = np.asarray(keys)
+    negative = negative_key_mask(keys)
     if negative is not None:
-        result.row_ids[negative] = -1
-        result.match_counts[negative] = 0
+        keys = keys[~negative]
+    return np.asarray(keys, dtype=key_dtype), negative
+
+
+def scatter_answers(result, negative: Optional[np.ndarray]):
+    """Spread the point ``result`` of the keys :func:`drop_negative_points`
+    kept over the whole batch, a miss in each place ``negative`` masks.
+    Returns ``result`` with its answer arrays replaced; its record is the
+    kept keys' alone."""
+    if negative is not None:
+        kept = ~negative
+        row_ids = np.full(negative.shape[0], -1, dtype=result.row_ids.dtype)
+        match_counts = np.zeros(negative.shape[0], dtype=result.match_counts.dtype)
+        row_ids[kept] = result.row_ids
+        match_counts[kept] = result.match_counts
+        result.row_ids, result.match_counts = row_ids, match_counts
     return result
 
 

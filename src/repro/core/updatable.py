@@ -23,7 +23,7 @@ from repro.baselines.base import (
 from repro.core.bucketing import BucketedKeys
 from repro.core.config import CgRXuConfig, Representation, resolve_engine
 from repro.core.key_mapping import KeyMapping
-from repro.core.keyspace import mark_misses, unsigned_points, unsigned_ranges
+from repro.core.keyspace import drop_negative_points, scatter_answers, unsigned_ranges
 from repro.core.naive import NaiveRepresentation
 from repro.core.nodes import NO_NEXT, NodeStorage
 from repro.core.optimized import OptimizedRepresentation
@@ -300,10 +300,10 @@ class CgRXuIndex(GpuIndex):
         ``LookupResult.engine`` names the engine that ran.  A negative
         (signed-dtype) key is a miss (:mod:`repro.core.keyspace`).
         """
-        keys, negative = unsigned_points(keys, self._key_dtype)
+        keys, negative = drop_negative_points(keys, self._key_dtype)
         if resolve_engine(self.config.engine, self.pipeline) == "scalar":
-            return mark_misses(self._point_lookup_batch_scalar(keys), negative)
-        return mark_misses(self._point_lookup_batch_compiled(keys), negative)
+            return scatter_answers(self._point_lookup_batch_scalar(keys), negative)
+        return scatter_answers(self._point_lookup_batch_compiled(keys), negative)
 
     def _point_lookup_batch_scalar(self, keys: np.ndarray) -> LookupResult:
         """Reference path: one key and one ray at a time."""
@@ -1044,7 +1044,7 @@ class CgRXuIndex(GpuIndex):
     def compiled_buffers_bytes(self) -> int:
         """Host bytes held by the compiled tier's shard-local arenas.
 
-        Covers the pipeline's quantized BVH node tables, this index's packed
+        Covers the pipeline's BVH node records, this index's packed
         chain tables and its point- and range-batch buffers; zero when the
         compiled tier has never run.
         """

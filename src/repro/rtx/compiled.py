@@ -42,14 +42,14 @@ reference oracle:
   compaction, ``patch_chains`` re-flattens the chain tables: runs of
   untouched chains are copied whole and only the changed chains are
   re-walked.  Their Python entries are in :mod:`repro.core.compiled`.
-* **Quantized cache-blocked node tables.**  Per node, a 12-byte record of
-  uint16 AABB bounds quantized against a per-tree frame, rounded *outward* so
-  a quantized reject implies the exact reject.  The kernel tests the 12-byte
-  record first and only touches the float32 bounds (promoted to double
-  in-register, exactly like the scalar oracle's ``astype(float)``) when the
-  cheap test passes — traversal may *consider* a superset of nodes at the
-  prefilter but visits, counters and hit results stay bit-identical to the
-  scalar path.
+* **One 32-byte record per node.**  A visit reads one record: the node's
+  exact float32 bounds (promoted to double in-register, exactly like the
+  scalar oracle's ``astype(float)``), then its first child or first leaf
+  slot, and its triangle count or the precomputed order in which its
+  children are pushed.  The records are laid out level by level with a
+  node's two children side by side, so a pair shares one 64-byte line.
+  Leaf triangle tests read a slot-ordered copy of the centroids and look up
+  the scene triangle only on a hit.
 * **Shard-local arenas, bound once.**  All node tables live in one reusable
   byte buffer rebuilt in place across build/refit epochs; the scene's
   centroids, primitive indices and flip flags are aliased, not copied.  The
@@ -83,8 +83,8 @@ same operand expressions, and applies the same first-minimum tie-break.  The
 library is built with ``-ffp-contract=off`` so every operation rounds on its
 own, as numpy's do.  Hit records, per-ray node-visit counts and
 :class:`~repro.rtx.traversal.RayStats` totals are therefore identical to the
-scalar oracle — pinned by the test suite together with a conservativeness
-property test for the quantized bounds.
+scalar oracle — pinned by the test suite together with a test that the
+packed records hold the tree's bounds, topology and push order exactly.
 """
 
 from __future__ import annotations
@@ -109,10 +109,6 @@ from repro.rtx.traversal import TraversalEngine
 #: this fall back to the scalar engine (never hit in practice: the stack need
 #: is ``depth + 3`` and the builder produces balanced trees).
 MAX_STACK = 512
-
-#: Quantization grid: bounds map onto ``[0, 65534]`` with one step of slack so
-#: the outward fixup never runs out of headroom at the top of the range.
-_QUANT_STEPS = 65534
 
 #: Compiler flags of the kernel library.  ``-ffp-contract=off`` forbids fused
 #: multiply-adds, so C arithmetic rounds one operation at a time like numpy.
@@ -216,22 +212,27 @@ _CC_SOURCE = r"""
 
 #define MAX_STACK 512
 
-/* Arena-packed node tables plus the scene arrays they index; filled once per
-   packing epoch by CompiledBvhTables. */
+/* One BVH node (CompiledBvhTables.NODE): its exact float32 bounds, then for
+   a leaf its first slot (child) and triangle count (meta > 0), for an
+   interior node the packed index of its first child (the second is child +
+   1) and meta = -1 - bits, bit a set when the first child's min[a] <= the
+   second's. */
 typedef struct {
-    const uint16_t* qbounds;
-    const float* node_min;
-    const float* node_max;
-    const int32_t* node_left;
-    const int32_t* node_right;
-    const int32_t* node_first;
-    const int32_t* node_count;
+    float lo[3], hi[3];
+    int32_t child;
+    int32_t meta;
+} Node;
+
+/* Arena-packed node records and slot tables plus the scene arrays they
+   index; filled once per packing epoch by CompiledBvhTables.
+   slot_centroids[s] is centroids[order[s]]. */
+typedef struct {
+    const Node* nodes;
+    const double* slot_centroids;
     const int32_t* order;
     const double* centroids;
     const int64_t* primitive_indices;
     const uint8_t* flipped;
-    double frame_min[3];
-    double frame_scale[3];
     double tolerance;
 } BvhTables;
 
@@ -296,7 +297,8 @@ typedef struct {
    the batch buffers, bound once per index.  Exactly one of chain (cgRXu's
    node chains) and sorted (cgRX's static buckets) is set.  keys holds a
    point batch's keys or a range batch's lows; highs, rows (rows_capacity
-   slots) and offsets serve range batches only. */
+   slots) and offsets serve range batches only.  scratch holds four slots
+   per key slot (count_distinct's table). */
 typedef struct {
     const BvhTables* bvh;
     const RouteParams* route;
@@ -344,9 +346,6 @@ static int trace_ray(const BvhTables* T, int axis, double o, double ca, double c
 {
     const int perp_a = PERP_A[axis], perp_b = PERP_B[axis];
     const double tolerance = T->tolerance;
-    const double fa = T->frame_min[perp_a], sa = T->frame_scale[perp_a];
-    const double fb = T->frame_min[perp_b], sb = T->frame_scale[perp_b];
-    const double fx = T->frame_min[axis], sx = T->frame_scale[axis];
     int32_t stack[MAX_STACK];
     int32_t sp = 0;
     stack[sp++] = 0;
@@ -354,38 +353,26 @@ static int trace_ray(const BvhTables* T, int axis, double o, double ca, double c
     int64_t visits = 0, tests = 0, tri_best = 0;
     int has = 0;
     while (sp > 0) {
-        const int32_t n = stack[--sp];
+        const Node* node = T->nodes + stack[--sp];
         visits++;
-        const uint16_t* q = T->qbounds + 6 * (int64_t)n;
-        /* Quantized bounds are rounded outward: a reject here implies the
-           exact float32 test below rejects, so counters are unchanged. */
-        if (ca < fa + (double)q[perp_a] * sa - tolerance ||
-            ca > fa + (double)q[3 + perp_a] * sa + tolerance)
+        if (ca < (double)node->lo[perp_a] - tolerance ||
+            ca > (double)node->hi[perp_a] + tolerance)
             continue;
-        if (cb < fb + (double)q[perp_b] * sb - tolerance ||
-            cb > fb + (double)q[3 + perp_b] * sb + tolerance)
+        if (cb < (double)node->lo[perp_b] - tolerance ||
+            cb > (double)node->hi[perp_b] + tolerance)
             continue;
-        if (fx + (double)q[3 + axis] * sx < o || fx + (double)q[axis] * sx > o + bt)
+        if ((double)node->hi[axis] < o || (double)node->lo[axis] > o + bt)
             continue;
-        const float* mn = T->node_min + 3 * (int64_t)n;
-        const float* mx = T->node_max + 3 * (int64_t)n;
-        if (ca < (double)mn[perp_a] - tolerance || ca > (double)mx[perp_a] + tolerance)
-            continue;
-        if (cb < (double)mn[perp_b] - tolerance || cb > (double)mx[perp_b] + tolerance)
-            continue;
-        if ((double)mx[axis] < o || (double)mn[axis] > o + bt)
-            continue;
-        const int32_t count = T->node_count[n];
-        if (count > 0) {
-            const int32_t first = T->node_first[n];
-            tests += count;
-            for (int32_t s = first; s < first + count; s++) {
-                const int64_t tri = (int64_t)T->order[s];
-                const double* c = T->centroids + 3 * tri;
+        const int32_t child = node->child, meta = node->meta;
+        if (meta > 0) {
+            tests += meta;
+            for (int32_t s = child; s < child + meta; s++) {
+                const double* c = T->slot_centroids + 3 * (int64_t)s;
                 if (fabs(c[perp_a] - ca) > tolerance) continue;
                 if (fabs(c[perp_b] - cb) > tolerance) continue;
                 const double t = c[axis] - o;
                 if (t < 0.0 || t > bt) continue;
+                const int64_t tri = (int64_t)T->order[s];
                 if (collect) {
                     const int64_t i = collect->count++;
                     if (i < collect->capacity) {
@@ -396,17 +383,14 @@ static int trace_ray(const BvhTables* T, int axis, double o, double ca, double c
                     has = 1;
                 } else if (!has || t < bt) { has = 1; bt = t; tri_best = tri; }
             }
+        } else if ((-1 - meta) >> axis & 1) {
+            /* The first child starts no farther along the ray: visit it
+               next. */
+            stack[sp++] = child + 1;
+            stack[sp++] = child;
         } else {
-            const int32_t left = T->node_left[n];
-            const int32_t right = T->node_right[n];
-            if ((double)T->node_min[3 * (int64_t)left + axis] <=
-                (double)T->node_min[3 * (int64_t)right + axis]) {
-                stack[sp++] = right;
-                stack[sp++] = left;
-            } else {
-                stack[sp++] = left;
-                stack[sp++] = right;
-            }
+            stack[sp++] = child;
+            stack[sp++] = child + 1;
         }
     }
     *best_t = bt;
@@ -671,35 +655,40 @@ static inline int64_t locate_key(const LookupBatch* B, int is_64, int64_t k, int
     return route_key(B->bvh, B->route, key_at(B->keys, is_64, k), kn, c);
 }
 
-/* Number of distinct values among keys[0, n) (np.unique(keys).size): a
-   bottom-up merge sort of a copy, in scratch (2n slots). */
+/* MurmurHash3's 64-bit finalizer. */
+static inline uint64_t mix64(uint64_t x)
+{
+    x ^= x >> 33;
+    x *= 0xff51afd7ed558ccdULL;
+    x ^= x >> 33;
+    x *= 0xc4ceb9fe1a85ec53ULL;
+    x ^= x >> 33;
+    return x;
+}
+
+/* Number of distinct values among keys[0, n) (np.unique(keys).size): an
+   open-addressing set with linear probing in scratch.  Its table is the
+   smallest power of two >= 2n slots, below 4n, and keys[0] marks an empty
+   slot, so keys[0] itself is counted without being stored. */
 static int64_t count_distinct(const void* keys, int is_64, int64_t n, uint64_t* scratch)
 {
-    uint64_t* a = scratch;
-    uint64_t* b = scratch + n;
-    for (int64_t i = 0; i < n; i++) a[i] = key_at(keys, is_64, i);
-    for (int64_t lo = 0; lo < n; lo += 16) {
-        const int64_t hi = lo + 16 < n ? lo + 16 : n;
-        for (int64_t i = lo + 1; i < hi; i++) {
-            const uint64_t v = a[i];
-            int64_t j = i;
-            while (j > lo && a[j - 1] > v) { a[j] = a[j - 1]; j--; }
-            a[j] = v;
+    if (n == 0) return 0;
+    int64_t size = 1;
+    while (size < 2 * n) size *= 2;
+    const uint64_t mask = (uint64_t)size - 1;
+    const uint64_t empty = key_at(keys, is_64, 0);
+    for (int64_t i = 0; i < size; i++) scratch[i] = empty;
+    int64_t distinct = 1;
+    for (int64_t i = 1; i < n; i++) {
+        const uint64_t key = key_at(keys, is_64, i);
+        if (key == empty) continue;
+        uint64_t slot = mix64(key) & mask;
+        while (scratch[slot] != empty && scratch[slot] != key) slot = (slot + 1) & mask;
+        if (scratch[slot] == empty) {
+            scratch[slot] = key;
+            distinct++;
         }
     }
-    for (int64_t width = 16; width < n; width *= 2) {
-        for (int64_t lo = 0; lo < n; lo += 2 * width) {
-            const int64_t mid = lo + width < n ? lo + width : n;
-            const int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
-            int64_t i = lo, j = mid, k = lo;
-            while (i < mid && j < hi) b[k++] = a[j] < a[i] ? a[j++] : a[i++];
-            while (i < mid) b[k++] = a[i++];
-            while (j < hi) b[k++] = a[j++];
-        }
-        uint64_t* t = a; a = b; b = t;
-    }
-    int64_t distinct = n > 0;
-    for (int64_t i = 1; i < n; i++) distinct += a[i] != a[i - 1];
     return distinct;
 }
 
@@ -1207,19 +1196,12 @@ class BvhTablesStruct(ctypes.Structure):
     """Mirror of the C ``BvhTables`` struct."""
 
     _fields_ = [
-        ("qbounds", ctypes.c_void_p),
-        ("node_min", ctypes.c_void_p),
-        ("node_max", ctypes.c_void_p),
-        ("node_left", ctypes.c_void_p),
-        ("node_right", ctypes.c_void_p),
-        ("node_first", ctypes.c_void_p),
-        ("node_count", ctypes.c_void_p),
+        ("nodes", ctypes.c_void_p),
+        ("slot_centroids", ctypes.c_void_p),
         ("order", ctypes.c_void_p),
         ("centroids", ctypes.c_void_p),
         ("primitive_indices", ctypes.c_void_p),
         ("flipped", ctypes.c_void_p),
-        ("frame_min", ctypes.c_double * 3),
-        ("frame_scale", ctypes.c_double * 3),
         ("tolerance", ctypes.c_double),
     ]
 
@@ -1461,9 +1443,9 @@ class Arena:
     ``begin(total)`` opens a packing epoch: the cursor resets and the backing
     buffer grows geometrically only when the new tables need more room, so
     steady-state rebuilds (refits, compactions) write in place with zero
-    allocation.  ``alloc`` carves 64-byte-aligned typed views out of the
-    buffer; views from the previous epoch are invalidated by design (the
-    tables they belong to are rebuilt in the same pass).
+    allocation.  ``alloc`` carves typed views at 64-byte-aligned addresses
+    out of the buffer; views from the previous epoch are invalidated by
+    design (the tables they belong to are rebuilt in the same pass).
     """
 
     ALIGNMENT = 64
@@ -1495,7 +1477,11 @@ class Arena:
         total_bytes = int(total_bytes)
         if total_bytes > self._buffer.nbytes:
             new_capacity = max(total_bytes, 2 * int(self._buffer.nbytes))
-            self._buffer = np.empty(new_capacity, dtype=np.uint8)
+            # numpy aligns a buffer to 16 bytes: start at the first address
+            # that is a multiple of the arena alignment.
+            raw = np.empty(new_capacity + self.ALIGNMENT, dtype=np.uint8)
+            skip = -raw.ctypes.data % self.ALIGNMENT
+            self._buffer = raw[skip : skip + new_capacity]
         self._cursor = 0
         self.rebuilds += 1
 
@@ -1517,60 +1503,32 @@ class Arena:
 
 
 # --------------------------------------------------------------------------
-# Quantized cache-blocked node tables
+# Node records
 # --------------------------------------------------------------------------
 
 
-def _quantize_outward(
-    node_min64: np.ndarray, node_max64: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize AABBs to uint16 against the tree frame, rounding outward.
-
-    Returns ``(qlo, qhi, frame_min, frame_scale)`` satisfying, in the exact
-    double arithmetic the kernels use,
-
-        ``frame_min + qlo * scale  <=  node_min64``  and
-        ``frame_min + qhi * scale  >=  node_max64``
-
-    element-wise — the property that makes the quantized prefilter
-    conservative.  The fixup loops run the kernel's own dequantization
-    expression, so no rounding-mode reasoning is left to chance; both loops
-    terminate because the clip boundaries (0 and 65535) satisfy the
-    inequality by construction of the frame.
-    """
-    frame_min = node_min64.min(axis=0)
-    frame_max = node_max64.max(axis=0)
-    extent = frame_max - frame_min
-    scale = extent / float(_QUANT_STEPS)
-    scale = np.where(np.isfinite(scale) & (scale > 0.0), scale, 1.0)
-
-    qlo = np.clip(np.floor((node_min64 - frame_min) / scale), 0, 65535).astype(np.int64)
-    while True:
-        bad = (frame_min + qlo.astype(np.float64) * scale > node_min64) & (qlo > 0)
-        if not bad.any():
-            break
-        qlo[bad] -= 1
-
-    qhi = np.clip(np.ceil((node_max64 - frame_min) / scale), 0, 65535).astype(np.int64)
-    while True:
-        bad = (frame_min + qhi.astype(np.float64) * scale < node_max64) & (qhi < 65535)
-        if not bad.any():
-            break
-        qhi[bad] += 1
-
-    return qlo.astype(np.uint16), qhi.astype(np.uint16), frame_min, scale
-
-
 class CompiledBvhTables:
-    """Arena-packed SoA node tables consumed by the compiled kernels.
+    """Arena-packed BVH tables consumed by the compiled kernels.
 
-    Layout per node: a 12-byte quantized record (``uint16[6]``: lo.xyz,
-    hi.xyz) scanned first, the exact ``float32`` bounds touched only on
-    prefilter pass, and ``int32`` topology.  The scene's ``float64``
-    centroids (the scalar oracle compares exact double centres), primitive
-    indices and flip flags are aliased, not copied.  All pointers are bound
-    into one :class:`BvhTablesStruct` here, once per packing epoch.
+    One 32-byte :attr:`NODE` record per node: the exact ``float32`` bounds,
+    then ``child`` and ``meta``.  For a leaf they are its first slot and its
+    triangle count.  For an interior node ``child`` is the record of its
+    first child, the second child is the next record, and ``meta`` is
+    ``-1 - bits``, bit ``a`` set when the first child's ``min[a]`` is at most
+    the second's: a ray along ``a`` reads its push order instead of
+    comparing the children's bounds.  The root is record 0 and record 1 is
+    empty; then, level by level, each interior node's children take the next
+    two records, so every pair starts at an even record and shares one
+    64-byte line of the arena.  Per leaf slot, the scene triangle
+    (``order``) and a ``float64`` copy of its centroid (``slot_centroids``,
+    the exact double centre the scalar oracle compares).  The scene's
+    centroids, primitive indices and flip flags are aliased, not copied.
+    All pointers are bound into one :class:`BvhTablesStruct` here, once per
+    packing epoch.
     """
+
+    #: The C ``Node`` record.
+    NODE = np.dtype([("lo", "<f4", 3), ("hi", "<f4", 3), ("child", "<i4"), ("meta", "<i4")])
 
     def __init__(
         self, bvh, arena: Arena, tolerance: float = TraversalEngine.AXIS_HIT_TOLERANCE
@@ -1584,73 +1542,70 @@ class CompiledBvhTables:
         num_nodes = bvh.num_nodes
         num_slots = int(bvh.primitive_order.shape[0])
         align = Arena.aligned
-        total = (
-            align(num_nodes * 6 * 2)  # qbounds
-            + 2 * align(num_nodes * 3 * 4)  # node_min / node_max
-            + 4 * align(num_nodes * 4)  # left / right / first / count
-            + align(num_slots * 4)  # primitive order
+        arena.begin(
+            align((num_nodes + 1) * self.NODE.itemsize)
+            + align(num_slots * 3 * 8)
+            + align(num_slots * 4)
         )
-        arena.begin(total)
-
-        node_min64 = bvh.node_min.astype(np.float64)
-        node_max64 = bvh.node_max.astype(np.float64)
-        qlo, qhi, self.frame_min, self.frame_scale = _quantize_outward(node_min64, node_max64)
-
-        self.qbounds = arena.alloc((num_nodes, 6), np.uint16)
-        self.qbounds[:, :3] = qlo
-        self.qbounds[:, 3:] = qhi
-        self.node_min = arena.alloc((num_nodes, 3), np.float32)
-        np.copyto(self.node_min, bvh.node_min)
-        self.node_max = arena.alloc((num_nodes, 3), np.float32)
-        np.copyto(self.node_max, bvh.node_max)
-        self.node_left = arena.alloc(num_nodes, np.int32)
-        np.copyto(self.node_left, bvh.node_left)
-        self.node_right = arena.alloc(num_nodes, np.int32)
-        np.copyto(self.node_right, bvh.node_right)
-        self.node_first = arena.alloc(num_nodes, np.int32)
-        np.copyto(self.node_first, bvh.node_first)
-        self.node_count = arena.alloc(num_nodes, np.int32)
-        np.copyto(self.node_count, bvh.node_count)
-        self.order = arena.alloc(num_slots, np.int32)
-        np.copyto(self.order, bvh.primitive_order)
+        self.nodes = arena.alloc(num_nodes + 1, self.NODE)
+        _pack_nodes(bvh, self.nodes)
 
         scene = bvh.scene
         self.centroids = np.ascontiguousarray(scene.centres, dtype=np.float64)
         self.primitive_indices = np.ascontiguousarray(scene.primitive_indices, dtype=np.int64)
         self.flipped = np.ascontiguousarray(scene.flipped, dtype=bool)
+        self.slot_centroids = arena.alloc((num_slots, 3), np.float64)
+        np.take(self.centroids, bvh.primitive_order, axis=0, out=self.slot_centroids)
+        self.order = arena.alloc(num_slots, np.int32)
+        np.copyto(self.order, bvh.primitive_order)
 
         self.struct = BvhTablesStruct(
             *(
                 address(array)
                 for array in (
-                    self.qbounds,
-                    self.node_min,
-                    self.node_max,
-                    self.node_left,
-                    self.node_right,
-                    self.node_first,
-                    self.node_count,
+                    self.nodes,
+                    self.slot_centroids,
                     self.order,
                     self.centroids,
                     self.primitive_indices,
                     self.flipped,
                 )
             ),
-            (ctypes.c_double * 3)(*self.frame_min),
-            (ctypes.c_double * 3)(*self.frame_scale),
             float(tolerance),
         )
         #: Address of :attr:`struct`, passed to every kernel call.
         self.ref = ctypes.addressof(self.struct)
 
-    def verify_conservative(self, bvh) -> bool:
-        """Check the outward-rounding invariant (used by the property test)."""
-        lo = self.frame_min + self.qbounds[:, :3].astype(np.float64) * self.frame_scale
-        hi = self.frame_min + self.qbounds[:, 3:].astype(np.float64) * self.frame_scale
-        return bool(
-            np.all(lo <= bvh.node_min.astype(np.float64))
-            and np.all(hi >= bvh.node_max.astype(np.float64))
-        )
+
+def _pack_nodes(bvh, nodes: np.ndarray) -> None:
+    """Write ``bvh``'s nodes into ``nodes`` (``num_nodes + 1``
+    :attr:`CompiledBvhTables.NODE` records) in the layout that class
+    describes, whatever the builder's node numbering."""
+    num_nodes = bvh.num_nodes
+    record = np.empty(num_nodes, dtype=np.int64)
+    record[0] = 0
+    level = np.zeros(1, dtype=np.int64)
+    used = 2
+    while level.size:
+        inner = level[bvh.node_count[level] == 0]
+        level = np.stack([bvh.node_left[inner], bvh.node_right[inner]], axis=1).ravel()
+        record[level] = np.arange(used, used + level.size)
+        used += level.size
+    if used != num_nodes + 1:
+        raise ValueError("a BVH node is not reachable from the root")
+
+    inner = bvh.node_count == 0
+    left, right = bvh.node_left[inner], bvh.node_right[inner]
+    bits = (bvh.node_min[left] <= bvh.node_min[right]) @ np.array([1, 2, 4])
+    child = bvh.node_first.copy()
+    child[inner] = record[left]
+    meta = bvh.node_count.copy()
+    meta[inner] = -1 - bits
+    nodes[1] = 0
+    nodes["lo"][record] = bvh.node_min
+    nodes["hi"][record] = bvh.node_max
+    nodes["child"][record] = child
+    nodes["meta"][record] = meta
 
 
 # --------------------------------------------------------------------------

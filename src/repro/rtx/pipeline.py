@@ -204,5 +204,5 @@ class RaytracingPipeline:
         return total
 
     def compiled_buffers_bytes(self) -> int:
-        """Bytes held by the compiled tier's quantized-table arena."""
+        """Bytes held by the compiled tier's node-record arena."""
         return self._compiled_arena.capacity_bytes

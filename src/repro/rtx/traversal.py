@@ -121,7 +121,7 @@ class TraversalEngine:
         self._flipped = bvh.scene.flipped
         self._fast_tables: Optional[tuple] = None
         self._node_bounds: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        #: Shard-local arena for the compiled tier's quantized node tables;
+        #: Shard-local arena for the compiled tier's BVH node records;
         #: owned by the pipeline so rebuilds/refits repack it in place.
         self._compiled_arena = compiled_arena
         self._compiled_tables = None
@@ -141,7 +141,8 @@ class TraversalEngine:
         return self._node_bounds
 
     def compiled_tables(self):
-        """Quantized cache-blocked node tables for the compiled megakernel.
+        """The BVH node records and leaf-slot tables of the compiled
+        megakernel (:class:`~repro.rtx.compiled.CompiledBvhTables`).
 
         Built lazily into the engine's arena on the first compiled batch; the
         arena is reused (rebuilt in place) across acceleration-structure

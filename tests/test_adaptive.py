@@ -12,6 +12,8 @@ result caches, and the adversarial workload generators that exercise it all.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,14 @@ def test_bare_index_answers_signed_keys_like_one_shard(kind, engine, key_bits):
         assert result.match_counts.tobytes() == expected.match_counts.tobytes()
         assert result.row_ids[[0, 2, 4]].tolist() == [-1, -1, -1]
         assert result.match_counts[[0, 1, 3]].tolist() == [0, 1, 1]
+        # A negative key costs nothing: it is left out of the batch the
+        # index runs, so the record is that of the other keys alone.
+        def record(keys):
+            batch = np.array(keys, dtype=np.int64)
+            return dataclasses.asdict(bare.point_lookup_batch(batch).stats)
+
+        assert record([-1, 5]) == record([5])
+        assert record([-1]) == record([])
     if not index_cls.supports_range:
         return
 

@@ -190,3 +190,58 @@ def test_cgrx_search_cost_totals_match_the_per_lookup_loop(range_mode):
     keys_bytes = 500 * index.config.key_bytes
     assert stats.bytes_read == reference.bytes_read + keys_bytes
     assert stats.compute_ops == reference.compute_ops
+
+
+def reference_search_cost(model, bucket_size, scanned, range_mode):
+    """One search priced with the model's float formulas, the way the model
+    computed it one count at a time before it priced whole arrays."""
+    import math
+
+    from repro.gpu.cost_model import UNCOALESCED_ACCESS_BYTES
+    from repro.gpu.simt import cooperative_scan_steps
+
+    scanned = max(1, scanned)
+    group = model.group_size
+    if range_mode:
+        touched = cooperative_scan_steps(scanned, group) * group
+        return touched * model.entry_bytes, touched
+    bucket_size = max(1, bucket_size)
+    if model.strategy is SearchStrategy.LINEAR:
+        touched = min(scanned, cooperative_scan_steps(scanned, group) * group)
+        return touched * model.entry_bytes + model.rowid_bytes, touched
+    probes = max(1, math.ceil(math.log2(bucket_size + 1)))
+    probe_bytes = max(
+        model.entry_bytes if model.layout is BucketLayout.ROW else model.key_bytes,
+        UNCOALESCED_ACCESS_BYTES,
+    )
+    trailing = cooperative_scan_steps(max(0, scanned - bucket_size), group) * group
+    return (
+        probes * probe_bytes + trailing * model.entry_bytes + model.rowid_bytes,
+        probes + trailing,
+    )
+
+
+@pytest.mark.parametrize("strategy", list(SearchStrategy))
+@pytest.mark.parametrize("layout", list(BucketLayout))
+@pytest.mark.parametrize("key_bytes", [4, 8])
+def test_array_pricing_matches_the_per_search_formulas(strategy, layout, key_bytes):
+    """``searches`` prices a whole array exactly as summing the per-search
+    formulas does, at every bucket size the experiments use and around the
+    group and bucket boundaries."""
+    model = BucketSearchModel(strategy, layout, key_bytes=key_bytes)
+    rng = np.random.default_rng(key_bytes)
+    scanned = np.concatenate(
+        [np.arange(-1, 300), rng.integers(1, 1 << 20, size=200), [65535, 65536, 65537]]
+    )
+    for bucket_size in (0, 1, 3, 4, 16, 17, 32, 256, 4096, 65536):
+        for range_mode in (False, True):
+            total = model.searches(scanned, bucket_size, range_mode)
+            parts = [
+                reference_search_cost(model, bucket_size, int(count), range_mode)
+                for count in scanned
+            ]
+            assert total.bytes_read == sum(part[0] for part in parts)
+            assert total.compute_ops == sum(part[1] for part in parts)
+            assert isinstance(total.bytes_read, int) and isinstance(total.compute_ops, int)
+    empty = model.searches(np.empty(0, dtype=np.int64), 32, range_mode=False)
+    assert (empty.bytes_read, empty.compute_ops) == (0, 0)

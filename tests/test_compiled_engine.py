@@ -12,8 +12,8 @@ its batch exactly like the scalar per-bucket ranges, the C compaction leaves
 slabs, free list, bounds and counters as the scalar one does, the cgRXu point
 batch matches the scalar engine at every batch size and through the index
 lifecycle over buffers bound once, so does the cgRX point batch at every
-batch size, each hot index path is one C call per batch, quantized AABBs are
-rounded conservatively outward, shard-local arenas are rebuilt in place, the
+batch size, each hot index path is one C call per batch, the packed node
+records hold the tree exactly, shard-local arenas are rebuilt in place, the
 kernel build is safe under concurrency and corruption, and a fallback to the
 scalar engine is loud.
 
@@ -41,6 +41,7 @@ from repro.gpu.device import RTX_4090
 from repro.obs.profile import disable_profiling, enable_profiling
 from repro.rtx import compiled
 from repro.rtx.bvh import BvhBuildConfig, build_bvh, build_bvh_python
+from repro.rtx.refit import refit_bvh
 from repro.rtx.scene import TriangleScene, VertexBuffer
 from repro.rtx.traversal import RayStats, TraversalEngine
 from repro.workloads.keygen import KeySet, generate_keys
@@ -312,8 +313,10 @@ def test_compiled_paths_keep_one_copy_of_the_scene_tables():
         index.point_lookup_batch(lookups)
         index.range_lookup_batch(lows, highs)
         engine = index.pipeline._engine
-        # No float64 copy of the node bounds next to the arena, and the arena
-        # aliases the scene's centroids instead of copying them.
+        # No float64 copy of the node bounds next to the arena.  The arena
+        # holds the node records, the leaf slots' triangles and their
+        # centroids in slot order; the scene's centroids, which the routing
+        # reads once per key, are aliased, not copied.
         assert engine._node_bounds is None
         assert engine.compiled_tables().centroids is index.pipeline.bvh.scene.centres
 
@@ -638,35 +641,223 @@ def test_concurrent_first_builds_all_get_the_backend(empty_cache):
 
 
 # --------------------------------------------------------------------------
-# Quantized node tables: conservative by construction
+# Node records: one 32-byte record per node, children side by side
 # --------------------------------------------------------------------------
 
 
+def permuted(bvh, rng):
+    """``bvh`` with its nodes renumbered at random, the root kept at 0, so
+    siblings are neither adjacent nor in the builder's order."""
+    from repro.rtx.bvh import Bvh
+
+    new_id = np.concatenate([[0], 1 + rng.permutation(bvh.num_nodes - 1)])
+    old_id = np.argsort(new_id)
+
+    def renumbered(children):
+        return np.where(children >= 0, new_id[np.maximum(children, 0)], -1)[old_id]
+
+    return Bvh(
+        scene=bvh.scene,
+        node_min=bvh.node_min[old_id],
+        node_max=bvh.node_max[old_id],
+        node_left=renumbered(bvh.node_left),
+        node_right=renumbered(bvh.node_right),
+        node_first=bvh.node_first[old_id],
+        node_count=bvh.node_count[old_id],
+        primitive_order=bvh.primitive_order,
+        config=bvh.config,
+    )
+
+
+def tie_points(width: int = 6):
+    """Two rows of doubled points 0.2 apart in y, one column per x: the
+    median builder splits each column along y into two leaves whose boxes
+    tie on min along x, and a +x ray at y = 0.1 hits both rows at equal
+    distances, so the order of its equal-t hits is the traversal order."""
+    return [(x, y, 0.0) for x in range(width) for y in (0.0, 0.2) for _ in range(2)]
+
+
+def record_trees():
+    """Trees of every kind the tables pack, by name."""
+    rng = np.random.default_rng(71)
+    points = rng.integers(0, 9, size=(150, 3)).astype(np.float64)
+    points[::5] = points[0]
+    points[:, 1] *= 64.0
+    scene = scene_of(points, rng.random(150) < 0.3)
+    trees = {
+        "c-median": build_bvh(scene, BvhBuildConfig(max_leaf_size=3)),
+        "python-median": build_bvh_python(scene, BvhBuildConfig(max_leaf_size=2)),
+        "python-middle": build_bvh_python(scene, BvhBuildConfig(max_leaf_size=1, method="middle")),
+        "one-leaf": build_bvh(scene_of(points[:3]), BvhBuildConfig(max_leaf_size=4)),
+        "ties": build_bvh(scene_of(tie_points()), BvhBuildConfig(max_leaf_size=1)),
+    }
+    refit = build_bvh_python(scene, BvhBuildConfig(max_leaf_size=2))
+    moved = scene_of(rng.permutation(points))
+    refit_bvh(refit, moved.vertices)
+    refit.scene.centres = moved.centres
+    trees["refit"] = refit
+    trees["permuted"] = permuted(trees["c-median"], rng)
+    return trees
+
+
 @requires_backend
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_quantized_tables_are_conservative(seed):
-    """Dequantized bounds always contain the exact bounds (property test)."""
-    rng = np.random.default_rng(seed)
-    buffer = VertexBuffer()
-    # Adversarial frames: huge coordinates, tiny extents, duplicates.
-    scale = 10.0 ** rng.integers(-3, 6)
-    points = rng.uniform(0.0, scale, size=(200, 3))
-    points[::7] = points[0]
-    for slot, (x, y, z) in enumerate(points):
-        buffer.write_key_triangle(slot, float(x), float(y), float(z))
-    bvh = build_bvh(TriangleScene.from_vertex_buffer(buffer), BvhBuildConfig(max_leaf_size=3))
+@pytest.mark.parametrize("name", ["c-median", "python-median", "python-middle", "one-leaf",
+                                  "ties", "refit", "permuted"])
+def test_node_records_hold_the_tree(name):
+    """Walked from the root, the records hold every node's float32 bounds
+    bit for bit, its children or leaf slots and the push order the scalar
+    traversal computes; each pair of children starts at an even record of a
+    64-byte-aligned table, and the slot centroids are the scene's in slot
+    order."""
+    bvh = record_trees()[name]
+    if name == "one-leaf":
+        assert bvh.num_nodes == 1
+    if name == "permuted":
+        inner = bvh.node_count == 0
+        assert (bvh.node_right[inner] != bvh.node_left[inner] + 1).any()
     tables = compiled.CompiledBvhTables(bvh, compiled.Arena())
-    assert tables.usable
-    assert tables.verify_conservative(bvh)
+    nodes = tables.nodes
+    assert nodes.dtype.itemsize == 32 and nodes.shape == (bvh.num_nodes + 1,)
+    assert nodes.ctypes.data % 64 == 0
+    node_min = bvh.node_min.astype(float).tolist()
+    record = {0: 0}
+    stack = [0]
+    x_ties = 0
+    while stack:
+        node = stack.pop()
+        packed = nodes[record[node]]
+        assert packed["lo"].tobytes() == bvh.node_min[node].tobytes()
+        assert packed["hi"].tobytes() == bvh.node_max[node].tobytes()
+        if bvh.node_count[node] > 0:
+            assert int(packed["child"]) == bvh.node_first[node]
+            assert int(packed["meta"]) == bvh.node_count[node]
+            continue
+        left, right = int(bvh.node_left[node]), int(bvh.node_right[node])
+        first = int(packed["child"])
+        assert first >= 2 and first % 2 == 0
+        near = [node_min[left][axis] <= node_min[right][axis] for axis in range(3)]
+        assert int(packed["meta"]) == -1 - sum(1 << axis for axis in range(3) if near[axis])
+        x_ties += node_min[left][0] == node_min[right][0]
+        record[left], record[right] = first, first + 1
+        stack += [left, right]
+    assert sorted(record.values()) == [0, *range(2, bvh.num_nodes + 1)]
+    centres = np.asarray(bvh.scene.centres, dtype=np.float64)
+    assert tables.slot_centroids.tobytes() == centres[bvh.primitive_order].tobytes()
+    assert tables.order.tolist() == bvh.primitive_order.tolist()
+    if name == "ties":
+        assert x_ties >= len(tie_points()) // 4
 
 
-def test_quantize_outward_degenerate_frame():
-    """A single point (zero extent) quantizes without dividing by zero."""
-    bounds = np.full((4, 3), 42.0)
-    qlo, qhi, frame_min, scale = compiled._quantize_outward(bounds, bounds)
-    lo = frame_min + qlo.astype(np.float64) * scale
-    hi = frame_min + qhi.astype(np.float64) * scale
-    assert np.all(lo <= bounds) and np.all(hi >= bounds)
+@requires_backend
+@pytest.mark.parametrize("name", ["ties", "permuted", "refit", "python-middle"])
+def test_all_hits_through_the_records_match_scalar(name):
+    """Collect mode orders equal-distance hits by traversal, so siblings that
+    tie on min along the ray axis must be pushed as the scalar traversal
+    pushes them; rays along every axis, through the scene's points and
+    between them, with and without a distance limit."""
+    bvh = record_trees()[name]
+    engine = TraversalEngine(bvh)
+    centres = np.asarray(bvh.scene.centres, dtype=np.float64)
+    rng = np.random.default_rng(73)
+    for axis in range(3):
+        origins = np.concatenate(
+            [centres, centres + rng.uniform(-0.3, 0.3, size=centres.shape)]
+        )
+        if name == "ties":
+            origins = np.concatenate([origins, [[0.0, 0.1, 0.0]] * 4])
+        origins[:, axis] = origins[:, axis].min() - 0.5
+        tmax = np.where(rng.random(origins.shape[0]) < 0.5, np.inf, 3.5)
+        scalar_hits, scalar_stats = scalar_all_hits(engine, axis, origins, tmax)
+        batch_stats = RayStats()
+        batch = engine.trace_axis_all_batch(axis, origins, tmax, stats=batch_stats)
+        assert_stats_identical(scalar_stats, batch_stats)
+        assert_all_hits_identical(scalar_hits, batch)
+        per_ray = []
+        for origin, limit in zip(origins, tmax):
+            local = RayStats()
+            engine.trace_axis_all(axis, tuple(origin), float(limit), stats=local)
+            per_ray.append(local.nodes_visited)
+        assert batch.nodes_visited.tolist() == per_ray
+    if name == "ties":
+        # The tie is visible: the +x ray at y = 0.1 meets both rows of every
+        # column at one distance, in traversal order.
+        hits = engine.trace_axis_all(0, (-0.5, 0.1, 0.0))
+        assert len(hits) == len(tie_points()) and hits[0].t == hits[3].t
+
+
+@requires_backend
+@pytest.mark.parametrize("representation", ["naive", "optimized"])
+def test_routing_through_a_permuted_tree_matches_scalar(representation, count_calls):
+    """The closest-hit routing reads each record's child and push order, not
+    the builder's numbering: over a tree whose nodes are renumbered at
+    random, buckets, per-key visits and ray totals equal the scalar
+    locate_bucket's."""
+    rng = np.random.default_rng(79)
+    keys = routing_keys("multi_plane", 64, rng)
+    index = CgRXIndex(
+        keys,
+        config=CgRXConfig(bucket_size=3, representation=representation, engine="compiled"),
+    )
+    pipeline = index.pipeline
+    pipeline._bvh = permuted(pipeline.bvh, rng)
+    pipeline._engine = TraversalEngine(pipeline._bvh, compiled_arena=pipeline._compiled_arena)
+    probes = probe_keys(index, rng)
+    scalar_stats = RayStats()
+    scalar_buckets, scalar_nodes = [], []
+    for key in probes:
+        local = RayStats()
+        scalar_buckets.append(index.representation.locate_bucket(int(key), local))
+        scalar_nodes.append(local.nodes_visited)
+        scalar_stats.merge(local)
+    fused_stats = RayStats()
+    count_calls.clear()
+    buckets, nodes = index.representation.locate_bucket_batch(probes, fused_stats)
+    assert count_calls == {"locate_keys": 1}
+    assert buckets.tolist() == scalar_buckets
+    assert nodes.tolist() == scalar_nodes
+    assert_stats_identical(scalar_stats, fused_stats)
+
+
+def distinct_batches(key_bits: int):
+    """Batches of every shape the distinct-key table must count: empty,
+    one key, sizes around powers of two, all-equal keys, key 0 (the empty
+    marker's usual value), repeats of the first key (the marker itself)
+    and the largest key."""
+    rng = np.random.default_rng(key_bits)
+    top = (1 << key_bits) - 1
+    for size in (0, 1, 2, 15, 16, 17, 2047, 2048, 2049):
+        yield rng.integers(0, 1 << 20, size=size, dtype=np.uint64) % np.uint64(max(1, size // 3))
+        yield rng.integers(0, top, size=size, dtype=np.uint64, endpoint=True)
+        yield np.full(size, 7, dtype=np.uint64)
+        yield np.zeros(size, dtype=np.uint64)
+        yield np.full(size, top, dtype=np.uint64)
+        first = rng.integers(0, top, size=size, dtype=np.uint64, endpoint=True)
+        first[::3] = first[0] if size else 0
+        yield first
+        mixed = rng.integers(0, 40, size=size, dtype=np.uint64)
+        mixed[::4] = top
+        mixed[1::5] = 0
+        yield mixed
+
+
+@requires_backend
+@pytest.mark.parametrize("key_bits", [32, 64])
+def test_distinct_key_reduction_counts_like_unique(key_bits):
+    """The kernels' distinct-key count equals ``np.unique(keys).size`` for
+    cgRX and cgRXu point batches and cgRXu range lows, on fresh indexes, so
+    the buffers are exactly as large as the batch at several sizes."""
+    dtype = np.uint32 if key_bits == 32 else np.uint64
+    keyset = generate_keys(512, uniformity=0.5, key_bits=key_bits, seed=83)
+    cgrx = CgRXIndex(keyset.keys, keyset.row_ids, CgRXConfig(key_bits=key_bits))
+    cgrxu = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=key_bits))
+    for batch in distinct_batches(key_bits):
+        keys = batch.astype(dtype)
+        expected = np.unique(keys).size
+        for index in (cgrx, cgrxu):
+            assert index.point_lookup_batch(keys).engine == "compiled"
+            assert index._lookup_batch.reductions[-1] == expected, (index.name, keys[:4])
+        cgrxu.range_lookup_batch(keys, keys)
+        assert cgrxu._lookup_batch.reductions[-1] == expected
 
 
 # --------------------------------------------------------------------------
@@ -698,6 +889,7 @@ def test_arena_alloc_alignment_and_overflow():
     arena = compiled.Arena()
     arena.begin(256)
     base = arena._buffer.__array_interface__["data"][0]
+    assert base % compiled.Arena.ALIGNMENT == 0
     small = arena.alloc((3,), np.uint8)
     bigger = arena.alloc((4,), np.float32)
     assert (small.__array_interface__["data"][0] - base) % compiled.Arena.ALIGNMENT == 0
