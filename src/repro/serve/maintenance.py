@@ -466,7 +466,7 @@ class MaintenanceWorker:
         """
         policy = self.reshard_policy
         router = self.router
-        if not policy.enabled or not getattr(router, "supports_resharding", False):
+        if not policy.enabled or not router.supports_resharding:
             return []
         window_shards = np.asarray(window_shards)
         if window_shards.shape[0] < RESHARD_MIN_WINDOW_REQUESTS:
@@ -497,8 +497,9 @@ class MaintenanceWorker:
 
         The serving loop calls this *after* flushing the batch queues —
         queued requests were routed under the old topology — and recomputes
-        its routing afterwards.  Both phases of each operation reuse the
-        epoch double-buffer lifecycle, so shards keep serving throughout.
+        its routing afterwards.  Each operation is one router call that
+        builds the replacements beside the live shards and then swaps them
+        in, so shards keep serving throughout.
         """
         executed: List[str] = []
         self.now_ms = float(now_ms)
@@ -509,8 +510,9 @@ class MaintenanceWorker:
                 else:
                     work = self.router.merge_shards(shard_id)
             except ValueError:
-                # Unsplittable (e.g. every windowed request hit one stored
-                # key) or a racing lifecycle operation: skip this interval.
+                # Unsplittable: the window's median key is at or below the
+                # shard's smallest stored key, or above its largest.  Skip
+                # this interval.
                 continue
             cost_ms = self._work_time_ms(shard_id, work)
             self.maintenance_time_ms += cost_ms
@@ -563,7 +565,7 @@ class MaintenanceWorker:
             "merges_performed": self.merges_performed,
             "checkpoints_performed": self.checkpoints_performed,
             "maintenance_time_ms": self.maintenance_time_ms,
-            "rebuild_peak_bytes": int(getattr(self.router, "rebuild_peak_bytes", 0)),
+            "rebuild_peak_bytes": int(self.router.rebuild_peak_bytes),
             "compiled_arena_bytes": self._compiled_arena_bytes(),
         }
         for tier, time_ms in sorted(self.tier_time_ms.items()):

@@ -1168,50 +1168,26 @@ class ReplicatedShardRouter(ShardRouter):
         and failure state per replica; not supported (yet)."""
         return False
 
-    def begin_shard_rebuild(self, shard_id: int) -> KernelStats:
-        """Mark a group rebuild in flight (no replacement copy is buffered).
-
-        A replica group rebuilds *rolling* — each replica reloads from the
-        authoritative snapshot while its peers keep serving — so the begin
-        phase has nothing to build; the reload happens at commit.  The base
-        class's behaviour (building a bare inner index and swapping it over
-        the group) would silently drop the group's replication state.
-        """
-        shard = self.shards[int(shard_id)]
-        if shard.pending_rebuild:
-            raise ValueError(f"shard {shard_id} already has a rebuild in flight")
-        shard.pending_rebuild = True
-        shard.pending_version = shard.version
-        return KernelStats(name=f"serve.rebuild_shard_{shard_id}", launches=0)
-
-    def commit_shard_rebuild(self, shard_id: int) -> None:
-        """Reload the replica group in place, preserving its membership."""
-        shard = self.shards[int(shard_id)]
-        if not shard.pending_rebuild:
-            raise ValueError(f"shard {shard_id} has no rebuild in flight")
-        shard.pending_rebuild = False
-        self._build_shard(shard)
-
     def rebuild_shard(self, shard_id: int, mode: str = "double_buffered") -> KernelStats:
         """Reload the shard's replica group in place.
 
         A replica group is inherently double-buffered: each replica rebuilds
         from the authoritative snapshot while its peers keep serving reads,
         so there is never an offline window and no second full shard copy to
-        buffer.  ``stop_the_world`` cannot take a replicated shard offline,
-        so it is rejected rather than silently rebuilt rolling.
+        buffer.  Reloading in place keeps the group's membership and failure
+        state, which swapping a bare index over the group would drop.
+        ``stop_the_world`` cannot take a replicated shard offline, so it is
+        rejected rather than silently rebuilt rolling.
         """
         if mode != "double_buffered":
             raise ValueError(
                 f"replica groups rebuild rolling (double_buffered), not {mode!r}"
             )
-        shard = self.shards[int(shard_id)]
-        if shard.pending_rebuild:
-            self.abort_shard_rebuild(shard_id)  # superseded two-phase rebuild
-        stats = combine(f"serve.rebuild_shard_{shard_id}", self._build_shard(shard))
-        self.rebuild_peak_bytes = max(
-            self.rebuild_peak_bytes, self.memory_footprint_bytes()
+        shard_id = self._check_shard_id(shard_id, self.num_shards)
+        stats = combine(
+            f"serve.rebuild_shard_{shard_id}", self._build_shard(self.shards[shard_id])
         )
+        self._record_peak()
         return stats
 
     # ------------------------------------------------------------- membership

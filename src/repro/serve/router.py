@@ -160,31 +160,8 @@ class _Shard(LazyEntries):
     index: Optional[GpuIndex] = None
     #: Number of rebuilds this shard has seen (bulk load included).
     builds: int = 0
-    #: Replacement index of an in-flight double-buffered rebuild.  While it
-    #: exists both generations are resident, which is exactly the peak the
-    #: deployment's memory accounting must expose.
-    pending_index: Optional[GpuIndex] = None
-    #: True between ``begin_shard_rebuild`` and its commit/abort (the
-    #: replacement of an empty shard is ``None`` yet still pending).
-    pending_rebuild: bool = False
-    #: Bumped on every authoritative mutation; lets a rebuild commit detect
-    #: updates that landed while the replacement was building.
+    #: Bumped once per write batch the shard takes: a plain shard's WAL LSN.
     version: int = 0
-    #: ``version`` the in-flight replacement was built from.
-    pending_version: int = -1
-    #: In-flight reshard (``"split"`` or ``"merge"``) whose replacement
-    #: indexes live in :attr:`reshard_indexes` until commit/abort.  Like a
-    #: rebuild's pending buffer, both generations are resident meanwhile.
-    reshard_kind: Optional[str] = None
-    #: Split key of an in-flight split.
-    reshard_key: int = 0
-    #: Replacement indexes: ``(left, right)`` for a split, ``(combined,)``
-    #: for a merge (``None`` entries for empty halves).
-    reshard_indexes: tuple = ()
-    #: ``version`` the reshard replacement(s) were built from.
-    reshard_version: int = -1
-    #: Right-neighbour ``version`` an in-flight merge was built from.
-    reshard_partner_version: int = -1
 
 
 class ShardRouter:
@@ -243,15 +220,9 @@ class ShardRouter:
         #: Shard of every key of the most recent point batch (-1 for negative
         #: keys, which are never scattered).
         self.last_shard_ids = np.empty(0, dtype=np.int64)
-        #: Largest deployment footprint observed during a rebuild — for
-        #: double-buffered rebuilds this includes the window in which both
-        #: shard generations were resident.
+        #: Largest deployment footprint a rebuild, split or merge reached:
+        #: the live indexes plus the replacements built beside them.
         self.rebuild_peak_bytes: int = 0
-        #: Bumped on every committed split/merge; serving loops compare it to
-        #: invalidate routing decisions cached under the old topology.
-        self.topology_version: int = 0
-        #: Committed split/merge counts (for reports and telemetry).
-        self.reshard_counts: Dict[str, int] = {"split": 0, "merge": 0}
 
     # -------------------------------------------------------------- structure
 
@@ -297,6 +268,27 @@ class ShardRouter:
 
     # --------------------------------------------------------------- lifecycle
 
+    def _check_shard_id(self, shard_id: int, limit: int) -> int:
+        """``shard_id`` as an int; ``ValueError`` unless ``0 <= shard_id < limit``.
+
+        Lifecycle calls check before they build anything: list indexing
+        would let ``-1`` name the last shard.
+        """
+        shard_id = int(shard_id)
+        if not 0 <= shard_id < limit:
+            raise ValueError(f"shard id {shard_id} is not in [0, {limit})")
+        return shard_id
+
+    def _record_peak(self, *replacements: Optional[GpuIndex]) -> None:
+        """Raise :attr:`rebuild_peak_bytes` to the live footprint plus the
+        replacements built beside it (``None`` for an empty one)."""
+        resident = self.memory_footprint_bytes() + sum(
+            index.memory_footprint().total_bytes
+            for index in replacements
+            if index is not None
+        )
+        self.rebuild_peak_bytes = max(self.rebuild_peak_bytes, resident)
+
     def _make_replacement(self, shard: _Shard) -> Optional[GpuIndex]:
         """Build a shard's replacement index for a double-buffered rebuild.
 
@@ -324,84 +316,31 @@ class ShardRouter:
         # simply no index at all.
         return self._make_index(shard)
 
-    def begin_shard_rebuild(self, shard_id: int) -> KernelStats:
-        """Phase one of a double-buffered rebuild: build the replacement.
-
-        The live index keeps serving; the replacement lives in the shard's
-        rebuild buffer (visible in the deployment's memory footprint) until
-        :meth:`commit_shard_rebuild` swaps it in or
-        :meth:`abort_shard_rebuild` drops it.
-        """
-        shard = self.shards[int(shard_id)]
-        if shard.pending_rebuild:
-            raise ValueError(f"shard {shard_id} already has a rebuild in flight")
-        shard.pending_index = self._make_replacement(shard)
-        shard.pending_rebuild = True
-        shard.pending_version = shard.version
-        build_stats = (
-            list(shard.pending_index.build_stats)
-            if shard.pending_index is not None
-            else []
-        )
-        return combine(f"serve.rebuild_shard_{shard_id}", build_stats)
-
-    def commit_shard_rebuild(self, shard_id: int) -> None:
-        """Phase two: atomically swap the replacement in (zero unavailability).
-
-        Every call the shard's index answered before this point was served
-        by the old generation; every later call by the new one — there is no
-        instant at which the shard has no index.  Updates that landed while
-        the replacement was building (the shard's version moved past the one
-        the replacement was built from) trigger a catch-up rebuild from the
-        current state before the swap, so a commit can never lose writes.
-        """
-        shard = self.shards[int(shard_id)]
-        if not shard.pending_rebuild:
-            raise ValueError(f"shard {shard_id} has no rebuild in flight")
-        if shard.version != shard.pending_version:
-            shard.pending_index = self._make_replacement(shard)
-            shard.pending_version = shard.version
-        shard.index = shard.pending_index
-        shard.pending_index = None
-        shard.pending_rebuild = False
-        shard.builds += 1
-
-    def abort_shard_rebuild(self, shard_id: int) -> None:
-        """Drop an in-flight replacement without swapping it in."""
-        shard = self.shards[int(shard_id)]
-        shard.pending_index = None
-        shard.pending_rebuild = False
-
     def rebuild_shard(self, shard_id: int, mode: str = "double_buffered") -> KernelStats:
         """Rebuild one shard from scratch; returns the build work performed.
 
         ``double_buffered`` (default) builds the replacement off the request
         path and swaps it in atomically — the shard serves throughout, at
-        the price of both generations being resident during the build.
+        the price of both generations being resident during the build
+        (recorded in :attr:`rebuild_peak_bytes`).
         ``stop_the_world`` takes the shard offline for the build (the
         pre-lifecycle behaviour); the caller accounts the outage window
         against availability.
         """
-        shard = self.shards[int(shard_id)]
-        if shard.pending_rebuild:
-            # An immediate full rebuild supersedes a replacement someone
-            # started via the explicit two-phase API: it would be built
-            # from the same (or staler) state anyway.
-            self.abort_shard_rebuild(shard_id)
+        shard_id = self._check_shard_id(shard_id, self.num_shards)
+        shard = self.shards[shard_id]
         if mode == "double_buffered":
-            stats = self.begin_shard_rebuild(shard_id)
-            self.rebuild_peak_bytes = max(
-                self.rebuild_peak_bytes, self.memory_footprint_bytes()
-            )
-            self.commit_shard_rebuild(shard_id)
-            return stats
-        if mode != "stop_the_world":
+            replacement = self._make_replacement(shard)
+            self._record_peak(replacement)
+            shard.index = replacement
+            shard.builds += 1
+            build_stats = list(replacement.build_stats) if replacement is not None else []
+        elif mode == "stop_the_world":
+            shard.index = None  # offline for the duration of the build
+            build_stats = self._build_shard(shard)
+            self._record_peak()
+        else:
             raise ValueError(f"unknown rebuild mode {mode!r}")
-        shard.index = None  # offline for the duration of the build
-        build_stats = self._build_shard(shard)
-        self.rebuild_peak_bytes = max(
-            self.rebuild_peak_bytes, self.memory_footprint_bytes()
-        )
         return combine(f"serve.rebuild_shard_{shard_id}", build_stats)
 
     def compact_shard(self, shard_id: int) -> Optional[KernelStats]:
@@ -413,8 +352,7 @@ class ShardRouter:
         shard is empty, its index type has no chains, or no bucket is chained
         at all.
         """
-        shard = self.shards[int(shard_id)]
-        index = shard.index
+        index = self.shards[self._check_shard_id(shard_id, self.num_shards)].index
         if index is None:
             return None
         compact = getattr(index, "compact_buckets", None)
@@ -466,194 +404,88 @@ class ShardRouter:
         )
         return self.factory(keyset, self.device)
 
-    def _check_reshardable(self, shard: _Shard) -> None:
+    def _check_reshardable(self) -> None:
         if not self.supports_resharding:
             raise ValueError(
                 f"{self.partitioner.kind} partitioner cannot reshard in place"
             )
-        if shard.pending_rebuild or shard.reshard_kind is not None:
-            raise ValueError(
-                f"shard {shard.shard_id} already has a rebuild or reshard in flight"
-            )
 
-    @staticmethod
-    def _split_position(shard: _Shard, split_key: int) -> int:
-        return int(
-            np.searchsorted(shard.keys, shard.keys.dtype.type(split_key), side="left")
-        )
+    def split_shard(self, shard_id: int, split_key: Optional[int] = None) -> KernelStats:
+        """Replace one shard by its two halves at ``split_key``.
 
-    def begin_shard_split(self, shard_id: int, split_key: Optional[int] = None) -> KernelStats:
-        """Phase one of a zero-downtime split: build both half replacements.
-
-        The live shard keeps serving; the halves sit in the shard's reshard
-        buffer (counted in the memory footprint) until
-        :meth:`commit_shard_split`.  ``split_key`` defaults to the shard's
-        median stored key; it must divide the stored entries so both halves
-        are non-empty at build time.
+        Both halves are built while the live shard keeps serving (both
+        generations count toward :attr:`rebuild_peak_bytes`), then swapped
+        in, so the split has no unavailability window.  ``split_key``
+        defaults to the shard's median stored key; it must divide the
+        stored entries so both halves are non-empty.
         """
-        shard = self.shards[int(shard_id)]
-        self._check_reshardable(shard)
+        shard_id = self._check_shard_id(shard_id, self.num_shards)
+        self._check_reshardable()
+        shard = self.shards[shard_id]
         if shard.num_entries < 2:
             raise ValueError(f"shard {shard_id} is too small to split")
         if split_key is None:
             split_key = int(shard.keys[shard.num_entries // 2])
         split_key = max(int(split_key), 0)
-        position = self._split_position(shard, split_key)
+        keys, row_ids = shard.keys, shard.row_ids
+        position = int(np.searchsorted(keys, keys.dtype.type(split_key), side="left"))
         if position <= 0 or position >= shard.num_entries:
             raise ValueError("split key does not divide the shard's entries")
-        left = self._build_from_slice(
-            f"shard {shard_id}L",
-            shard.keys[:position],
-            shard.row_ids[:position],
-            shard.index,
-        )
-        right = self._build_from_slice(
-            f"shard {shard_id}R",
-            shard.keys[position:],
-            shard.row_ids[position:],
-            shard.index,
-        )
-        shard.reshard_kind = "split"
-        shard.reshard_key = split_key
-        shard.reshard_indexes = (left, right)
-        shard.reshard_version = shard.version
+        halves = (slice(0, position), slice(position, None))
+        built = [
+            self._build_from_slice(
+                f"shard {shard_id}{side}", keys[half], row_ids[half], shard.index
+            )
+            for side, half in zip("LR", halves)
+        ]
+        self._record_peak(*built)
+        self.partitioner.split_at(shard_id, split_key)
+        self.shards[shard_id : shard_id + 1] = [
+            _Shard(
+                shard_id + offset,
+                keys[half].copy(),
+                row_ids[half].copy(),
+                index=index,
+                builds=shard.builds + 1,
+            )
+            for offset, (half, index) in enumerate(zip(halves, built))
+        ]
+        self._renumber_shards()
         return combine(
             f"serve.split_shard_{shard_id}",
-            [s for half in (left, right) if half is not None for s in half.build_stats],
+            [s for index in built for s in index.build_stats],
         )
 
-    def commit_shard_split(self, shard_id: int) -> None:
-        """Phase two: atomically replace the shard with its two halves.
+    def merge_shards(self, shard_id: int) -> KernelStats:
+        """Replace ``shard_id`` and its right neighbour by one shard.
 
-        The old shard serves every call up to this point and the halves every
-        later one — no unavailability window.  If updates landed since the
-        halves were built (version moved), they are rebuilt from the current
-        authoritative arrays first, so the commit can never lose writes.
+        The combined index is built while both shards keep serving (counted
+        in :attr:`rebuild_peak_bytes`), then swapped in.
         """
-        shard_id = int(shard_id)
-        shard = self.shards[shard_id]
-        if shard.reshard_kind != "split":
-            raise ValueError(f"shard {shard_id} has no split in flight")
-        split_key = shard.reshard_key
-        left, right = shard.reshard_indexes
-        if shard.version != shard.reshard_version:
-            position = self._split_position(shard, split_key)
-            left = self._build_from_slice(
-                f"shard {shard_id}L",
-                shard.keys[:position],
-                shard.row_ids[:position],
-                shard.index,
-            )
-            right = self._build_from_slice(
-                f"shard {shard_id}R",
-                shard.keys[position:],
-                shard.row_ids[position:],
-                shard.index,
-            )
-        position = self._split_position(shard, split_key)
-        self.partitioner.split_at(shard_id, split_key)
-        left_shard = _Shard(
-            shard_id,
-            shard.keys[:position].copy(),
-            shard.row_ids[:position].copy(),
-            index=left,
-            builds=shard.builds + 1,
-        )
-        right_shard = _Shard(
-            shard_id + 1,
-            shard.keys[position:].copy(),
-            shard.row_ids[position:].copy(),
-            index=right,
-            builds=shard.builds + 1,
-        )
-        self.shards[shard_id : shard_id + 1] = [left_shard, right_shard]
-        self._renumber_shards()
-        self.reshard_counts["split"] += 1
-        self.topology_version += 1
-
-    def begin_shard_merge(self, shard_id: int) -> KernelStats:
-        """Phase one of a zero-downtime merge of ``shard_id`` and its right
-        neighbour: build the combined replacement off the request path."""
-        shard_id = int(shard_id)
-        if shard_id >= len(self.shards) - 1:
-            raise ValueError(f"shard {shard_id} has no right neighbour to merge")
+        shard_id = self._check_shard_id(shard_id, self.num_shards - 1)
+        self._check_reshardable()
         left, right = self.shards[shard_id], self.shards[shard_id + 1]
-        self._check_reshardable(left)
-        self._check_reshardable(right)
         # Left keys all sort below the boundary the right shard starts at,
         # so concatenation preserves the sorted invariant.
+        keys = np.concatenate([left.keys, right.keys])
+        row_ids = np.concatenate([left.row_ids, right.row_ids])
         combined = self._build_from_slice(
             f"shard {shard_id}M",
-            np.concatenate([left.keys, right.keys]),
-            np.concatenate([left.row_ids, right.row_ids]),
+            keys,
+            row_ids,
             left.index if left.index is not None else right.index,
         )
-        left.reshard_kind = "merge"
-        left.reshard_indexes = (combined,)
-        left.reshard_version = left.version
-        left.reshard_partner_version = right.version
+        self._record_peak(combined)
+        self.partitioner.merge_with_next(shard_id)
+        builds = max(left.builds, right.builds) + 1
+        self.shards[shard_id : shard_id + 2] = [
+            _Shard(shard_id, keys, row_ids, index=combined, builds=builds)
+        ]
+        self._renumber_shards()
         return combine(
             f"serve.merge_shard_{shard_id}",
             list(combined.build_stats) if combined is not None else [],
         )
-
-    def commit_shard_merge(self, shard_id: int) -> None:
-        """Phase two: atomically replace both shards with the merged one,
-        rebuilding first if either side took writes since the build."""
-        shard_id = int(shard_id)
-        left = self.shards[shard_id]
-        if left.reshard_kind != "merge":
-            raise ValueError(f"shard {shard_id} has no merge in flight")
-        right = self.shards[shard_id + 1]
-        (combined,) = left.reshard_indexes
-        if (
-            left.version != left.reshard_version
-            or right.version != left.reshard_partner_version
-        ):
-            combined = self._build_from_slice(
-                f"shard {shard_id}M",
-                np.concatenate([left.keys, right.keys]),
-                np.concatenate([left.row_ids, right.row_ids]),
-                left.index if left.index is not None else right.index,
-            )
-        self.partitioner.merge_with_next(shard_id)
-        merged = _Shard(
-            shard_id,
-            np.concatenate([left.keys, right.keys]),
-            np.concatenate([left.row_ids, right.row_ids]),
-            index=combined,
-            builds=max(left.builds, right.builds) + 1,
-        )
-        self.shards[shard_id : shard_id + 2] = [merged]
-        self._renumber_shards()
-        self.reshard_counts["merge"] += 1
-        self.topology_version += 1
-
-    def abort_reshard(self, shard_id: int) -> None:
-        """Drop an in-flight split/merge replacement without committing."""
-        shard = self.shards[int(shard_id)]
-        shard.reshard_kind = None
-        shard.reshard_indexes = ()
-        shard.reshard_version = -1
-        shard.reshard_partner_version = -1
-
-    def split_shard(self, shard_id: int, split_key: Optional[int] = None) -> KernelStats:
-        """Build-and-commit split (both phases; peak footprint recorded)."""
-        stats = self.begin_shard_split(shard_id, split_key)
-        self.rebuild_peak_bytes = max(
-            self.rebuild_peak_bytes, self.memory_footprint_bytes()
-        )
-        self.commit_shard_split(shard_id)
-        return stats
-
-    def merge_shards(self, shard_id: int) -> KernelStats:
-        """Build-and-commit merge of ``shard_id`` with its right neighbour."""
-        stats = self.begin_shard_merge(shard_id)
-        self.rebuild_peak_bytes = max(
-            self.rebuild_peak_bytes, self.memory_footprint_bytes()
-        )
-        self.commit_shard_merge(shard_id)
-        return stats
 
     def _renumber_shards(self) -> None:
         for position, shard in enumerate(self.shards):
@@ -934,21 +766,11 @@ class ShardRouter:
     # ------------------------------------------------------------------ memory
 
     def memory_footprint_bytes(self) -> int:
-        """Resident device bytes, in-flight rebuild buffers included."""
-        total = sum(
-            shard.index.memory_footprint().total_bytes
-            for shard in self.shards
-            if shard.index is not None
+        """Resident device bytes of the live shard indexes."""
+        return int(
+            sum(
+                shard.index.memory_footprint().total_bytes
+                for shard in self.shards
+                if shard.index is not None
+            )
         )
-        total += sum(
-            shard.pending_index.memory_footprint().total_bytes
-            for shard in self.shards
-            if shard.pending_index is not None
-        )
-        total += sum(
-            replacement.memory_footprint().total_bytes
-            for shard in self.shards
-            for replacement in shard.reshard_indexes
-            if replacement is not None
-        )
-        return int(total)

@@ -547,13 +547,6 @@ class ShardedIndex(GpuIndex):
                     f"shard_{shard.shard_id}",
                     shard.index.memory_footprint().total_bytes,
                 )
-            if shard.pending_index is not None:
-                # A double-buffered rebuild in flight: the replacement is
-                # resident alongside the live generation until the swap.
-                footprint.add(
-                    f"shard_{shard.shard_id}_rebuild_buffer",
-                    shard.pending_index.memory_footprint().total_bytes,
-                )
         # The compiled tier's arenas and batch buffers are host memory, not
         # simulated device memory: the maintenance snapshot reports them
         # (``compiled_arena_bytes``), so this footprint stays independent of
@@ -778,9 +771,9 @@ class ShardedIndex(GpuIndex):
 
         In-flight batches are flushed first so no queued request crosses a
         topology change with a stale shard id; with the queues empty the
-        split/merge commits atomically between requests, and the epoch
-        lifecycle's version guard folds in any concurrent writes — no request
-        is ever lost or misrouted (zero-downtime by construction).
+        split or merge builds and swaps in its replacements in one call
+        between two requests, so no request or write is lost or misrouted
+        (zero-downtime by construction).
         """
         self._execute(run, run.scheduler.drain(now_ms))
         self._commit_fills(run, now_ms)

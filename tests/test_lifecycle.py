@@ -12,9 +12,11 @@ Covers the storage-lifecycle refactor end to end:
 * ``snapshot()`` / ``build_from_snapshot()`` — the off-path replacement-build
   primitive behind double-buffered shard rebuilds;
 * the serve layer's tiered maintenance policy: compaction below the rebuild
-  threshold, double-buffered rebuild swaps with zero unavailability (and the
-  rebuild buffer visible in the memory footprint while in flight) versus the
-  stop-the-world mode's recorded outage windows;
+  threshold, double-buffered rebuild swaps with zero unavailability versus
+  the stop-the-world mode's recorded outage windows;
+* the router's rebuild, split and merge: the peak footprint with both
+  generations resident, the replacements' epoch lineage, and the refusal of
+  a shard id out of range before anything is built;
 * the dense-keyset ``hit_miss_lookups`` regression (PR-3 footgun).
 """
 
@@ -305,59 +307,70 @@ def test_stop_the_world_rebuild_records_outage_windows():
     assert served.metrics.unavailable_ms > 0.0
 
 
-def test_rebuild_buffer_appears_in_memory_footprint_until_commit():
-    keyset = generate_keys(1024, uniformity=0.5, key_bits=32, seed=23)
-    served = _served_cgrxu(keyset)
-    router = served.router
-    resident = served.memory_footprint().total_bytes
-
-    router.begin_shard_rebuild(0)
-    during = served.memory_footprint()
-    assert during.get("shard_0_rebuild_buffer") > 0
-    assert during.total_bytes > resident
-
-    old_index = router.shards[0].index
-    router.commit_shard_rebuild(0)
-    after = served.memory_footprint()
-    assert after.get("shard_0_rebuild_buffer") == 0
-    assert router.shards[0].index is not old_index
-    assert router.shards[0].pending_index is None
-    # The replacement was built through the snapshot lifecycle: next epoch.
-    assert router.shards[0].index.epoch == old_index.epoch + 1
-    # The swapped-in generation answers exactly like the old one.
-    probe = keyset.keys[:256].astype(np.uint32)
-    result = served.point_lookup_batch(probe)
-    assert (result.match_counts >= 1).all()
-
-
-def test_commit_after_interleaved_updates_does_not_lose_writes():
-    """Updates landing between begin and commit trigger a catch-up rebuild."""
-    keyset = generate_keys(1024, uniformity=0.5, key_bits=32, seed=27)
+def test_lifecycle_steps_record_the_peak_and_advance_the_epoch():
+    """A rebuild, a split and a merge each build their replacements beside
+    the live indexes: the recorded peak is the footprint before the step
+    plus the replacements' bytes, every replacement is its source's next
+    epoch, and the swap changes no answer."""
+    keyset = generate_keys(4096, uniformity=0.5, key_bits=32, seed=23)
     served = _served_cgrxu(keyset, compact_threshold=1e9, rebuild_threshold=1e9)
     router = served.router
-    router.begin_shard_rebuild(0)
-    # Route fresh keys into shard 0 while its replacement is building.
-    shard_keys = router.shards[0].keys
-    low, high = int(shard_keys[0]), int(shard_keys[-1])
-    rng = np.random.default_rng(4)
-    inserts = rng.integers(low, high, size=64, dtype=np.uint64).astype(np.uint32)
-    rows = np.arange(100_000, 100_064, dtype=np.uint32)
-    served.update_batch(insert_keys=inserts, insert_row_ids=rows)
-    router.commit_shard_rebuild(0)
-    result = served.point_lookup_batch(inserts)
-    assert (result.match_counts >= 1).all()  # no write lost in the swap
+    rng = np.random.default_rng(5)
+    inserts = rng.integers(0, (1 << 32) - 1, size=512, dtype=np.uint64).astype(np.uint32)
+    served.update_batch(insert_keys=inserts)
+    probe = np.concatenate([keyset.keys[::5], inserts[::3]]).astype(np.uint32)
+    expected = router.point_lookup_batch(probe)
+
+    steps = [
+        # (step, shard it replaces, shards holding its replacements)
+        (lambda: router.rebuild_shard(1), 1, [1]),
+        (lambda: router.split_shard(2), 2, [2, 3]),
+        (lambda: router.merge_shards(1), 1, [1]),
+    ]
+    for step, source, replaced in steps:
+        footprint = router.memory_footprint_bytes()
+        old_index = router.shards[source].index
+        router.rebuild_peak_bytes = 0
+        step()
+        built = [router.shards[shard_id].index for shard_id in replaced]
+        assert all(index is not old_index for index in built)
+        assert router.rebuild_peak_bytes == footprint + sum(
+            index.memory_footprint().total_bytes for index in built
+        )
+        assert [index.epoch for index in built] == [old_index.epoch + 1] * len(built)
+        result = router.point_lookup_batch(probe)
+        assert result.row_ids.tobytes() == expected.row_ids.tobytes()
+        assert result.match_counts.tobytes() == expected.match_counts.tobytes()
+    # The merge joined the rebuilt shard with a split half, both epoch 1.
+    assert router.num_shards == 4
+    assert router.shards[1].index.epoch == 2
 
 
-def test_abort_rebuild_drops_the_buffer():
+@pytest.mark.parametrize("replication_factor", [1, 3])
+def test_lifecycle_calls_refuse_a_shard_id_out_of_range(replication_factor):
+    """-1 must not name the last shard, and a refused call builds nothing."""
     keyset = generate_keys(1024, uniformity=0.5, key_bits=32, seed=24)
-    served = _served_cgrxu(keyset)
-    served.router.begin_shard_rebuild(1)
-    with pytest.raises(ValueError):
-        served.router.begin_shard_rebuild(1)  # one in flight per shard
-    served.router.abort_shard_rebuild(1)
-    assert served.memory_footprint().get("shard_1_rebuild_buffer") == 0
-    with pytest.raises(ValueError):
-        served.router.commit_shard_rebuild(1)
+    served = _served_cgrxu(keyset, replication_factor=replication_factor)
+    router = served.router
+    num_shards = router.num_shards
+    indexes = [shard.index for shard in router.shards]
+    footprint = router.memory_footprint_bytes()
+    calls = [
+        (router.rebuild_shard, (-1, num_shards)),
+        (router.compact_shard, (-1, num_shards)),
+        (router.split_shard, (-1, num_shards)),
+        (router.merge_shards, (-1, num_shards - 1, num_shards)),
+    ]
+    for method, shard_ids in calls:
+        for shard_id in shard_ids:
+            with pytest.raises(ValueError):
+                method(shard_id)
+            assert router.num_shards == num_shards
+            assert all(
+                shard.index is index for shard, index in zip(router.shards, indexes)
+            )
+            assert router.memory_footprint_bytes() == footprint
+            assert router.rebuild_peak_bytes == 0
 
 
 def test_replica_group_compaction_keeps_answers():
@@ -420,29 +433,16 @@ def test_replicated_two_phase_rebuild_preserves_the_group():
     )
     router = served.router
     group = router.shards[0].index
-    router.begin_shard_rebuild(0)
-    assert router.shards[0].pending_index is None  # rolling: nothing buffered
-    router.commit_shard_rebuild(0)
-    assert router.shards[0].index is group  # same group, reloaded in place
-    assert len(group.replicas) == 3
     probe = keyset.keys[:128].astype(np.uint32)
-    assert (served.point_lookup_batch(probe).match_counts >= 1).all()
-
-
-def test_foreground_update_supersedes_inflight_rebuild():
-    """Rebuild-fallback updates must not raise into the foreground path."""
-    keyset = generate_keys(512, uniformity=0.5, key_bits=32, seed=29)
-    served = ShardedIndex(
-        keyset.keys,
-        keyset.row_ids,
-        factory=sorted_array_factory(),  # no native updates: rebuild fallback
-        config=ServeConfig(num_shards=2, key_bits=32, cache_capacity=0),
-    )
-    served.router.begin_shard_rebuild(0)
-    inserts = np.asarray([1, 2, 3], dtype=np.uint32)
-    served.update_batch(insert_keys=inserts)  # must not raise
-    assert not served.router.shards[0].pending_rebuild
-    assert (served.point_lookup_batch(inserts).match_counts >= 1).all()
+    before = served.point_lookup_batch(probe)
+    router.rebuild_shard(0)
+    assert router.shards[0].index is group  # same group, reloaded in place
+    assert router.shards[0].builds == 2
+    assert len(group.replicas) == 3
+    after = served.point_lookup_batch(probe)
+    assert (after.match_counts >= 1).all()
+    assert after.row_ids.tobytes() == before.row_ids.tobytes()
+    assert after.match_counts.tobytes() == before.match_counts.tobytes()
 
 
 def test_maintenance_metrics_rebind_after_caller_registry_stream():

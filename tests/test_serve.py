@@ -272,17 +272,6 @@ LIFECYCLES = {
     "stop_the_world": [lambda r: r.rebuild_shard(1, mode="stop_the_world")],
     "double_buffered": [lambda r: r.rebuild_shard(1)],
     "split_merge": [lambda r: r.split_shard(1), None, lambda r: r.merge_shards(0)],
-    "interleaved_commit": [
-        lambda r: r.begin_shard_rebuild(1),
-        None,
-        lambda r: r.commit_shard_rebuild(1),
-        lambda r: r.begin_shard_split(0),
-        None,
-        lambda r: r.commit_shard_split(0),
-        lambda r: r.begin_shard_merge(1),
-        None,
-        lambda r: r.commit_shard_merge(1),
-    ],
 }
 
 
