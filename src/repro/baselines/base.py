@@ -259,10 +259,10 @@ def cancel_opposing_updates(
     cancel = np.minimum(delete_counts, right - left)
     keep_inserts = np.ones(insert_keys.shape[0], dtype=bool)
     keep_deletes = np.ones(delete_keys.shape[0], dtype=bool)
-    for key, start, count in zip(unique_deletes, left, cancel):
-        if count:
-            keep_inserts[order[start : start + count]] = False
-            keep_deletes[np.where(delete_keys == key)[0][:count]] = False
+    for i in np.flatnonzero(cancel).tolist():
+        start, count = left[i], cancel[i]
+        keep_inserts[order[start : start + count]] = False
+        keep_deletes[np.flatnonzero(delete_keys == unique_deletes[i])[:count]] = False
     return (
         insert_keys[keep_inserts],
         insert_row_ids[keep_inserts],

@@ -763,48 +763,95 @@ void point_lookup(const LookupBatch* B, int64_t num_keys)
     reduce_batch(B, is_64, num_keys, &c, deepest, chain_nodes, entries, paced, sampled);
 }
 
+/* Prefetch what a range walk reads first of chain node `node`: its size and
+   the first lines of its keys and rowIDs. */
+static inline void prefetch_node(const ChainTables* C, int64_t node)
+{
+    const int64_t base = node * (int64_t)C->capacity;
+    __builtin_prefetch(C->sizes + node);
+    __builtin_prefetch((const char*)C->keys + base * (C->key_is_64 ? 8 : 4));
+    __builtin_prefetch(C->row_ids + base);
+}
+
+/* The forward walk of CgRXuIndex._range_lookup_batch_scalar over the range
+   [low, high] from chain position pos: empty nodes skipped,
+   max(1, right - left) entries touched per node, rows in walk order (at
+   most rows_capacity written in all), stop at the first key above high. */
+static inline void walk_range(const LookupBatch* B, int is_64, uint64_t low, uint64_t high,
+                              int64_t pos, int64_t* nodes, int64_t* entries, int64_t* written)
+{
+    const ChainTables* C = B->chain;
+    for (; pos < C->order_len; pos++) {
+        const int64_t node = C->order[pos];
+        (*nodes)++;
+        const int32_t size = C->sizes[node];
+        if (size == 0) continue;
+        const int64_t base = node * (int64_t)C->capacity;
+        int64_t left = 0, right = 0;
+        for (int32_t i = 0; i < size; i++) {
+            const uint64_t value = key_at(C->keys, is_64, base + i);
+            left += value < low;
+            right += value <= high;
+        }
+        *entries += right - left > 1 ? right - left : 1;
+        for (int64_t i = left; i < right; i++) {
+            if (*written < B->rows_capacity) B->rows[*written] = C->row_ids[base + i];
+            (*written)++;
+        }
+        if (right < (int64_t)size) break;
+    }
+}
+
+/* Ranges a range batch routes ahead of the one it walks: one per dependent
+   load a walk starts with (starts, order, the first chain nodes). */
+#define RANGE_AHEAD 3
+
 /* A whole cgRXu range batch (CgRXuIndex.range_lookup_batch): per range the
    fused routing of its low, a MISS starting at the overflow bucket, then
-   the forward walk of CgRXuIndex._range_lookup_batch_scalar: empty nodes
-   skipped, max(1, right - left) entries touched per node, rows in walk
-   order, stop at the first key above high.  The rows of every range go into one flat buffer (at most
-   rows_capacity written), offsets[q] to offsets[q + 1] bounding range q's.
-   Returns the number of rows needed.  reductions: as point_lookup's, with
-   no divergence sample (0, 0) and the distinct lows. */
+   walk_range.  The rows of every range go into one flat buffer,
+   offsets[q] to offsets[q + 1] bounding range q's.  Returns the number of
+   rows needed.  reductions: as point_lookup's, with no divergence sample
+   (0, 0) and the distinct lows.
+   The batch is software-pipelined so each of a walk's three dependent
+   loads misses while another range's rays run.  Step s routes range s and
+   prefetches its starts slot, reads range s - 1's start position and
+   prefetches its order slot, reads range s - 2's first chain nodes and
+   prefetches them, and walks range s - 3.  Ranges are still routed and
+   walked in order, so rows, offsets and reductions are those of routing
+   and walking one range at a time; the last RANGE_AHEAD steps drain. */
 int64_t range_lookup(const LookupBatch* B, int64_t num_ranges)
 {
     const ChainTables* C = B->chain;
     const int is_64 = C->key_is_64;
     RayTotals c = {0, 0, 0, 0};
     int64_t deepest = 0, nodes = 0, entries = 0, written = 0;
+    /* ring[q % (RANGE_AHEAD + 1)]: range q's bucket, then its position. */
+    int64_t ring[RANGE_AHEAD + 1];
     B->offsets[0] = 0;
-    for (int64_t q = 0; q < num_ranges; q++) {
-        int64_t kn = 0;
-        const int64_t bucket = locate_key(B, is_64, q, &kn, &c);
-        if (kn > deepest) deepest = kn;
-        const uint64_t low = key_at(B->keys, is_64, q);
-        const uint64_t high = key_at(B->highs, is_64, q);
-        for (int64_t pos = C->starts[bucket < 0 ? C->overflow_bucket : bucket];
-             pos < C->order_len; pos++) {
-            const int64_t node = C->order[pos];
-            nodes++;
-            const int32_t size = C->sizes[node];
-            if (size == 0) continue;
-            const int64_t base = node * (int64_t)C->capacity;
-            int64_t left = 0, right = 0;
-            for (int32_t i = 0; i < size; i++) {
-                const uint64_t value = key_at(C->keys, is_64, base + i);
-                left += value < low;
-                right += value <= high;
-            }
-            entries += right - left > 1 ? right - left : 1;
-            for (int64_t i = left; i < right; i++) {
-                if (written < B->rows_capacity) B->rows[written] = C->row_ids[base + i];
-                written++;
-            }
-            if (right < (int64_t)size) break;
+    for (int64_t s = 0; s < num_ranges + RANGE_AHEAD; s++) {
+        if (s < num_ranges) {
+            int64_t kn = 0;
+            const int64_t bucket = locate_key(B, is_64, s, &kn, &c);
+            if (kn > deepest) deepest = kn;
+            int64_t* slot = &ring[s % (RANGE_AHEAD + 1)];
+            *slot = bucket < 0 ? C->overflow_bucket : bucket;
+            __builtin_prefetch(C->starts + *slot);
         }
-        B->offsets[q + 1] = written;
+        if (s >= 1 && s - 1 < num_ranges) {
+            int64_t* slot = &ring[(s - 1) % (RANGE_AHEAD + 1)];
+            *slot = C->starts[*slot];
+            if (*slot < C->order_len) __builtin_prefetch(C->order + *slot);
+        }
+        if (s >= 2 && s - 2 < num_ranges) {
+            const int64_t pos = ring[(s - 2) % (RANGE_AHEAD + 1)];
+            if (pos < C->order_len) prefetch_node(C, C->order[pos]);
+        }
+        if (s >= RANGE_AHEAD) {
+            const int64_t q = s - RANGE_AHEAD;
+            walk_range(B, is_64, key_at(B->keys, is_64, q), key_at(B->highs, is_64, q),
+                       ring[q % (RANGE_AHEAD + 1)], &nodes, &entries, &written);
+            B->offsets[q + 1] = written;
+        }
     }
     reduce_batch(B, is_64, num_ranges, &c, deepest, nodes, entries, 0, 0);
     return written;

@@ -214,9 +214,9 @@ class ResultCache:
         cached = np.zeros(num, dtype=bool)
         row_agg = np.full(num, -1, dtype=np.int64)
         counts = np.zeros(num, dtype=np.int64)
-        for position, key in enumerate(keys):
-            tenant = int(tenants[position]) if tenants is not None else None
-            entry = self.get(int(key), tenant=tenant)
+        tenant_list = tenants.tolist() if tenants is not None else [None] * num
+        for position, (key, tenant) in enumerate(zip(keys.tolist(), tenant_list)):
+            entry = self.get(key, tenant=tenant)
             if entry is not None:
                 cached[position] = True
                 row_agg[position] = entry.row_agg
@@ -258,9 +258,11 @@ class ResultCache:
         tenants: Optional[np.ndarray] = None,
     ) -> None:
         """Cache the answers of a served sub-batch."""
-        for position, (key, agg, count) in enumerate(zip(keys, row_agg, match_counts)):
-            tenant = int(tenants[position]) if tenants is not None else None
-            self.put(int(key), int(agg), int(count), tenant=tenant)
+        tenant_list = tenants.tolist() if tenants is not None else [None] * keys.shape[0]
+        for key, agg, count, tenant in zip(
+            keys.tolist(), row_agg.tolist(), match_counts.tolist(), tenant_list
+        ):
+            self.put(key, agg, count, tenant=tenant)
 
     # ------------------------------------------------------------- invalidate
 
@@ -271,10 +273,11 @@ class ResultCache:
         copy of the key stale.
         """
         dropped = 0
-        for key in keys:
-            key = int(key)
-            for part in self._parts.values():
-                entry = part.entries.pop(key, None)
+        key_list = keys.tolist()
+        for part in self._parts.values():
+            pop = part.entries.pop
+            for key in key_list:
+                entry = pop(key, None)
                 if entry is not None:
                     dropped += 1
                     self._negatives -= entry.match_count == 0

@@ -448,8 +448,14 @@ def test_c_range_lookup_parity_through_updates_and_compaction(key_bits, represen
     assert_range_identical(*(index.range_lookup_batch(empty, empty) for index in indexes.values()))
     rng = np.random.default_rng(92)
 
-    def check(label: str) -> None:
+    def compare(lows: np.ndarray, highs: np.ndarray) -> None:
+        scalar = indexes["scalar"].range_lookup_batch(lows, highs)
+        fast = indexes["compiled"].range_lookup_batch(lows, highs)
+        assert_range_identical(scalar, fast)
+
+    def check() -> None:
         live = np.sort(indexes["scalar"].export_entries()[0])
+        top = np.iinfo(live.dtype).max
         # Narrow ranges inside one bucket, wide ones crossing many buckets
         # and the overflow bucket, inverted and out-of-range bounds.
         starts = rng.integers(0, live.shape[0], size=120)
@@ -457,32 +463,51 @@ def test_c_range_lookup_parity_through_updates_and_compaction(key_bits, represen
         lows = live[starts]
         highs = live[np.minimum(starts + widths, live.shape[0] - 1)]
         lows = np.concatenate([lows, [live[-1], live[10]], [0]]).astype(live.dtype)
-        highs = np.concatenate(
-            [highs, [np.iinfo(live.dtype).max, live[5]], [live[0]]]
-        ).astype(live.dtype)
-        scalar = indexes["scalar"].range_lookup_batch(lows, highs)
-        fast = indexes["compiled"].range_lookup_batch(lows, highs)
-        assert_range_identical(scalar, fast), label
+        highs = np.concatenate([highs, [top, live[5]], [live[0]]]).astype(live.dtype)
+        compare(lows, highs)
+        # Batches shorter and a little longer than the C batch's pipeline,
+        # which must drain every range.
+        for length in range(1, 7):
+            compare(lows[:length], highs[:length])
+        # Edge ranges at a short batch's first and last positions: a low
+        # above the last representative (a MISS, which walks the overflow
+        # chain), a low below the first representative, an inverted range.
+        first = indexes["scalar"].representation.min_representative
+        last = indexes["scalar"].representation.max_representative
+        assert 0 < first and last < top
+        edge_lows = [last + 1, first - 1, live[10]]
+        edge_highs = [top, live[20], live[5]]
+        compare(
+            np.array(edge_lows + lows[:2].tolist() + edge_lows[::-1], dtype=live.dtype),
+            np.array(edge_highs + highs[:2].tolist() + edge_highs[::-1], dtype=live.dtype),
+        )
         pipelines = [index.pipeline for index in indexes.values()]
         assert_stats_identical(*(pipeline.lifetime_stats for pipeline in pipelines))
 
-    check("fresh")
-    for number, wave in enumerate(
-        update_waves(keyset, num_insert_waves=2, num_delete_waves=3, growth_factor=1.6, seed=93)
+    check()
+    # Keys above the last representative fill the overflow chain a MISS walks.
+    above = indexes["scalar"].representation.max_representative + np.arange(1, 9)
+    for index in indexes.values():
+        index.update_batch(
+            insert_keys=above.astype(keyset.keys.dtype),
+            insert_row_ids=np.arange(8, dtype=np.uint32),
+        )
+    for wave in update_waves(
+        keyset, num_insert_waves=2, num_delete_waves=3, growth_factor=1.6, seed=93
     ):
         for index in indexes.values():
             apply_wave(index, wave)
-        check(f"wave {number}")
+        check()
     # Drain a contiguous run of keys so whole nodes are left empty.
     drained = np.sort(indexes["scalar"].export_entries()[0])[100:160]
     for index in indexes.values():
         index.update_batch(delete_keys=drained)
     order, _ = indexes["compiled"]._chain_table()
     assert (indexes["compiled"].nodes.sizes_array[order] == 0).any()
-    check("drained")
+    check()
     for index in indexes.values():
         index.compact_buckets(range(0, index.overflow_bucket + 1, 2))
-    check("compacted")
+    check()
 
 
 @requires_backend
